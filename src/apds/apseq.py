@@ -14,6 +14,11 @@ map m of length sigma dispatches queries:
 
 General (non-effective) alphabets keep the occurring symbols in a sorted
 dictionary and run the machinery over their ranks.
+
+Only t, m, the class stores and the raw class values are serialized; load
+derives the partition summary (each symbol's class and occurrences, each
+class's alphabet size and length) from m's decode and the class stores'
+per-symbol counts, in array operations with no loop over symbols.
 """
 
 from __future__ import annotations
@@ -60,26 +65,21 @@ class Partition:
         self.n = n
         self.sigma = sigma
         self.occ = occ.astype(np.int64)
-        # raw class value per symbol
-        self.symbol_class = np.array(
-            [class_of(n, int(c)) for c in occ], dtype=np.int64
-        )
-        self.class_values = np.unique(self.symbol_class)  # sorted raw ids
+        # raw class value per symbol; class_of runs once per distinct count
+        counts, count_of = np.unique(self.occ, return_inverse=True)
+        raw = np.array([class_of(n, int(c)) for c in counts], dtype=np.int64)
+        self.symbol_class = raw[count_of]
+        self.class_values, dense0 = np.unique(self.symbol_class, return_inverse=True)
         self.num_classes = self.class_values.size
         # dense class index per symbol (1-based)
-        self._dense = {int(v): i + 1 for i, v in enumerate(self.class_values)}
-        self.symbol_class_dense = np.array(
-            [self._dense[int(v)] for v in self.symbol_class], dtype=np.int64
-        )
+        self.symbol_class_dense = dense0.astype(np.int64) + 1
         self.t_raw = self.symbol_class[seq - 1]
         self.t_dense = self.symbol_class_dense[seq - 1]
         # class sub-alphabet sizes and projected sub-sequence lengths
         self.sub_sigma = np.bincount(
             self.symbol_class_dense, minlength=self.num_classes + 1
         )[1:]
-        self.sub_len = np.zeros(self.num_classes, dtype=np.int64)
-        for ci in range(1, self.num_classes + 1):
-            self.sub_len[ci - 1] = int(self.occ[self.symbol_class_dense == ci].sum())
+        self.sub_len = np.bincount(self.t_dense, minlength=self.num_classes + 1)[1:]
 
     def identity_terms(self):
         """(n*H0(t), sum |s_l| lg sigma_l, n*H0(s), n/lg n)."""
@@ -97,23 +97,45 @@ class Partition:
         return nh0t, sub, nh0s, slack
 
     def check_invariants(self):
+        """Raise AssertionError when a bound of the partition fails.
+
+        The checks are explicit raises, so ``python -O`` keeps them."""
         n = self.n
         if n == 1:
-            assert self.num_classes == 1 and self.class_values[0] == 0
+            _require(self.num_classes == 1 and self.class_values[0] == 0,
+                     "a length-1 sequence must form the single class 0")
             return
         lgn = math.log2(n)
-        assert self.class_values[0] >= 0
-        assert self.class_values[-1] <= math.ceil(lgn * lgn)
+        _require(self.class_values[0] >= 0, "negative class value")
+        _require(self.class_values[-1] <= math.ceil(lgn * lgn),
+                 "class value above ceil(lg^2 n)")
         # class-size bound, for every member symbol
         factor = 2.0 ** (1.0 / lgn)
-        for a in range(1, self.sigma + 1):
-            ci = self.symbol_class_dense[a - 1]
-            bound = factor * int(self.sub_len[ci - 1]) / int(self.occ[a - 1])
-            assert self.sub_sigma[ci - 1] < bound, (
-                f"class size bound violated for symbol {a}"
+        ci = self.symbol_class_dense - 1
+        held = self.sub_sigma[ci] < factor * self.sub_len[ci] / self.occ
+        if not held.all():
+            raise AssertionError(
+                f"class size bound violated for symbol {int(np.argmin(held)) + 1}"
             )
         nh0t, sub, nh0s, slack = self.identity_terms()
-        assert nh0t + sub < nh0s + slack + 1e-9 * max(1.0, nh0s + slack)
+        _require(nh0t + sub < nh0s + slack + 1e-9 * max(1.0, nh0s + slack),
+                 "partition identity bound violated")
+
+
+def _group_by_class(classes: np.ndarray, sizes: np.ndarray) -> list:
+    """0-based indices of ``classes`` split by class 1..k, ascending within
+    each class; ``sizes`` holds the k class sizes.
+
+    A partition has at most ceil(lg^2 n) + 1 classes, so ids fit in 16 bits,
+    where numpy's stable sort is a radix sort."""
+    keys = classes.astype(np.uint16) if sizes.size < 1 << 16 else classes
+    order = np.argsort(keys, kind="stable")
+    return np.split(order, np.cumsum(sizes)[:-1])
+
+
+def _require(cond, message: str):
+    if not cond:
+        raise AssertionError(message)
 
 
 class ApSequence:
@@ -147,15 +169,16 @@ class ApSequence:
             part.symbol_class_dense, alphabet_size=part.num_classes
         )
         threshold = poly_threshold(self.n)
+        members = _group_by_class(part.symbol_class_dense, part.sub_sigma)
+        positions = _group_by_class(part.t_dense, part.sub_len)
+        # class-local alphabet [1..sigma_l]: the c-th smallest member of a
+        # class becomes c
+        local_of = np.empty(self.sigma, dtype=np.int64)
+        for m in members:
+            local_of[m] = np.arange(1, m.size + 1)
         self.subs = []
-        for ci in range(1, part.num_classes + 1):
-            mask = part.t_dense == ci
-            # project and remap to the class-local alphabet [1..sigma_l]:
-            # c-th smallest symbol of the class becomes c
-            proj = arr[mask]
-            members = np.flatnonzero(part.symbol_class_dense == ci) + 1
-            local = np.searchsorted(members, proj) + 1
-            sig_l = int(part.sub_sigma[ci - 1])
+        for pos, sig_l in zip(positions, part.sub_sigma.tolist()):
+            local = local_of[arr[pos] - 1]
             if sig_l <= threshold:
                 self.subs.append(PolySequence(local, alphabet_size=sig_l))
             else:
@@ -214,15 +237,12 @@ class ApSequence:
 
     def decode(self) -> np.ndarray:
         """Reconstruct the stored sequence in one vectorized pass."""
-        classes = self.T.decode()
+        part = self.partition
+        members = _group_by_class(part.symbol_class_dense, part.sub_sigma)
+        positions = _group_by_class(self.T.decode(), part.sub_len)
         out = np.empty(self.n, dtype=np.int64)
-        members_by_class = {}
-        dense = self.partition.symbol_class_dense
-        for ci in range(1, self.partition.num_classes + 1):
-            members_by_class[ci] = np.flatnonzero(dense == ci) + 1
-        for ci, sub in enumerate(self.subs, 1):
-            mask = classes == ci
-            out[mask] = members_by_class[ci][sub.decode() - 1]
+        for m, pos, sub in zip(members, positions, self.subs):
+            out[pos] = m[sub.decode() - 1] + 1
         if self.alphabet_dict is not None:
             values = self.alphabet_dict.values()
             out = values[out - 1]
@@ -306,25 +326,34 @@ class ApSequence:
         return obj
 
     def _restore_partition(self, class_values: np.ndarray):
-        """Rebuild the partition summary from the stored components."""
+        """Derive the partition summary from M and the class stores.
+
+        Raises InputError when T, M and the class stores disagree."""
+        k = class_values.size
+        if k < 1 or self.M.sigma != k or self.T.sigma != k or len(self.subs) != k:
+            raise InputError("class count differs between T, M and the class stores")
+        if self.T.n != self.n:
+            raise InputError("class string length differs from the sequence length")
+        if self.alphabet_dict is not None and self.alphabet_dict.size != self.M.n:
+            raise InputError("alphabet dictionary size differs from the symbol map")
         part = Partition.__new__(Partition)
         part.n = self.n
         part.sigma = self.M.n
         part.class_values = class_values
-        part.num_classes = class_values.size
-        dense = np.array(
-            [self.M.access(a) for a in range(1, part.sigma + 1)], dtype=np.int64
-        )
+        part.num_classes = k
+        dense = self.M.decode()
         part.symbol_class_dense = dense
         part.symbol_class = class_values[dense - 1]
-        part.sub_sigma = np.bincount(dense, minlength=part.num_classes + 1)[1:]
+        part.sub_sigma = np.bincount(dense, minlength=k + 1)[1:]
         part.sub_len = np.array([len(s) for s in self.subs], dtype=np.int64)
-        occ = np.zeros(part.sigma, dtype=np.int64)
-        for a in range(1, part.sigma + 1):
-            ci = dense[a - 1]
-            c = self.M.rank(ci, a)
-            occ[a - 1] = self.subs[ci - 1].occurrences(c)
-        part.occ = occ
+        if not np.array_equal([s.sigma for s in self.subs], part.sub_sigma):
+            raise InputError("a class store's alphabet differs from its class in M")
+        if not np.array_equal(self.T.symbol_counts(), part.sub_len):
+            raise InputError("class counts in T differ from the class store lengths")
+        # the c-th smallest member of class l is local symbol c of s_l
+        part.occ = np.empty(part.sigma, dtype=np.int64)
+        for m, sub in zip(_group_by_class(dense, part.sub_sigma), self.subs):
+            part.occ[m] = sub.symbol_counts()
         part.t_raw = None  # not materialized after load
         part.t_dense = None
         self.partition = part

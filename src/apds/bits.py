@@ -11,6 +11,8 @@ import struct
 
 import numpy as np
 
+from .errors import InputError
+
 WORD_BITS = 64
 _U64 = np.dtype("<u8")
 
@@ -97,6 +99,10 @@ class ByteWriter:
     def f64(self, v: float):
         self._parts.append(struct.pack("<d", v))
 
+    def u8_block(self, arr):
+        """Unprefixed run of bytes, one per element; the reader knows the count."""
+        self._parts.append(np.ascontiguousarray(arr, dtype=np.uint8).tobytes())
+
     def words(self, arr: np.ndarray):
         """Length-prefixed uint64 word array."""
         arr = np.ascontiguousarray(arr, dtype=_U64)
@@ -125,7 +131,7 @@ class ByteReader:
     def _take(self, k: int) -> bytes:
         b = self._data[self._pos : self._pos + k]
         if len(b) != k:
-            raise ValueError("truncated payload")
+            raise InputError("truncated payload")
         self._pos += k
         return b
 
@@ -140,6 +146,9 @@ class ByteReader:
 
     def f64(self) -> float:
         return struct.unpack("<d", self._take(8))[0]
+
+    def u8_block(self, k: int) -> np.ndarray:
+        return np.frombuffer(self._take(k), dtype=np.uint8)
 
     def words(self) -> np.ndarray:
         n = self.u64()

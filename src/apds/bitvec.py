@@ -133,6 +133,10 @@ class PlainBitVector:
     def to_bits(self) -> np.ndarray:
         return unpack_bits(self.words, self.n)
 
+    def ones(self) -> np.ndarray:
+        """0-based positions of the one bits, ascending."""
+        return np.flatnonzero(self.to_bits())
+
     def payload_bits(self) -> int:
         return self.words.size * WORD_BITS
 
@@ -245,15 +249,24 @@ class SparseBitVector:
                 hi = mid
         return lo
 
+    def _stored_positions(self) -> np.ndarray:
+        """0-based positions of the stored bit value, ascending."""
+        high = self._upper.ones() - np.arange(self.k)
+        low = unpack_fixed(self._lows, self.low_width, self.k).astype(np.int64)
+        return (high << self.low_width) | low
+
     def to_bits(self) -> np.ndarray:
         out = np.full(self.n, 1 - self.stored, dtype=np.uint8)
         if self.k:
-            ub = self._upper.to_bits()
-            ones = np.flatnonzero(ub)
-            high = ones - np.arange(self.k)
-            low = unpack_fixed(self._lows, self.low_width, self.k).astype(np.int64)
-            out[(high << self.low_width) | low] = self.stored
+            out[self._stored_positions()] = self.stored
         return out
+
+    def ones(self) -> np.ndarray:
+        """0-based positions of the one bits, ascending; no length-n array
+        when the ones are the stored minority."""
+        if self.stored == 1:
+            return self._stored_positions()
+        return np.flatnonzero(self.to_bits())
 
     def payload_bits(self) -> int:
         return self._lows.size * WORD_BITS + self._upper.payload_bits()
@@ -357,7 +370,7 @@ class SparseDictionary:
         return self._bv.select(i, 1)
 
     def values(self) -> np.ndarray:
-        return np.array([self.value_of(i) for i in range(1, self.size + 1)])
+        return self._bv.ones() + 1
 
     def payload_bits(self) -> int:
         return self._bv.payload_bits()

@@ -157,6 +157,10 @@ class LargeSequence:
             return 0
         return int(self._cocc[a] - self._cocc[a - 1])
 
+    def symbol_counts(self) -> np.ndarray:
+        """Occurrences of symbols 1..sigma, as one array."""
+        return np.diff(self._cocc)
+
     def access(self, i: int) -> int:
         if not 1 <= i <= self.n:
             raise OutOfRangeError(f"position {i} out of [1..{self.n}]")
@@ -264,11 +268,15 @@ class LargeSequence:
         obj = cls.__new__(cls)
         obj.n = r.u64()
         obj.sigma = r.u64()
+        if obj.sigma < 1:
+            raise InputError("large-alphabet store with an empty alphabet")
         obj.chunks = (obj.n + obj.sigma - 1) // obj.sigma
         obj.width = max(1, (obj.sigma - 1).bit_length())
         obj.step = max(1, math.ceil(math.log2(obj.sigma)) if obj.sigma > 1 else 1)
         obj._fwd_words = r.words()
         obj._cocc = r.u64_array().astype(np.int64)
+        if obj._cocc.size != obj.sigma + 1 or int(obj._cocc[-1]) != obj.n:
+            raise InputError("cumulative counts do not match the sequence header")
         obj._hist = read_bitvector(ByteReader(r.blob()))
         obj._dist = read_bitvector(ByteReader(r.blob()))
         obj._marks = read_bitvector(ByteReader(r.blob()))

@@ -444,7 +444,7 @@ class _InterleavedStrictLayout:
         obj.mins = r.u64_array().astype(np.int64)
         obj.lens = r.u64_array().astype(np.int64)
         dirs = read_bitvector(ByteReader(r.blob()))
-        obj.incr = np.array([bool(dirs.access(i)) for i in range(1, len(dirs) + 1)])
+        obj.incr = dirs.to_bits().astype(bool)
         obj._build_pred(len(obj.s))
         return obj
 
@@ -546,7 +546,7 @@ class _ContiguousStrictLayout:
         obj.lens = r.u64_array().astype(np.int64)
         obj.pi_start = r.u64_array().astype(np.int64)
         dirs = read_bitvector(ByteReader(r.blob()))
-        obj.incr = np.array([bool(dirs.access(i)) for i in range(1, len(dirs) + 1)])
+        obj.incr = dirs.to_bits().astype(bool)
         obj._build_preds()
         return obj
 
@@ -691,7 +691,7 @@ class RunPermutation:
         lengths = r.u64_array().astype(np.int64)
         mins = r.u64_array().astype(np.int64)
         dirs = read_bitvector(ByteReader(r.blob()))
-        increasing = np.array([bool(dirs.access(i)) for i in range(1, len(dirs) + 1)])
+        increasing = dirs.to_bits().astype(bool)
         starts = r.u64_array().astype(np.int64) if r.u8() else None
         dec = RunDecomposition(kind, n, None, lengths, increasing, mins, starts)
         layout = _LAYOUTS[tag].deserialize(r.blob())

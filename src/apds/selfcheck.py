@@ -252,8 +252,9 @@ def suite_serialization(rng, iters, max_n, fault=False):
         n = int(rng.integers(2, max_n + 1))
         sigma = max(2, int(rng.integers(2, min(n, 32) + 1)))
         seq = rng.integers(1, sigma + 1, size=n).tolist()
+        aps = build_partition(seq, general_alphabet=True)
         objs = [
-            build_partition(seq, general_alphabet=True),
+            aps,
             build_run_permutation(
                 rng.permutation(np.arange(1, n + 1)).tolist(),
                 KINDS[trial % 4],
@@ -271,6 +272,28 @@ def suite_serialization(rng, iters, max_n, fault=False):
                     "serialization", f"round trip not byte-identical (n={n})"
                 )
             checks += 1
+            if obj is aps:
+                # load derives the partition summary, which the bytes omit
+                checks += _loaded_sequence_check(aps, back, seq)
+    return checks
+
+
+def _loaded_sequence_check(built, loaded, seq):
+    checks = 0
+    for a in sorted(set(seq)):
+        if loaded.occurrences(a) != built.occurrences(a):
+            raise CheckFailure(
+                "serialization",
+                f"occurrences({a}) = {loaded.occurrences(a)} after load, "
+                f"{built.occurrences(a)} before (n={len(seq)})",
+            )
+        checks += 1
+    for i in range(1, len(seq) + 1, max(1, len(seq) // 17)):
+        if loaded.access(i) != built.access(i):
+            raise CheckFailure(
+                "serialization", f"access({i}) differs after load (n={len(seq)})"
+            )
+        checks += 1
     return checks
 
 

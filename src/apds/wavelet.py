@@ -141,6 +141,10 @@ class PolySequence:
             return 0
         return int(self._counts[a - 1])
 
+    def symbol_counts(self) -> np.ndarray:
+        """Occurrences of symbols 1..sigma, as one array."""
+        return self._counts
+
     def access(self, i: int) -> int:
         if not 1 <= i <= self.n:
             raise OutOfRangeError(f"position {i} out of [1..{self.n}]")
@@ -211,8 +215,7 @@ class PolySequence:
         w = ByteWriter()
         w.u64(self.n)
         w.u64(self.sigma)
-        for l in self._lengths.tolist():
-            w.u8(l)
+        w.u8_block(self._lengths)
         w.u64_array(self._counts.astype(np.uint64))
         order = self._node_order()
         w.u64(len(order))
@@ -240,8 +243,10 @@ class PolySequence:
         obj = cls.__new__(cls)
         obj.n = r.u64()
         obj.sigma = r.u64()
-        obj._lengths = np.array([r.u8() for _ in range(obj.sigma)], dtype=np.int64)
+        obj._lengths = r.u8_block(obj.sigma).astype(np.int64)
         obj._counts = r.u64_array().astype(np.int64)
+        if obj._counts.size != obj.sigma or int(obj._counts.sum()) != obj.n:
+            raise InputError("symbol counts do not match the sequence header")
         obj._codes = canonical_codes(obj._lengths)
         nnodes = r.u64()
         distinct = int((obj._counts > 0).sum())
@@ -253,5 +258,6 @@ class PolySequence:
         obj._build_tree()
         for idx in obj._node_order():
             obj._nodes[idx].bv = read_bitvector(ByteReader(r.blob()))
-        assert nnodes == sum(1 for nd in obj._nodes if nd.symbol is None)
+        if nnodes != sum(1 for nd in obj._nodes if nd.symbol is None):
+            raise InputError("node count does not match the code lengths")
         return obj

@@ -198,20 +198,41 @@ def test_variant_flag():
         build_partition(ABRA, variant="x")
 
 
+PARTITION_FIELDS = ("occ", "symbol_class_dense", "symbol_class", "sub_sigma", "sub_len")
+
+
 def test_serialize_round_trip():
     rng = np.random.default_rng(23)
+    large = rng.integers(1, 257, size=2048)
+    large[:256] = np.arange(1, 257)  # classes above floor(lg n) symbols
     for seq, general in [
         (ABRA, False),
         (zipf(rng, 800, 50, 1.0).tolist(), False),
         ((zipf(rng, 500, 20, 1.0) * 37).tolist(), True),
+        (large.tolist(), False),
+        ([4] * 9, True),
     ]:
         aps = build_partition(seq, general_alphabet=general)
+        if seq is large:
+            assert LargeSequence in {type(s) for s in aps.subs}
         data = aps.serialize()
         back = ApSequence.deserialize(data)
         assert back.serialize() == data
+        for field in PARTITION_FIELDS:
+            assert np.array_equal(getattr(back.partition, field),
+                                  getattr(aps.partition, field)), field
         for i in range(1, len(seq) + 1, 7):
             assert back.access(i) == aps.access(i)
         for a in sorted(set(seq))[:10]:
             assert back.rank(a, len(seq)) == aps.rank(a, len(seq))
             assert back.select(a, 1) == aps.select(a, 1)
+        assert back.decode().tolist() == list(seq)
         assert back.space_report().n == aps.n
+
+
+def test_load_rejects_swapped_class_stores():
+    aps = build_partition(ABRA)
+    assert aps.subs[0].sigma != aps.subs[1].sigma
+    aps.subs[0], aps.subs[1] = aps.subs[1], aps.subs[0]
+    with pytest.raises(InputError):
+        ApSequence.deserialize(aps.serialize())

@@ -195,6 +195,12 @@ def test_dict_serialize():
     back = SparseDictionary.deserialize(d.serialize())
     assert back.values().tolist() == [10, 200, 3000]
     assert back.serialize() == d.serialize()
+    # dense (plain) and sparse encodings, against the value_of reference
+    for vals in (np.arange(1, 400, 2), np.arange(5, 5000, 97)):
+        back = SparseDictionary.deserialize(SparseDictionary(vals).serialize())
+        assert back.values().tolist() == [
+            back.value_of(i) for i in range(1, back.size + 1)
+        ]
 
 
 def test_dict_rejects_bad_values():

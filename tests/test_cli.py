@@ -1,3 +1,8 @@
+import os
+import struct
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -192,3 +197,24 @@ def test_bytes_symbol_escape(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "query", "--structure", out_path,
                            "--op", "rank", "--symbol", r"\100", "--pos", "4")
     assert out.strip() == "3"
+
+
+def test_truncated_payload_exit_2_without_traceback(abra_file, tmp_path, capsys):
+    out_path = tmp_path / "abra.apds"
+    run_cli(capsys, "build", "--type", "seq", "--input", abra_file,
+            "--output", str(out_path))
+    data = out_path.read_bytes()
+    # one section: its payload starts at byte 23, its length is at byte 15
+    payload = data[23:]
+    cut = payload[: len(payload) // 2]
+    out_path.write_bytes(data[:15] + struct.pack("<Q", len(cut)) + cut)
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "apds.cli", "query", "--structure", str(out_path),
+         "--op", "access", "--pos", "1"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert any(line.startswith("error:") for line in proc.stderr.splitlines())
+    assert "Traceback" not in proc.stderr
