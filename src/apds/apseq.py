@@ -142,15 +142,12 @@ class ApSequence:
     """Compressed sequence with access/rank/select over [1..sigma] or a
     general alphabet remapped through a dictionary."""
 
-    def __init__(self, seq, general_alphabet: bool = False, variant: str = "i"):
+    def __init__(self, seq, general_alphabet: bool = False):
         arr = np.asarray(seq, dtype=np.int64)
         if arr.size == 0:
             raise InputError("empty input")
         if arr.min() < 1:
             raise InputError(f"invalid symbol {int(arr.min())}: symbols must be >= 1")
-        if variant not in ("i", "ii"):
-            raise InputError("variant must be 'i' or 'ii'")
-        self.variant = variant
         if general_alphabet:
             uniq = np.unique(arr)
             self.alphabet_dict = SparseDictionary(uniq)
@@ -279,7 +276,7 @@ class ApSequence:
             bound_bits=nh0s + slack,
             total_bits=total,
             sections=sections,
-            extra={"num_classes": part.num_classes, "variant": self.variant},
+            extra={"num_classes": part.num_classes},
         )
 
     def payload_bits(self) -> int:
@@ -290,7 +287,6 @@ class ApSequence:
     def serialize(self) -> bytes:
         w = ByteWriter()
         w.u64(self.n)
-        w.u8(1 if self.variant == "ii" else 0)
         w.u8(1 if self.alphabet_dict is not None else 0)
         if self.alphabet_dict is not None:
             w.blob(self.alphabet_dict.serialize())
@@ -308,7 +304,6 @@ class ApSequence:
         r = ByteReader(data)
         obj = cls.__new__(cls)
         obj.n = r.u64()
-        obj.variant = "ii" if r.u8() else "i"
         obj.alphabet_dict = SparseDictionary.deserialize(r.blob()) if r.u8() else None
         class_values = r.u64_array().astype(np.int64)
         obj.T = PolySequence.deserialize(r.blob())
@@ -360,8 +355,8 @@ class ApSequence:
         self.sigma = part.sigma
 
 
-def build_partition(seq, general_alphabet: bool = False, variant: str = "i") -> ApSequence:
+def build_partition(seq, general_alphabet: bool = False) -> ApSequence:
     """Build an ApSequence and verify the partition invariants."""
-    aps = ApSequence(seq, general_alphabet=general_alphabet, variant=variant)
+    aps = ApSequence(seq, general_alphabet=general_alphabet)
     aps.partition.check_invariants()
     return aps

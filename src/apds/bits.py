@@ -96,9 +96,6 @@ class ByteWriter:
     def u64(self, v: int):
         self._parts.append(struct.pack("<Q", v))
 
-    def f64(self, v: float):
-        self._parts.append(struct.pack("<d", v))
-
     def u8_block(self, arr):
         """Unprefixed run of bytes, one per element; the reader knows the count."""
         self._parts.append(np.ascontiguousarray(arr, dtype=np.uint8).tobytes())
@@ -143,9 +140,6 @@ class ByteReader:
 
     def u64(self) -> int:
         return struct.unpack("<Q", self._take(8))[0]
-
-    def f64(self) -> float:
-        return struct.unpack("<d", self._take(8))[0]
 
     def u8_block(self, k: int) -> np.ndarray:
         return np.frombuffer(self._take(k), dtype=np.uint8)

@@ -10,7 +10,12 @@ Three storage modes:
                    (mirrored strict) layout
 
 In the runs modes  f(i) = b.rank1(b.select0(pi(i)))  and preimages come
-from pi^-1 applied to the zero run of the requested value.
+from pi^-1 applied to the zero run of the requested value.  The runs of pi
+come from permutation.decompose_runs: the patience cover
+("interleaved-general") or the maximal monotone segments
+("contiguous-general").  The sort is stable, so pi rises exactly where f
+does not decrease.  When the patience cover's H(runs) exceeds H0(f), one
+run per value is used instead, so H(runs) <= H0 always holds.
 """
 
 from __future__ import annotations
@@ -21,84 +26,10 @@ from .apseq import ApSequence
 from .bits import ByteReader, ByteWriter
 from .bitvec import SparseDictionary, bitvector, read_bitvector
 from .errors import InputError, NotFoundError, OutOfRangeError
-from .permutation import RunDecomposition, RunPermutation
-from .stats import h0, h_runs
+from .permutation import RunDecomposition, RunPermutation, decompose_runs
+from .stats import h0
 
 MODES = ("direct", "runs-interleaved", "runs-contiguous")
-
-
-def _cover_value_runs_interleaved(arr: np.ndarray):
-    """Two-pass greedy cover of the value sequence into non-decreasing or
-    strictly-decreasing subsequences (ties must ascend so the stable sort
-    permutation stays monotone inside every run)."""
-    tops: list[int] = []
-    direction: list[int] = []  # 0 singleton, +1 non-decreasing, -1 strictly-decreasing
-    labels = np.zeros(arr.size, dtype=np.int64)
-    for pos, v in enumerate(arr.tolist()):
-        chosen = None
-        for r, top in enumerate(tops):
-            if direction[r] >= 0 and v >= top:
-                chosen = r
-                direction[r] = 1
-                break
-        if chosen is None:
-            for r, top in enumerate(tops):
-                if direction[r] <= 0 and v < top:
-                    chosen = r
-                    direction[r] = -1
-                    break
-        if chosen is None:
-            chosen = len(tops)
-            tops.append(v)
-            direction.append(0)
-        else:
-            tops[chosen] = v
-        labels[pos] = chosen + 1
-    rho = len(tops)
-    lengths = np.bincount(labels, minlength=rho + 1)[1:]
-    increasing = np.array([d >= 0 for d in direction])
-    return labels, lengths, increasing
-
-
-def _cover_value_runs_per_value(arr: np.ndarray, sigma: int):
-    """Trivial cover: one all-equal run per value; H(runs) = H0 exactly."""
-    labels = arr.astype(np.int64)
-    lengths = np.bincount(labels, minlength=sigma + 1)[1:]
-    return labels, lengths, np.ones(sigma, dtype=bool)
-
-
-def _cover_value_runs_contiguous(arr: np.ndarray):
-    """Maximal segments, non-decreasing or strictly-decreasing."""
-    n = arr.size
-    labels = np.zeros(n, dtype=np.int64)
-    lengths, increasing, starts = [], [], []
-    i = 0
-    run = 0
-    while i < n:
-        start = i
-        up = True
-        if i + 1 < n:
-            up = int(arr[i + 1]) >= int(arr[i])
-            i += 1
-            while i + 1 < n:
-                nxt, cur = int(arr[i + 1]), int(arr[i])
-                if up and nxt < cur:
-                    break
-                if not up and nxt >= cur:
-                    break
-                i += 1
-        run += 1
-        labels[start : i + 1] = run
-        lengths.append(i + 1 - start)
-        increasing.append(up)
-        starts.append(start + 1)
-        i += 1
-    return (
-        labels,
-        np.array(lengths, dtype=np.int64),
-        np.array(increasing),
-        np.array(starts, dtype=np.int64),
-    )
 
 
 def _sort_permutation(arr: np.ndarray) -> np.ndarray:
@@ -120,8 +51,7 @@ def _delimiter_bitmap(counts: np.ndarray):
 
 
 class CompressedFunction:
-    def __init__(self, f, mode: str = "direct", remap: bool = False,
-                 epsilon: float = 0.5):
+    def __init__(self, f, mode: str = "direct", remap: bool = False):
         if mode not in MODES:
             raise InputError(f"unknown function mode {mode!r}")
         arr = np.asarray(f, dtype=np.int64)
@@ -144,9 +74,9 @@ class CompressedFunction:
         self.n = int(arr.size)
         self.sigma = int(arr.max())
         counts = np.bincount(arr, minlength=self.sigma + 1)[1:]
-        self._build(arr, counts, epsilon)
+        self._build(arr, counts)
 
-    def _build(self, arr, counts, epsilon):
+    def _build(self, arr, counts):
         if self.mode == "direct":
             self.ap = ApSequence(arr)
             self.pi = None
@@ -155,37 +85,19 @@ class CompressedFunction:
         self.ap = None
         self.b = _delimiter_bitmap(counts)
         pi = _sort_permutation(arr)
-        if self.mode == "runs-interleaved":
-            labels, lengths, incr = _cover_value_runs_interleaved(arr)
-            if h_runs(lengths) > h0(arr) + 1e-12:
-                labels, lengths, incr = _cover_value_runs_per_value(arr, self.sigma)
-            dec = RunDecomposition(
-                kind="interleaved-general",
-                n=self.n,
-                labels=labels,
-                lengths=lengths,
-                increasing=incr,
-                min_values=self._run_minima(pi, labels, lengths.size),
-            )
-            assert h_runs(dec.lengths) <= h0(arr) + 1e-9
+        if self.mode == "runs-contiguous":
+            dec = decompose_runs(pi, "contiguous-general")
         else:
-            labels, lengths, incr, starts = _cover_value_runs_contiguous(arr)
-            dec = RunDecomposition(
-                kind="contiguous-general",
-                n=self.n,
-                labels=labels,
-                lengths=lengths,
-                increasing=incr,
-                min_values=self._run_minima(pi, labels, lengths.size),
-                starts=starts,
-            )
-        self.pi = RunPermutation.from_decomposition(pi, dec, epsilon=epsilon)
-
-    @staticmethod
-    def _run_minima(pi, labels, rho):
-        mins = np.full(rho, pi.size + 1, dtype=np.int64)
-        np.minimum.at(mins, labels - 1, pi)
-        return mins
+            dec = decompose_runs(pi, "interleaved-general")
+            h = h0(arr)
+            if dec.entropy() > h + 1e-12:
+                # one all-equal run per value: H(runs) = H0 exactly
+                dec = RunDecomposition("interleaved-general", self.n, arr, counts,
+                                       np.ones(self.sigma, dtype=bool),
+                                       np.cumsum(counts) - counts + 1)
+            if dec.entropy() > h + 1e-9:
+                raise AssertionError(f"H(runs) = {dec.entropy()} exceeds H0 = {h}")
+        self.pi = RunPermutation.from_decomposition(pi, dec)
 
     # --- queries ---------------------------------------------------------------
 
@@ -279,6 +191,5 @@ class CompressedFunction:
         return obj
 
 
-def build_function(f, mode: str = "direct", remap: bool = False,
-                   epsilon: float = 0.5) -> CompressedFunction:
-    return CompressedFunction(f, mode=mode, remap=remap, epsilon=epsilon)
+def build_function(f, mode: str = "direct", remap: bool = False) -> CompressedFunction:
+    return CompressedFunction(f, mode=mode, remap=remap)

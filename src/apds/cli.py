@@ -98,10 +98,10 @@ def cmd_build(args) -> int:
         raise InputError("permutations take ints input")
     symbols = _read_symbols(args.input, args.format)
     if args.type == "seq":
-        obj = build_partition(symbols, general_alphabet=True, variant=args.variant)
+        obj = build_partition(symbols, general_alphabet=True)
         summary = obj.space_report().format()
     elif args.type == "perm":
-        obj = build_run_permutation(symbols, args.runs_kind, epsilon=args.epsilon,
+        obj = build_run_permutation(symbols, args.runs_kind,
                                     power_step=args.power_step)
         summary = (f"n = {obj.n}\nrho = {obj.rho}\n"
                    f"payload_bits = {obj.payload_bits()}")
@@ -238,9 +238,7 @@ def _build_parser():
     b.add_argument("--input", required=True)
     b.add_argument("--output", required=True)
     b.add_argument("--format", default="bytes", choices=["bytes", "ints"])
-    b.add_argument("--variant", default="i", choices=["i", "ii"])
     b.add_argument("--runs-kind", default="interleaved-general", choices=RUN_KINDS)
-    b.add_argument("--epsilon", type=float, default=0.5)
     b.add_argument("--power-step", type=int, default=None)
     b.add_argument("--mode", default="direct", choices=FUNC_MODES)
     b.add_argument("--k", type=int, default=0)
@@ -286,8 +284,7 @@ def _build_parser():
     ib.add_argument("--format", default="bytes", choices=["bytes", "ints"])
     ib.add_argument("--k", type=int, default=0)
     ib.add_argument("--sample-rate", type=int, default=None)
-    ib.set_defaults(func=cmd_build, type="index", variant="i",
-                    runs_kind="interleaved-general", epsilon=0.5,
+    ib.set_defaults(func=cmd_build, type="index", runs_kind="interleaved-general",
                     power_step=None, mode="direct")
     for opname in ("count", "locate", "extract"):
         iq = isub.add_parser(opname)

@@ -2,7 +2,7 @@
 
 Layout (all integers little-endian):
 
-    "APDS" | u32 version=1 | u8 kind | u8 input-format | u32 section count
+    "APDS" | u32 version=2 | u8 kind | u8 input-format | u32 section count
     per section: u8 section kind | u64 payload byte length
     section payloads, concatenated
 
@@ -21,7 +21,7 @@ from .permutation import RunPermutation
 from .textindex import FmIndex
 
 MAGIC = b"APDS"
-VERSION = 1
+VERSION = 2
 
 KIND_SEQ = 1
 KIND_PERM = 2
@@ -63,6 +63,8 @@ def pack_container(kind: int, input_format: int, sections: list) -> bytes:
 def unpack_container(data: bytes):
     if data[:4] != MAGIC:
         raise InputError("not an APDS container (bad magic)")
+    if len(data) < 14:
+        raise InputError("container is shorter than its 14-byte header")
     version = struct.unpack_from("<I", data, 4)[0]
     if version != VERSION:
         raise InputError(f"unsupported container version {version}")
@@ -71,6 +73,8 @@ def unpack_container(data: bytes):
     off = 14
     table = []
     for _ in range(count):
+        if len(data) < off + 9:
+            raise InputError("container ends inside its section table")
         skind, length = struct.unpack_from("<BQ", data, off)
         off += 9
         table.append((skind, length))

@@ -48,7 +48,7 @@ class DisjointSetCollection:
 
     def _install(self, id_string: np.ndarray):
         """Install a dense id string as the new rebuild epoch."""
-        self.ids = ApSequence(id_string, variant="ii")
+        self.ids = ApSequence(id_string)
         base = int(id_string.max())
         self._nbase = base
         self._parent = np.arange(base + 1, dtype=np.int64)

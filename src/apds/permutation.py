@@ -4,17 +4,18 @@ A permutation is covered by monotone runs; the run-label strings (by
 position and by value) reduce apply/inverse to rank/select on compressed
 sequences.  Four run kinds are supported:
 
-  interleaved-general  runs are increasing or decreasing subsequences
+  interleaved-general  runs are increasing subsequences (patience cover)
   interleaved-strict   runs change by exactly +-1 (value chains)
   contiguous-general   maximal monotone segments
   contiguous-strict    maximal +-1 segments
 
 Strict layouts replace the value-side label string with per-run records
-(minimum, length, direction) plus a bounded-depth predecessor trie over
+(minimum, length, direction) plus a predecessor search over the sorted
 run minima.  Contiguous-general mirrors the strict layout built for the
-inverse permutation; contiguous-strict needs only two predecessor tries.
-An optional cycle-marking companion answers pi^k with walks bounded by
-twice its sampling step.
+inverse permutation; contiguous-strict needs only two predecessor
+searches.  Loading a strict layout checks that its run records tile
+[1..n].  An optional cycle-marking companion answers pi^k with walks
+bounded by twice its sampling step.
 """
 
 from __future__ import annotations
@@ -67,9 +68,10 @@ class RunDecomposition:
 
     def check_entropy_facts(self):
         h = self.entropy()
-        assert h <= math.log2(self.rho) + 1e-12
-        if self.n > 1:
-            assert self.n * h >= (self.rho - 1) * math.log2(self.n) - 1e-9
+        if h > math.log2(self.rho) + 1e-12:
+            raise AssertionError(f"H(runs) = {h} exceeds lg rho")
+        if self.n > 1 and self.n * h < (self.rho - 1) * math.log2(self.n) - 1e-9:
+            raise AssertionError(f"n H(runs) = {self.n * h} below (rho - 1) lg n")
 
 
 def _cover_interleaved_general(arr: np.ndarray):
@@ -87,13 +89,9 @@ def _cover_interleaved_general(arr: np.ndarray):
         labels[pos] = idx + 1
     rho = len(neg_tops)
     lengths = np.bincount(labels, minlength=rho + 1)[1:]
-    increasing = np.ones(rho, dtype=bool)
     mins = np.full(rho, arr.size + 1, dtype=np.int64)
-    for pos, v in enumerate(arr.tolist()):
-        r = labels[pos] - 1
-        if v < mins[r]:
-            mins[r] = v
-    return labels, lengths, increasing, mins
+    np.minimum.at(mins, labels - 1, arr)
+    return labels, lengths, np.ones(rho, dtype=bool), mins
 
 
 def _cover_interleaved_strict(arr: np.ndarray):
@@ -133,43 +131,33 @@ def _cover_interleaved_strict(arr: np.ndarray):
 
 
 def _cover_contiguous(arr: np.ndarray, strict: bool):
-    """Maximal left-to-right monotone segments (steps +-1 when strict)."""
+    """Maximal left-to-right monotone segments (steps +-1 when strict).
+
+    A run takes the direction of its first step and ends before the first
+    step that breaks it; that step joins no run.  A run ends where the
+    block of equal steps holding its first step ends, so the loop makes
+    one iteration per run."""
     n = arr.size
-    labels = np.zeros(n, dtype=np.int64)
-    lengths, increasing, mins, starts = [], [], [], []
-    i = 0
-    run = 0
-    while i < n:
-        start = i
-        up = True
-        if i + 1 < n:
-            step = int(arr[i + 1]) - int(arr[i])
-            ok = step in (1, -1) if strict else True
-            if ok:
-                up = step > 0
-                i += 1
-                while i + 1 < n:
-                    nxt = int(arr[i + 1]) - int(arr[i])
-                    if strict and nxt != (1 if up else -1):
-                        break
-                    if not strict and (nxt > 0) != up:
-                        break
-                    i += 1
-        run += 1
-        labels[start : i + 1] = run
-        lengths.append(i + 1 - start)
-        increasing.append(up)
-        seg = arr[start : i + 1]
-        mins.append(int(seg.min()))
-        starts.append(start + 1)
-        i += 1
-    return (
-        labels,
-        np.array(lengths, dtype=np.int64),
-        np.array(increasing),
-        np.array(mins, dtype=np.int64),
-        np.array(starts, dtype=np.int64),
-    )
+    d = np.diff(arr)
+    step = np.where(d > 0, 1, 2)  # 1 up, 2 down, 0 not allowed (strict)
+    if strict:
+        step[np.abs(d) != 1] = 0
+    cuts = np.append(np.flatnonzero(step[1:] != step[:-1]), n - 2)
+    block_end = cuts[np.searchsorted(cuts, np.arange(n - 1))] + 1
+    steps, ends_at = step.tolist(), block_end.tolist()
+    starts, ends = [], []
+    s = 0
+    while s < n:
+        e = s if s == n - 1 or steps[s] == 0 else ends_at[s]
+        starts.append(s)
+        ends.append(e)
+        s = e + 1
+    starts, ends = np.array(starts), np.array(ends)
+    lengths = ends - starts + 1
+    labels = np.repeat(np.arange(1, lengths.size + 1), lengths)
+    increasing = arr[ends] >= arr[starts]
+    mins = np.minimum(arr[starts], arr[ends])
+    return labels, lengths, increasing, mins, starts + 1
 
 
 def _relabel_by_min(labels, lengths, increasing, mins):
@@ -202,63 +190,22 @@ def decompose_runs(pi, kind: str) -> RunDecomposition:
 
 
 class PredecessorStructure:
-    """Bounded-depth trie over a key set; query(x) returns the largest
-    stored key <= x with its auxiliary value."""
+    """Sorted key array; query(x) returns the largest stored key <= x with
+    its auxiliary value, found by binary search."""
 
-    def __init__(self, keys, aux, universe: int, epsilon: float = 0.5):
-        if epsilon <= 0:
-            raise InputError("epsilon must be positive")
+    def __init__(self, keys, aux, universe: int):
         self.universe = max(1, universe)
-        self.epsilon = epsilon
-        self.branching = min(1 << 16, max(2, math.ceil(self.universe**epsilon)))
-        depth = max(1, math.ceil(1.0 / epsilon))
-        while self.branching**depth < self.universe:
-            depth += 1
-        self.depth = depth
-        self._powers = [self.branching**(depth - 1 - d) for d in range(depth)]
-        self.keys = np.asarray(keys, dtype=np.int64)
-        self.aux = np.asarray(aux, dtype=np.int64)
-        self._root = self._node()
-        for key, a in zip(self.keys.tolist(), self.aux.tolist()):
-            self._insert(int(key), int(a))
-
-    @staticmethod
-    def _node():
-        return {"digits": [], "children": [], "max": None}
-
-    def _insert(self, key: int, a: int):
-        node = self._root
-        x0 = key - 1
-        for level in range(self.depth):
-            if node["max"] is None or key > node["max"][0]:
-                node["max"] = (key, a)
-            digit = (x0 // self._powers[level]) % self.branching
-            idx = bisect_left(node["digits"], digit)
-            if idx == len(node["digits"]) or node["digits"][idx] != digit:
-                node["digits"].insert(idx, digit)
-                node["children"].insert(idx, self._node())
-            node = node["children"][idx]
-        node["max"] = (key, a)
+        keys = np.asarray(keys, dtype=np.int64)
+        order = np.argsort(keys, kind="stable")
+        self._keys = keys[order].tolist()
+        self._aux = np.asarray(aux, dtype=np.int64)[order].tolist()
 
     def query(self, x: int):
         """(key, aux) of the largest key <= x, or None."""
         if not 1 <= x <= self.universe:
             raise OutOfRangeError(f"query {x} outside universe [1..{self.universe}]")
-        best = None
-        node = self._root
-        x0 = x - 1
-        for level in range(self.depth):
-            digit = (x0 // self._powers[level]) % self.branching
-            idx = bisect_right(node["digits"], digit) - 1
-            if idx < 0:
-                return best
-            if node["digits"][idx] < digit:
-                ans = node["children"][idx]["max"]
-                return ans if best is None or ans[0] >= best[0] else best
-            if idx > 0:
-                best = node["children"][idx - 1]["max"]
-            node = node["children"][idx]
-        return node["max"]
+        idx = bisect_right(self._keys, x) - 1
+        return None if idx < 0 else (self._keys[idx], self._aux[idx])
 
 
 class CycleIndex:
@@ -388,24 +335,33 @@ class _InterleavedGeneralLayout:
         return obj
 
 
+def _check_tiling(keys: np.ndarray, lens: np.ndarray, n: int, what: str):
+    """Raise InputError unless the intervals [key, key + len - 1], taken in
+    the given order, tile [1..n] left to right."""
+    if keys.size != lens.size or keys.size == 0 or lens.min() < 1:
+        raise InputError(f"{what}: run records are empty or have a length < 1")
+    ends = np.cumsum(lens)
+    if ends[-1] != n or not np.array_equal(keys, ends - lens + 1):
+        raise InputError(f"{what}: run intervals do not tile [1..{n}]")
+
+
 class _InterleavedStrictLayout:
     """Label string + run records (min, length, direction) + predecessor
-    trie over minima; values inside a run are consecutive."""
+    search over minima; values inside a run are consecutive."""
 
     tag = 2
 
-    def __init__(self, arr, dec: RunDecomposition, epsilon: float):
+    def __init__(self, dec: RunDecomposition):
         # runs must be labelled in min-value order
         self.s = ApSequence(dec.labels)
         self.mins = dec.min_values.astype(np.int64)
         self.lens = dec.lengths.astype(np.int64)
         self.incr = dec.increasing.copy()
-        self.epsilon = epsilon
-        self._build_pred(arr.size if hasattr(arr, "size") else int(arr))
+        self._build_pred()
 
-    def _build_pred(self, n: int):
+    def _build_pred(self):
         self.pred = PredecessorStructure(
-            self.mins, np.arange(1, self.mins.size + 1), n, self.epsilon
+            self.mins, np.arange(1, self.mins.size + 1), len(self.s)
         )
 
     def apply(self, i: int) -> int:
@@ -416,7 +372,8 @@ class _InterleavedStrictLayout:
 
     def inverse(self, v: int) -> int:
         hit = self.pred.query(v)
-        assert hit is not None, "run minima must cover all values"
+        if hit is None:
+            raise InputError(f"no run minimum is <= {v}")
         m, r = hit
         l = int(self.lens[r - 1])
         j = v - m + 1 if self.incr[r - 1] else m + l - v
@@ -428,7 +385,6 @@ class _InterleavedStrictLayout:
 
     def serialize(self) -> bytes:
         w = ByteWriter()
-        w.f64(self.epsilon)
         w.blob(self.s.serialize())
         w.u64_array(self.mins.astype(np.uint64))
         w.u64_array(self.lens.astype(np.uint64))
@@ -439,13 +395,18 @@ class _InterleavedStrictLayout:
     def deserialize(cls, data: bytes) -> "_InterleavedStrictLayout":
         r = ByteReader(data)
         obj = cls.__new__(cls)
-        obj.epsilon = r.f64()
         obj.s = ApSequence.deserialize(r.blob())
         obj.mins = r.u64_array().astype(np.int64)
         obj.lens = r.u64_array().astype(np.int64)
         dirs = read_bitvector(ByteReader(r.blob()))
         obj.incr = dirs.to_bits().astype(bool)
-        obj._build_pred(len(obj.s))
+        rho = obj.s.sigma
+        if obj.s.alphabet_dict is not None or obj.incr.size != rho:
+            raise InputError("strict layout: run records differ from the label alphabet")
+        _check_tiling(obj.mins, obj.lens, len(obj.s), "strict layout")
+        if not np.array_equal(obj.s.partition.occ, obj.lens):
+            raise InputError("strict layout: run lengths differ from the label counts")
+        obj._build_pred()
         return obj
 
 
@@ -455,7 +416,7 @@ class _ContiguousGeneralLayout:
 
     tag = 3
 
-    def __init__(self, arr: np.ndarray, dec: RunDecomposition, epsilon: float):
+    def __init__(self, arr: np.ndarray, dec: RunDecomposition):
         # contiguous run [p..q] of pi appears in pi^-1 as the value chain
         # p..q located at positions pi(p)..pi(q), direction preserved
         inv_labels = np.zeros(arr.size, dtype=np.int64)
@@ -468,7 +429,7 @@ class _ContiguousGeneralLayout:
             increasing=dec.increasing,
             min_values=dec.starts,  # value of a chain element = pi position
         )
-        self.inner = _InterleavedStrictLayout(arr, inner_dec, epsilon)
+        self.inner = _InterleavedStrictLayout(inner_dec)
 
     def apply(self, i: int) -> int:
         return self.inner.inverse(i)
@@ -490,27 +451,26 @@ class _ContiguousGeneralLayout:
 
 
 class _ContiguousStrictLayout:
-    """Per-run records plus two predecessor tries: one keyed by run start
-    position, one keyed by the minimum of the run's value interval."""
+    """Per-run records plus two predecessor searches: one keyed by run
+    start position, one keyed by the minimum of the run's value interval."""
 
     tag = 4
 
-    def __init__(self, arr: np.ndarray, dec: RunDecomposition, epsilon: float):
+    def __init__(self, arr: np.ndarray, dec: RunDecomposition):
         self.n = arr.size
         self.starts = dec.starts.astype(np.int64)
         self.lens = dec.lengths.astype(np.int64)
         self.incr = dec.increasing.copy()
         self.pi_start = arr[self.starts - 1].astype(np.int64)
-        self.epsilon = epsilon
         self._build_preds()
+
+    def _value_minima(self) -> np.ndarray:
+        return np.where(self.incr, self.pi_start, self.pi_start - self.lens + 1)
 
     def _build_preds(self):
         aux = np.arange(1, self.starts.size + 1)
-        vmin = np.where(
-            self.incr, self.pi_start, self.pi_start - self.lens + 1
-        )
-        self.pred_pos = PredecessorStructure(self.starts, aux, self.n, self.epsilon)
-        self.pred_val = PredecessorStructure(vmin, aux, self.n, self.epsilon)
+        self.pred_pos = PredecessorStructure(self.starts, aux, self.n)
+        self.pred_val = PredecessorStructure(self._value_minima(), aux, self.n)
 
     def apply(self, i: int) -> int:
         j, r = self.pred_pos.query(i)
@@ -528,7 +488,6 @@ class _ContiguousStrictLayout:
 
     def serialize(self) -> bytes:
         w = ByteWriter()
-        w.f64(self.epsilon)
         w.u64(self.n)
         w.u64_array(self.starts.astype(np.uint64))
         w.u64_array(self.lens.astype(np.uint64))
@@ -540,13 +499,18 @@ class _ContiguousStrictLayout:
     def deserialize(cls, data: bytes) -> "_ContiguousStrictLayout":
         r = ByteReader(data)
         obj = cls.__new__(cls)
-        obj.epsilon = r.f64()
         obj.n = r.u64()
         obj.starts = r.u64_array().astype(np.int64)
         obj.lens = r.u64_array().astype(np.int64)
         obj.pi_start = r.u64_array().astype(np.int64)
         dirs = read_bitvector(ByteReader(r.blob()))
         obj.incr = dirs.to_bits().astype(bool)
+        if not obj.starts.size == obj.pi_start.size == obj.incr.size:
+            raise InputError("contiguous layout: run record arrays differ in size")
+        _check_tiling(obj.starts, obj.lens, obj.n, "contiguous layout positions")
+        vmin = obj._value_minima()
+        order = np.argsort(vmin, kind="stable")
+        _check_tiling(vmin[order], obj.lens[order], obj.n, "contiguous layout values")
         obj._build_preds()
         return obj
 
@@ -577,25 +541,25 @@ class RunPermutation:
         self.last_power_walk = 0
 
     @classmethod
-    def build(cls, pi, kind: str = "interleaved-general", epsilon: float = 0.5,
+    def build(cls, pi, kind: str = "interleaved-general",
               power_step: int | None = None) -> "RunPermutation":
         arr = _validate_permutation(pi)
         dec = decompose_runs(arr, kind)
-        return cls.from_decomposition(arr, dec, epsilon=epsilon, power_step=power_step)
+        return cls.from_decomposition(arr, dec, power_step=power_step)
 
     @classmethod
-    def from_decomposition(cls, pi, dec: RunDecomposition, epsilon: float = 0.5,
+    def from_decomposition(cls, pi, dec: RunDecomposition,
                            power_step: int | None = None) -> "RunPermutation":
         arr = _validate_permutation(pi)
         tag = _KIND_TAG[dec.kind]
         if tag == 1:
             layout = _InterleavedGeneralLayout(arr, dec)
         elif tag == 2:
-            layout = _InterleavedStrictLayout(arr, dec, epsilon)
+            layout = _InterleavedStrictLayout(dec)
         elif tag == 3:
-            layout = _ContiguousGeneralLayout(arr, dec, epsilon)
+            layout = _ContiguousGeneralLayout(arr, dec)
         else:
-            layout = _ContiguousStrictLayout(arr, dec, epsilon)
+            layout = _ContiguousStrictLayout(arr, dec)
         companion = CycleIndex(arr, power_step) if power_step else None
         return cls(layout, dec, arr.size, companion)
 
@@ -700,6 +664,5 @@ class RunPermutation:
 
 
 def build_run_permutation(pi, kind: str = "interleaved-general",
-                          epsilon: float = 0.5,
                           power_step: int | None = None) -> RunPermutation:
-    return RunPermutation.build(pi, kind, epsilon, power_step)
+    return RunPermutation.build(pi, kind, power_step)

@@ -190,14 +190,6 @@ def test_space_report_edge_cases():
     assert rep2.h0_bits == pytest.approx(n * math.log2(n), abs=1e-6)
 
 
-def test_variant_flag():
-    a1 = build_partition(ABRA, variant="i")
-    a2 = build_partition(ABRA, variant="ii")
-    assert [a1.access(i) for i in range(1, 12)] == [a2.access(i) for i in range(1, 12)]
-    with pytest.raises(InputError):
-        build_partition(ABRA, variant="x")
-
-
 PARTITION_FIELDS = ("occ", "symbol_class_dense", "symbol_class", "sub_sigma", "sub_len")
 
 

@@ -141,6 +141,36 @@ def test_monotone_ties_stay_valid():
             assert sorted(fn.preimage(a)) == [i for i, v in enumerate(f, 1) if v == a]
 
 
+def naive_value_segments(f):
+    """Greedy maximal segments of f, each non-decreasing or strictly
+    decreasing: (length, non-decreasing) per segment."""
+    out, i = [], 0
+    while i < len(f):
+        j, up = i + 1, True
+        if j < len(f):
+            up = f[j] >= f[i]
+            while j < len(f) and (f[j] >= f[j - 1]) == up:
+                j += 1
+        out.append((j - i, up))
+        i = j
+    return out
+
+
+def test_contiguous_runs_are_value_segments():
+    rng = np.random.default_rng(41)
+    for trial in range(30):
+        n = int(rng.integers(1, 200))
+        sigma = int(rng.integers(1, min(n, 12) + 1))
+        f = rng.integers(1, sigma + 1, size=n)
+        f[:sigma] = np.arange(1, sigma + 1)
+        if trial % 2:
+            f = np.sort(f)[::-1] if trial % 4 == 1 else np.repeat(f, 3)
+        fn = build_function(f.tolist(), mode="runs-contiguous")
+        dec = fn.pi.decomposition
+        assert list(zip(dec.lengths.tolist(), dec.increasing.tolist())) == \
+            naive_value_segments(f.tolist())
+
+
 def test_sparse_bitmap_when_sigma_small():
     f = np.ones(5000, dtype=np.int64)
     f[0] = 2

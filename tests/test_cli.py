@@ -199,6 +199,14 @@ def test_bytes_symbol_escape(tmp_path, capsys):
     assert out.strip() == "3"
 
 
+def run_cli_process(*argv):
+    """Run the CLI in a fresh interpreter, so a traceback would show."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-m", "apds.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
 def test_truncated_payload_exit_2_without_traceback(abra_file, tmp_path, capsys):
     out_path = tmp_path / "abra.apds"
     run_cli(capsys, "build", "--type", "seq", "--input", abra_file,
@@ -208,13 +216,32 @@ def test_truncated_payload_exit_2_without_traceback(abra_file, tmp_path, capsys)
     payload = data[23:]
     cut = payload[: len(payload) // 2]
     out_path.write_bytes(data[:15] + struct.pack("<Q", len(cut)) + cut)
-    src = os.path.join(os.path.dirname(__file__), "..", "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-m", "apds.cli", "query", "--structure", str(out_path),
-         "--op", "access", "--pos", "1"],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    proc = run_cli_process("query", "--structure", str(out_path),
+                           "--op", "access", "--pos", "1")
     assert proc.returncode == 2
     assert any(line.startswith("error:") for line in proc.stderr.splitlines())
+    assert "Traceback" not in proc.stderr
+
+
+def test_truncated_header_exit_2_without_traceback(abra_file, tmp_path, capsys):
+    out_path = tmp_path / "abra.apds"
+    run_cli(capsys, "build", "--type", "seq", "--input", abra_file,
+            "--output", str(out_path))
+    data = out_path.read_bytes()
+    # 9 bytes: magic, version 2, then the header stops; 20 bytes: the
+    # header and 6 of the 9 bytes of the first section-table entry
+    for cut in (b"APDS\x02\x00\x00\x00\x01", data[:20]):
+        out_path.write_bytes(cut)
+        proc = run_cli_process("query", "--structure", str(out_path),
+                               "--op", "access", "--pos", "1")
+        assert proc.returncode == 2
+        assert any(line.startswith("error:") for line in proc.stderr.splitlines())
+        assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("flag", [["--epsilon", "0.5"], ["--variant", "ii"]])
+def test_removed_build_flags_exit_2(abra_file, tmp_path, flag):
+    proc = run_cli_process("build", "--type", "seq", "--input", abra_file,
+                           "--output", str(tmp_path / "abra.apds"), *flag)
+    assert proc.returncode == 2
     assert "Traceback" not in proc.stderr

@@ -22,7 +22,7 @@ from apds.textindex import FmIndex
 def test_header_layout():
     data = pack_container(KIND_SEQ, FORMAT_BYTES, [(0x10, b"abc")])
     assert data[:4] == b"APDS"
-    assert data[4:8] == b"\x01\x00\x00\x00"  # version 1, little-endian
+    assert data[4:8] == b"\x02\x00\x00\x00"  # version 2, little-endian
     kind, fmt, sections = unpack_container(data)
     assert kind == KIND_SEQ and fmt == FORMAT_BYTES
     assert sections == [(0x10, b"abc")]

@@ -79,6 +79,42 @@ def test_contiguous_decompositions():
     assert not dec3.increasing[0]
 
 
+def naive_contiguous_runs(pi, strict):
+    """Greedy left-to-right monotone segments (steps +-1 when strict):
+    (start, length, increasing, minimum) per run."""
+    def joins(j, up):
+        return (pi[j] > pi[j - 1]) == up and (not strict or abs(pi[j] - pi[j - 1]) == 1)
+
+    out, i = [], 0
+    while i < len(pi):
+        j, up = i + 1, True
+        if j < len(pi) and (not strict or abs(pi[j] - pi[i]) == 1):
+            up = pi[j] > pi[i]
+            while j < len(pi) and joins(j, up):
+                j += 1
+        out.append((i + 1, j - i, up, min(pi[i:j])))
+        i = j
+    return out
+
+
+@pytest.mark.parametrize("kind", ["contiguous-general", "contiguous-strict"])
+def test_contiguous_cover_matches_loop(kind):
+    rng = np.random.default_rng(43)
+    for trial in range(60):
+        n = int(rng.integers(1, 80))
+        if trial % 2:  # a few shuffled monotone blocks
+            cuts = np.sort(rng.integers(0, n, 3))
+            blocks = [b[::rng.choice([1, -1])] for b in np.split(np.arange(1, n + 1), cuts)]
+            pi = np.concatenate([blocks[k] for k in rng.permutation(len(blocks))])
+        else:
+            pi = rng.permutation(np.arange(1, n + 1))
+        dec = decompose_runs(pi, kind)
+        got = list(zip(dec.starts.tolist(), dec.lengths.tolist(),
+                       dec.increasing.tolist(), dec.min_values.tolist()))
+        assert got == naive_contiguous_runs(pi.tolist(), kind == "contiguous-strict")
+        assert dec.labels.tolist() == np.repeat(np.arange(1, dec.rho + 1), dec.lengths).tolist()
+
+
 def test_apply_thm3_example():
     rp = build_run_permutation([4, 1, 5, 2, 6, 3], "interleaved-general")
     assert rp.apply(3) == 5
@@ -179,28 +215,36 @@ def test_pred_examples():
     assert p2.query(3) is None
 
 
-@pytest.mark.parametrize("epsilon", [0.25, 0.5, 1.0])
-def test_pred_random_oracle(epsilon):
-    rng = np.random.default_rng(int(epsilon * 8))
-    universe = 5000
-    keys = np.unique(rng.integers(1, universe + 1, size=120))
-    p = PredecessorStructure(keys, np.arange(1, keys.size + 1), universe, epsilon)
+def _check_pred_oracle(keys, universe, rng):
+    keys = np.union1d(keys, [1, universe])
+    aux = rng.permutation(keys.size) + 1
+    shuffle = rng.permutation(keys.size)  # keys need not arrive sorted
+    p = PredecessorStructure(keys[shuffle], aux[shuffle], universe)
+    owner = dict(zip(keys.tolist(), aux.tolist()))
     skeys = keys.tolist()
-    for x in rng.integers(1, universe + 1, size=400):
-        x = int(x)
-        expect = max((k for k in skeys if k <= x), default=None)
-        got = p.query(x)
-        if expect is None:
-            assert got is None
-        else:
-            assert got[0] == expect
-            assert skeys[got[1] - 1] == expect
+    queries = [1, 2, universe - 1, universe] + rng.integers(1, universe + 1, size=400).tolist()
+    for x in queries:
+        expect = max(k for k in skeys if k <= x)
+        assert p.query(x) == (expect, owner[expect])
+    with pytest.raises(OutOfRangeError):
+        p.query(universe + 1)
+    with pytest.raises(OutOfRangeError):
+        p.query(0)
 
 
-def test_pred_depth_and_branching():
-    p = PredecessorStructure([1], [1], universe=10**6, epsilon=0.5)
-    assert p.branching <= 1 << 16
-    assert p.branching ** p.depth >= 10**6
+@pytest.mark.parametrize("density", [0.25, 0.5, 1.0])
+def test_pred_random_oracle(density):
+    """Keys fill the given share of the universe; 1.0 makes every position a key."""
+    rng = np.random.default_rng(int(density * 8))
+    universe = 2000
+    keys = rng.choice(np.arange(1, universe + 1), size=int(density * universe), replace=False)
+    _check_pred_oracle(keys, universe, rng)
+
+
+def test_pred_sparse_oracle():
+    rng = np.random.default_rng(2)
+    universe = 5000
+    _check_pred_oracle(np.unique(rng.integers(1, universe + 1, size=120)), universe, rng)
 
 
 # --- exponentiation -----------------------------------------------------------
@@ -277,6 +321,41 @@ def test_errors():
         rp.apply(3)
     with pytest.raises(OutOfRangeError):
         rp.inverse(0)
+
+
+def _swap_first_starts(lay):
+    lay.starts[[0, 1]] = lay.starts[[1, 0]]
+
+
+def _shift_first_value(lay):
+    lay.pi_start[0] += lay.n
+
+
+def _raise_second_minimum(lay):
+    lay.mins[1] += 1
+
+
+def _lengthen_last_run(lay):
+    lay.lens[-1] += 1
+
+
+def _drop_a_direction(lay):
+    lay.incr = lay.incr[:-1]
+
+
+@pytest.mark.parametrize("kind,corrupt", [
+    ("contiguous-strict", _swap_first_starts),
+    ("contiguous-strict", _shift_first_value),
+    ("interleaved-strict", _raise_second_minimum),
+    ("interleaved-strict", _lengthen_last_run),
+    ("interleaved-strict", _drop_a_direction),
+])
+def test_load_rejects_bad_run_records(kind, corrupt):
+    rng = np.random.default_rng(3)
+    rp = build_run_permutation(rng.permutation(np.arange(1, 301)), kind)
+    corrupt(rp._layout)
+    with pytest.raises(InputError):
+        RunPermutation.deserialize(rp.serialize())
 
 
 @pytest.mark.parametrize("kind", KINDS)
