@@ -8,9 +8,14 @@ sequence onto each class is stored nearly plain (wavelet tree for small
 class alphabets, chunked large-alphabet store otherwise).  A symbol->class
 map m of length sigma dispatches queries:
 
-    access(i)    = m.select_l(sub_l.access(t.rank_l(i))),  l = t.access(i)
-    rank_a(i)    = sub_l.rank_c(t.rank_l(i)),   l = m.access(a), c = m.rank_l(a)
-    select_a(j)  = t.select_l(sub_l.select_c(j))
+    access(i)      = m.select_l(sub_l.access(t.rank_l(i))),  l = t.access(i)
+    access_rank(i) = (m.select_l(x), r),  (x, r) = sub_l.access_rank(t.rank_l(i))
+    rank_a(i)      = sub_l.rank_c(t.rank_l(i)),   l = m.access(a), c = m.rank_l(a)
+    select_a(j)    = t.select_l(sub_l.select_c(j))
+
+where each (t.access(i), t.rank_l(i)) and (m.access(a), m.rank_l(a)) pair
+comes from one access_rank walk, so access_rank costs three walks (t, s_l,
+m) and gives the symbol at i with its rank in [1..i].
 
 General (non-effective) alphabets keep the occurring symbols in a sorted
 dictionary and run the machinery over their ranks.
@@ -203,10 +208,18 @@ class ApSequence:
     def access(self, i: int) -> int:
         if not 1 <= i <= self.n:
             raise OutOfRangeError(f"position {i} out of [1..{self.n}]")
-        li = self.T.access(i)
-        pos = self.T.rank(li, i)
+        li, pos = self.T.access_rank(i)
+        # access, not access_rank: a LargeSequence rank costs two selects more
         x = self.subs[li - 1].access(pos)
         return self._external_symbol(self.M.select(li, x))
+
+    def access_rank(self, i: int) -> tuple[int, int]:
+        """(symbol a at i, rank_a(i)) from one walk each of t, s_l and m."""
+        if not 1 <= i <= self.n:
+            raise OutOfRangeError(f"position {i} out of [1..{self.n}]")
+        li, pos = self.T.access_rank(i)
+        x, r = self.subs[li - 1].access_rank(pos)
+        return self._external_symbol(self.M.select(li, x)), r
 
     def rank(self, a: int, i: int) -> int:
         if not 0 <= i <= self.n:
@@ -214,8 +227,7 @@ class ApSequence:
         ai = self._internal_symbol(a)
         if ai is None or i == 0:
             return 0
-        li = self.M.access(ai)
-        c = self.M.rank(li, ai)
+        li, c = self.M.access_rank(ai)
         return self.subs[li - 1].rank(c, self.T.rank(li, i))
 
     def select(self, a: int, j: int) -> int:
@@ -224,8 +236,7 @@ class ApSequence:
         ai = self._internal_symbol(a)
         if ai is None:
             raise NotFoundError(f"symbol {a} does not occur")
-        li = self.M.access(ai)
-        c = self.M.rank(li, ai)
+        li, c = self.M.access_rank(ai)
         return self.T.select(li, self.subs[li - 1].select(c, j))
 
     def occurrences(self, a: int) -> int:

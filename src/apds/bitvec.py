@@ -99,6 +99,15 @@ class PlainBitVector:
         p = i - 1
         return (int(self.words[p >> 6]) >> (p & 63)) & 1
 
+    def access_rank(self, i: int) -> tuple[int, int]:
+        """(bit at i, rank of that bit in [1..i]), reading the word that holds i once."""
+        if not 1 <= i <= self.n:
+            raise OutOfRangeError(f"position {i} out of [1..{self.n}]")
+        w, r = divmod(i - 1, WORD_BITS)
+        word = int(self.words[w])
+        ones = self._cum_to_word(w) + (word & ((2 << r) - 1)).bit_count()
+        return (1, ones) if (word >> r) & 1 else (0, i - ones)
+
     def rank(self, i: int, bit: int = 1) -> int:
         if not 0 <= i <= self.n:
             raise OutOfRangeError(f"rank position {i} out of [0..{self.n}]")
@@ -221,10 +230,16 @@ class SparseBitVector:
         return ((high << self.low_width) | low) + 1
 
     def access(self, i: int) -> int:
+        return self.access_rank(i)[0]
+
+    def access_rank(self, i: int) -> tuple[int, int]:
+        """(bit at i, rank of that bit in [1..i])."""
         if not 1 <= i <= self.n:
             raise OutOfRangeError(f"position {i} out of [1..{self.n}]")
-        member = self._stored_rank(i) - self._stored_rank(i - 1)
-        return self.stored if member else 1 - self.stored
+        r = self._stored_rank(i)
+        if r > self._stored_rank(i - 1):
+            return self.stored, r
+        return 1 - self.stored, i - r
 
     def rank(self, i: int, bit: int = 1) -> int:
         if not 0 <= i <= self.n:

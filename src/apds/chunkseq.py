@@ -117,19 +117,18 @@ class LargeSequence:
         base = k0 * self.sigma
         y = q
         jumped = False
-        applications = 0
-        while True:
+        for _ in range(2 * self.step + 2):
             fy = self._forward(k0, y)
-            applications += 1
-            assert applications <= 2 * self.step + 2, "cycle walk exceeded bound"
             if fy == q:
                 return y
-            if not jumped and self._marks.access(base + y):
-                r = self._marks.rank(base + y, 1)
-                y = get_fixed(self._back_words, self.width, r - 1) + 1
-                jumped = True
-            else:
-                y = fy
+            if not jumped:
+                marked, r = self._marks.access_rank(base + y)
+                if marked:
+                    y = get_fixed(self._back_words, self.width, r - 1) + 1
+                    jumped = True
+                    continue
+            y = fy
+        raise InputError("cycle walk exceeded its bound: corrupt in-chunk permutation")
 
     def _bucket_start(self, k0: int, a: int) -> int:
         """Elements with symbol < a in chunk k0 (0 for a == 1)."""
@@ -161,14 +160,24 @@ class LargeSequence:
         """Occurrences of symbols 1..sigma, as one array."""
         return np.diff(self._cocc)
 
-    def access(self, i: int) -> int:
+    def _access_in_chunk(self, i: int):
+        """(chunk k0, sorted-order index q of position i, symbol at i)."""
         if not 1 <= i <= self.n:
             raise OutOfRangeError(f"position {i} out of [1..{self.n}]")
         k0, p = self._chunk_of(i)
         q = self._forward(k0, p)
         pos = self._hist.select(k0 * self.sigma + q, 1)
         zeros = (pos - 1 - k0 * 2 * self.sigma) - (q - 1)
-        return zeros + 1
+        return k0, q, zeros + 1
+
+    def access(self, i: int) -> int:
+        return self._access_in_chunk(i)[2]
+
+    def access_rank(self, i: int) -> tuple[int, int]:
+        """(symbol a at i, rank_a(i)).  The in-chunk sort is stable, so
+        position i is the (q - bucket start)-th a of its chunk."""
+        k0, q, a = self._access_in_chunk(i)
+        return a, self._count_before_chunk(a, k0) + q - self._bucket_start(k0, a)
 
     def rank(self, a: int, i: int) -> int:
         if not 1 <= a <= self.sigma:

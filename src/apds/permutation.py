@@ -298,15 +298,13 @@ class _InterleavedGeneralLayout:
         self.dirs = bitvector(dec.increasing.astype(np.uint8))
 
     def apply(self, i: int) -> int:
-        r = self.s.access(i)
-        j = self.s.rank(r, i)
+        r, j = self.s.access_rank(i)
         if not self.dirs.access(r):
             j = self.s.rank(r, len(self.s)) + 1 - j
         return self.sprime.select(r, j)
 
     def inverse(self, v: int) -> int:
-        r = self.sprime.access(v)
-        j = self.sprime.rank(r, v)
+        r, j = self.sprime.access_rank(v)
         if not self.dirs.access(r):
             j = self.sprime.rank(r, len(self.sprime)) + 1 - j
         return self.s.select(r, j)
@@ -365,8 +363,7 @@ class _InterleavedStrictLayout:
         )
 
     def apply(self, i: int) -> int:
-        r = self.s.access(i)
-        j = self.s.rank(r, i)
+        r, j = self.s.access_rank(i)
         m, l = int(self.mins[r - 1]), int(self.lens[r - 1])
         return m + j - 1 if self.incr[r - 1] else m + l - j
 
@@ -594,8 +591,9 @@ class RunPermutation:
         visited = [i]
         y = i
         for _ in range(t + 1):
-            if ci.marked.access(y):
-                return self._power_from_mark(y, k, len(visited) - 1)
+            marked, r = ci.marked.access_rank(y)
+            if marked:
+                return self._power_from_mark(r, k, len(visited) - 1)
             y = self.apply(y)
             self.last_power_walk += 1
             if y == i:  # unmarked short cycle, fully walked
@@ -604,10 +602,10 @@ class RunPermutation:
             visited.append(y)
         raise AssertionError("mark not found within step bound")
 
-    def _power_from_mark(self, m: int, k: int, d: int) -> int:
+    def _power_from_mark(self, r: int, k: int, d: int) -> int:
+        """pi^k of the element d steps before the r-th marked position."""
         ci = self.companion
         t = ci.step
-        r = ci.marked.rank(m, 1)
         cid = int(ci.mark_cycle[r - 1])
         idx = int(ci.mark_index[r - 1])
         L = int(ci.cycle_lengths[cid])
@@ -650,8 +648,13 @@ class RunPermutation:
     def deserialize(cls, data: bytes) -> "RunPermutation":
         r = ByteReader(data)
         tag = r.u8()
+        if tag not in _LAYOUTS:
+            raise InputError(f"unknown permutation layout tag {tag}")
         n = r.u64()
-        kind = KINDS[r.u8()]
+        kind_index = r.u8()
+        if kind_index >= len(KINDS):
+            raise InputError(f"unknown run kind index {kind_index}")
+        kind = KINDS[kind_index]
         lengths = r.u64_array().astype(np.int64)
         mins = r.u64_array().astype(np.int64)
         dirs = read_bitvector(ByteReader(r.blob()))

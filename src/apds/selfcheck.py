@@ -41,6 +41,10 @@ def _scan_select(seq, a, j):
     return None
 
 
+def _scan_access_rank(seq, i):
+    return seq[i - 1], _scan_rank(seq, seq[i - 1], i)
+
+
 def _shrink_sequence(seq, fails):
     """Smallest failing prefix by halving, then trimming one element."""
     cur = list(seq)
@@ -62,6 +66,11 @@ def _sequence_mismatch(seq, fault=False):
         want = seq[i - 1] + (1 if fault and i == n else 0)
         if got != want:
             return f"access({i}) = {got}, expected {want} on {seq}"
+    for i in range(1, n + 1, max(1, n // 13)):
+        got = aps.access_rank(i)
+        want = _scan_access_rank(seq, i)
+        if got != want:
+            return f"access_rank({i}) = {got}, expected {want} on {seq}"
     for a in sorted(set(seq)):
         for i in range(0, n + 1, max(1, n // 13)):
             if aps.rank(a, i) != _scan_rank(seq, a, i):
@@ -90,6 +99,12 @@ def suite_bitvectors(rng, iters, max_n, fault=False):
                     "bitvectors", f"rank1({i}) != {want} on bits {lst[:64]}..."
                 )
             checks += 1
+            if i:
+                if bv.access_rank(i) != _scan_access_rank(lst, i):
+                    raise CheckFailure(
+                        "bitvectors", f"access_rank({i}) wrong on bits {lst[:64]}..."
+                    )
+                checks += 1
         for bit in (0, 1):
             total = lst.count(bit)
             for j in range(1, total + 1, max(1, total // 17)):
@@ -118,7 +133,10 @@ def suite_sequences(rng, iters, max_n, fault=False):
         for i in range(1, n + 1, max(1, n // 11)):
             if ps.access(i) != seq[i - 1] or ls.access(i) != seq[i - 1]:
                 raise CheckFailure("sequences", f"sub-store access({i}) on {seq}")
-            checks += 1
+            want = _scan_access_rank(seq, i)
+            if ps.access_rank(i) != want or ls.access_rank(i) != want:
+                raise CheckFailure("sequences", f"sub-store access_rank({i}) on {seq}")
+            checks += 2
     return checks
 
 

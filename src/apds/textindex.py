@@ -328,6 +328,12 @@ class FmIndex:
         p = int(np.searchsorted(self.part_starts, r, side="right")) - 1
         return self.parts[p].access(r - int(self.part_starts[p]) + 1)
 
+    def _bwt_access_rank(self, r: int) -> tuple[int, int]:
+        """(BWT symbol c at row r, rank_c(r)) from one ApSequence walk."""
+        p = int(np.searchsorted(self.part_starts, r, side="right")) - 1
+        c, rank = self.parts[p].access_rank(r - int(self.part_starts[p]) + 1)
+        return c, int(self.part_cum[p][c]) + rank
+
     def _bwt_rank(self, a: int, r: int) -> int:
         if r == 0:
             return 0
@@ -336,13 +342,14 @@ class FmIndex:
             a, r - int(self.part_starts[p]) + 1
         )
 
-    def _lf(self, r: int) -> int:
-        c = self._bwt_access(r)
-        return int(self.C[c]) + self._bwt_rank(c, r)
+    def _lf(self, r: int) -> tuple[int, int]:
+        """(BWT symbol at row r, LF(r))."""
+        c, rank = self._bwt_access_rank(r)
+        return c, int(self.C[c]) + rank
 
     def lf_mapping(self) -> np.ndarray:
         """The LF permutation over all rows (test/diagnostic helper)."""
-        arr = np.array([self._lf(r) for r in range(1, self.rows + 1)], dtype=np.int64)
+        arr = np.array([self._lf(r)[1] for r in range(1, self.rows + 1)], dtype=np.int64)
         _validate_permutation(arr)
         return arr
 
@@ -389,10 +396,11 @@ class FmIndex:
 
     def _suffix_position(self, r: int) -> int:
         steps = 0
-        while not self.sa_marked.access(r):
-            r = self._lf(r)
+        marked, j = self.sa_marked.access_rank(r)
+        while not marked:
+            r = self._lf(r)[1]
             steps += 1
-        j = self.sa_marked.rank(r, 1)
+            marked, j = self.sa_marked.access_rank(r)
         return get_fixed(self.sa_samples, self._samp_width, j - 1) + 1 + steps
 
     def extract(self, l: int, r: int) -> list:
@@ -405,9 +413,8 @@ class FmIndex:
         out = []
         p = p0
         while p > l:
-            c = self._bwt_access(row)
+            c, row = self._lf(row)
             out.append(c)
-            row = self._lf(row)
             p -= 1
         seq = out[::-1][: r - l + 1]
         return [self.alphabet.value_of(c - 1) for c in seq]

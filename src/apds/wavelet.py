@@ -146,16 +146,20 @@ class PolySequence:
         return self._counts
 
     def access(self, i: int) -> int:
+        return self.access_rank(i)[0]
+
+    def access_rank(self, i: int) -> tuple[int, int]:
+        """(symbol a at i, rank_a(i)) from one root-to-leaf walk: the
+        position reached at the leaf is the rank."""
         if not 1 <= i <= self.n:
             raise OutOfRangeError(f"position {i} out of [1..{self.n}]")
         if self._only is not None:
-            return self._only + 1
+            return self._only + 1, i
         node = self._nodes[0]
         while node.symbol is None:
-            b = node.bv.access(i)
-            i = node.bv.rank(i, b)
+            b, i = node.bv.access_rank(i)
             node = self._nodes[node.child[b]]
-        return node.symbol + 1
+        return node.symbol + 1, i
 
     def rank(self, a: int, i: int) -> int:
         if not 0 <= i <= self.n:

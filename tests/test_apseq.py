@@ -119,8 +119,17 @@ def test_oracle_equivalence(n, sigma, theta):
     seq = zipf(rng, n, sigma, theta).tolist() if theta else rng.permutation(
         np.arange(1, sigma + 1)).tolist()
     aps = build_partition(seq)
+    # the same sequence over a general alphabet: symbol a stored as 7a + 3
+    gen = build_partition([7 * a + 3 for a in seq], general_alphabet=True)
     for i in range(1, n + 1):
-        assert aps.access(i) == seq[i - 1]
+        a = seq[i - 1]
+        assert aps.access(i) == a
+        assert aps.access_rank(i) == (a, aps.rank(a, i))
+        assert gen.access_rank(i) == (7 * a + 3, gen.rank(7 * a + 3, i))
+    for s in (aps, gen):
+        for i in (0, n + 1):
+            with pytest.raises(OutOfRangeError):
+                s.access_rank(i)
     syms = sorted(set(seq))[:: max(1, sigma // 23)]
     for a in syms:
         for i in range(0, n + 1, 3):

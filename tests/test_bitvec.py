@@ -53,7 +53,7 @@ def test_rank_out_of_range():
         bv.rank(-1, 0)
 
 
-@pytest.mark.parametrize("cls", ["plain", "sparse", "auto"])
+@pytest.mark.parametrize("cls", ["plain", "sparse", "sparse0", "auto"])
 @pytest.mark.parametrize("n,density", [(1, 0.5), (63, 0.5), (64, 0.2), (65, 0.9),
                                        (500, 0.03), (1200, 0.5), (4096, 0.01)])
 def test_oracle_equivalence(cls, n, density):
@@ -63,6 +63,8 @@ def test_oracle_equivalence(cls, n, density):
         bv = PlainBitVector.from_bits(bits)
     elif cls == "sparse":
         bv = SparseBitVector(n, np.flatnonzero(bits), 1)
+    elif cls == "sparse0":  # stores the zero positions
+        bv = SparseBitVector(n, np.flatnonzero(bits == 0), 0)
     else:
         bv = bitvector(bits)
     lst = bits.tolist()
@@ -79,6 +81,10 @@ def test_oracle_equivalence(cls, n, density):
                 bv.select(total + 1, bit)
     for i in range(1, n + 1):
         assert bv.access(i) == lst[i - 1]
+        assert bv.access_rank(i) == (lst[i - 1], bv.rank(i, lst[i - 1]))
+    for i in (0, n + 1):
+        with pytest.raises(OutOfRangeError):
+            bv.access_rank(i)
 
 
 def test_rank_select_inverse_properties():

@@ -68,6 +68,10 @@ def test_oracle_equivalence_exhaustive(n, sigma):
     ls = LargeSequence(seq, alphabet_size=sigma)
     for i in range(1, n + 1):
         assert ls.access(i) == seq[i - 1]
+        assert ls.access_rank(i) == (seq[i - 1], ls.rank(seq[i - 1], i))
+    for i in (0, n + 1):
+        with pytest.raises(OutOfRangeError):
+            ls.access_rank(i)
     step = max(1, sigma // 17)
     for a in range(1, sigma + 1, step):
         for i in range(n + 1):
@@ -135,3 +139,28 @@ def test_serialize_round_trip():
         occ = seq.count(a)
         if occ:
             assert back.select(a, occ) == scan_select(seq, a, occ)
+
+
+def corrupt_cycle_walk(sigma=300):
+    """A sequence of two permutations of [1..sigma], the first starting
+    with sigma, and its serialized store with in-chunk position 1 made a
+    fixed point of the forward permutation: nothing maps to sorted index
+    sigma any more, so the cycle walk behind select(sigma, 1) never ends."""
+    rng = np.random.default_rng(5)
+    seq = np.concatenate([[sigma], rng.permutation(np.arange(1, sigma)),
+                          rng.permutation(np.arange(1, sigma + 1))])
+    good = LargeSequence(seq, alphabet_size=sigma).serialize()
+    data = bytearray(good)
+    width = (sigma - 1).bit_length()
+    # n, sigma, the word count, then the packed forward permutation
+    word0 = int.from_bytes(data[24:32], "little") & ~((1 << width) - 1)
+    data[24:32] = word0.to_bytes(8, "little")
+    return seq, good, bytes(data)
+
+
+def test_corrupt_cycle_walk_raises_input_error():
+    _, _, data = corrupt_cycle_walk()
+    ls = LargeSequence.deserialize(data)
+    assert ls._forward(0, 1) == 1
+    with pytest.raises(InputError):
+        ls.select(300, 1)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from apds.cli import main
+from test_chunkseq import corrupt_cycle_walk
 
 
 def run_cli(capsys, *argv):
@@ -199,12 +200,18 @@ def test_bytes_symbol_escape(tmp_path, capsys):
     assert out.strip() == "3"
 
 
-def run_cli_process(*argv):
+def run_cli_process(*argv, python_flags=(), timeout=60):
     """Run the CLI in a fresh interpreter, so a traceback would show."""
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env = dict(os.environ, PYTHONPATH=src)
-    return subprocess.run([sys.executable, "-m", "apds.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=60)
+    return subprocess.run([sys.executable, *python_flags, "-m", "apds.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=timeout)
+
+
+def assert_exit_2_without_traceback(proc):
+    assert proc.returncode == 2
+    assert any(line.startswith("error:") for line in proc.stderr.splitlines())
+    assert "Traceback" not in proc.stderr
 
 
 def test_truncated_payload_exit_2_without_traceback(abra_file, tmp_path, capsys):
@@ -216,11 +223,8 @@ def test_truncated_payload_exit_2_without_traceback(abra_file, tmp_path, capsys)
     payload = data[23:]
     cut = payload[: len(payload) // 2]
     out_path.write_bytes(data[:15] + struct.pack("<Q", len(cut)) + cut)
-    proc = run_cli_process("query", "--structure", str(out_path),
-                           "--op", "access", "--pos", "1")
-    assert proc.returncode == 2
-    assert any(line.startswith("error:") for line in proc.stderr.splitlines())
-    assert "Traceback" not in proc.stderr
+    assert_exit_2_without_traceback(run_cli_process(
+        "query", "--structure", str(out_path), "--op", "access", "--pos", "1"))
 
 
 def test_truncated_header_exit_2_without_traceback(abra_file, tmp_path, capsys):
@@ -232,11 +236,8 @@ def test_truncated_header_exit_2_without_traceback(abra_file, tmp_path, capsys):
     # header and 6 of the 9 bytes of the first section-table entry
     for cut in (b"APDS\x02\x00\x00\x00\x01", data[:20]):
         out_path.write_bytes(cut)
-        proc = run_cli_process("query", "--structure", str(out_path),
-                               "--op", "access", "--pos", "1")
-        assert proc.returncode == 2
-        assert any(line.startswith("error:") for line in proc.stderr.splitlines())
-        assert "Traceback" not in proc.stderr
+        assert_exit_2_without_traceback(run_cli_process(
+            "query", "--structure", str(out_path), "--op", "access", "--pos", "1"))
 
 
 @pytest.mark.parametrize("flag", [["--epsilon", "0.5"], ["--variant", "ii"]])
@@ -245,3 +246,52 @@ def test_removed_build_flags_exit_2(abra_file, tmp_path, flag):
                            "--output", str(tmp_path / "abra.apds"), *flag)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
+
+
+def corrupt_perm_queries(tmp_path, capsys):
+    """CLI query argv for a contiguous-strict permutation container with a
+    layout tag (byte 23) of 9, and one with a run-kind index (byte 32) of 7."""
+    src = tmp_path / "perm.txt"
+    src.write_text("1 2 3 7 6 5 4 8 9")
+    out_path = tmp_path / "perm.apds"
+    run_cli(capsys, "build", "--type", "perm", "--format", "ints", "--input", str(src),
+            "--output", str(out_path), "--runs-kind", "contiguous-strict")
+    data = out_path.read_bytes()
+    assert (data[23], data[32]) == (4, 3)
+    queries = []
+    for offset, value in ((23, 9), (32, 7)):
+        bad = tmp_path / f"perm-{offset}.apds"
+        bad.write_bytes(data[:offset] + bytes([value]) + data[offset + 1 :])
+        queries.append(("query", "--structure", str(bad), "--op", "apply", "--pos", "1"))
+    return queries
+
+
+def corrupt_cycle_walk_query(tmp_path, capsys):
+    """CLI query argv for select(300, 1) on a sequence container whose one
+    class store has a broken in-chunk permutation (see test_chunkseq)."""
+    seq, good, bad = corrupt_cycle_walk()
+    src = tmp_path / "seq.txt"
+    src.write_text(" ".join(map(str, seq.tolist())))
+    out_path = tmp_path / "seq.apds"
+    run_cli(capsys, "build", "--type", "seq", "--format", "ints", "--input", str(src),
+            "--output", str(out_path))
+    data = out_path.read_bytes()
+    assert data.count(good) == 1
+    out_path.write_bytes(data.replace(good, bad))
+    return ("query", "--structure", str(out_path), "--op", "select",
+            "--symbol", "300", "--rank", "1")
+
+
+def test_corrupt_perm_layout_bytes_exit_2(tmp_path, capsys):
+    for argv in corrupt_perm_queries(tmp_path, capsys):
+        assert_exit_2_without_traceback(run_cli_process(*argv))
+
+
+def test_corrupt_containers_exit_2_under_optimize(tmp_path, capsys):
+    # python -O strips assert statements: a check of loaded data written as
+    # an assert would turn these into a hang or a wrong answer
+    queries = corrupt_perm_queries(tmp_path, capsys)
+    queries.append(corrupt_cycle_walk_query(tmp_path, capsys))
+    for argv in queries:
+        assert_exit_2_without_traceback(
+            run_cli_process(*argv, python_flags=("-O",), timeout=30))

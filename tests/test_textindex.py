@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from apds.apseq import ApSequence
+from apds.chunkseq import LargeSequence
 from apds.errors import InputError, NotFoundError, OutOfRangeError
 from apds.permutation import build_run_permutation
 from apds.textindex import (
@@ -12,6 +14,7 @@ from apds.textindex import (
     suffix_array,
     text_symbols,
 )
+from apds.wavelet import PolySequence
 from nl_corpus import natural_text
 
 ABRA = text_symbols("abracadabra")
@@ -222,3 +225,69 @@ def test_fm_serialize_round_trip():
         assert back.count(b"the") == fm.count(b"the")
         assert back.locate(b"win") == fm.locate(b"win")
         assert back.extract_bytes(10, 60) == fm.extract_bytes(10, 60)
+
+
+# --- work per LF step -------------------------------------------------------------
+
+SEQUENCE_WALKS = [(cls, ("access", "access_rank", "rank", "select"))
+                  for cls in (PolySequence, LargeSequence)]
+
+
+def count_calls(monkeypatch, targets):
+    """Wrap each (class, method names) pair so that calls made from outside
+    every wrapped method are counted; returns a one-item list holding the
+    count.  Over SEQUENCE_WALKS the count is the number of sequence walks."""
+    count, depth = [0], [0]
+
+    def wrap(method):
+        def counted(*args, **kwargs):
+            count[0] += depth[0] == 0
+            depth[0] += 1
+            try:
+                return method(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return counted
+
+    for cls, names in targets:
+        for name in names:
+            monkeypatch.setattr(cls, name, wrap(getattr(cls, name)))
+    return count
+
+
+@pytest.mark.parametrize("sample_rate", [None, 4])
+def test_locate_lf_steps_below_sample_rate(monkeypatch, sample_rate):
+    """Every located row reaches a sampled row within rate - 1 LF steps, and
+    an LF step is one ApSequence.access_rank: three sequence walks."""
+    text = natural_text(20000)
+    fm = FmIndex(text, sample_rate=sample_rate)
+    rate = fm.sample_rate
+    lf_steps = count_calls(monkeypatch, [(ApSequence, ("access_rank",))])
+    walks = count_calls(monkeypatch, SEQUENCE_WALKS)
+    per_row = []  # (LF steps, sequence walks) per located row
+    suffix_position = FmIndex._suffix_position
+
+    def counted_row(self, r):
+        before = lf_steps[0], walks[0]
+        pos = suffix_position(self, r)
+        per_row.append((lf_steps[0] - before[0], walks[0] - before[1]))
+        return pos
+
+    monkeypatch.setattr(FmIndex, "_suffix_position", counted_row)
+    for pat in (b"river", b" and ", b"winter", b"coins"):
+        assert fm.locate(pat) == naive_locate(list(text), list(pat))
+    steps = [s for s, _ in per_row]
+    assert len(steps) > 100 and sum(steps) > 0
+    assert max(steps) <= rate - 1
+    assert sum(steps) / len(steps) < rate
+    assert all(w == 3 * s for s, w in per_row)
+
+
+def test_extract_walks_three_sequences_per_char(monkeypatch):
+    fm = FmIndex(natural_text(5000))
+    lf_steps = count_calls(monkeypatch, [(ApSequence, ("access_rank",))])
+    walks = count_calls(monkeypatch, SEQUENCE_WALKS)
+    assert fm.extract_bytes(100, 199) == natural_text(5000)[99:199]
+    # one LF step per char from the next sampled position down to l
+    assert 100 <= lf_steps[0] <= 100 + fm.sample_rate
+    assert walks[0] == 3 * lf_steps[0]

@@ -76,6 +76,10 @@ def test_oracle_equivalence_exhaustive(n, sigma):
     ps = PolySequence(seq, alphabet_size=sigma)
     for i in range(1, n + 1):
         assert ps.access(i) == seq[i - 1]
+        assert ps.access_rank(i) == (seq[i - 1], ps.rank(seq[i - 1], i))
+    for i in (0, n + 1):
+        with pytest.raises(OutOfRangeError):
+            ps.access_rank(i)
     for a in range(1, sigma + 1):
         for i in range(n + 1):
             assert ps.rank(a, i) == scan_rank(seq, a, i)
