@@ -18,12 +18,14 @@ comes from one access_rank walk, so access_rank costs three walks (t, s_l,
 m) and gives the symbol at i with its rank in [1..i].
 
 General (non-effective) alphabets keep the occurring symbols in a sorted
-dictionary and run the machinery over their ranks.
+dictionary and run the machinery over their ranks; a general alphabet
+that is exactly 1..sigma keeps none.
 
 Only t, m, the class stores and the raw class values are serialized; load
 derives the partition summary (each symbol's class and occurrences, each
 class's alphabet size and length) from m's decode and the class stores'
-per-symbol counts, in array operations with no loop over symbols.
+per-symbol counts, in array operations with no loop over symbols.  Each
+class store's kind follows from its alphabet size, so it is not stored.
 """
 
 from __future__ import annotations
@@ -153,12 +155,12 @@ class ApSequence:
             raise InputError("empty input")
         if arr.min() < 1:
             raise InputError(f"invalid symbol {int(arr.min())}: symbols must be >= 1")
+        self.alphabet_dict = None
         if general_alphabet:
             uniq = np.unique(arr)
-            self.alphabet_dict = SparseDictionary(uniq)
-            arr = np.searchsorted(uniq, arr).astype(np.int64) + 1
-        else:
-            self.alphabet_dict = None
+            if uniq[-1] != uniq.size:  # values 1..sigma need no dictionary
+                self.alphabet_dict = SparseDictionary(uniq)
+                arr = np.searchsorted(uniq, arr).astype(np.int64) + 1
         self.partition = Partition(arr)
         self.n = self.partition.n
         self.sigma = self.partition.sigma
@@ -304,9 +306,7 @@ class ApSequence:
         w.u64_array(self.partition.class_values.astype(np.uint64))
         w.blob(self.T.serialize())
         w.blob(self.M.serialize())
-        w.u64(len(self.subs))
         for s in self.subs:
-            w.u8(1 if isinstance(s, PolySequence) else 2)
             w.blob(s.serialize())
         return w.getvalue()
 
@@ -319,27 +319,28 @@ class ApSequence:
         class_values = r.u64_array().astype(np.int64)
         obj.T = PolySequence.deserialize(r.blob())
         obj.M = PolySequence.deserialize(r.blob())
-        nsub = r.u64()
-        obj.subs = []
-        for _ in range(nsub):
-            kind = r.u8()
-            blob = r.blob()
-            obj.subs.append(
-                PolySequence.deserialize(blob) if kind == 1
-                else LargeSequence.deserialize(blob)
-            )
-        obj._restore_partition(class_values)
+        k = class_values.size
+        if k < 1 or obj.M.sigma != k or obj.T.sigma != k:
+            raise InputError("class count differs between T, M and the class values")
+        if obj.n < 1 or obj.T.n != obj.n:
+            raise InputError("class string length differs from the sequence length")
+        dense = obj.M.decode()
+        sub_sigma = np.bincount(dense, minlength=k + 1)[1:]
+        threshold = poly_threshold(obj.n)
+        obj.subs = [
+            (PolySequence if sig_l <= threshold else LargeSequence).deserialize(r.blob())
+            for sig_l in sub_sigma.tolist()
+        ]
+        obj._restore_partition(class_values, dense, sub_sigma)
         return obj
 
-    def _restore_partition(self, class_values: np.ndarray):
-        """Derive the partition summary from M and the class stores.
+    def _restore_partition(self, class_values: np.ndarray, dense: np.ndarray,
+                           sub_sigma: np.ndarray):
+        """Derive the partition summary from M's decode ``dense``, its class
+        sizes ``sub_sigma`` and the class stores.
 
         Raises InputError when T, M and the class stores disagree."""
         k = class_values.size
-        if k < 1 or self.M.sigma != k or self.T.sigma != k or len(self.subs) != k:
-            raise InputError("class count differs between T, M and the class stores")
-        if self.T.n != self.n:
-            raise InputError("class string length differs from the sequence length")
         if self.alphabet_dict is not None and self.alphabet_dict.size != self.M.n:
             raise InputError("alphabet dictionary size differs from the symbol map")
         part = Partition.__new__(Partition)
@@ -347,10 +348,9 @@ class ApSequence:
         part.sigma = self.M.n
         part.class_values = class_values
         part.num_classes = k
-        dense = self.M.decode()
         part.symbol_class_dense = dense
         part.symbol_class = class_values[dense - 1]
-        part.sub_sigma = np.bincount(dense, minlength=k + 1)[1:]
+        part.sub_sigma = sub_sigma
         part.sub_len = np.array([len(s) for s in self.subs], dtype=np.int64)
         if not np.array_equal([s.sigma for s in self.subs], part.sub_sigma):
             raise InputError("a class store's alphabet differs from its class in M")

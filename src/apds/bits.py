@@ -100,13 +100,8 @@ class ByteWriter:
         """Unprefixed run of bytes, one per element; the reader knows the count."""
         self._parts.append(np.ascontiguousarray(arr, dtype=np.uint8).tobytes())
 
-    def words(self, arr: np.ndarray):
-        """Length-prefixed uint64 word array."""
-        arr = np.ascontiguousarray(arr, dtype=_U64)
-        self.u64(arr.size)
-        self._parts.append(arr.tobytes())
-
     def u64_array(self, arr):
+        """Length-prefixed uint64 array."""
         arr = np.ascontiguousarray(arr, dtype=_U64)
         self.u64(arr.size)
         self._parts.append(arr.tobytes())
@@ -144,15 +139,10 @@ class ByteReader:
     def u8_block(self, k: int) -> np.ndarray:
         return np.frombuffer(self._take(k), dtype=np.uint8)
 
-    def words(self) -> np.ndarray:
+    def u64_array(self) -> np.ndarray:
         n = self.u64()
         return np.frombuffer(self._take(8 * n), dtype=_U64).copy()
-
-    u64_array = words
 
     def blob(self) -> bytes:
         n = self.u64()
         return self._take(n)
-
-    def done(self) -> bool:
-        return self._pos == len(self._data)

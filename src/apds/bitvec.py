@@ -160,7 +160,7 @@ class PlainBitVector:
         w = ByteWriter()
         w.u8(1)
         w.u64(self.n)
-        w.words(self.words)
+        w.u64_array(self.words)
         return w.getvalue()
 
 
@@ -296,9 +296,9 @@ class SparseBitVector:
         w.u64(self.k)
         w.u8(self.stored)
         w.u8(self.low_width)
-        w.words(self._lows)
+        w.u64_array(self._lows)
         w.u64(self._upper.n)
-        w.words(self._upper.words)
+        w.u64_array(self._upper.words)
         return w.getvalue()
 
     @classmethod
@@ -308,9 +308,9 @@ class SparseBitVector:
         obj.k = r.u64()
         obj.stored = r.u8()
         obj.low_width = r.u8()
-        obj._lows = r.words()
+        obj._lows = r.u64_array()
         un = r.u64()
-        obj._upper = PlainBitVector(r.words(), un)
+        obj._upper = PlainBitVector(r.u64_array(), un)
         return obj
 
 
@@ -345,7 +345,7 @@ def read_bitvector(r: ByteReader) -> "PlainBitVector | SparseBitVector":
     kind = r.u8()
     if kind == 1:
         n = r.u64()
-        return PlainBitVector(r.words(), n)
+        return PlainBitVector(r.u64_array(), n)
     if kind == 2:
         return SparseBitVector._from_reader(r)
     raise InputError(f"unknown bitvector encoding {kind}")
@@ -396,7 +396,6 @@ class SparseDictionary:
     def serialize(self) -> bytes:
         w = ByteWriter()
         w.u64(self.universe_max)
-        w.u64(self.size)
         w.blob(self._bv.serialize())
         return w.getvalue()
 
@@ -405,6 +404,6 @@ class SparseDictionary:
         r = ByteReader(data)
         obj = cls.__new__(cls)
         obj.universe_max = r.u64()
-        obj.size = r.u64()
         obj._bv = load_bitvector(r.blob())
+        obj.size = obj._bv.count(1)
         return obj

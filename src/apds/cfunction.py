@@ -160,8 +160,6 @@ class CompressedFunction:
     def serialize(self) -> bytes:
         w = ByteWriter()
         w.u8(MODES.index(self.mode))
-        w.u64(self.n)
-        w.u64(self.sigma)
         w.u8(1 if self.value_dict is not None else 0)
         if self.value_dict is not None:
             w.blob(self.value_dict.serialize())
@@ -176,9 +174,10 @@ class CompressedFunction:
     def deserialize(cls, data: bytes) -> "CompressedFunction":
         r = ByteReader(data)
         obj = cls.__new__(cls)
-        obj.mode = MODES[r.u8()]
-        obj.n = r.u64()
-        obj.sigma = r.u64()
+        mode = r.u8()
+        if mode >= len(MODES):
+            raise InputError(f"unknown function mode index {mode}")
+        obj.mode = MODES[mode]
         obj.value_dict = SparseDictionary.deserialize(r.blob()) if r.u8() else None
         if obj.mode == "direct":
             obj.ap = ApSequence.deserialize(r.blob())
@@ -188,6 +187,9 @@ class CompressedFunction:
             obj.ap = None
             obj.pi = RunPermutation.deserialize(r.blob())
             obj.b = read_bitvector(ByteReader(r.blob()))
+        # n and sigma are the domain and range sizes of the stored parts
+        obj.n, obj.sigma = ((obj.ap.n, obj.ap.sigma) if obj.ap is not None
+                            else (obj.pi.n, obj.b.count(1) - 1))
         return obj
 
 

@@ -7,6 +7,9 @@ chunk distribution locates occurrences across chunks.  The inverse of the
 in-chunk permutation is not stored: it is recovered by walking the
 permutation cycles, with every step-th element of long cycles marked and
 given a back pointer, bounding the walk to ~2*step applications.
+
+The cumulative symbol counts are not serialized: build and load both read
+them off the chunk distribution bitvector (``_cumulative_counts``).
 """
 
 from __future__ import annotations
@@ -44,9 +47,6 @@ class LargeSequence:
         counts = np.zeros((K, sigma), dtype=np.int64)  # per chunk histogram
         chunk_idx = np.arange(n) // sigma
         np.add.at(counts, (chunk_idx, arr - 1), 1)
-        occ = counts.sum(axis=0)
-        self._cocc = np.zeros(sigma + 1, dtype=np.int64)
-        np.cumsum(occ, out=self._cocc[1:])
 
         # forward permutation per chunk: position -> stable sorted order
         fwd = np.empty(n, dtype=np.int64)
@@ -67,8 +67,16 @@ class LargeSequence:
         repsd[0::2] = counts.T.ravel()
         repsd[1::2] = 1
         self._dist = bitvector(np.repeat(np.tile([0, 1], K * sigma), repsd))
+        self._cocc = self._cumulative_counts()
 
         self._build_cycle_marks(fwd)
+
+    def _cumulative_counts(self) -> np.ndarray:
+        """Occurrences of the symbols < a, for a = 1..sigma+1: the zeros of
+        ``_dist`` before its (a-1)*K-th one, K the chunk count."""
+        K = self.chunks
+        ends = self._dist.ones()[K - 1 :: K]
+        return np.concatenate([[0], ends - np.arange(K - 1, K * self.sigma, K)])
 
     def _build_cycle_marks(self, fwd: np.ndarray):
         n, sigma, K, t = self.n, self.sigma, self.chunks, self.step
@@ -263,12 +271,11 @@ class LargeSequence:
         w = ByteWriter()
         w.u64(self.n)
         w.u64(self.sigma)
-        w.words(self._fwd_words)
-        w.u64_array(self._cocc.astype(np.uint64))
+        w.u64_array(self._fwd_words)
         w.blob(self._hist.serialize())
         w.blob(self._dist.serialize())
         w.blob(self._marks.serialize())
-        w.words(self._back_words)
+        w.u64_array(self._back_words)
         return w.getvalue()
 
     @classmethod
@@ -277,17 +284,17 @@ class LargeSequence:
         obj = cls.__new__(cls)
         obj.n = r.u64()
         obj.sigma = r.u64()
-        if obj.sigma < 1:
-            raise InputError("large-alphabet store with an empty alphabet")
+        if obj.sigma < 1 or obj.n < 1:
+            raise InputError("large-alphabet store with an empty alphabet or sequence")
         obj.chunks = (obj.n + obj.sigma - 1) // obj.sigma
         obj.width = max(1, (obj.sigma - 1).bit_length())
         obj.step = max(1, math.ceil(math.log2(obj.sigma)) if obj.sigma > 1 else 1)
-        obj._fwd_words = r.words()
-        obj._cocc = r.u64_array().astype(np.int64)
-        if obj._cocc.size != obj.sigma + 1 or int(obj._cocc[-1]) != obj.n:
-            raise InputError("cumulative counts do not match the sequence header")
+        obj._fwd_words = r.u64_array()
         obj._hist = read_bitvector(ByteReader(r.blob()))
         obj._dist = read_bitvector(ByteReader(r.blob()))
+        if obj._dist.count(0) != obj.n or obj._dist.count(1) != obj.chunks * obj.sigma:
+            raise InputError("chunk distribution does not match the sequence header")
+        obj._cocc = obj._cumulative_counts()
         obj._marks = read_bitvector(ByteReader(r.blob()))
-        obj._back_words = r.words()
+        obj._back_words = r.u64_array()
         return obj

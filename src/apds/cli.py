@@ -28,6 +28,8 @@ EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_NOT_FOUND = 3
 
+INT64_MAX = 2**63 - 1
+
 
 def _read_symbols(path: str, fmt: str) -> list:
     try:
@@ -47,6 +49,8 @@ def _read_symbols(path: str, fmt: str) -> list:
         raise InputError("empty input")
     if min(values) < 1:
         raise InputError("symbol values must be >= 1")
+    if max(values) > INT64_MAX:
+        raise InputError(f"symbol values must be <= {INT64_MAX}")
     return values
 
 
@@ -85,7 +89,10 @@ def _parse_pattern(text: str, fmt: int) -> list:
                 out.append(ord(text[i]) + 1)
                 i += 1
         return out
-    return [int(tok) for tok in re.split(r"[,\s]+", text.strip()) if tok]
+    try:
+        return [int(tok) for tok in re.split(r"[,\s]+", text.strip()) if tok]
+    except ValueError:
+        raise InputError(f"bad integer in pattern {text!r}")
 
 
 def _format_symbol(value: int, fmt: int) -> int:
@@ -160,8 +167,11 @@ def cmd_query(args) -> int:
         for pos in obj.locate(_parse_pattern(_need(args.pattern, "--pattern"), fmt)):
             print(pos)
     elif op == "extract":
-        l, r = _need(args.range, "--range").split(":")
-        values = obj.extract(int(l), int(r))
+        try:
+            l, r = map(int, _need(args.range, "--range").split(":"))
+        except ValueError:
+            raise InputError(f"--range must be L:R with integers L and R, got {args.range!r}")
+        values = obj.extract(l, r)
         if fmt == container.FORMAT_BYTES:
             sys.stdout.write(bytes(v - 1 for v in values).decode("latin-1") + "\n")
         else:

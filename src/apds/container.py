@@ -2,12 +2,15 @@
 
 Layout (all integers little-endian):
 
-    "APDS" | u32 version=2 | u8 kind | u8 input-format | u32 section count
+    "APDS" | u32 version=3 | u8 kind | u8 input-format | u32 section count
     per section: u8 section kind | u64 payload byte length
     section payloads, concatenated
 
-Payloads are the structures' own serializations; rank/select directories
-are rebuilt on load, so files are deterministic for fixed input and flags.
+A structure file holds exactly one section, of the kind's main section
+kind.  Payloads are the structures' own serializations; they hold no value
+that load can compute, and rank/select directories and derived counts are
+rebuilt on load, so files are deterministic for fixed input and flags.
+Files of any other version are refused.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from .permutation import RunPermutation
 from .textindex import FmIndex
 
 MAGIC = b"APDS"
-VERSION = 2
+VERSION = 3
 
 KIND_SEQ = 1
 KIND_PERM = 2
@@ -108,11 +111,13 @@ def dump_structure(obj, input_format: int = FORMAT_INTS) -> bytes:
 def load_structure(data: bytes):
     """Returns (object, kind, input_format)."""
     kind, input_format, sections = unpack_container(data)
+    if kind not in _MAIN_SECTION:
+        raise InputError(f"unknown structure kind {kind}")
+    if [skind for skind, _ in sections] != [_MAIN_SECTION[kind]]:
+        raise InputError(f"a {kind_name(kind)} container must hold exactly one "
+                         f"section of kind {_MAIN_SECTION[kind]:#x}")
     skind, payload = sections[0]
-    deser = _DESERIALIZERS.get(skind)
-    if deser is None:
-        raise InputError(f"unknown section kind {skind}")
-    return deser(payload), kind, input_format
+    return _DESERIALIZERS[skind](payload), kind, input_format
 
 
 def save_file(path: str, obj, input_format: int = FORMAT_INTS):

@@ -16,13 +16,18 @@ inverse permutation; contiguous-strict needs only two predecessor
 searches.  Loading a strict layout checks that its run records tile
 [1..n].  An optional cycle-marking companion answers pi^k with walks
 bounded by twice its sampling step.
+
+A container holds the layout tag, n, the layout and the companion.  The
+tag gives the run kind, and load takes the run lengths and directions of
+the decomposition from the layout, which keeps them in run order; the
+labels, minima and starts of a loaded decomposition are None.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,10 +58,10 @@ def _validate_permutation(pi) -> np.ndarray:
 class RunDecomposition:
     kind: str
     n: int
-    labels: np.ndarray  # run id per position, 1..rho
+    labels: np.ndarray | None  # run id per position, 1..rho; None after load
     lengths: np.ndarray  # per run
     increasing: np.ndarray  # bool per run
-    min_values: np.ndarray  # minimum value per run
+    min_values: np.ndarray | None  # minimum value per run; None after load
     starts: np.ndarray | None = None  # first position, contiguous kinds only
 
     @property
@@ -210,19 +215,19 @@ class PredecessorStructure:
 
 class CycleIndex:
     """Marked elements along permutation cycles with back/forward arrays,
-    so pi^k resolves with at most 2*step applications of pi."""
+    so pi^k resolves with at most 2*step applications of pi.
+
+    Only the step, the cycle lengths and each cycle's marks are serialized;
+    the mark bitvector and each mark's cycle and index come from
+    ``_index_marks`` on build and on load."""
 
     def __init__(self, pi: np.ndarray, step: int):
         if step < 1:
             raise InputError("power step must be >= 1")
         self.step = step
         n = pi.size
-        marked = np.zeros(n, dtype=np.uint8)
-        mark_cycle: list[int] = []
-        mark_index: list[int] = []
-        mark_pos: list[int] = []
         cycle_lengths: list[int] = []
-        cycle_marks: list[list[int]] = []
+        cycle_marks: list[np.ndarray] = []
         seen = np.zeros(n + 1, dtype=bool)
         for s in range(1, n + 1):  # ascending start = cycle minimum
             if seen[s]:
@@ -234,23 +239,23 @@ class CycleIndex:
                 cyc.append(x)
                 x = int(pi[x - 1])
             if len(cyc) >= step:
-                cid = len(cycle_lengths)
-                marks = []
-                for idx, o in enumerate(range(0, len(cyc), step)):
-                    e = cyc[o]
-                    marked[e - 1] = 1
-                    mark_pos.append(e - 1)
-                    mark_cycle.append(cid)
-                    mark_index.append(idx)
-                    marks.append(e)
                 cycle_lengths.append(len(cyc))
-                cycle_marks.append(marks)
-        order = np.argsort(np.array(mark_pos, dtype=np.int64), kind="stable")
-        self.marked = bitvector(marked)
-        self.mark_cycle = np.array(mark_cycle, dtype=np.int64)[order] if len(order) else np.zeros(0, np.int64)
-        self.mark_index = np.array(mark_index, dtype=np.int64)[order] if len(order) else np.zeros(0, np.int64)
-        self.cycle_lengths = np.array(cycle_lengths, dtype=np.int64)
-        self.cycle_marks = [np.array(m, dtype=np.int64) for m in cycle_marks]
+                cycle_marks.append(np.array(cyc[::step], dtype=np.int64))
+        self._index_marks(n, np.array(cycle_lengths, dtype=np.int64), cycle_marks)
+
+    def _index_marks(self, n: int, cycle_lengths: np.ndarray, cycle_marks: list):
+        """Set the cycles, the mark bitvector over [1..n] and, in mark
+        position order, each mark's cycle id and index within its cycle."""
+        self.cycle_lengths = cycle_lengths
+        self.cycle_marks = cycle_marks
+        sizes = np.array([m.size for m in cycle_marks], dtype=np.int64)
+        pos = np.concatenate([np.zeros(0, np.int64), *cycle_marks]) - 1
+        order = np.argsort(pos, kind="stable")
+        bits = np.zeros(n, dtype=np.uint8)
+        bits[pos] = 1
+        self.marked = bitvector(bits)
+        self.mark_cycle = np.repeat(np.arange(sizes.size), sizes)[order]
+        self.mark_index = (np.arange(pos.size) - np.repeat(np.cumsum(sizes) - sizes, sizes))[order]
 
     def payload_bits(self) -> int:
         w = max(1, (len(self.marked) - 1).bit_length())
@@ -260,27 +265,23 @@ class CycleIndex:
     def serialize(self) -> bytes:
         w = ByteWriter()
         w.u64(self.step)
-        w.blob(self.marked.serialize())
-        w.u64_array(self.mark_cycle.astype(np.uint64))
-        w.u64_array(self.mark_index.astype(np.uint64))
         w.u64_array(self.cycle_lengths.astype(np.uint64))
-        w.u64(len(self.cycle_marks))
-        for m in self.cycle_marks:
-            w.u64_array(m.astype(np.uint64))
+        w.u64_array(np.concatenate([np.zeros(0, np.int64), *self.cycle_marks]).astype(np.uint64))
         return w.getvalue()
 
     @classmethod
-    def deserialize(cls, data: bytes) -> "CycleIndex":
+    def deserialize(cls, data: bytes, n: int) -> "CycleIndex":
+        """Load the companion of a permutation of [1..n]."""
         r = ByteReader(data)
         obj = cls.__new__(cls)
         obj.step = r.u64()
-        obj.marked = read_bitvector(ByteReader(r.blob()))
-        obj.mark_cycle = r.u64_array().astype(np.int64)
-        obj.mark_index = r.u64_array().astype(np.int64)
-        obj.cycle_lengths = r.u64_array().astype(np.int64)
-        obj.cycle_marks = [
-            r.u64_array().astype(np.int64) for _ in range(r.u64())
-        ]
+        lengths = r.u64_array().astype(np.int64)
+        marks = r.u64_array().astype(np.int64)
+        sizes = -(-lengths // max(1, obj.step))
+        if (obj.step < 1 or lengths.sum() > n or (lengths < obj.step).any()
+                or sizes.sum() != marks.size or ((marks < 1) | (marks > n)).any()):
+            raise InputError("power companion: cycles and marks differ from their header")
+        obj._index_marks(n, lengths, np.split(marks, np.cumsum(sizes))[:-1])
         return obj
 
 
@@ -288,8 +289,6 @@ class CycleIndex:
 
 
 class _InterleavedGeneralLayout:
-    tag = 1
-
     def __init__(self, arr: np.ndarray, dec: RunDecomposition):
         labels_by_value = np.zeros(arr.size, dtype=np.int64)
         labels_by_value[arr - 1] = dec.labels  # s'[pi(i)] = s[i]
@@ -308,6 +307,10 @@ class _InterleavedGeneralLayout:
         if not self.dirs.access(r):
             j = self.sprime.rank(r, len(self.sprime)) + 1 - j
         return self.s.select(r, j)
+
+    def runs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(length, increasing) per run, in run order."""
+        return self.s.partition.occ, self.dirs.to_bits().astype(bool)
 
     def payload_bits(self) -> int:
         return (
@@ -330,6 +333,8 @@ class _InterleavedGeneralLayout:
         obj.s = ApSequence.deserialize(r.blob())
         obj.sprime = ApSequence.deserialize(r.blob())
         obj.dirs = read_bitvector(ByteReader(r.blob()))
+        if obj.s.alphabet_dict is not None or len(obj.dirs) != obj.s.sigma:
+            raise InputError("interleaved layout: run directions differ from the label alphabet")
         return obj
 
 
@@ -344,16 +349,15 @@ def _check_tiling(keys: np.ndarray, lens: np.ndarray, n: int, what: str):
 
 
 class _InterleavedStrictLayout:
-    """Label string + run records (min, length, direction) + predecessor
-    search over minima; values inside a run are consecutive."""
+    """Label string + run records (min, direction) + predecessor search over
+    minima; values inside a run are consecutive.  A run's length is its
+    label's count in the label string."""
 
-    tag = 2
-
-    def __init__(self, dec: RunDecomposition):
-        # runs must be labelled in min-value order
+    def __init__(self, arr: np.ndarray, dec: RunDecomposition):
+        # runs must be labelled in min-value order; arr is not needed
         self.s = ApSequence(dec.labels)
         self.mins = dec.min_values.astype(np.int64)
-        self.lens = dec.lengths.astype(np.int64)
+        self.lens = self.s.partition.occ
         self.incr = dec.increasing.copy()
         self._build_pred()
 
@@ -376,6 +380,9 @@ class _InterleavedStrictLayout:
         j = v - m + 1 if self.incr[r - 1] else m + l - v
         return self.s.select(r, j)
 
+    def runs(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.lens, self.incr
+
     def payload_bits(self) -> int:
         w = max(1, (len(self.s) - 1).bit_length())
         return self.s.payload_bits() + self.mins.size * (2 * w + 1)
@@ -384,7 +391,6 @@ class _InterleavedStrictLayout:
         w = ByteWriter()
         w.blob(self.s.serialize())
         w.u64_array(self.mins.astype(np.uint64))
-        w.u64_array(self.lens.astype(np.uint64))
         w.blob(bitvector(self.incr.astype(np.uint8)).serialize())
         return w.getvalue()
 
@@ -394,15 +400,12 @@ class _InterleavedStrictLayout:
         obj = cls.__new__(cls)
         obj.s = ApSequence.deserialize(r.blob())
         obj.mins = r.u64_array().astype(np.int64)
-        obj.lens = r.u64_array().astype(np.int64)
         dirs = read_bitvector(ByteReader(r.blob()))
         obj.incr = dirs.to_bits().astype(bool)
-        rho = obj.s.sigma
-        if obj.s.alphabet_dict is not None or obj.incr.size != rho:
+        obj.lens = obj.s.partition.occ
+        if obj.s.alphabet_dict is not None or obj.incr.size != obj.s.sigma:
             raise InputError("strict layout: run records differ from the label alphabet")
         _check_tiling(obj.mins, obj.lens, len(obj.s), "strict layout")
-        if not np.array_equal(obj.s.partition.occ, obj.lens):
-            raise InputError("strict layout: run lengths differ from the label counts")
         obj._build_pred()
         return obj
 
@@ -411,28 +414,29 @@ class _ContiguousGeneralLayout:
     """Mirror layout: the strict machinery built for the inverse
     permutation, with apply/inverse swapped."""
 
-    tag = 3
-
     def __init__(self, arr: np.ndarray, dec: RunDecomposition):
         # contiguous run [p..q] of pi appears in pi^-1 as the value chain
         # p..q located at positions pi(p)..pi(q), direction preserved
-        inv_labels = np.zeros(arr.size, dtype=np.int64)
-        inv_labels[arr - 1] = dec.labels
+        inv = np.empty_like(arr)
+        inv[arr - 1] = np.arange(1, arr.size + 1)
         inner_dec = RunDecomposition(
             kind="interleaved-strict",
             n=arr.size,
-            labels=inv_labels,
+            labels=dec.labels[inv - 1],
             lengths=dec.lengths,
             increasing=dec.increasing,
             min_values=dec.starts,  # value of a chain element = pi position
         )
-        self.inner = _InterleavedStrictLayout(inner_dec)
+        self.inner = _InterleavedStrictLayout(inv, inner_dec)
 
     def apply(self, i: int) -> int:
         return self.inner.inverse(i)
 
     def inverse(self, v: int) -> int:
         return self.inner.apply(v)
+
+    def runs(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.inner.runs()
 
     def payload_bits(self) -> int:
         return self.inner.payload_bits()
@@ -448,18 +452,21 @@ class _ContiguousGeneralLayout:
 
 
 class _ContiguousStrictLayout:
-    """Per-run records plus two predecessor searches: one keyed by run
-    start position, one keyed by the minimum of the run's value interval."""
-
-    tag = 4
+    """Per-run records (start, first value, direction) plus two predecessor
+    searches: one keyed by run start position, one keyed by the minimum of
+    the run's value interval.  Runs follow each other, so a run's length
+    is the gap to the next start."""
 
     def __init__(self, arr: np.ndarray, dec: RunDecomposition):
         self.n = arr.size
         self.starts = dec.starts.astype(np.int64)
-        self.lens = dec.lengths.astype(np.int64)
         self.incr = dec.increasing.copy()
         self.pi_start = arr[self.starts - 1].astype(np.int64)
         self._build_preds()
+
+    @property
+    def lens(self) -> np.ndarray:
+        return np.diff(np.append(self.starts, self.n + 1))
 
     def _value_minima(self) -> np.ndarray:
         return np.where(self.incr, self.pi_start, self.pi_start - self.lens + 1)
@@ -479,6 +486,9 @@ class _ContiguousStrictLayout:
         j, pv = int(self.starts[r - 1]), int(self.pi_start[r - 1])
         return j + (v - pv if self.incr[r - 1] else pv - v)
 
+    def runs(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.lens, self.incr
+
     def payload_bits(self) -> int:
         w = max(1, (self.n - 1).bit_length())
         return self.starts.size * (3 * w + 1)
@@ -487,7 +497,6 @@ class _ContiguousStrictLayout:
         w = ByteWriter()
         w.u64(self.n)
         w.u64_array(self.starts.astype(np.uint64))
-        w.u64_array(self.lens.astype(np.uint64))
         w.u64_array(self.pi_start.astype(np.uint64))
         w.blob(bitvector(self.incr.astype(np.uint8)).serialize())
         return w.getvalue()
@@ -498,7 +507,6 @@ class _ContiguousStrictLayout:
         obj = cls.__new__(cls)
         obj.n = r.u64()
         obj.starts = r.u64_array().astype(np.int64)
-        obj.lens = r.u64_array().astype(np.int64)
         obj.pi_start = r.u64_array().astype(np.int64)
         dirs = read_bitvector(ByteReader(r.blob()))
         obj.incr = dirs.to_bits().astype(bool)
@@ -512,18 +520,10 @@ class _ContiguousStrictLayout:
         return obj
 
 
-_LAYOUTS = {
-    1: _InterleavedGeneralLayout,
-    2: _InterleavedStrictLayout,
-    3: _ContiguousGeneralLayout,
-    4: _ContiguousStrictLayout,
-}
-_KIND_TAG = {
-    "interleaved-general": 1,
-    "interleaved-strict": 2,
-    "contiguous-general": 3,
-    "contiguous-strict": 4,
-}
+# one layout per run kind, in KINDS order; a container's layout tag is
+# the kind's index in KINDS plus one
+_LAYOUTS = (_InterleavedGeneralLayout, _InterleavedStrictLayout,
+            _ContiguousGeneralLayout, _ContiguousStrictLayout)
 
 
 class RunPermutation:
@@ -548,15 +548,7 @@ class RunPermutation:
     def from_decomposition(cls, pi, dec: RunDecomposition,
                            power_step: int | None = None) -> "RunPermutation":
         arr = _validate_permutation(pi)
-        tag = _KIND_TAG[dec.kind]
-        if tag == 1:
-            layout = _InterleavedGeneralLayout(arr, dec)
-        elif tag == 2:
-            layout = _InterleavedStrictLayout(dec)
-        elif tag == 3:
-            layout = _ContiguousGeneralLayout(arr, dec)
-        else:
-            layout = _ContiguousStrictLayout(arr, dec)
+        layout = _LAYOUTS[KINDS.index(dec.kind)](arr, dec)
         companion = CycleIndex(arr, power_step) if power_step else None
         return cls(layout, dec, arr.size, companion)
 
@@ -628,16 +620,8 @@ class RunPermutation:
 
     def serialize(self) -> bytes:
         w = ByteWriter()
-        w.u8(self._layout.tag)
+        w.u8(KINDS.index(self.decomposition.kind) + 1)
         w.u64(self.n)
-        dec = self.decomposition
-        w.u8(KINDS.index(dec.kind))
-        w.u64_array(dec.lengths.astype(np.uint64))
-        w.u64_array(dec.min_values.astype(np.uint64))
-        w.blob(bitvector(dec.increasing.astype(np.uint8)).serialize())
-        w.u8(1 if dec.starts is not None else 0)
-        if dec.starts is not None:
-            w.u64_array(dec.starts.astype(np.uint64))
         w.blob(self._layout.serialize())
         w.u8(1 if self.companion is not None else 0)
         if self.companion is not None:
@@ -648,21 +632,15 @@ class RunPermutation:
     def deserialize(cls, data: bytes) -> "RunPermutation":
         r = ByteReader(data)
         tag = r.u8()
-        if tag not in _LAYOUTS:
+        if not 1 <= tag <= len(_LAYOUTS):
             raise InputError(f"unknown permutation layout tag {tag}")
         n = r.u64()
-        kind_index = r.u8()
-        if kind_index >= len(KINDS):
-            raise InputError(f"unknown run kind index {kind_index}")
-        kind = KINDS[kind_index]
-        lengths = r.u64_array().astype(np.int64)
-        mins = r.u64_array().astype(np.int64)
-        dirs = read_bitvector(ByteReader(r.blob()))
-        increasing = dirs.to_bits().astype(bool)
-        starts = r.u64_array().astype(np.int64) if r.u8() else None
-        dec = RunDecomposition(kind, n, None, lengths, increasing, mins, starts)
-        layout = _LAYOUTS[tag].deserialize(r.blob())
-        companion = CycleIndex.deserialize(r.blob()) if r.u8() else None
+        layout = _LAYOUTS[tag - 1].deserialize(r.blob())
+        lengths, increasing = layout.runs()
+        if lengths.sum() != n:
+            raise InputError("permutation runs do not cover [1..n]")
+        dec = RunDecomposition(KINDS[tag - 1], n, None, lengths, increasing, None)
+        companion = CycleIndex.deserialize(r.blob(), n) if r.u8() else None
         return cls(layout, dec, n, companion)
 
 

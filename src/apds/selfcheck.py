@@ -15,7 +15,7 @@ from .cfunction import build_function
 from .chunkseq import LargeSequence
 from .container import dump_structure, load_structure
 from .dsets import DisjointSetCollection
-from .permutation import KINDS, build_run_permutation
+from .permutation import KINDS, RunPermutation, build_run_permutation
 from .textindex import FmIndex
 from .wavelet import PolySequence
 
@@ -271,16 +271,12 @@ def suite_serialization(rng, iters, max_n, fault=False):
         sigma = max(2, int(rng.integers(2, min(n, 32) + 1)))
         seq = rng.integers(1, sigma + 1, size=n).tolist()
         aps = build_partition(seq, general_alphabet=True)
-        objs = [
-            aps,
-            build_run_permutation(
-                rng.permutation(np.arange(1, n + 1)).tolist(),
-                KINDS[trial % 4],
-                power_step=4,
-            ),
-            FmIndex(seq),
-        ]
-        for obj in objs:
+        perm = build_run_permutation(
+            rng.permutation(np.arange(1, n + 1)).tolist(), KINDS[trial % 4],
+            power_step=4,
+        )
+        indexes = [FmIndex(seq), FmIndex(seq, k_context=1)]
+        for obj in [aps, perm, *indexes]:
             data = dump_structure(obj)
             if fault and trial == 0:
                 data = data[:-1] + bytes([data[-1] ^ 1])
@@ -290,29 +286,42 @@ def suite_serialization(rng, iters, max_n, fault=False):
                     "serialization", f"round trip not byte-identical (n={n})"
                 )
             checks += 1
-            if obj is aps:
-                # load derives the partition summary, which the bytes omit
-                checks += _loaded_sequence_check(aps, back, seq)
+            checks += _same_after_load(obj, back, _load_probes(obj, seq, rng), n)
     return checks
 
 
-def _loaded_sequence_check(built, loaded, seq):
-    checks = 0
-    for a in sorted(set(seq)):
-        if loaded.occurrences(a) != built.occurrences(a):
+def _load_probes(obj, seq, rng):
+    """(label, query) pairs over the values that load derives, which the
+    byte comparison cannot see."""
+    n = len(seq)
+    if isinstance(obj, FmIndex):
+        probes = []
+        for _ in range(6):
+            m = int(rng.integers(1, min(6, n) + 1))
+            start = int(rng.integers(0, n - m + 1))
+            pat = seq[start : start + m]
+            l = int(rng.integers(1, n + 1))
+            r = int(rng.integers(l, n + 1))
+            probes += [(f"k={obj.k_context}: count({pat})", lambda x, p=pat: x.count(p)),
+                       (f"k={obj.k_context}: extract({l},{r})",
+                        lambda x, l=l, r=r: x.extract(l, r))]
+        return probes
+    if isinstance(obj, RunPermutation):
+        return [(f"{obj.decomposition.kind}: rho and H(runs)",
+                 lambda x: (x.rho, x.decomposition.entropy()))]
+    return ([(f"occurrences({a})", lambda x, a=a: x.occurrences(a)) for a in set(seq)]
+            + [(f"access({i})", lambda x, i=i: x.access(i))
+               for i in range(1, n + 1, max(1, n // 17))])
+
+
+def _same_after_load(built, loaded, probes, n):
+    for label, query in probes:
+        got, want = query(loaded), query(built)
+        if got != want:
             raise CheckFailure(
-                "serialization",
-                f"occurrences({a}) = {loaded.occurrences(a)} after load, "
-                f"{built.occurrences(a)} before (n={len(seq)})",
+                "serialization", f"{label} = {got} after load, {want} before (n={n})"
             )
-        checks += 1
-    for i in range(1, len(seq) + 1, max(1, len(seq) // 17)):
-        if loaded.access(i) != built.access(i):
-            raise CheckFailure(
-                "serialization", f"access({i}) differs after load (n={len(seq)})"
-            )
-        checks += 1
-    return checks
+    return len(probes)
 
 
 SUITES = {

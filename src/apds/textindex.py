@@ -10,7 +10,11 @@ counts so cumulative counts resolve in O(1).
 FmIndex supports count/locate/extract by backward search over the
 Burrows-Wheeler transform (stored as ApSequence, optionally split by
 length-k right-context), with text-regular suffix-array samples for
-locate and inverse samples for extract.
+locate and inverse samples for extract.  The inverse samples sit at text
+positions 1, 1 + rate, 1 + 2 rate, ... and at the last position, so only
+their rows are stored.  Load derives each part's first row, the per-part
+cumulative symbol counts and the C array from the parts themselves, with
+the same method that build calls (``_derive_counts``).
 """
 
 from __future__ import annotations
@@ -142,7 +146,6 @@ class BlockStore:
         w.u64(self.n)
         w.u64(self.sigma)
         w.u64(self.block_len)
-        w.u64(self.contents.shape[0])
         w.u64_array(self.contents.reshape(-1).astype(np.uint64))
         w.blob(self.sprime.serialize())
         return w.getvalue()
@@ -154,8 +157,10 @@ class BlockStore:
         obj.n = r.u64()
         obj.sigma = r.u64()
         obj.block_len = r.u64()
-        rows = r.u64()
-        obj.contents = r.u64_array().astype(np.int64).reshape(rows, obj.block_len)
+        contents = r.u64_array().astype(np.int64)
+        if obj.block_len < 1 or contents.size % obj.block_len:
+            raise InputError("block contents do not split into whole blocks")
+        obj.contents = contents.reshape(-1, obj.block_len)
         obj.sprime = ApSequence.deserialize(r.blob())
         obj.num_blocks = (obj.n + obj.block_len - 1) // obj.block_len
         return obj
@@ -251,14 +256,13 @@ class FmIndex:
         self.sigma = int(uniq.size)
         self.k_context = int(k_context)
         t = np.concatenate([dense, [1]])
-        m = t.size
         sa = suffix_array(t)
         bwt = bwt_of(t, sa)
         if sample_rate is None:
             sample_rate = self._default_sample_rate(self.n, self.sigma)
         self.sample_rate = max(1, int(sample_rate))
         self._build_bwt_partitions(t, sa, bwt)
-        self._build_c_array(t)
+        self._derive_counts()
         self._build_samples(sa)
 
     @staticmethod
@@ -271,10 +275,8 @@ class FmIndex:
     def _build_bwt_partitions(self, t, sa, bwt):
         m = t.size
         k = self.k_context
-        if k == 0:
-            starts = [1]
-        else:
-            starts = [1]
+        starts = [1]
+        if k > 0:
             prev = None
             for r in range(m):
                 p = int(sa[r])
@@ -282,23 +284,28 @@ class FmIndex:
                 if prev is not None and key != prev:
                     starts.append(r + 1)
                 prev = key
-        self.part_starts = np.array(starts, dtype=np.int64)  # first row per part
-        self.parts = []
-        nparts = self.part_starts.size
-        bounds = np.append(self.part_starts, m + 1)
-        self.part_cum = np.zeros((nparts + 1, self.sigma + 2), dtype=np.int64)
-        for p in range(nparts):
-            chunk = bwt[bounds[p] - 1 : bounds[p + 1] - 1]
-            self.parts.append(ApSequence(chunk, general_alphabet=True))
-            occ = np.bincount(chunk, minlength=self.sigma + 2)
-            self.part_cum[p + 1] = self.part_cum[p] + occ
+        bounds = np.append(starts, m + 1)
+        self.parts = [ApSequence(bwt[lo - 1 : hi - 1], general_alphabet=True)
+                      for lo, hi in zip(bounds[:-1], bounds[1:])]
 
-    def _build_c_array(self, t):
-        occ = np.bincount(t, minlength=self.sigma + 2)
-        self.C = np.zeros(self.sigma + 3, dtype=np.int64)
-        np.cumsum(occ, out=self.C[1:])
-        # C[a] = number of symbols strictly smaller than a
-        self.C = self.C[:-1]
+    def _derive_counts(self):
+        """Set part_starts (first row of each part), part_cum (occurrences
+        of each symbol in the parts before each part) and C (occurrences of
+        the symbols smaller than each symbol) from the parts' lengths and
+        symbol counts."""
+        lengths = np.array([len(p) for p in self.parts], dtype=np.int64)
+        if lengths.sum() != self.rows:
+            raise InputError("BWT parts do not cover the index rows")
+        self.part_starts = np.cumsum(lengths) - lengths + 1
+        occ = np.zeros((len(self.parts) + 1, self.sigma + 2), dtype=np.int64)
+        for p, part in enumerate(self.parts):
+            symbols = (np.arange(1, part.sigma + 1) if part.alphabet_dict is None
+                       else part.alphabet_dict.values())
+            if symbols[-1] > self.sigma + 1:
+                raise InputError("a BWT part holds a symbol outside the index alphabet")
+            occ[p + 1, symbols] = part.partition.occ
+        self.part_cum = np.cumsum(occ, axis=0)
+        self.C = np.concatenate([[0], np.cumsum(self.part_cum[-1])[:-1]])
 
     def _build_samples(self, sa):
         m = sa.size
@@ -315,7 +322,6 @@ class FmIndex:
         pos = np.arange(1, m + 1, rs, dtype=np.int64)
         if pos[-1] != m:
             pos = np.append(pos, m)
-        self.isa_positions = pos
         self.isa_rows = pack_fixed((isa[pos] - 1).astype(np.uint64), width)
 
     # --- core navigation -----------------------------------------------------------
@@ -323,10 +329,6 @@ class FmIndex:
     @property
     def rows(self) -> int:
         return self.n + 1
-
-    def _bwt_access(self, r: int) -> int:
-        p = int(np.searchsorted(self.part_starts, r, side="right")) - 1
-        return self.parts[p].access(r - int(self.part_starts[p]) + 1)
 
     def _bwt_access_rank(self, r: int) -> tuple[int, int]:
         """(BWT symbol c at row r, rank_c(r)) from one ApSequence walk."""
@@ -406,9 +408,11 @@ class FmIndex:
     def extract(self, l: int, r: int) -> list:
         if not 1 <= l <= r <= self.n:
             raise OutOfRangeError(f"range {l}:{r} out of [1..{self.n}]")
-        pos = self.isa_positions
-        idx = int(np.searchsorted(pos, r + 1, side="left"))
-        p0 = int(pos[idx]) if idx < pos.size else int(pos[-1])
+        # first sampled position >= r + 1; r <= n keeps idx within the
+        # ceil(n / rate) + 1 samples, the last of which is position n + 1
+        rs = self.sample_rate
+        idx = -(-r // rs)
+        p0 = min(1 + idx * rs, self.rows)
         row = get_fixed(self.isa_rows, self._samp_width, idx) + 1
         out = []
         p = p0
@@ -426,7 +430,7 @@ class FmIndex:
         """External BWT as text (for byte/str-built indexes)."""
         out = []
         for r in range(1, self.rows + 1):
-            c = self._bwt_access(r)
+            c = self._bwt_access_rank(r)[0]
             out.append(terminator if c == 1 else chr(self.alphabet.value_of(c - 1) - 1))
         return "".join(out)
 
@@ -435,20 +439,15 @@ class FmIndex:
     def serialize(self) -> bytes:
         w = ByteWriter()
         w.u64(self.n)
-        w.u64(self.sigma)
         w.u64(self.k_context)
         w.u64(self.sample_rate)
         w.blob(self.alphabet.serialize())
-        w.u64_array(self.C.astype(np.uint64))
-        w.u64_array(self.part_starts.astype(np.uint64))
-        w.u64_array(self.part_cum.reshape(-1).astype(np.uint64))
         w.u64(len(self.parts))
         for p in self.parts:
             w.blob(p.serialize())
         w.blob(self.sa_marked.serialize())
-        w.words(self.sa_samples)
-        w.u64_array(self.isa_positions.astype(np.uint64))
-        w.words(self.isa_rows)
+        w.u64_array(self.sa_samples)
+        w.u64_array(self.isa_rows)
         return w.getvalue()
 
     @classmethod
@@ -456,21 +455,20 @@ class FmIndex:
         r = ByteReader(data)
         obj = cls.__new__(cls)
         obj.n = r.u64()
-        obj.sigma = r.u64()
         obj.k_context = r.u64()
         obj.sample_rate = r.u64()
+        if obj.sample_rate < 1:
+            raise InputError("index sample rate must be >= 1")
         obj.alphabet = SparseDictionary.deserialize(r.blob())
-        obj.C = r.u64_array().astype(np.int64)
-        obj.part_starts = r.u64_array().astype(np.int64)
-        cum = r.u64_array().astype(np.int64)
-        nparts = r.u64()
-        obj.part_cum = cum.reshape(nparts + 1, obj.sigma + 2)
-        obj.parts = [ApSequence.deserialize(r.blob()) for _ in range(nparts)]
+        obj.sigma = obj.alphabet.size
+        obj.parts = [ApSequence.deserialize(r.blob()) for _ in range(r.u64())]
+        obj._derive_counts()
         obj.sa_marked = read_bitvector(ByteReader(r.blob()))
-        obj.sa_samples = r.words()
-        obj.isa_positions = r.u64_array().astype(np.int64)
-        obj.isa_rows = r.words()
+        obj.sa_samples = r.u64_array()
+        obj.isa_rows = r.u64_array()
         obj._samp_width = max(1, (obj.rows - 1).bit_length())
+        if obj.isa_rows.size * 64 < (-(-obj.n // obj.sample_rate) + 1) * obj._samp_width:
+            raise InputError("inverse samples are fewer than the text positions need")
         return obj
 
 

@@ -60,6 +60,21 @@ def test_general_alphabet():
         aps.select(77, 1)
 
 
+def test_identity_general_alphabet_keeps_no_dictionary():
+    seq = [1, 3, 2, 1]
+    aps = build_partition(seq, general_alphabet=True)
+    assert aps.alphabet_dict is None
+    plain = build_partition(seq)
+    for i in range(1, 5):
+        assert aps.access(i) == plain.access(i) == seq[i - 1]
+    for a in (0, 1, 2, 3, 4):
+        assert [aps.rank(a, i) for i in range(5)] == [plain.rank(a, i) for i in range(5)]
+    assert aps.select(1, 2) == 4
+    assert aps.serialize() == plain.serialize()
+    for values in ([7, 7], [10, 200, 3000]):
+        assert build_partition(values, general_alphabet=True).alphabet_dict is not None
+
+
 def test_access_examples():
     aps = build_partition(ABRA)
     assert aps.access(5) == 3  # 'c'
@@ -214,7 +229,7 @@ def test_serialize_round_trip():
         ([4] * 9, True),
     ]:
         aps = build_partition(seq, general_alphabet=general)
-        if seq is large:
+        if len(seq) == large.size:
             assert LargeSequence in {type(s) for s in aps.subs}
         data = aps.serialize()
         back = ApSequence.deserialize(data)

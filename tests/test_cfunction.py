@@ -193,3 +193,28 @@ def test_serialize_round_trip(mode):
     for a in range(1, 9):
         assert back.preimage_size(a) == fn.preimage_size(a)
         assert back.preimage(a, sort=True) == fn.preimage(a, sort=True)
+    if mode != "direct":
+        assert_same_runs(back.pi.decomposition, fn.pi.decomposition)
+
+
+def assert_same_runs(loaded, built):
+    assert loaded.kind == built.kind
+    assert np.array_equal(loaded.lengths, built.lengths)
+    assert np.array_equal(loaded.increasing, built.increasing)
+
+
+def test_load_rejects_unknown_mode():
+    data = bytearray(build_function([1, 2, 2, 1]).serialize())
+    data[0] = len(MODES)
+    with pytest.raises(InputError):
+        CompressedFunction.deserialize(bytes(data))
+
+
+def test_per_value_runs_survive_load():
+    # the patience cover's H(runs) exceeds H0 here, so one run per value is used
+    f = [1, 3, 1, 2, 1, 1, 2, 3]
+    fn = build_function(f, mode="runs-interleaved")
+    assert fn.pi.decomposition.labels.tolist() == f
+    back = CompressedFunction.deserialize(fn.serialize())
+    assert_same_runs(back.pi.decomposition, fn.pi.decomposition)
+    assert back.run_entropy() == fn.run_entropy()

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from apds.bitvec import bitvector
 from apds.chunkseq import LargeSequence
 from apds.errors import InputError, NotFoundError, OutOfRangeError
 
@@ -132,6 +133,7 @@ def test_serialize_round_trip():
     data = ls.serialize()
     back = LargeSequence.deserialize(data)
     assert back.serialize() == data
+    assert np.array_equal(back._cocc, ls._cocc)
     for i in range(1, 301, 7):
         assert back.access(i) == seq[i - 1]
     for a in range(1, 50, 3):
@@ -139,6 +141,15 @@ def test_serialize_round_trip():
         occ = seq.count(a)
         if occ:
             assert back.select(a, occ) == scan_select(seq, a, occ)
+
+
+def test_load_rejects_wrong_distribution_count():
+    """The cumulative counts are read off the chunk distribution, so a
+    distribution with a one too many is refused on load."""
+    ls = LargeSequence([3, 1, 2, 3, 3, 1, 2], alphabet_size=3)
+    ls._dist = bitvector(np.append(ls._dist.to_bits(), 1))
+    with pytest.raises(InputError):
+        LargeSequence.deserialize(ls.serialize())
 
 
 def corrupt_cycle_walk(sigma=300):

@@ -232,12 +232,46 @@ def test_truncated_header_exit_2_without_traceback(abra_file, tmp_path, capsys):
     run_cli(capsys, "build", "--type", "seq", "--input", abra_file,
             "--output", str(out_path))
     data = out_path.read_bytes()
-    # 9 bytes: magic, version 2, then the header stops; 20 bytes: the
+    # 9 bytes: magic, version 3, then the header stops; 20 bytes: the
     # header and 6 of the 9 bytes of the first section-table entry
-    for cut in (b"APDS\x02\x00\x00\x00\x01", data[:20]):
+    for cut in (b"APDS\x03\x00\x00\x00\x01", data[:20]):
         out_path.write_bytes(cut)
         assert_exit_2_without_traceback(run_cli_process(
             "query", "--structure", str(out_path), "--op", "access", "--pos", "1"))
+
+
+def test_bad_container_kind_exit_2_without_traceback(abra_file, tmp_path, capsys):
+    """A version-2 file, a header with no section, a seq header over an
+    index payload, and an unknown container kind (byte 8)."""
+    seq_path, index_path = tmp_path / "abra.apds", tmp_path / "abra.idx"
+    run_cli(capsys, "build", "--type", "seq", "--input", abra_file,
+            "--output", str(seq_path))
+    run_cli(capsys, "index", "build", "--input", abra_file, "--output", str(index_path))
+    seq, index = seq_path.read_bytes(), index_path.read_bytes()
+    assert seq[4:9] == b"\x03\x00\x00\x00\x01" and index[8] == 4
+    bad = [seq[:4] + b"\x02" + seq[5:], seq[:10] + b"\x00\x00\x00\x00",
+           index[:8] + b"\x01" + index[9:], seq[:8] + b"\x09" + seq[9:]]
+    for i, data in enumerate(bad):
+        path = tmp_path / f"bad{i}.apds"
+        path.write_bytes(data)
+        assert_exit_2_without_traceback(run_cli_process(
+            "query", "--structure", str(path), "--op", "access", "--pos", "1"))
+
+
+def test_int_token_above_int64_exit_2(tmp_path):
+    src = tmp_path / "big.txt"
+    src.write_text(f"1 2 {2**63}")
+    assert_exit_2_without_traceback(run_cli_process(
+        "build", "--type", "seq", "--format", "ints", "--input", str(src),
+        "--output", str(tmp_path / "big.apds")))
+
+
+@pytest.mark.parametrize("bad_range", ["1:x", "5"])
+def test_bad_extract_range_exit_2(abra_file, tmp_path, capsys, bad_range):
+    out_path = str(tmp_path / "abra.idx")
+    run_cli(capsys, "index", "build", "--input", abra_file, "--output", out_path)
+    assert_exit_2_without_traceback(run_cli_process(
+        "query", "--structure", out_path, "--op", "extract", "--range", bad_range))
 
 
 @pytest.mark.parametrize("flag", [["--epsilon", "0.5"], ["--variant", "ii"]])
@@ -250,20 +284,17 @@ def test_removed_build_flags_exit_2(abra_file, tmp_path, flag):
 
 def corrupt_perm_queries(tmp_path, capsys):
     """CLI query argv for a contiguous-strict permutation container with a
-    layout tag (byte 23) of 9, and one with a run-kind index (byte 32) of 7."""
+    layout tag (byte 23) of 9."""
     src = tmp_path / "perm.txt"
     src.write_text("1 2 3 7 6 5 4 8 9")
     out_path = tmp_path / "perm.apds"
     run_cli(capsys, "build", "--type", "perm", "--format", "ints", "--input", str(src),
             "--output", str(out_path), "--runs-kind", "contiguous-strict")
     data = out_path.read_bytes()
-    assert (data[23], data[32]) == (4, 3)
-    queries = []
-    for offset, value in ((23, 9), (32, 7)):
-        bad = tmp_path / f"perm-{offset}.apds"
-        bad.write_bytes(data[:offset] + bytes([value]) + data[offset + 1 :])
-        queries.append(("query", "--structure", str(bad), "--op", "apply", "--pos", "1"))
-    return queries
+    assert data[23] == 4
+    bad = tmp_path / "perm-23.apds"
+    bad.write_bytes(data[:23] + bytes([9]) + data[24:])
+    return [("query", "--structure", str(bad), "--op", "apply", "--pos", "1")]
 
 
 def corrupt_cycle_walk_query(tmp_path, capsys):

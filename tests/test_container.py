@@ -9,6 +9,8 @@ from apds.container import (
     KIND_INDEX,
     KIND_PERM,
     KIND_SEQ,
+    SECTION_APSEQ,
+    SECTION_INDEX,
     dump_structure,
     load_structure,
     pack_container,
@@ -22,7 +24,7 @@ from apds.textindex import FmIndex
 def test_header_layout():
     data = pack_container(KIND_SEQ, FORMAT_BYTES, [(0x10, b"abc")])
     assert data[:4] == b"APDS"
-    assert data[4:8] == b"\x02\x00\x00\x00"  # version 2, little-endian
+    assert data[4:8] == b"\x03\x00\x00\x00"  # version 3, little-endian
     kind, fmt, sections = unpack_container(data)
     assert kind == KIND_SEQ and fmt == FORMAT_BYTES
     assert sections == [(0x10, b"abc")]
@@ -38,6 +40,19 @@ def test_bad_magic_and_version():
     trunc = pack_container(KIND_SEQ, 0, [(0x10, b"abcdef")])[:-2]
     with pytest.raises(InputError):
         unpack_container(trunc)
+
+
+def test_load_requires_one_main_section():
+    index_payload = FmIndex("abracadabra").serialize()
+    seq_payload = build_partition([1, 2, 1]).serialize()
+    for data in (
+        pack_container(KIND_SEQ, 0, []),  # no section
+        pack_container(KIND_SEQ, 0, [(SECTION_INDEX, index_payload)]),  # wrong kind
+        pack_container(9, 0, [(SECTION_APSEQ, seq_payload)]),  # unknown kind
+        pack_container(KIND_SEQ, 0, [(SECTION_APSEQ, seq_payload)] * 2),
+    ):
+        with pytest.raises(InputError):
+            load_structure(data)
 
 
 def _structures():

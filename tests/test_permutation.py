@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from apds.apseq import ApSequence
 from apds.errors import InputError, NotFoundError, OutOfRangeError, UnsupportedOperationError
 from apds.permutation import (
     KINDS,
@@ -335,8 +336,13 @@ def _raise_second_minimum(lay):
     lay.mins[1] += 1
 
 
-def _lengthen_last_run(lay):
-    lay.lens[-1] += 1
+def _move_a_position_to_the_next_run(lay):
+    # run lengths are the label counts: one run grows, one shrinks
+    labels = lay.s.decode()
+    rho = int(labels.max())
+    i = int(np.flatnonzero(np.bincount(labels)[labels] > 1)[0])
+    labels[i] = labels[i] % rho + 1
+    lay.s = ApSequence(labels)
 
 
 def _drop_a_direction(lay):
@@ -347,7 +353,7 @@ def _drop_a_direction(lay):
     ("contiguous-strict", _swap_first_starts),
     ("contiguous-strict", _shift_first_value),
     ("interleaved-strict", _raise_second_minimum),
-    ("interleaved-strict", _lengthen_last_run),
+    ("interleaved-strict", _move_a_position_to_the_next_run),
     ("interleaved-strict", _drop_a_direction),
 ])
 def test_load_rejects_bad_run_records(kind, corrupt):
@@ -371,4 +377,7 @@ def test_serialize_round_trip(kind):
         assert back.inverse(i) == rp.inverse(i)
         assert back.power(i, 37) == rp.power(i, 37)
     assert back.rho == rp.rho
+    assert back.decomposition.kind == kind
+    assert np.array_equal(back.decomposition.lengths, rp.decomposition.lengths)
+    assert np.array_equal(back.decomposition.increasing, rp.decomposition.increasing)
     assert back.decomposition.entropy() == pytest.approx(rp.decomposition.entropy())

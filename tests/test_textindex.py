@@ -222,9 +222,25 @@ def test_fm_serialize_round_trip():
         data = fm.serialize()
         back = FmIndex.deserialize(data)
         assert back.serialize() == data
+        for name in ("part_starts", "part_cum", "C"):
+            assert np.array_equal(getattr(back, name), getattr(fm, name)), name
         assert back.count(b"the") == fm.count(b"the")
         assert back.locate(b"win") == fm.locate(b"win")
         assert back.extract_bytes(10, 60) == fm.extract_bytes(10, 60)
+
+
+@pytest.mark.parametrize("sample_rate", [1, 2, 3, 4, 5])
+def test_fm_extract_every_range(sample_rate):
+    """The inverse sample of an extract is found by arithmetic; n = 40 makes
+    the last sample regular at rates 1, 2, 4, 5 and extra at rate 3."""
+    text = natural_text(40)
+    fm = FmIndex(text, sample_rate=sample_rate)
+    back = FmIndex.deserialize(fm.serialize())
+    for l in range(1, 41):
+        for r in range(l, 41):
+            want = text[l - 1 : r]
+            assert fm.extract_bytes(l, r) == want
+            assert back.extract_bytes(l, r) == want
 
 
 # --- work per LF step -------------------------------------------------------------
