@@ -3,8 +3,8 @@
 Symbols are grouped into classes by the rounded value of
 lg(n/occ) * lg(n), so symbols in one class have near-equal frequency.
 The class string t (one class id per position) carries the compressible
-information and is stored in a wavelet tree; the projection of the
-sequence onto each class is stored nearly plain (wavelet tree for small
+information and is stored in a wavelet matrix; the projection of the
+sequence onto each class is stored nearly plain (wavelet matrix for small
 class alphabets, chunked large-alphabet store otherwise).  A symbol->class
 map m of length sigma dispatches queries:
 
@@ -56,7 +56,7 @@ def class_of(n: int, occ: int) -> int:
 
 
 def poly_threshold(n: int) -> int:
-    """Largest class alphabet stored in a wavelet tree."""
+    """Largest class alphabet stored in a wavelet matrix."""
     return max(2, int(math.floor(math.log2(n))))
 
 

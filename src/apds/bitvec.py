@@ -73,6 +73,10 @@ class PlainBitVector:
         zcum = np.zeros(zc.size + 1, dtype=np.int64)
         np.cumsum(zc, out=zcum[1:])
         self._samp0 = self._sample_words(zcum, self.n - self._ones)
+        # queries read single items: a memoryview returns them as ints without
+        # numpy's per-item cost (the words view needs the native byte order)
+        self._sb, self._blk = memoryview(self._sb), memoryview(self._blk)
+        self._word_view = memoryview(self.words.astype(np.uint64, copy=False))
 
     @staticmethod
     def _sample_words(cum, total):
@@ -123,13 +127,26 @@ class PlainBitVector:
             raise OutOfRangeError("select rank must be >= 1")
         if j > total:
             raise NotFoundError(f"fewer than {j} {bit}-bits")
+        # the j-th bit lies between this sample's word and the next one's:
+        # binary search the blocks there for the last one that starts before it
+        words, sb, blk = self._word_view, self._sb, self._blk
         samp = self._samp1 if bit else self._samp0
-        w = int(samp[(j - 1) // SELECT_SAMPLE])
+        k = (j - 1) // SELECT_SAMPLE
+        lo = int(samp[k]) // _BLK_WORDS
+        hi = (int(samp[k + 1]) if k + 1 < samp.size else len(words) - 1) // _BLK_WORDS
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            ones = sb[mid * _BLK_WORDS // _SB_WORDS] + blk[mid]  # before block mid
+            if (ones if bit else mid * _BLK_WORDS * WORD_BITS - ones) < j:
+                lo = mid
+            else:
+                hi = mid - 1
+        w = lo * _BLK_WORDS
         before = self._cum_to_word(w)
         if not bit:
             before = w * WORD_BITS - before
         while True:
-            word = int(self.words[w])
+            word = words[w]
             if not bit:
                 valid = min(WORD_BITS, self.n - w * WORD_BITS)
                 word = ~word & ((1 << valid) - 1)
@@ -151,8 +168,8 @@ class PlainBitVector:
 
     def directory_bits(self) -> int:
         return (
-            self._sb.size * 64
-            + self._blk.size * 16
+            self._sb.nbytes * 8
+            + self._blk.nbytes * 8
             + (self._samp1.size + self._samp0.size) * 64
         )
 

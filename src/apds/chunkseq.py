@@ -23,6 +23,23 @@ from .bitvec import bitvector, read_bitvector
 from .errors import InputError, NotFoundError, OutOfRangeError
 
 
+def cycle_order(succ: list) -> tuple[np.ndarray, np.ndarray]:
+    """Walk the cycles of the permutation x -> succ[x] of [0..n).  Each
+    cycle starts at its least element, and the cycles come in the order of
+    those.  Returns every element in walk order, and the cycle lengths."""
+    seen = bytearray(len(succ))
+    order, lengths = [], []
+    for s in range(len(succ)):
+        x, first = s, len(order)
+        while not seen[x]:
+            seen[x] = 1
+            order.append(x)
+            x = succ[x]
+        if len(order) > first:
+            lengths.append(len(order) - first)
+    return np.array(order, dtype=np.int64), np.array(lengths, dtype=np.int64)
+
+
 class LargeSequence:
     def __init__(self, seq, alphabet_size: int | None = None):
         arr = np.asarray(seq, dtype=np.int64)
@@ -79,33 +96,18 @@ class LargeSequence:
         return np.concatenate([[0], ends - np.arange(K - 1, K * self.sigma, K)])
 
     def _build_cycle_marks(self, fwd: np.ndarray):
-        n, sigma, K, t = self.n, self.sigma, self.chunks, self.step
-        marks = np.zeros(n, dtype=np.uint8)
-        mark_pos, back = [], []
-        for k0 in range(K):
-            lo = k0 * sigma
-            L = min(sigma, n - lo)
-            f = fwd[lo : lo + L]
-            seen = np.zeros(L, dtype=bool)
-            for s in range(L):  # ascending start = cycle minimum
-                if seen[s]:
-                    continue
-                cyc = []
-                x = s
-                while not seen[x]:
-                    seen[x] = True
-                    cyc.append(x)
-                    x = int(f[x])
-                if len(cyc) > t:
-                    for o in range(0, len(cyc), t):
-                        marks[lo + cyc[o]] = 1
-                        mark_pos.append(lo + cyc[o])
-                        back.append(cyc[(o - t) % len(cyc)])
-        self._marks = bitvector(marks)
+        # one walk over all chunks, as no cycle leaves its chunk
+        n, sigma, t = self.n, self.sigma, self.step
+        order, lengths = cycle_order((np.arange(n) // sigma * sigma + fwd).tolist())
+        start = np.repeat(np.cumsum(lengths) - lengths, lengths)
+        size = np.repeat(lengths, lengths)
+        idx = np.arange(n) - start
+        mark = (idx % t == 0) & (size > t)
+        pos = order[mark]
+        back = order[(start + (idx - t) % size)[mark]] % sigma
+        self._marks = bitvector(np.bincount(pos, minlength=n))
         # back pointers must align with mark rank, i.e. mark position order
-        order = np.argsort(np.asarray(mark_pos, dtype=np.int64), kind="stable")
-        backarr = np.asarray(back, dtype=np.uint64)[order] if back else np.zeros(0, np.uint64)
-        self._back_words = pack_fixed(backarr, self.width)
+        self._back_words = pack_fixed(back[np.argsort(pos)].astype(np.uint64), self.width)
 
     # --- low-level accessors ----------------------------------------------------
 

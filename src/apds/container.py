@@ -2,7 +2,7 @@
 
 Layout (all integers little-endian):
 
-    "APDS" | u32 version=3 | u8 kind | u8 input-format | u32 section count
+    "APDS" | u32 version=4 | u8 kind | u8 input-format | u32 section count
     per section: u8 section kind | u64 payload byte length
     section payloads, concatenated
 
@@ -10,7 +10,9 @@ A structure file holds exactly one section, of the kind's main section
 kind.  Payloads are the structures' own serializations; they hold no value
 that load can compute, and rank/select directories and derived counts are
 rebuilt on load, so files are deterministic for fixed input and flags.
-Files of any other version are refused.
+Version 4 stores every wavelet sequence as one bitvector per level of its
+wavelet matrix, with no node count (see ``wavelet``).  Files of any other
+version are refused.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .permutation import RunPermutation
 from .textindex import FmIndex
 
 MAGIC = b"APDS"
-VERSION = 3
+VERSION = 4
 
 KIND_SEQ = 1
 KIND_PERM = 2

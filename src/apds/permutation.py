@@ -34,6 +34,7 @@ import numpy as np
 from .apseq import ApSequence
 from .bits import ByteReader, ByteWriter
 from .bitvec import bitvector, read_bitvector
+from .chunkseq import cycle_order
 from .errors import InputError, NotFoundError, OutOfRangeError, UnsupportedOperationError
 from .stats import h_runs
 
@@ -226,22 +227,12 @@ class CycleIndex:
             raise InputError("power step must be >= 1")
         self.step = step
         n = pi.size
-        cycle_lengths: list[int] = []
-        cycle_marks: list[np.ndarray] = []
-        seen = np.zeros(n + 1, dtype=bool)
-        for s in range(1, n + 1):  # ascending start = cycle minimum
-            if seen[s]:
-                continue
-            cyc = []
-            x = s
-            while not seen[x]:
-                seen[x] = True
-                cyc.append(x)
-                x = int(pi[x - 1])
-            if len(cyc) >= step:
-                cycle_lengths.append(len(cyc))
-                cycle_marks.append(np.array(cyc[::step], dtype=np.int64))
-        self._index_marks(n, np.array(cycle_lengths, dtype=np.int64), cycle_marks)
+        order, lengths = cycle_order((pi - 1).tolist())
+        idx = np.arange(n) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        keep = lengths >= step
+        marks = order[(idx % step == 0) & np.repeat(keep, lengths)] + 1
+        sizes = -(-lengths[keep] // step)
+        self._index_marks(n, lengths[keep], np.split(marks, np.cumsum(sizes))[:-1])
 
     def _index_marks(self, n: int, cycle_lengths: np.ndarray, cycle_marks: list):
         """Set the cycles, the mark bitvector over [1..n] and, in mark
@@ -279,7 +270,8 @@ class CycleIndex:
         marks = r.u64_array().astype(np.int64)
         sizes = -(-lengths // max(1, obj.step))
         if (obj.step < 1 or lengths.sum() > n or (lengths < obj.step).any()
-                or sizes.sum() != marks.size or ((marks < 1) | (marks > n)).any()):
+                or sizes.sum() != marks.size or ((marks < 1) | (marks > n)).any()
+                or np.unique(marks).size != marks.size):
             raise InputError("power companion: cycles and marks differ from their header")
         obj._index_marks(n, lengths, np.split(marks, np.cumsum(sizes))[:-1])
         return obj
@@ -592,7 +584,7 @@ class RunPermutation:
                 L = len(visited)
                 return visited[k % L]
             visited.append(y)
-        raise AssertionError("mark not found within step bound")
+        raise InputError("power companion: no mark within the step bound")
 
     def _power_from_mark(self, r: int, k: int, d: int) -> int:
         """pi^k of the element d steps before the r-th marked position."""

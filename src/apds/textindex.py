@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .apseq import ApSequence
+from .apseq import ApSequence, _require
 from .bits import ByteReader, ByteWriter, get_fixed, pack_fixed
 from .bitvec import SparseDictionary, bitvector_from_positions, bitvector, read_bitvector
 from .errors import InputError, NotFoundError, OutOfRangeError
@@ -230,12 +230,11 @@ class BlockRelation:
         return (jb - 1) * store.block_len + off
 
     def check_invariants(self):
-        n_ones = self.P.count(1)
-        assert n_ones == self.store.n, "P must hold one 1-bit per text position"
+        _require(self.P.count(1) == self.store.n, "P must hold one 1-bit per text position")
         for a in range(1, self.store.sigma + 1):
-            assert self._cum(a, int(self.c_pairs[a] - self.c_pairs[a - 1])) == int(
-                self.c_ones[a] - self.c_ones[a - 1]
-            )
+            _require(self._cum(a, int(self.c_pairs[a] - self.c_pairs[a - 1]))
+                     == int(self.c_ones[a] - self.c_ones[a - 1]),
+                     f"P and c_ones disagree on the occurrences of symbol {a}")
 
 
 class FmIndex:

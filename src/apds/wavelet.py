@@ -1,17 +1,26 @@
-"""Zero-order compressed sequences over small alphabets.
+"""Zero-order compressed sequences over small alphabets: a Huffman-shaped
+wavelet matrix (Claude, Navarro & Ordóñez, Inf. Syst. 2015).
 
-A PolySequence is a binary wavelet tree whose shape follows canonical
-Huffman codes of the symbol frequencies, so the bit payload lands near
-n*H0 while access/rank/select stay O(code length).  Skewed node bitmaps
-fall through to the sparse bitvector encoding, which is what lets nearly
-constant sequences cost o(n) bits.
-
-Symbols are dense integers [1..sigma]; callers remap anything else.
+Symbols [1..sigma] keep Huffman code lengths, so the payload is near n*H0,
+and skewed levels use the sparse bitvector encoding.  Level d holds code
+bit d (MSB first) of the positions still in internal nodes of depth d, and
+level d+1 is level d stably partitioned by that bit.  So depth d+1 lists
+the 0-children of the I_d internal nodes of depth d, then their 1-children
+(node j: parent j mod I_d, branch bit j div I_d).  Internal nodes come
+first; the last L_{d+1} nodes are the leaves, the symbols of code length
+d+1 in ascending order.  So position i with bit b moves to rank_b(i) on
+the next level, plus level d's zero count if b = 1, and is in a leaf when
+that is past the next level's length.  Only n, sigma, the code lengths,
+the counts and the levels are stored; load derives the codes, the level
+count, each level's length and zero count and the leaf starts, and
+refuses levels that disagree.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
+from itertools import accumulate
 
 import numpy as np
 
@@ -42,33 +51,32 @@ def huffman_code_lengths(counts: np.ndarray) -> np.ndarray:
     return lengths
 
 
-def canonical_codes(lengths: np.ndarray) -> np.ndarray:
-    """Canonical code per symbol given code lengths (MSB-first)."""
-    codes = np.zeros(lengths.size, dtype=np.int64)
-    order = sorted(
-        (int(l), s) for s, l in enumerate(lengths.tolist()) if l > 0
-    )
-    code = 0
-    prev_len = order[0][0] if order else 0
-    for length, sym in order:
-        code <<= length - prev_len
-        prev_len = length
-        codes[sym] = code
-        code += 1
-    return codes
-
-
-class _Node:
-    __slots__ = ("bv", "child", "symbol")
-
-    def __init__(self):
-        self.bv = None
-        self.child = [None, None]  # node index or None
-        self.symbol = None  # set on leaves
+def matrix_shape(lengths: list):
+    """The code per symbol (MSB first, 0 for length 0) of a full code with
+    these lengths, laid out with the leaves last at each depth in ascending
+    symbol order; the symbols by code length down and symbol up; and per
+    depth d, the internal node count and the symbols longer than d.  Lists,
+    not numpy: sigma is small, and numpy's per-call cost slowed loads."""
+    order = sorted(range(len(lengths)), key=lengths.__getitem__, reverse=True)
+    depth = lengths[order[0]] if order else 0
+    down = [-lengths[sym] for sym in order]
+    longer = [bisect_left(down, -d) for d in range(depth + 2)]
+    codes = [0] * len(lengths)
+    inner = [0] if depth else []  # codes of the internal nodes of depth d
+    internal = [len(inner)]
+    for d in range(1, depth + 1):
+        nodes = [c << 1 for c in inner] + [c << 1 | 1 for c in inner]
+        internal.append(len(nodes) - (longer[d - 1] - longer[d]))
+        if not 0 <= internal[-1] <= longer[d]:  # each internal node needs a leaf below
+            raise InputError("code lengths do not describe a full binary tree")
+        for sym, code in zip(order[longer[d] : longer[d - 1]], nodes[internal[-1] :]):
+            codes[sym] = code
+        inner = nodes[: internal[-1]]
+    return codes, order, internal, longer
 
 
 class PolySequence:
-    """Wavelet-tree sequence; alphabet [1..sigma] with sigma small."""
+    """Huffman-shaped wavelet matrix; alphabet [1..sigma] with sigma small."""
 
     def __init__(self, seq, alphabet_size: int | None = None):
         arr = np.asarray(seq, dtype=np.int64)
@@ -79,59 +87,52 @@ class PolySequence:
         sigma = int(alphabet_size) if alphabet_size else int(arr.max())
         if arr.max() > sigma:
             raise InputError("symbol exceeds declared alphabet size")
-        counts = np.bincount(arr - 1, minlength=sigma).astype(np.int64)
-        self._init_from(arr - 1, sigma, counts)
-
-    def _init_from(self, vals0: np.ndarray, sigma: int, counts: np.ndarray):
-        self.n = vals0.size
+        self.n = arr.size
         self.sigma = sigma
-        self._counts = counts
-        self._lengths = huffman_code_lengths(counts)
-        self._codes = canonical_codes(self._lengths)
-        distinct = int((counts > 0).sum())
-        if distinct <= 1:
-            # constant sequence: nothing to store beyond the symbol id
-            self._only = int(np.flatnonzero(counts)[0]) if distinct else 0
-            self._nodes = []
-            return
+        self._counts = np.bincount(arr - 1, minlength=sigma).astype(np.int64)
+        self._lengths = huffman_code_lengths(self._counts)
+        level_lengths, steps = self._derive_shape()
+        codes, lengths = np.array(self._code, dtype=np.int64), self._lengths
+        levels = []
+        below = arr - 1  # symbols of the positions at the current level
+        for d in range(len(steps)):
+            bits = (((codes >> np.maximum(lengths - 1 - d, 0)) & 1 & (lengths > d))
+                    .astype(np.uint8)[below])
+            levels.append(bitvector(bits))
+            below = below[np.argsort(bits, kind="stable")[: level_lengths[d + 1]]]
+        self._set_levels(levels, steps)
+
+    def _derive_shape(self):
+        """Set codes, zero counts, leaf starts and leaf table from lengths and
+        counts; return the level lengths (and a final 0) and the walk steps."""
+        lengths, counts = self._lengths.tolist(), self._counts.tolist()
         self._only = None
-        self._build_tree()
-        self._fill_bitvectors(vals0)
+        coded = [s for s, c in enumerate(counts) if c]
+        if len(coded) <= 1:  # a constant sequence stores nothing beyond the symbol id
+            self._only = coded[0] if coded else 0
+        if [s for s, length in enumerate(lengths) if length] != (coded if self._only is None else []):
+            raise InputError("code lengths do not match the symbol counts")
+        self._code, order, internal, longer = matrix_shape(lengths)
+        depth = len(internal) - 1
+        # by code length down, then symbol up: a leaf starts after every
+        # position of a longer code and of a same-length smaller symbol
+        before = list(accumulate((counts[sym] for sym in order), initial=0))
+        self._start, self._by_leaf, self._length = [0] * len(counts), order, lengths
+        for sym, start in zip(order, before):
+            self._start[sym] = start
+        level_lengths = [before[longer[d]] for d in range(depth + 1)]
+        self._zeros, weight = [0] * depth, []
+        for d in range(depth - 1, -1, -1):  # node weights, deepest first
+            nodes = weight + [counts[sym] for sym in order[longer[d + 1] : longer[d]]]
+            self._zeros[d] = sum(nodes[: internal[d]])  # of the 0-children, which come first
+            weight = [a + b for a, b in zip(nodes[: internal[d]], nodes[internal[d] :])]
+        steps = [(self._zeros[d], internal[d], internal[d + 1], longer[d + 1] - internal[d + 1])
+                 for d in range(depth)]
+        return level_lengths, steps
 
-    def _build_tree(self):
-        self._nodes = [_Node()]
-        self._leaf_path = {}  # symbol0 -> list of (node_idx, bit)
-        for sym in np.flatnonzero(self._lengths > 0):
-            sym = int(sym)
-            code, length = int(self._codes[sym]), int(self._lengths[sym])
-            node = 0
-            path = []
-            for d in range(length):
-                bit = (code >> (length - 1 - d)) & 1
-                path.append((node, bit))
-                nxt = self._nodes[node].child[bit]
-                if nxt is None:
-                    self._nodes.append(_Node())
-                    nxt = len(self._nodes) - 1
-                    self._nodes[node].child[bit] = nxt
-                node = nxt
-            self._nodes[node].symbol = sym
-            self._leaf_path[sym] = path
-
-    def _fill_bitvectors(self, vals0: np.ndarray):
-        code_of = self._codes[vals0]
-        len_of = self._lengths[vals0]
-        stack = [(0, code_of, len_of, 0)]
-        while stack:
-            idx, codes, lens, depth = stack.pop()
-            node = self._nodes[idx]
-            if node.symbol is not None:
-                continue
-            bits = ((codes >> (lens - 1 - depth)) & 1).astype(np.uint8)
-            node.bv = bitvector(bits)
-            mask = bits.astype(bool)
-            stack.append((node.child[0], codes[~mask], lens[~mask], depth + 1))
-            stack.append((node.child[1], codes[mask], lens[mask], depth + 1))
+    def _set_levels(self, levels: list, steps: list):
+        self._levels = levels
+        self._walk = [(bv, *step) for bv, step in zip(levels, steps)]
 
     def __len__(self):
         return self.n
@@ -149,17 +150,21 @@ class PolySequence:
         return self.access_rank(i)[0]
 
     def access_rank(self, i: int) -> tuple[int, int]:
-        """(symbol a at i, rank_a(i)) from one root-to-leaf walk: the
-        position reached at the leaf is the rank."""
+        """(symbol a at i, rank_a(i)) from one walk down the levels: the
+        position reached in a's leaf, minus a's leaf start, is the rank."""
         if not 1 <= i <= self.n:
             raise OutOfRangeError(f"position {i} out of [1..{self.n}]")
         if self._only is not None:
             return self._only + 1, i
-        node = self._nodes[0]
-        while node.symbol is None:
-            b, i = node.bv.access_rank(i)
-            node = self._nodes[node.child[b]]
-        return node.symbol + 1, i
+        node = 0
+        for bv, zeros, internal, next_internal, leaf_base in self._walk:
+            b, i = bv.access_rank(i)
+            if b:
+                i += zeros
+                node += internal
+            if node >= next_internal:
+                a = self._by_leaf[leaf_base + node]
+                return a + 1, i - self._start[a]
 
     def rank(self, a: int, i: int) -> int:
         if not 0 <= i <= self.n:
@@ -168,11 +173,13 @@ class PolySequence:
             return 0
         if self._only is not None:
             return i if a - 1 == self._only else 0
-        for idx, bit in self._leaf_path[a - 1]:
-            i = self._nodes[idx].bv.rank(i, bit)
-            if i == 0:
-                return 0
-        return i
+        code, length = self._code[a - 1], self._length[a - 1]
+        for d in range(length):
+            if (code >> (length - 1 - d)) & 1:
+                i = self._zeros[d] + self._levels[d].rank(i, 1)
+            else:
+                i = self._levels[d].rank(i, 0)
+        return i - self._start[a - 1]
 
     def select(self, a: int, j: int) -> int:
         if j < 1:
@@ -181,34 +188,35 @@ class PolySequence:
             raise NotFoundError(f"fewer than {j} occurrences of symbol {a}")
         if self._only is not None:
             return j
-        for idx, bit in reversed(self._leaf_path[a - 1]):
-            j = self._nodes[idx].bv.select(j, bit)
+        code = self._code[a - 1]
+        j += self._start[a - 1]
+        for d in range(self._length[a - 1] - 1, -1, -1):
+            if code & 1:
+                j = self._levels[d].select(j - self._zeros[d], 1)
+            else:
+                j = self._levels[d].select(j, 0)
+            code >>= 1
         return j
 
     def decode(self) -> np.ndarray:
-        """Reconstruct the whole sequence in one pass (values 1..sigma)."""
+        """Reconstruct the whole sequence, one stable partition per level,
+        from the deepest level up (values 1..sigma)."""
         if self._only is not None:
             return np.full(self.n, self._only + 1, dtype=np.int64)
-        return self._decode_node(0, self.n)
-
-    def _decode_node(self, idx: int, length: int) -> np.ndarray:
-        node = self._nodes[idx]
-        if node.symbol is not None:
-            return np.full(length, node.symbol + 1, dtype=np.int64)
-        bits = node.bv.to_bits().astype(bool)
-        ones = int(bits.sum())
-        out = np.empty(length, dtype=np.int64)
-        out[~bits] = self._decode_node(node.child[0], length - ones)
-        out[bits] = self._decode_node(node.child[1], ones)
-        return out
+        order = np.array(self._by_leaf)
+        seq = np.repeat(order, self._counts[order])  # level d ends with depth d+1's leaves
+        for bv in reversed(self._levels):
+            bits = bv.to_bits()
+            seq[: bits.size][np.argsort(bits, kind="stable")] = seq[: bits.size].copy()
+        return seq + 1
 
     # --- space accounting ---------------------------------------------------
 
     def payload_bits(self) -> int:
-        return sum(nd.bv.payload_bits() for nd in self._nodes if nd.bv is not None)
+        return sum(bv.payload_bits() for bv in self._levels)
 
     def directory_bits(self) -> int:
-        return sum(nd.bv.directory_bits() for nd in self._nodes if nd.bv is not None)
+        return sum(bv.directory_bits() for bv in self._levels)
 
     def topology_bits(self) -> int:
         return 8 * self.sigma  # one code length byte per symbol
@@ -221,25 +229,9 @@ class PolySequence:
         w.u64(self.sigma)
         w.u8_block(self._lengths)
         w.u64_array(self._counts.astype(np.uint64))
-        order = self._node_order()
-        w.u64(len(order))
-        for idx in order:
-            w.blob(self._nodes[idx].bv.serialize())
+        for bv in self._levels:
+            w.blob(bv.serialize())
         return w.getvalue()
-
-    def _node_order(self):
-        """Internal nodes in preorder (deterministic)."""
-        order = []
-        stack = [0] if self._nodes else []
-        while stack:
-            idx = stack.pop()
-            node = self._nodes[idx]
-            if node.symbol is not None:
-                continue
-            order.append(idx)
-            stack.append(node.child[1])
-            stack.append(node.child[0])
-        return order
 
     @classmethod
     def deserialize(cls, data: bytes) -> "PolySequence":
@@ -248,20 +240,14 @@ class PolySequence:
         obj.n = r.u64()
         obj.sigma = r.u64()
         obj._lengths = r.u8_block(obj.sigma).astype(np.int64)
-        obj._counts = r.u64_array().astype(np.int64)
-        if obj._counts.size != obj.sigma or int(obj._counts.sum()) != obj.n:
+        counts = r.u64_array()
+        if counts.size != obj.sigma or sum(counts.tolist()) != obj.n:
             raise InputError("symbol counts do not match the sequence header")
-        obj._codes = canonical_codes(obj._lengths)
-        nnodes = r.u64()
-        distinct = int((obj._counts > 0).sum())
-        if distinct <= 1:
-            obj._only = int(np.flatnonzero(obj._counts)[0]) if distinct else 0
-            obj._nodes = []
-            return obj
-        obj._only = None
-        obj._build_tree()
-        for idx in obj._node_order():
-            obj._nodes[idx].bv = read_bitvector(ByteReader(r.blob()))
-        if nnodes != sum(1 for nd in obj._nodes if nd.symbol is None):
-            raise InputError("node count does not match the code lengths")
+        obj._counts = counts.astype(np.int64)
+        level_lengths, steps = obj._derive_shape()
+        levels = [read_bitvector(ByteReader(r.blob())) for _ in steps]
+        for bv, length, zeros in zip(levels, level_lengths, obj._zeros):
+            if len(bv) != length or bv.count(0) != zeros:
+                raise InputError("a wavelet level does not match the code lengths")
+        obj._set_levels(levels, steps)
         return obj

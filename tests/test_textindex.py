@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -94,6 +98,24 @@ def test_relation_invariants():
         bs = BlockStore(seq, block_len=b)
         rel = BlockRelation(bs)
         rel.check_invariants()
+
+
+def test_relation_invariants_raise_under_optimize():
+    # python -O strips assert statements, so the checks must be raises
+    script = (
+        "from apds.textindex import BlockRelation, BlockStore, text_symbols\n"
+        "rel = BlockRelation(BlockStore(text_symbols('abracadabra'), block_len=2))\n"
+        "rel.check_invariants()\n"
+        "rel.c_ones[2] += 1\n"
+        "try:\n"
+        "    rel.check_invariants()\n"
+        "except AssertionError:\n"
+        "    print('raised')\n")
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "raised\n"
 
 
 @pytest.mark.parametrize("b", [1, 2, 3, 4])

@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from apds.bits import ByteWriter
+from apds.bitvec import bitvector
 from apds.errors import InputError, NotFoundError, OutOfRangeError
 from apds.stats import h0
-from apds.wavelet import PolySequence, canonical_codes, huffman_code_lengths
+from apds.wavelet import PolySequence, huffman_code_lengths, matrix_shape
 
 
 def scan_rank(seq, a, i):
@@ -164,10 +168,10 @@ def test_serialize_round_trip():
             assert back.rank(a, len(seq)) == ps.rank(a, len(seq))
 
 
-def test_canonical_codes_prefix_free():
+def test_matrix_shape_codes_prefix_free():
     counts = np.array([50, 20, 10, 10, 5, 5])
     lengths = huffman_code_lengths(counts)
-    codes = canonical_codes(lengths)
+    codes = matrix_shape(lengths.tolist())[0]
     items = [(int(codes[s]), int(lengths[s])) for s in range(6)]
     for a, (ca, la) in enumerate(items):
         for b, (cb, lb) in enumerate(items):
@@ -175,3 +179,82 @@ def test_canonical_codes_prefix_free():
                 assert (cb >> (lb - la)) != ca, "prefix property violated"
     # Kraft equality for a complete code
     assert sum(2.0 ** -l for _, l in items) == pytest.approx(1.0)
+
+
+@st.composite
+def count_vectors(draw):
+    """Symbol counts over sigma <= 64: random, skewed towards one symbol,
+    two symbols or one, and sometimes an alphabet past the largest symbol."""
+    sigma = draw(st.integers(1, 64))
+    counts = np.array(draw(st.lists(st.integers(0, 20), min_size=sigma, max_size=sigma)))
+    shape = draw(st.sampled_from(["random", "skewed", "two", "constant"]))
+    keep = draw(st.lists(st.integers(0, sigma - 1), min_size=2, max_size=2))
+    if shape == "skewed":
+        counts[keep[0]] += draw(st.integers(100, 1000))
+    elif shape in ("two", "constant"):
+        mask = np.zeros(sigma, dtype=bool)
+        mask[keep[: 1 if shape == "constant" else 2]] = True
+        counts = np.where(mask, np.maximum(counts, 1), 0)
+    if counts.sum() == 0:
+        counts[keep[0]] = 1
+    extra = draw(st.sampled_from([0, 0, 1, 7]))
+    return np.append(counts, np.zeros(extra, dtype=np.int64)), draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=100, deadline=None)
+@given(count_vectors())
+def test_matrix_matches_scan_oracle(case):
+    counts, seed = case
+    sigma = counts.size
+    seq = np.random.default_rng(seed).permutation(np.repeat(np.arange(1, sigma + 1), counts))
+    n = seq.size
+    ps = PolySequence(seq, alphabet_size=sigma)
+    lst = seq.tolist()
+    prefix = np.zeros((sigma + 1, n + 1), dtype=np.int64)  # prefix[a, i] = rank_a(i)
+    prefix[seq, np.arange(1, n + 1)] = 1
+    prefix = np.cumsum(prefix, axis=1)
+    for i in range(1, n + 1):
+        assert ps.access_rank(i) == (lst[i - 1], prefix[lst[i - 1], i])
+    probes = sorted({0, n, *np.linspace(0, n, 17).astype(int).tolist()})
+    for a in range(1, sigma + 1):
+        for i in probes:
+            assert ps.rank(a, i) == prefix[a, i]
+        where = np.flatnonzero(seq == a) + 1
+        for j, pos in enumerate(where.tolist(), 1):
+            assert ps.select(a, j) == pos
+        with pytest.raises(NotFoundError):
+            ps.select(a, where.size + 1)
+    assert len(ps._levels) == int(huffman_code_lengths(counts).max(initial=0))
+    data = ps.serialize()
+    back = PolySequence.deserialize(data)
+    assert back.serialize() == data
+    assert np.array_equal(back.decode(), seq)
+
+
+def _with_levels(ps, lengths, levels):
+    w = ByteWriter()
+    w.u64(ps.n)
+    w.u64(ps.sigma)
+    w.u8_block(lengths)
+    w.u64_array(ps._counts.astype(np.uint64))
+    for bv in levels:
+        w.blob(bv.serialize())
+    return w.getvalue()
+
+
+def test_load_rejects_levels_that_disagree_with_the_code_lengths():
+    seq = np.random.default_rng(8).integers(1, 7, size=300)
+    ps = PolySequence(seq, alphabet_size=7)  # symbol 7 is absent
+    first, second, *rest = ps._levels
+    assert _with_levels(ps, ps._lengths, ps._levels) == ps.serialize()
+    bits = second.to_bits()
+    flipped = bits.copy()
+    flipped[0] ^= 1
+    for level in (bits[:-1], np.append(bits, 0), flipped):  # length, length, zeros
+        with pytest.raises(InputError):
+            PolySequence.deserialize(_with_levels(ps, ps._lengths, [first, bitvector(level), *rest]))
+    for sym, delta in ((0, 1), (6, 1)):  # not a full tree; a code for an absent symbol
+        lengths = ps._lengths.copy()
+        lengths[sym] += delta
+        with pytest.raises(InputError):
+            PolySequence.deserialize(_with_levels(ps, lengths, ps._levels))
