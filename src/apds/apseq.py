@@ -21,11 +21,12 @@ General (non-effective) alphabets keep the occurring symbols in a sorted
 dictionary and run the machinery over their ranks; a general alphabet
 that is exactly 1..sigma keeps none.
 
-Only t, m, the class stores and the raw class values are serialized; load
-derives the partition summary (each symbol's class and occurrences, each
-class's alphabet size and length) from m's decode and the class stores'
-per-symbol counts, in array operations with no loop over symbols.  Each
-class store's kind follows from its alphabet size, so it is not stored.
+Only the dictionary (an empty blob if none), t, m, the class stores and
+the raw class values are serialized; load takes n from t and derives the
+partition summary (each symbol's class and occurrences, each class's
+alphabet size and length) from m's decode and the class stores' symbol
+counts, in array operations.  A class store's kind follows from its
+alphabet size, so it is not stored.
 """
 
 from __future__ import annotations
@@ -299,11 +300,8 @@ class ApSequence:
 
     def serialize(self) -> bytes:
         w = ByteWriter()
-        w.u64(self.n)
-        w.u8(1 if self.alphabet_dict is not None else 0)
-        if self.alphabet_dict is not None:
-            w.blob(self.alphabet_dict.serialize())
-        w.u64_array(self.partition.class_values.astype(np.uint64))
+        w.blob(b"" if self.alphabet_dict is None else self.alphabet_dict.serialize())
+        w.ints(self.partition.class_values)
         w.blob(self.T.serialize())
         w.blob(self.M.serialize())
         for s in self.subs:
@@ -314,16 +312,14 @@ class ApSequence:
     def deserialize(cls, data: bytes) -> "ApSequence":
         r = ByteReader(data)
         obj = cls.__new__(cls)
-        obj.n = r.u64()
-        obj.alphabet_dict = SparseDictionary.deserialize(r.blob()) if r.u8() else None
-        class_values = r.u64_array().astype(np.int64)
+        obj.alphabet_dict = SparseDictionary.deserialize(d) if (d := r.blob()) else None
+        class_values = r.ints().astype(np.int64)
         obj.T = PolySequence.deserialize(r.blob())
         obj.M = PolySequence.deserialize(r.blob())
         k = class_values.size
         if k < 1 or obj.M.sigma != k or obj.T.sigma != k:
             raise InputError("class count differs between T, M and the class values")
-        if obj.n < 1 or obj.T.n != obj.n:
-            raise InputError("class string length differs from the sequence length")
+        obj.n = obj.T.n  # the class string has one class per position
         dense = obj.M.decode()
         sub_sigma = np.bincount(dense, minlength=k + 1)[1:]
         threshold = poly_threshold(obj.n)

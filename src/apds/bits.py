@@ -1,13 +1,16 @@
-"""Bit packing primitives and little-endian serialization helpers.
+"""Bit packing primitives and the one integer codec of every payload.
 
-Bit sequences are packed least-significant-bit-first into 64-bit words;
-words are serialized little-endian, so the byte image is identical across
-platforms.
+Bit sequences are packed least-significant-bit-first into 64-bit words.
+A payload concatenates three field kinds (ByteWriter, ByteReader):
+
+    uint  LEB128 varint, low 7 bits first; at most 10 bytes, below 2**63
+    ints  a width byte w in [1..8], a uint count, then the values
+          little-endian at the fewest whole bytes w that hold the largest
+          (packed words included); widths 1/2/4/8 load as one numpy view
+    blob  a uint length, then that many bytes
 """
 
 from __future__ import annotations
-
-import struct
 
 import numpy as np
 
@@ -15,26 +18,20 @@ from .errors import InputError
 
 WORD_BITS = 64
 _U64 = np.dtype("<u8")
+_UINT_LIMIT = 1 << 63
+_VARINT_MAX_BYTES = 10
+_VIEW_DTYPES = {w: np.dtype(f"<u{w}") for w in (1, 2, 4, 8)}
 
 
 def pack_bits(bits) -> np.ndarray:
     """Pack an iterable/array of 0/1 into uint64 words, LSB-first."""
-    arr = np.asarray(bits, dtype=np.uint8)
-    if arr.size == 0:
-        return np.zeros(0, dtype=_U64)
-    npad = (-arr.size) % WORD_BITS
-    if npad:
-        arr = np.concatenate([arr, np.zeros(npad, dtype=np.uint8)])
-    # np.packbits is MSB-first per byte; bitorder='little' gives LSB-first
-    words = np.packbits(arr, bitorder="little").view(_U64)
-    return words.copy()
+    packed = np.packbits(np.asarray(bits, dtype=np.uint8), bitorder="little")
+    return np.concatenate([packed, np.zeros(-packed.size % 8, np.uint8)]).view(_U64)
 
 
 def unpack_bits(words: np.ndarray, n: int) -> np.ndarray:
     """Inverse of pack_bits: first n bits as a uint8 array."""
-    if n == 0:
-        return np.zeros(0, dtype=np.uint8)
-    return np.unpackbits(words.view(np.uint8), bitorder="little")[:n].copy()
+    return np.unpackbits(words.view(np.uint8), count=n, bitorder="little")
 
 
 def popcount_words(words: np.ndarray) -> np.ndarray:
@@ -52,8 +49,6 @@ def select_in_word(word: int, j: int) -> int:
 def pack_fixed(values: np.ndarray, width: int) -> np.ndarray:
     """Pack non-negative integers < 2**width into words, LSB-first."""
     values = np.asarray(values, dtype=np.uint64)
-    if values.size == 0 or width == 0:
-        return np.zeros(0, dtype=_U64)
     bits = ((values[:, None] >> np.arange(width, dtype=np.uint64)) & 1).astype(
         np.uint8
     )
@@ -61,8 +56,6 @@ def pack_fixed(values: np.ndarray, width: int) -> np.ndarray:
 
 
 def unpack_fixed(words: np.ndarray, width: int, count: int) -> np.ndarray:
-    if count == 0 or width == 0:
-        return np.zeros(count, dtype=np.uint64)
     bits = unpack_bits(words, width * count).reshape(count, width)
     weights = (np.uint64(1) << np.arange(width, dtype=np.uint64))
     return (bits.astype(np.uint64) * weights).sum(axis=1, dtype=np.uint64)
@@ -81,68 +74,81 @@ def get_fixed(words: np.ndarray, width: int, idx: int) -> int:
     return lo & ((1 << width) - 1)
 
 
-class ByteWriter:
-    """Accumulates little-endian fields; used by every serializer."""
+class ByteWriter(bytearray):
+    """A payload under construction; used by every serializer."""
 
-    def __init__(self):
-        self._parts = []
+    def uint(self, v: int):
+        """A non-negative int < 2**63 as a LEB128 varint."""
+        v = int(v)
+        if not 0 <= v < _UINT_LIMIT:
+            raise ValueError(f"{v} is outside the varint range [0, 2**63)")
+        while v > 0x7F:
+            self.append(v & 0x7F | 0x80)
+            v >>= 7
+        self.append(v)
 
-    def u8(self, v: int):
-        self._parts.append(struct.pack("<B", v))
-
-    def u32(self, v: int):
-        self._parts.append(struct.pack("<I", v))
-
-    def u64(self, v: int):
-        self._parts.append(struct.pack("<Q", v))
-
-    def u8_block(self, arr):
-        """Unprefixed run of bytes, one per element; the reader knows the count."""
-        self._parts.append(np.ascontiguousarray(arr, dtype=np.uint8).tobytes())
-
-    def u64_array(self, arr):
-        """Length-prefixed uint64 array."""
-        arr = np.ascontiguousarray(arr, dtype=_U64)
-        self.u64(arr.size)
-        self._parts.append(arr.tobytes())
+    def ints(self, arr):
+        """Integers in [0, 2**64) at the fewest whole bytes that hold the largest."""
+        arr = np.asarray(arr)
+        if arr.size and arr.min() < 0:
+            raise ValueError("ints holds non-negative values only")
+        values = arr.astype(_U64)
+        width = max(1, (int(values.max(initial=0)).bit_length() + 7) // 8)
+        self.append(width)
+        self.uint(values.size)
+        self.extend(values.view(np.uint8).reshape(-1, 8)[:, :width].tobytes())
 
     def blob(self, data: bytes):
         """Length-prefixed byte string."""
-        self.u64(len(data))
-        self._parts.append(data)
+        self.uint(len(data))
+        self.extend(data)
 
     def getvalue(self) -> bytes:
-        return b"".join(self._parts)
+        return bytes(self)
 
 
 class ByteReader:
+    """Malformed fields end in InputError; counts are checked before anything is allocated."""
+
     def __init__(self, data: bytes):
         self._data = data
         self._pos = 0
 
-    def _take(self, k: int) -> bytes:
-        b = self._data[self._pos : self._pos + k]
-        if len(b) != k:
+    def _take(self, k: int) -> int:
+        """Skip k bytes; return where they start."""
+        if k > len(self._data) - self._pos:
             raise InputError("truncated payload")
         self._pos += k
-        return b
+        return self._pos - k
 
-    def u8(self) -> int:
-        return struct.unpack("<B", self._take(1))[0]
+    def uint(self) -> int:
+        data, pos, v = self._data, self._pos, 0
+        for shift in range(0, 7 * _VARINT_MAX_BYTES, 7):
+            if pos == len(data):
+                raise InputError("truncated payload")
+            b = data[pos]
+            pos += 1
+            v |= (b & 0x7F) << shift
+            if b < 0x80:
+                if v >= _UINT_LIMIT:
+                    raise InputError("varint value is 2**63 or more")
+                self._pos = pos
+                return v
+        raise InputError(f"varint longer than {_VARINT_MAX_BYTES} bytes")
 
-    def u32(self) -> int:
-        return struct.unpack("<I", self._take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self._take(8))[0]
-
-    def u8_block(self, k: int) -> np.ndarray:
-        return np.frombuffer(self._take(k), dtype=np.uint8)
-
-    def u64_array(self) -> np.ndarray:
-        n = self.u64()
-        return np.frombuffer(self._take(8 * n), dtype=_U64).copy()
+    def ints(self) -> np.ndarray:
+        """The values of one ``ints`` field, as little-endian uint64."""
+        width = self._data[self._take(1)]
+        if not 1 <= width <= 8:
+            raise InputError(f"integer array width {width} is outside [1..8]")
+        count = self.uint()
+        start = self._take(count * width)
+        if width in _VIEW_DTYPES:
+            return np.frombuffer(self._data, _VIEW_DTYPES[width], count, start).astype(_U64)
+        wide = np.zeros((count, 8), dtype=np.uint8)
+        wide[:, :width] = np.frombuffer(self._data, "u1", count * width, start).reshape(-1, width)
+        return wide.view(_U64).reshape(count)
 
     def blob(self) -> bytes:
-        n = self.u64()
-        return self._take(n)
+        start = self._take(length := self.uint())
+        return self._data[start : start + length]

@@ -44,10 +44,9 @@ class PlainBitVector:
     kind = "plain"
 
     def __init__(self, words: np.ndarray, n: int):
-        if n > words.size * WORD_BITS:
-            raise InputError("word payload shorter than declared bit length")
+        """The ceil(n/64) words that hold n bits, with zero padding."""
         self.n = n
-        self.words = np.ascontiguousarray(words[: (n + 63) // 64], dtype="<u8")
+        self.words = np.ascontiguousarray(words, dtype="<u8")
         self._build_directories()
 
     @classmethod
@@ -67,11 +66,9 @@ class PlainBitVector:
         )
         # select samples: word index holding every SAMPLE-th occurrence
         self._samp1 = self._sample_words(cum, self._ones)
-        zc = np.full(pc.size, WORD_BITS, dtype=np.int64) - pc
-        if self.n % WORD_BITS and pc.size:
-            zc[-1] -= WORD_BITS - (self.n % WORD_BITS)
-        zcum = np.zeros(zc.size + 1, dtype=np.int64)
-        np.cumsum(zc, out=zcum[1:])
+        # zeros before each word; the last entry counts the padding too, but
+        # it is past every zero's rank either way
+        zcum = np.arange(cum.size) * WORD_BITS - cum
         self._samp0 = self._sample_words(zcum, self.n - self._ones)
         # queries read single items: a memoryview returns them as ints without
         # numpy's per-item cost (the words view needs the native byte order)
@@ -92,23 +89,24 @@ class PlainBitVector:
         return self._ones if bit else self.n - self._ones
 
     def _cum_to_word(self, w: int) -> int:
-        base = int(self._sb[w // _SB_WORDS]) + int(self._blk[w // _BLK_WORDS])
+        words = self._word_view
+        base = self._sb[w // _SB_WORDS] + self._blk[w // _BLK_WORDS]
         for x in range((w // _BLK_WORDS) * _BLK_WORDS, w):
-            base += int(self.words[x]).bit_count()
+            base += words[x].bit_count()
         return base
 
     def access(self, i: int) -> int:
         if not 1 <= i <= self.n:
             raise OutOfRangeError(f"position {i} out of [1..{self.n}]")
         p = i - 1
-        return (int(self.words[p >> 6]) >> (p & 63)) & 1
+        return (self._word_view[p >> 6] >> (p & 63)) & 1
 
     def access_rank(self, i: int) -> tuple[int, int]:
         """(bit at i, rank of that bit in [1..i]), reading the word that holds i once."""
         if not 1 <= i <= self.n:
             raise OutOfRangeError(f"position {i} out of [1..{self.n}]")
         w, r = divmod(i - 1, WORD_BITS)
-        word = int(self.words[w])
+        word = self._word_view[w]
         ones = self._cum_to_word(w) + (word & ((2 << r) - 1)).bit_count()
         return (1, ones) if (word >> r) & 1 else (0, i - ones)
 
@@ -118,7 +116,7 @@ class PlainBitVector:
         w, r = divmod(i, WORD_BITS)
         ones = self._cum_to_word(w) if w < self.words.size else self._ones
         if r:
-            ones += (int(self.words[w]) & ((1 << r) - 1)).bit_count()
+            ones += (self._word_view[w] & ((1 << r) - 1)).bit_count()
         return ones if bit else i - ones
 
     def select(self, j: int, bit: int = 1) -> int:
@@ -175,9 +173,9 @@ class PlainBitVector:
 
     def serialize(self) -> bytes:
         w = ByteWriter()
-        w.u8(1)
-        w.u64(self.n)
-        w.u64_array(self.words)
+        w.uint(1)  # the encoding: 1 plain, 2 sparse
+        w.uint(self.n)
+        w.ints(self.words)
         return w.getvalue()
 
 
@@ -185,32 +183,30 @@ class SparseBitVector:
     """Positions of the minority bit in an upper/lower split.
 
     ``stored`` is the bit value whose positions are kept; queries about the
-    other value are answered by complement.
+    other value are answered by complement.  Load derives the stored
+    count (the upper words' popcount), the low width and the upper length.
     """
 
     kind = "sparse"
 
-    def __init__(self, n: int, positions: np.ndarray, stored: int, low_width=None):
+    def __init__(self, n: int, positions: np.ndarray, stored: int):
+        pos = np.asarray(positions, dtype=np.int64)  # 0-based, sorted
+        k = pos.size
+        if k and (pos[0] < 0 or pos[-1] >= n):
+            raise InputError("position outside universe")
+        low_width, upper_length = _sparse_shape(n, k)
+        upper_bits = np.zeros(upper_length, dtype=np.uint8)
+        upper_bits[(pos >> low_width) + np.arange(k)] = 1
+        lows = pack_fixed((pos & ((1 << low_width) - 1)).astype(np.uint64), low_width)
+        self._set(n, stored, PlainBitVector.from_bits(upper_bits), lows)
+
+    def _set(self, n: int, stored: int, upper: PlainBitVector, lows: np.ndarray):
         self.n = n
         self.stored = stored
-        pos = np.asarray(positions, dtype=np.int64)  # 0-based, sorted
-        self.k = pos.size
-        if self.k and (pos[0] < 0 or pos[-1] >= n):
-            raise InputError("position outside universe")
-        if low_width is None:
-            low_width = max(0, int(np.log2(n / self.k))) if self.k else 0
-        self.low_width = low_width
-        if self.k:
-            high = pos >> low_width
-            low = pos & ((1 << low_width) - 1) if low_width else np.zeros_like(pos)
-            nb = ((n - 1) >> low_width) + 1
-            upper_bits = np.zeros(self.k + nb, dtype=np.uint8)
-            upper_bits[high + np.arange(self.k)] = 1
-            self._upper = PlainBitVector.from_bits(upper_bits)
-            self._lows = pack_fixed(low.astype(np.uint64), low_width)
-        else:
-            self._upper = PlainBitVector.from_bits([])
-            self._lows = np.zeros(0, dtype="<u8")
+        self.k = upper.count(1)
+        self.low_width = _sparse_shape(n, self.k)[0]
+        self._upper = upper
+        self._lows = lows
 
     def __len__(self):
         return self.n
@@ -271,15 +267,17 @@ class SparseBitVector:
             raise NotFoundError(f"fewer than {j} {bit}-bits")
         if bit == self.stored:
             return self._stored_select(j)
-        # binary search the smallest prefix holding j complement bits
-        lo, hi = 1, self.n
+        # the stored bits before the j-th complement bit are those at
+        # positions p_t with p_t - t < j, a prefix t = 1..lo of the stored
+        # ranks; binary search it
+        lo, hi = 0, self.k
         while lo < hi:
-            mid = (lo + hi) // 2
-            if mid - self._stored_rank(mid) < j:
-                lo = mid + 1
+            mid = (lo + hi + 1) // 2
+            if self._stored_select(mid) - mid < j:
+                lo = mid
             else:
-                hi = mid
-        return lo
+                hi = mid - 1
+        return j + lo
 
     def _stored_positions(self) -> np.ndarray:
         """0-based positions of the stored bit value, ascending."""
@@ -308,27 +306,18 @@ class SparseBitVector:
 
     def serialize(self) -> bytes:
         w = ByteWriter()
-        w.u8(2)
-        w.u64(self.n)
-        w.u64(self.k)
-        w.u8(self.stored)
-        w.u8(self.low_width)
-        w.u64_array(self._lows)
-        w.u64(self._upper.n)
-        w.u64_array(self._upper.words)
+        w.uint(2)
+        w.uint(self.n)
+        w.uint(self.stored)
+        w.ints(self._lows)
+        w.ints(self._upper.words)
         return w.getvalue()
 
-    @classmethod
-    def _from_reader(cls, r: ByteReader) -> "SparseBitVector":
-        obj = cls.__new__(cls)
-        obj.n = r.u64()
-        obj.k = r.u64()
-        obj.stored = r.u8()
-        obj.low_width = r.u8()
-        obj._lows = r.u64_array()
-        un = r.u64()
-        obj._upper = PlainBitVector(r.u64_array(), un)
-        return obj
+
+def _sparse_shape(n: int, k: int) -> tuple[int, int]:
+    """(low width, upper length): k ones and a zero per 2**(low width) positions."""
+    low_width = max(0, (n // k).bit_length() - 1) if k else 0  # floor(lg(n/k))
+    return low_width, k + ((n - 1) >> low_width) + 1 if k else 0
 
 
 def bitvector(bits) -> "PlainBitVector | SparseBitVector":
@@ -354,18 +343,30 @@ def bitvector_from_positions(n: int, ones_positions) -> "PlainBitVector | Sparse
     return PlainBitVector.from_bits(bits)
 
 
+def _exact_words(words: np.ndarray, n: int) -> np.ndarray:
+    """words, unless they are not the words of n bits with zero padding."""
+    if words.size != -(-n // WORD_BITS) or (n % WORD_BITS and int(words[-1]) >> (n % WORD_BITS)):
+        raise InputError("bitvector words do not match its length")
+    return words
+
+
 def load_bitvector(data: bytes) -> "PlainBitVector | SparseBitVector":
-    return read_bitvector(ByteReader(data))
-
-
-def read_bitvector(r: ByteReader) -> "PlainBitVector | SparseBitVector":
-    kind = r.u8()
+    r = ByteReader(data)
+    kind, n = r.uint(), r.uint()
+    if kind not in (1, 2):
+        raise InputError(f"unknown bitvector encoding {kind}")
     if kind == 1:
-        n = r.u64()
-        return PlainBitVector(r.u64_array(), n)
-    if kind == 2:
-        return SparseBitVector._from_reader(r)
-    raise InputError(f"unknown bitvector encoding {kind}")
+        return PlainBitVector(_exact_words(r.ints(), n), n)
+    stored, lows, upper_words = r.uint(), r.ints(), r.ints()
+    k = int(popcount_words(upper_words).sum())
+    if stored > 1 or k > n:
+        raise InputError("sparse bitvector: bad stored bit or more stored positions than bits")
+    upper_n = _sparse_shape(n, k)[1]
+    obj = SparseBitVector.__new__(SparseBitVector)
+    obj._set(n, stored, PlainBitVector(_exact_words(upper_words, upper_n), upper_n), lows)
+    if lows.size != -(-k * obj.low_width // WORD_BITS) or (k and obj._stored_select(k) > n):
+        raise InputError("sparse bitvector: low parts or positions outside its length")
+    return obj
 
 
 class SparseDictionary:
@@ -411,16 +412,12 @@ class SparseDictionary:
         return self._bv.directory_bits()
 
     def serialize(self) -> bytes:
-        w = ByteWriter()
-        w.u64(self.universe_max)
-        w.blob(self._bv.serialize())
-        return w.getvalue()
+        return self._bv.serialize()
 
     @classmethod
     def deserialize(cls, data: bytes) -> "SparseDictionary":
-        r = ByteReader(data)
         obj = cls.__new__(cls)
-        obj.universe_max = r.u64()
-        obj._bv = load_bitvector(r.blob())
+        obj._bv = load_bitvector(data)
+        obj.universe_max = len(obj._bv)
         obj.size = obj._bv.count(1)
         return obj

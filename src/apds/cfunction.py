@@ -24,7 +24,7 @@ import numpy as np
 
 from .apseq import ApSequence
 from .bits import ByteReader, ByteWriter
-from .bitvec import SparseDictionary, bitvector, read_bitvector
+from .bitvec import SparseDictionary, bitvector, load_bitvector
 from .errors import InputError, NotFoundError, OutOfRangeError
 from .permutation import RunDecomposition, RunPermutation, decompose_runs
 from .stats import h0
@@ -159,10 +159,8 @@ class CompressedFunction:
 
     def serialize(self) -> bytes:
         w = ByteWriter()
-        w.u8(MODES.index(self.mode))
-        w.u8(1 if self.value_dict is not None else 0)
-        if self.value_dict is not None:
-            w.blob(self.value_dict.serialize())
+        w.uint(MODES.index(self.mode))
+        w.blob(b"" if self.value_dict is None else self.value_dict.serialize())
         if self.mode == "direct":
             w.blob(self.ap.serialize())
         else:
@@ -174,19 +172,15 @@ class CompressedFunction:
     def deserialize(cls, data: bytes) -> "CompressedFunction":
         r = ByteReader(data)
         obj = cls.__new__(cls)
-        mode = r.u8()
+        mode = r.uint()
         if mode >= len(MODES):
             raise InputError(f"unknown function mode index {mode}")
         obj.mode = MODES[mode]
-        obj.value_dict = SparseDictionary.deserialize(r.blob()) if r.u8() else None
-        if obj.mode == "direct":
-            obj.ap = ApSequence.deserialize(r.blob())
-            obj.pi = None
-            obj.b = None
-        else:
-            obj.ap = None
-            obj.pi = RunPermutation.deserialize(r.blob())
-            obj.b = read_bitvector(ByteReader(r.blob()))
+        obj.value_dict = SparseDictionary.deserialize(d) if (d := r.blob()) else None
+        direct = obj.mode == "direct"
+        obj.ap = ApSequence.deserialize(r.blob()) if direct else None
+        obj.pi = None if direct else RunPermutation.deserialize(r.blob())
+        obj.b = None if direct else load_bitvector(r.blob())
         # n and sigma are the domain and range sizes of the stored parts
         obj.n, obj.sigma = ((obj.ap.n, obj.ap.sigma) if obj.ap is not None
                             else (obj.pi.n, obj.b.count(1) - 1))

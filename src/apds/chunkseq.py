@@ -18,8 +18,8 @@ import math
 
 import numpy as np
 
-from .bits import ByteReader, ByteWriter, get_fixed, pack_fixed
-from .bitvec import bitvector, read_bitvector
+from .bits import ByteReader, ByteWriter, get_fixed, pack_fixed, unpack_fixed
+from .bitvec import bitvector, load_bitvector
 from .errors import InputError, NotFoundError, OutOfRangeError
 
 
@@ -227,8 +227,6 @@ class LargeSequence:
 
     def decode(self) -> np.ndarray:
         """Reconstruct the whole sequence in one vectorized pass."""
-        from .bits import unpack_fixed
-
         fwd = unpack_fixed(self._fwd_words, self.width, self.n).astype(np.int64)
         hbits = self._hist.to_bits()
         out = np.empty(self.n, dtype=np.int64)
@@ -271,32 +269,35 @@ class LargeSequence:
 
     def serialize(self) -> bytes:
         w = ByteWriter()
-        w.u64(self.n)
-        w.u64(self.sigma)
-        w.u64_array(self._fwd_words)
+        w.uint(self.n)
+        w.uint(self.sigma)
+        w.ints(self._fwd_words)
         w.blob(self._hist.serialize())
         w.blob(self._dist.serialize())
         w.blob(self._marks.serialize())
-        w.u64_array(self._back_words)
+        w.ints(self._back_words)
         return w.getvalue()
 
     @classmethod
     def deserialize(cls, data: bytes) -> "LargeSequence":
         r = ByteReader(data)
         obj = cls.__new__(cls)
-        obj.n = r.u64()
-        obj.sigma = r.u64()
+        obj.n = r.uint()
+        obj.sigma = r.uint()
         if obj.sigma < 1 or obj.n < 1:
             raise InputError("large-alphabet store with an empty alphabet or sequence")
         obj.chunks = (obj.n + obj.sigma - 1) // obj.sigma
         obj.width = max(1, (obj.sigma - 1).bit_length())
         obj.step = max(1, math.ceil(math.log2(obj.sigma)) if obj.sigma > 1 else 1)
-        obj._fwd_words = r.u64_array()
-        obj._hist = read_bitvector(ByteReader(r.blob()))
-        obj._dist = read_bitvector(ByteReader(r.blob()))
+        obj._fwd_words = r.ints()
+        obj._hist = load_bitvector(r.blob())
+        obj._dist = load_bitvector(r.blob())
         if obj._dist.count(0) != obj.n or obj._dist.count(1) != obj.chunks * obj.sigma:
             raise InputError("chunk distribution does not match the sequence header")
         obj._cocc = obj._cumulative_counts()
-        obj._marks = read_bitvector(ByteReader(r.blob()))
-        obj._back_words = r.u64_array()
+        obj._marks = load_bitvector(r.blob())
+        obj._back_words = r.ints()
+        if (obj._fwd_words.size != -(-obj.n * obj.width // 64) or len(obj._marks) != obj.n
+                or obj._back_words.size != -(-obj._marks.count(1) * obj.width // 64)):
+            raise InputError("in-chunk permutation or back pointers differ from the header")
         return obj

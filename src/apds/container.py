@@ -1,18 +1,18 @@
 """On-disk container: magic, version, structure kind, section table.
 
-Layout (all integers little-endian):
+Layout (header integers little-endian, fixed width):
 
-    "APDS" | u32 version=4 | u8 kind | u8 input-format | u32 section count
+    "APDS" | u32 version=5 | u8 kind | u8 input-format | u32 section count
     per section: u8 section kind | u64 payload byte length
     section payloads, concatenated
 
 A structure file holds exactly one section, of the kind's main section
-kind.  Payloads are the structures' own serializations; they hold no value
-that load can compute, and rank/select directories and derived counts are
-rebuilt on load, so files are deterministic for fixed input and flags.
-Version 4 stores every wavelet sequence as one bitvector per level of its
-wavelet matrix, with no node count (see ``wavelet``).  Files of any other
-version are refused.
+kind.  Payloads are the structures' own serializations in the codec of
+``bits``: varint scalars, whole-byte integer arrays and length-prefixed
+blobs.  They hold no value that load can compute: directories, counts
+and lengths such as n and sigma are derived on load, so files are
+deterministic for fixed input and flags.  Version 5 introduced this
+codec; files of any other version are refused.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .permutation import RunPermutation
 from .textindex import FmIndex
 
 MAGIC = b"APDS"
-VERSION = 4
+VERSION = 5
 
 KIND_SEQ = 1
 KIND_PERM = 2

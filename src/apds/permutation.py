@@ -17,10 +17,11 @@ searches.  Loading a strict layout checks that its run records tile
 [1..n].  An optional cycle-marking companion answers pi^k with walks
 bounded by twice its sampling step.
 
-A container holds the layout tag, n, the layout and the companion.  The
-tag gives the run kind, and load takes the run lengths and directions of
-the decomposition from the layout, which keeps them in run order; the
-labels, minima and starts of a loaded decomposition are None.
+A container holds the layout tag, the layout and the companion (an empty
+blob if none).  The tag gives the run kind; load takes n, the run lengths
+and directions from the layout, which keeps them in run order, and the
+labels, minima and starts of a loaded decomposition are None.  Values in
+[1..n] are stored less one, so n = 2**16 fits in two bytes.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 
 from .apseq import ApSequence
 from .bits import ByteReader, ByteWriter
-from .bitvec import bitvector, read_bitvector
+from .bitvec import bitvector, load_bitvector
 from .chunkseq import cycle_order
 from .errors import InputError, NotFoundError, OutOfRangeError, UnsupportedOperationError
 from .stats import h_runs
@@ -255,9 +256,9 @@ class CycleIndex:
 
     def serialize(self) -> bytes:
         w = ByteWriter()
-        w.u64(self.step)
-        w.u64_array(self.cycle_lengths.astype(np.uint64))
-        w.u64_array(np.concatenate([np.zeros(0, np.int64), *self.cycle_marks]).astype(np.uint64))
+        w.uint(self.step)
+        w.ints(self.cycle_lengths)
+        w.ints(np.concatenate([np.zeros(0, np.int64), *self.cycle_marks]) - 1)
         return w.getvalue()
 
     @classmethod
@@ -265,9 +266,9 @@ class CycleIndex:
         """Load the companion of a permutation of [1..n]."""
         r = ByteReader(data)
         obj = cls.__new__(cls)
-        obj.step = r.u64()
-        lengths = r.u64_array().astype(np.int64)
-        marks = r.u64_array().astype(np.int64)
+        obj.step = r.uint()
+        lengths = r.ints().astype(np.int64)
+        marks = r.ints().astype(np.int64) + 1
         sizes = -(-lengths // max(1, obj.step))
         if (obj.step < 1 or lengths.sum() > n or (lengths < obj.step).any()
                 or sizes.sum() != marks.size or ((marks < 1) | (marks > n)).any()
@@ -324,9 +325,11 @@ class _InterleavedGeneralLayout:
         obj = cls.__new__(cls)
         obj.s = ApSequence.deserialize(r.blob())
         obj.sprime = ApSequence.deserialize(r.blob())
-        obj.dirs = read_bitvector(ByteReader(r.blob()))
-        if obj.s.alphabet_dict is not None or len(obj.dirs) != obj.s.sigma:
-            raise InputError("interleaved layout: run directions differ from the label alphabet")
+        obj.dirs = load_bitvector(r.blob())
+        if (obj.s.alphabet_dict is not None or obj.sprime.alphabet_dict is not None
+                or len(obj.dirs) != obj.s.sigma
+                or not np.array_equal(obj.s.partition.occ, obj.sprime.partition.occ)):
+            raise InputError("interleaved layout: label strings or run directions disagree")
         return obj
 
 
@@ -382,7 +385,7 @@ class _InterleavedStrictLayout:
     def serialize(self) -> bytes:
         w = ByteWriter()
         w.blob(self.s.serialize())
-        w.u64_array(self.mins.astype(np.uint64))
+        w.ints(self.mins - 1)
         w.blob(bitvector(self.incr.astype(np.uint8)).serialize())
         return w.getvalue()
 
@@ -391,9 +394,8 @@ class _InterleavedStrictLayout:
         r = ByteReader(data)
         obj = cls.__new__(cls)
         obj.s = ApSequence.deserialize(r.blob())
-        obj.mins = r.u64_array().astype(np.int64)
-        dirs = read_bitvector(ByteReader(r.blob()))
-        obj.incr = dirs.to_bits().astype(bool)
+        obj.mins = r.ints().astype(np.int64) + 1
+        obj.incr = load_bitvector(r.blob()).to_bits().astype(bool)
         obj.lens = obj.s.partition.occ
         if obj.s.alphabet_dict is not None or obj.incr.size != obj.s.sigma:
             raise InputError("strict layout: run records differ from the label alphabet")
@@ -487,9 +489,9 @@ class _ContiguousStrictLayout:
 
     def serialize(self) -> bytes:
         w = ByteWriter()
-        w.u64(self.n)
-        w.u64_array(self.starts.astype(np.uint64))
-        w.u64_array(self.pi_start.astype(np.uint64))
+        w.uint(self.n)
+        w.ints(self.starts - 1)
+        w.ints(self.pi_start - 1)
         w.blob(bitvector(self.incr.astype(np.uint8)).serialize())
         return w.getvalue()
 
@@ -497,11 +499,10 @@ class _ContiguousStrictLayout:
     def deserialize(cls, data: bytes) -> "_ContiguousStrictLayout":
         r = ByteReader(data)
         obj = cls.__new__(cls)
-        obj.n = r.u64()
-        obj.starts = r.u64_array().astype(np.int64)
-        obj.pi_start = r.u64_array().astype(np.int64)
-        dirs = read_bitvector(ByteReader(r.blob()))
-        obj.incr = dirs.to_bits().astype(bool)
+        obj.n = r.uint()
+        obj.starts = r.ints().astype(np.int64) + 1
+        obj.pi_start = r.ints().astype(np.int64) + 1
+        obj.incr = load_bitvector(r.blob()).to_bits().astype(bool)
         if not obj.starts.size == obj.pi_start.size == obj.incr.size:
             raise InputError("contiguous layout: run record arrays differ in size")
         _check_tiling(obj.starts, obj.lens, obj.n, "contiguous layout positions")
@@ -612,27 +613,22 @@ class RunPermutation:
 
     def serialize(self) -> bytes:
         w = ByteWriter()
-        w.u8(KINDS.index(self.decomposition.kind) + 1)
-        w.u64(self.n)
+        w.uint(KINDS.index(self.decomposition.kind) + 1)
         w.blob(self._layout.serialize())
-        w.u8(1 if self.companion is not None else 0)
-        if self.companion is not None:
-            w.blob(self.companion.serialize())
+        w.blob(b"" if self.companion is None else self.companion.serialize())
         return w.getvalue()
 
     @classmethod
     def deserialize(cls, data: bytes) -> "RunPermutation":
         r = ByteReader(data)
-        tag = r.u8()
+        tag = r.uint()
         if not 1 <= tag <= len(_LAYOUTS):
             raise InputError(f"unknown permutation layout tag {tag}")
-        n = r.u64()
         layout = _LAYOUTS[tag - 1].deserialize(r.blob())
         lengths, increasing = layout.runs()
-        if lengths.sum() != n:
-            raise InputError("permutation runs do not cover [1..n]")
+        n = int(lengths.sum())  # each layout checks that its runs cover [1..n]
         dec = RunDecomposition(KINDS[tag - 1], n, None, lengths, increasing, None)
-        companion = CycleIndex.deserialize(r.blob(), n) if r.u8() else None
+        companion = CycleIndex.deserialize(d, n) if (d := r.blob()) else None
         return cls(layout, dec, n, companion)
 
 

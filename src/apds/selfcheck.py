@@ -11,7 +11,7 @@ import numpy as np
 
 from .apseq import build_partition
 from .bitvec import bitvector
-from .cfunction import build_function
+from .cfunction import MODES, CompressedFunction, build_function
 from .chunkseq import LargeSequence
 from .container import dump_structure, load_structure
 from .dsets import DisjointSetCollection
@@ -276,7 +276,8 @@ def suite_serialization(rng, iters, max_n, fault=False):
             power_step=4,
         )
         indexes = [FmIndex(seq), FmIndex(seq, k_context=1)]
-        for obj in [aps, perm, *indexes]:
+        functions = [build_function(seq, mode=mode, remap=True) for mode in MODES]
+        for obj in [aps, perm, *indexes, *functions]:
             data = dump_structure(obj)
             if fault and trial == 0:
                 data = data[:-1] + bytes([data[-1] ^ 1])
@@ -309,6 +310,11 @@ def _load_probes(obj, seq, rng):
     if isinstance(obj, RunPermutation):
         return [(f"{obj.decomposition.kind}: rho and H(runs)",
                  lambda x: (x.rho, x.decomposition.entropy()))]
+    if isinstance(obj, CompressedFunction):
+        return ([(f"{obj.mode}: preimage_size({a})", lambda x, a=a: x.preimage_size(a))
+                 for a in set(seq)]
+                + [(f"{obj.mode}: eval({i})", lambda x, i=i: x.eval(i))
+                   for i in range(1, n + 1, max(1, n // 17))])
     return ([(f"occurrences({a})", lambda x, a=a: x.occurrences(a)) for a in set(seq)]
             + [(f"access({i})", lambda x, i=i: x.access(i))
                for i in range(1, n + 1, max(1, n // 17))])

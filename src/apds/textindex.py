@@ -25,7 +25,7 @@ import numpy as np
 
 from .apseq import ApSequence, _require
 from .bits import ByteReader, ByteWriter, get_fixed, pack_fixed
-from .bitvec import SparseDictionary, bitvector_from_positions, bitvector, read_bitvector
+from .bitvec import SparseDictionary, bitvector_from_positions, bitvector, load_bitvector
 from .errors import InputError, NotFoundError, OutOfRangeError
 from .permutation import _validate_permutation  # bijection check for LF tests
 
@@ -143,10 +143,10 @@ class BlockStore:
 
     def serialize(self) -> bytes:
         w = ByteWriter()
-        w.u64(self.n)
-        w.u64(self.sigma)
-        w.u64(self.block_len)
-        w.u64_array(self.contents.reshape(-1).astype(np.uint64))
+        w.uint(self.n)
+        w.uint(self.sigma)
+        w.uint(self.block_len)
+        w.ints(self.contents.reshape(-1))
         w.blob(self.sprime.serialize())
         return w.getvalue()
 
@@ -154,10 +154,10 @@ class BlockStore:
     def deserialize(cls, data: bytes) -> "BlockStore":
         r = ByteReader(data)
         obj = cls.__new__(cls)
-        obj.n = r.u64()
-        obj.sigma = r.u64()
-        obj.block_len = r.u64()
-        contents = r.u64_array().astype(np.int64)
+        obj.n = r.uint()
+        obj.sigma = r.uint()
+        obj.block_len = r.uint()
+        contents = r.ints().astype(np.int64)
         if obj.block_len < 1 or contents.size % obj.block_len:
             raise InputError("block contents do not split into whole blocks")
         obj.contents = contents.reshape(-1, obj.block_len)
@@ -293,8 +293,6 @@ class FmIndex:
         the symbols smaller than each symbol) from the parts' lengths and
         symbol counts."""
         lengths = np.array([len(p) for p in self.parts], dtype=np.int64)
-        if lengths.sum() != self.rows:
-            raise InputError("BWT parts do not cover the index rows")
         self.part_starts = np.cumsum(lengths) - lengths + 1
         occ = np.zeros((len(self.parts) + 1, self.sigma + 2), dtype=np.int64)
         for p, part in enumerate(self.parts):
@@ -425,6 +423,11 @@ class FmIndex:
     def extract_bytes(self, l: int, r: int) -> bytes:
         return bytes(v - 1 for v in self.extract(l, r))
 
+    def payload_bits(self) -> int:
+        """Model bits of the BWT parts, the row marks and the packed samples."""
+        return (sum(p.payload_bits() for p in self.parts) + self.sa_marked.payload_bits()
+                + 64 * (self.sa_samples.size + self.isa_rows.size))
+
     def bwt_string(self, terminator: str = "$") -> str:
         """External BWT as text (for byte/str-built indexes)."""
         out = []
@@ -437,37 +440,38 @@ class FmIndex:
 
     def serialize(self) -> bytes:
         w = ByteWriter()
-        w.u64(self.n)
-        w.u64(self.k_context)
-        w.u64(self.sample_rate)
+        w.uint(self.k_context)
+        w.uint(self.sample_rate)
         w.blob(self.alphabet.serialize())
-        w.u64(len(self.parts))
+        w.uint(len(self.parts))
         for p in self.parts:
             w.blob(p.serialize())
         w.blob(self.sa_marked.serialize())
-        w.u64_array(self.sa_samples)
-        w.u64_array(self.isa_rows)
+        w.ints(self.sa_samples)
+        w.ints(self.isa_rows)
         return w.getvalue()
 
     @classmethod
     def deserialize(cls, data: bytes) -> "FmIndex":
         r = ByteReader(data)
         obj = cls.__new__(cls)
-        obj.n = r.u64()
-        obj.k_context = r.u64()
-        obj.sample_rate = r.u64()
+        obj.k_context = r.uint()
+        obj.sample_rate = r.uint()
         if obj.sample_rate < 1:
             raise InputError("index sample rate must be >= 1")
         obj.alphabet = SparseDictionary.deserialize(r.blob())
         obj.sigma = obj.alphabet.size
-        obj.parts = [ApSequence.deserialize(r.blob()) for _ in range(r.u64())]
+        obj.parts = [ApSequence.deserialize(r.blob()) for _ in range(r.uint())]
+        obj.n = sum(len(p) for p in obj.parts) - 1  # the parts hold the BWT's n + 1 rows
         obj._derive_counts()
-        obj.sa_marked = read_bitvector(ByteReader(r.blob()))
-        obj.sa_samples = r.u64_array()
-        obj.isa_rows = r.u64_array()
+        obj.sa_marked = load_bitvector(r.blob())
+        obj.sa_samples = r.ints()
+        obj.isa_rows = r.ints()
         obj._samp_width = max(1, (obj.rows - 1).bit_length())
-        if obj.isa_rows.size * 64 < (-(-obj.n // obj.sample_rate) + 1) * obj._samp_width:
-            raise InputError("inverse samples are fewer than the text positions need")
+        if (obj.n < 1 or len(obj.sa_marked) != obj.rows
+                or obj.sa_samples.size * 64 < obj.sa_marked.count(1) * obj._samp_width
+                or obj.isa_rows.size * 64 < (-(-obj.n // obj.sample_rate) + 1) * obj._samp_width):
+            raise InputError("index rows, row marks and samples disagree")
         return obj
 
 

@@ -10,10 +10,10 @@ the 0-children of the I_d internal nodes of depth d, then their 1-children
 first; the last L_{d+1} nodes are the leaves, the symbols of code length
 d+1 in ascending order.  So position i with bit b moves to rank_b(i) on
 the next level, plus level d's zero count if b = 1, and is in a leaf when
-that is past the next level's length.  Only n, sigma, the code lengths,
-the counts and the levels are stored; load derives the codes, the level
-count, each level's length and zero count and the leaf starts, and
-refuses levels that disagree.
+that is past the next level's length.  Only the code lengths, the counts
+and the levels are stored; load derives n and sigma (the counts' sum and
+number), the codes, the level count, each level's length and zero count
+and the leaf starts, and refuses levels that disagree.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from itertools import accumulate
 import numpy as np
 
 from .bits import ByteReader, ByteWriter
-from .bitvec import bitvector, read_bitvector
+from .bitvec import bitvector, load_bitvector
 from .errors import InputError, NotFoundError, OutOfRangeError
 
 
@@ -225,10 +225,8 @@ class PolySequence:
 
     def serialize(self) -> bytes:
         w = ByteWriter()
-        w.u64(self.n)
-        w.u64(self.sigma)
-        w.u8_block(self._lengths)
-        w.u64_array(self._counts.astype(np.uint64))
+        w.ints(self._lengths)
+        w.ints(self._counts)
         for bv in self._levels:
             w.blob(bv.serialize())
         return w.getvalue()
@@ -237,15 +235,16 @@ class PolySequence:
     def deserialize(cls, data: bytes) -> "PolySequence":
         r = ByteReader(data)
         obj = cls.__new__(cls)
-        obj.n = r.u64()
-        obj.sigma = r.u64()
-        obj._lengths = r.u8_block(obj.sigma).astype(np.int64)
-        counts = r.u64_array()
-        if counts.size != obj.sigma or sum(counts.tolist()) != obj.n:
-            raise InputError("symbol counts do not match the sequence header")
-        obj._counts = counts.astype(np.int64)
+        lengths, counts = r.ints(), r.ints()
+        obj.sigma = counts.size
+        obj.n = sum(counts.tolist())
+        # a full code over sigma symbols is at most sigma - 1 bits long
+        if (lengths.size != obj.sigma or not 1 <= obj.n < 1 << 63
+                or lengths.max(initial=0) >= max(obj.sigma, 1)):
+            raise InputError("code lengths and symbol counts do not describe a sequence")
+        obj._lengths, obj._counts = lengths.astype(np.int64), counts.astype(np.int64)
         level_lengths, steps = obj._derive_shape()
-        levels = [read_bitvector(ByteReader(r.blob())) for _ in steps]
+        levels = [load_bitvector(r.blob()) for _ in steps]
         for bv, length, zeros in zip(levels, level_lengths, obj._zeros):
             if len(bv) != length or bv.count(0) != zeros:
                 raise InputError("a wavelet level does not match the code lengths")

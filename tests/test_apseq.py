@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from apds.apseq import ApSequence, Partition, build_partition, class_of
+from apds.bits import ByteWriter
 from apds.chunkseq import LargeSequence
 from apds.errors import InputError, NotFoundError, OutOfRangeError
 from apds.stats import convexity_lower_bound, h0
@@ -252,3 +253,25 @@ def test_load_rejects_swapped_class_stores():
     aps.subs[0], aps.subs[1] = aps.subs[1], aps.subs[0]
     with pytest.raises(InputError):
         ApSequence.deserialize(aps.serialize())
+
+
+def _fields(*values) -> bytes:
+    """A payload of ints (lists) and blobs (bytes)."""
+    w = ByteWriter()
+    for v in values:
+        w.blob(v) if isinstance(v, bytes) else w.ints(v)
+    return w.getvalue()
+
+
+def test_load_refuses_empty_counts():
+    """n is no longer stored: a class string, or a wavelet matrix, whose
+    symbol counts sum to 0 is refused, as a header n of 0 was."""
+    empty = _fields([0], [0])  # code lengths [0], counts [0]
+    with pytest.raises(InputError):
+        PolySequence.deserialize(empty)
+    with pytest.raises(InputError):
+        PolySequence.deserialize(_fields([], []))
+    one = PolySequence([1]).serialize()
+    with pytest.raises(InputError):  # no dictionary, one class, t and m empty
+        ApSequence.deserialize(_fields(b"", [0], empty, empty, one))
+    assert ApSequence.deserialize(_fields(b"", [0], one, one, one)).decode().tolist() == [1]

@@ -1,0 +1,79 @@
+import numpy as np
+import pytest
+
+from apds.bits import ByteReader, ByteWriter
+from apds.bitvec import load_bitvector
+from apds.errors import InputError
+
+
+def _varint(v: int) -> bytes:
+    w = ByteWriter()
+    w.uint(v)
+    return w.getvalue()
+
+
+def test_uint_round_trip_and_length():
+    for v, size in ((0, 1), (127, 1), (128, 2), (2**14, 3), (2**63 - 1, 9)):
+        data = _varint(v)
+        assert len(data) == size
+        assert ByteReader(data).uint() == v
+    with pytest.raises(ValueError):
+        _varint(2**63)
+
+
+@pytest.mark.parametrize("top", [0, 255, 256, 2**24 - 1, 2**24, 2**40, 2**56, 2**64 - 1])
+def test_ints_round_trip_at_fewest_whole_bytes(top):
+    values = np.array([0, top // 3, top], dtype=np.uint64)
+    w = ByteWriter()
+    w.ints(values)
+    w.blob(b"tail")
+    data = w.getvalue()
+    width = max(1, (top.bit_length() + 7) // 8)
+    assert data[0] == width and len(data) == 2 + 3 * width + 5
+    r = ByteReader(data)
+    back = r.ints()
+    assert back.dtype == np.uint64 and back.tolist() == values.tolist()
+    assert r.blob() == b"tail"
+
+
+def test_ints_empty_and_negative():
+    w = ByteWriter()
+    w.ints(np.zeros(0, dtype=np.int64))
+    assert w.getvalue() == b"\x01\x00"
+    assert ByteReader(w.getvalue()).ints().size == 0
+    with pytest.raises(ValueError):
+        ByteWriter().ints([3, -1])
+
+
+@pytest.mark.parametrize("data", [
+    b"\x80" * 11 + b"\x01",  # a varint of more than 10 bytes
+    b"\xff" * 9 + b"\x01",  # 2**63 - 1 + 2**63: above the varint range
+    b"\x80" * 9 + b"\x01",  # exactly 2**63
+    b"\x80\x80",  # ends inside the varint
+])
+def test_bad_varint_is_input_error(data):
+    with pytest.raises(InputError):
+        ByteReader(data).uint()
+
+
+@pytest.mark.parametrize("data", [
+    b"\x02" + _varint(2**40) + b"\x00" * 16,  # a count far beyond the bytes left
+    b"\x08" + _varint(3) + b"\x00" * 23,  # one byte short
+    b"\x00" + _varint(1) + b"\x00" * 8,  # width byte 0
+    b"\x09" + _varint(1) + b"\x00" * 9,  # width byte 9
+    b"\x03",  # no count
+])
+def test_bad_ints_is_input_error(data):
+    with pytest.raises(InputError):
+        ByteReader(data).ints()
+
+
+def test_bad_blob_length_is_input_error():
+    with pytest.raises(InputError):
+        ByteReader(_varint(2**62) + b"abc").blob()
+
+
+@pytest.mark.parametrize("kind", [0, 3, 2**40])
+def test_unknown_bitvector_kind_is_input_error(kind):
+    with pytest.raises(InputError):
+        load_bitvector(_varint(kind) + _varint(8) + b"\x01\x01\xff")

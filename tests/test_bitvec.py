@@ -87,6 +87,29 @@ def test_oracle_equivalence(cls, n, density):
             bv.access_rank(i)
 
 
+@pytest.mark.parametrize("stored", [0, 1])
+@pytest.mark.parametrize("layout", ["edges", "stored-first", "stored-last", "skewed"])
+def test_sparse_complement_select_at_first_and_last(stored, layout):
+    """Select of the bit a sparse vector does not store, against the
+    positions of that bit, at the first and last such bit and around the
+    stored positions."""
+    rng = np.random.default_rng(17)
+    n = 1 << 16 if layout == "skewed" else 600
+    where = {"edges": np.array([1, 2, 300, n - 2]),  # complement at both ends
+             "stored-first": np.arange(40),  # the first complement bit is 41
+             "stored-last": np.arange(n - 40, n),  # the last complement bit is n - 40
+             "skewed": np.sort(rng.choice(n, n // 33, replace=False))}[layout]
+    bv = SparseBitVector(n, where, stored)
+    bits = np.full(n, 1 - stored, dtype=np.uint8)
+    bits[where] = stored
+    other = np.flatnonzero(bits != stored) + 1
+    js = {1, other.size, *rng.integers(1, other.size + 1, 50).tolist()}
+    for j in js:
+        assert bv.select(j, 1 - stored) == other[j - 1]
+    with pytest.raises(NotFoundError):
+        bv.select(other.size + 1, 1 - stored)
+
+
 def test_rank_select_inverse_properties():
     rng = np.random.default_rng(7)
     for n in (100, 777, 2048):

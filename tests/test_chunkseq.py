@@ -163,9 +163,11 @@ def corrupt_cycle_walk(sigma=300):
     good = LargeSequence(seq, alphabet_size=sigma).serialize()
     data = bytearray(good)
     width = (sigma - 1).bit_length()
-    # n, sigma, the word count, then the packed forward permutation
-    word0 = int.from_bytes(data[24:32], "little") & ~((1 << width) - 1)
-    data[24:32] = word0.to_bytes(8, "little")
+    # n and sigma (two-byte varints), the width byte (8) and the one-byte
+    # word count, then the packed forward permutation
+    assert data[4] == 8
+    word0 = int.from_bytes(data[6:14], "little") & ~((1 << width) - 1)
+    data[6:14] = word0.to_bytes(8, "little")
     return seq, good, bytes(data)
 
 

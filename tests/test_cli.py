@@ -232,24 +232,24 @@ def test_truncated_header_exit_2_without_traceback(abra_file, tmp_path, capsys):
     run_cli(capsys, "build", "--type", "seq", "--input", abra_file,
             "--output", str(out_path))
     data = out_path.read_bytes()
-    # 9 bytes: magic, version 4, then the header stops; 20 bytes: the
+    # 9 bytes: magic, version 5, then the header stops; 20 bytes: the
     # header and 6 of the 9 bytes of the first section-table entry
-    for cut in (b"APDS\x04\x00\x00\x00\x01", data[:20]):
+    for cut in (b"APDS\x05\x00\x00\x00\x01", data[:20]):
         out_path.write_bytes(cut)
         assert_exit_2_without_traceback(run_cli_process(
             "query", "--structure", str(out_path), "--op", "access", "--pos", "1"))
 
 
 def test_bad_container_kind_exit_2_without_traceback(abra_file, tmp_path, capsys):
-    """A version-3 file, a header with no section, a seq header over an
+    """A version-4 file, a header with no section, a seq header over an
     index payload, and an unknown container kind (byte 8)."""
     seq_path, index_path = tmp_path / "abra.apds", tmp_path / "abra.idx"
     run_cli(capsys, "build", "--type", "seq", "--input", abra_file,
             "--output", str(seq_path))
     run_cli(capsys, "index", "build", "--input", abra_file, "--output", str(index_path))
     seq, index = seq_path.read_bytes(), index_path.read_bytes()
-    assert seq[4:9] == b"\x04\x00\x00\x00\x01" and index[8] == 4
-    bad = [seq[:4] + b"\x03" + seq[5:], seq[:10] + b"\x00\x00\x00\x00",
+    assert seq[4:9] == b"\x05\x00\x00\x00\x01" and index[8] == 4
+    bad = [seq[:4] + b"\x04" + seq[5:], seq[:10] + b"\x00\x00\x00\x00",
            index[:8] + b"\x01" + index[9:], seq[:8] + b"\x09" + seq[9:]]
     for i, data in enumerate(bad):
         path = tmp_path / f"bad{i}.apds"
@@ -324,9 +324,10 @@ def test_corrupt_power_marks_exit_2(tmp_path, capsys, stored):
     run_cli(capsys, "build", "--type", "perm", "--format", "ints", "--input", str(src),
             "--output", str(out_path), "--power-step", "4")
     data = out_path.read_bytes()
-    good = struct.pack("<17Q", 16, *range(1, 65, 4))
+    # the marks are an ints field stored less one: width 1, count 16
+    good = bytes([1, 16, *range(0, 64, 4)])
     assert data.count(good) == 1
-    out_path.write_bytes(data.replace(good, struct.pack("<17Q", 16, *stored)))
+    out_path.write_bytes(data.replace(good, bytes([1, 16, *(m - 1 for m in stored)])))
     assert_exit_2_without_traceback(run_cli_process(
         "query", "--structure", str(out_path), "--op", "power", "--pos", "20", "--k", "3"))
 

@@ -17,14 +17,15 @@ from apds.container import (
     unpack_container,
 )
 from apds.errors import InputError
-from apds.permutation import build_run_permutation
+from apds.permutation import KINDS, build_run_permutation
 from apds.textindex import FmIndex
+from nl_corpus import natural_text
 
 
 def test_header_layout():
     data = pack_container(KIND_SEQ, FORMAT_BYTES, [(0x10, b"abc")])
     assert data[:4] == b"APDS"
-    assert data[4:8] == b"\x04\x00\x00\x00"  # version 4, little-endian
+    assert data[4:8] == b"\x05\x00\x00\x00"  # version 5, little-endian
     kind, fmt, sections = unpack_container(data)
     assert kind == KIND_SEQ and fmt == FORMAT_BYTES
     assert sections == [(0x10, b"abc")]
@@ -104,3 +105,48 @@ def test_deterministic_bytes():
     a = dump_structure(build_partition(seq, general_alphabet=True))
     b = dump_structure(build_partition(list(seq), general_alphabet=True))
     assert a == b
+
+
+# Fixed allowance of the serialized-size bound, in bits: the 23-byte
+# container header plus the varint lengths, array headers and symbol counts
+# that the model does not count.  A 300-element interleaved-general
+# permutation, two ApSequences over 30 labels, needs about 2,200.
+FIXED_BITS = 4096
+
+
+def _space_cases():
+    rng = np.random.default_rng(7)
+    n = 1 << 16
+    zipf = np.minimum(rng.zipf(1.3, n), 256)
+    small = rng.integers(1, 6, 300)
+    small[:5] = np.arange(1, 6)
+    text = natural_text(1 << 16)
+    cases = {"seq zipf": lambda: build_partition(zipf, general_alphabet=True),
+             "seq small": lambda: build_partition(small, general_alphabet=True)}
+    for kind in KINDS:
+        for size in (n, 300):
+            cases[f"perm {kind} n={size}"] = (
+                lambda pi=rng.permutation(size) + 1, kind=kind:
+                build_run_permutation(pi, kind, power_step=16))
+    for mode in ("direct", "runs-interleaved", "runs-contiguous"):
+        cases[f"func {mode}"] = lambda mode=mode: build_function(zipf, mode=mode, remap=True)
+        cases[f"func {mode} small"] = lambda mode=mode: build_function(small, mode=mode)
+    for k in (0, 1, 2):
+        cases[f"index k={k}"] = lambda k=k: FmIndex(text, k_context=k, sample_rate=32)
+    cases["index small"] = lambda: FmIndex(small.tolist())
+    # each of the 306 BWT parts of the k=2 index pays the fixed cost of an
+    # ApSequence (code lengths, symbol counts, array headers), which the
+    # model omits: about 360 bits a part
+    miss = pytest.mark.xfail(strict=True, reason="per-part fixed cost of a k=2 index")
+    return [pytest.param(build, id=name, marks=[miss] if name == "index k=2" else [])
+            for name, build in cases.items()]
+
+
+@pytest.mark.parametrize("build", _space_cases())
+def test_serialized_bits_track_model_bits(build):
+    """8 * container bytes <= 1.10 * payload_bits + FIXED_BITS, and the
+    container re-dumps byte-identically after load."""
+    obj = build()
+    data = dump_structure(obj)
+    assert dump_structure(load_structure(data)[0]) == data
+    assert 8 * len(data) <= 1.10 * obj.payload_bits() + FIXED_BITS

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from apds.apseq import ApSequence
+from apds.bits import ByteWriter
 from apds.chunkseq import LargeSequence
 from apds.errors import InputError, NotFoundError, OutOfRangeError
 from apds.permutation import build_run_permutation
@@ -249,6 +250,25 @@ def test_fm_serialize_round_trip():
         assert back.count(b"the") == fm.count(b"the")
         assert back.locate(b"win") == fm.locate(b"win")
         assert back.extract_bytes(10, 60) == fm.extract_bytes(10, 60)
+
+
+def test_fm_load_refuses_parts_without_text():
+    """n is the parts' row count less one: an index with no part, or with
+    one row only, is refused, as a header n of 0 was."""
+    fm = FmIndex(b"ab")
+    for parts in ([], [ApSequence([1])]):
+        w = ByteWriter()
+        w.uint(fm.k_context)
+        w.uint(fm.sample_rate)
+        w.blob(fm.alphabet.serialize())
+        w.uint(len(parts))
+        for p in parts:
+            w.blob(p.serialize())
+        w.blob(fm.sa_marked.serialize())
+        w.ints(fm.sa_samples)
+        w.ints(fm.isa_rows)
+        with pytest.raises(InputError):
+            FmIndex.deserialize(w.getvalue())
 
 
 @pytest.mark.parametrize("sample_rate", [1, 2, 3, 4, 5])

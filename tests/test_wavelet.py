@@ -233,10 +233,8 @@ def test_matrix_matches_scan_oracle(case):
 
 def _with_levels(ps, lengths, levels):
     w = ByteWriter()
-    w.u64(ps.n)
-    w.u64(ps.sigma)
-    w.u8_block(lengths)
-    w.u64_array(ps._counts.astype(np.uint64))
+    w.ints(lengths)
+    w.ints(ps._counts)
     for bv in levels:
         w.blob(bv.serialize())
     return w.getvalue()
