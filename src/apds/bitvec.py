@@ -7,6 +7,21 @@ vectors cost roughly k*lg(n/k) + 3k bits instead of n.  The
 ``bitvector()`` factory picks the encoding from the minority density.
 
 All public positions are 1-based; rank accepts i = 0.
+
+A plain select takes four steps, each a few word operations: the select
+sample of every SELECT_SAMPLE-th occurrence of the bit names the word
+where the search starts; a binary search over the 4-word blocks up to the
+next sample's word finds the last block that starts before the j-th bit;
+a scan of that block's words (ones before it from the superblock and
+block counts) finds the word that holds it; and ``select_in_word`` (a
+byte table) places it in that word.  Zero-selects scan the complemented
+words, whose padding reads as ones above every zero of the vector.
+
+A sparse rank reads bucket i >> low_width of the upper vector: one
+zero-select finds where the bucket starts, a scan of the upper words to
+the next zero finds where it ends (a bucket holds about one to two
+positions, so that zero is nearly always in the same word), and a binary
+search over the bucket's low parts places i among them.
 """
 
 from __future__ import annotations
@@ -36,6 +51,7 @@ SPARSE_MIN_BITS = 256
 
 _SB_WORDS = 64  # superblock: absolute counts, one u64 per 64 words
 _BLK_WORDS = 4  # block: u16 counts relative to the superblock
+_WORD_MASK = (1 << WORD_BITS) - 1
 
 
 class PlainBitVector:
@@ -65,14 +81,15 @@ class PlainBitVector:
             np.uint16
         )
         # select samples: word index holding every SAMPLE-th occurrence
-        self._samp1 = self._sample_words(cum, self._ones)
+        samp1 = self._sample_words(cum, self._ones)
         # zeros before each word; the last entry counts the padding too, but
         # it is past every zero's rank either way
         zcum = np.arange(cum.size) * WORD_BITS - cum
-        self._samp0 = self._sample_words(zcum, self.n - self._ones)
+        samp0 = self._sample_words(zcum, self.n - self._ones)
         # queries read single items: a memoryview returns them as ints without
         # numpy's per-item cost (the words view needs the native byte order)
         self._sb, self._blk = memoryview(self._sb), memoryview(self._blk)
+        self._samp1, self._samp0 = memoryview(samp1), memoryview(samp0)
         self._word_view = memoryview(self.words.astype(np.uint64, copy=False))
 
     @staticmethod
@@ -130,8 +147,8 @@ class PlainBitVector:
         words, sb, blk = self._word_view, self._sb, self._blk
         samp = self._samp1 if bit else self._samp0
         k = (j - 1) // SELECT_SAMPLE
-        lo = int(samp[k]) // _BLK_WORDS
-        hi = (int(samp[k + 1]) if k + 1 < samp.size else len(words) - 1) // _BLK_WORDS
+        lo = samp[k] // _BLK_WORDS
+        hi = (samp[k + 1] if k + 1 < len(samp) else len(words) - 1) // _BLK_WORDS
         while lo < hi:
             mid = (lo + hi + 1) // 2
             ones = sb[mid * _BLK_WORDS // _SB_WORDS] + blk[mid]  # before block mid
@@ -140,19 +157,14 @@ class PlainBitVector:
             else:
                 hi = mid - 1
         w = lo * _BLK_WORDS
-        before = self._cum_to_word(w)
-        if not bit:
-            before = w * WORD_BITS - before
-        while True:
-            word = words[w]
-            if not bit:
-                valid = min(WORD_BITS, self.n - w * WORD_BITS)
-                word = ~word & ((1 << valid) - 1)
-            c = word.bit_count()
-            if before + c >= j:
-                return w * WORD_BITS + select_in_word(word, j - before) + 1
-            before += c
+        ones = sb[w // _SB_WORDS] + blk[lo]  # before word w, a block start
+        # a zero-select scans the complemented words; the last word's padding
+        # complements to ones above all of its zeros, so it is never reached
+        flip, j = (0, j - ones) if bit else (_WORD_MASK, j - (w * WORD_BITS - ones))
+        while (c := (word := words[w] ^ flip).bit_count()) < j:
+            j -= c
             w += 1
+        return w * WORD_BITS + select_in_word(word, j) + 1
 
     def to_bits(self) -> np.ndarray:
         return unpack_bits(self.words, self.n)
@@ -168,7 +180,7 @@ class PlainBitVector:
         return (
             self._sb.nbytes * 8
             + self._blk.nbytes * 8
-            + (self._samp1.size + self._samp0.size) * 64
+            + (len(self._samp1) + len(self._samp0)) * 64
         )
 
     def serialize(self) -> bytes:
@@ -207,6 +219,7 @@ class SparseBitVector:
         self.low_width = _sparse_shape(n, self.k)[0]
         self._upper = upper
         self._lows = lows
+        self._low_view = memoryview(lows.astype(np.uint64, copy=False))
 
     def __len__(self):
         return self.n
@@ -220,17 +233,29 @@ class SparseBitVector:
             return 0
         if i >= self.n:
             return self.k
+        # bucket h holds the stored positions with high part h: the ones
+        # between the h-th and the (h+1)-th zero of the upper vector, which
+        # exists because i < n
         h = i >> self.low_width
-        start = self._upper.select(h, 0) - h if h else 0
-        nz = self._upper.count(0)
-        end = self._upper.select(h + 1, 0) - (h + 1) if h + 1 <= nz else self.k
+        z = self._upper.select(h, 0) if h else 0  # upper bits before the bucket
+        start = z - h
         if self.low_width == 0:
             return start
+        # the bucket ends at the next zero: count the ones from bit z up
+        words = self._upper._word_view
+        w, off = divmod(z, WORD_BITS)
+        zeros = (words[w] ^ _WORD_MASK) >> off << off  # the word's zeros from bit off
+        end = start - off
+        while not zeros:
+            end += WORD_BITS
+            w += 1
+            zeros = words[w] ^ _WORD_MASK
+        end += (zeros & -zeros).bit_length() - 1
         target = i & ((1 << self.low_width) - 1)
         lo, hi = start, end
         while lo < hi:  # first index with low >= target
             mid = (lo + hi) // 2
-            if get_fixed(self._lows, self.low_width, mid) < target:
+            if get_fixed(self._low_view, self.low_width, mid) < target:
                 lo = mid + 1
             else:
                 hi = mid
@@ -239,7 +264,7 @@ class SparseBitVector:
     def _stored_select(self, j: int) -> int:
         pos1 = self._upper.select(j, 1)
         high = pos1 - j
-        low = get_fixed(self._lows, self.low_width, j - 1)
+        low = get_fixed(self._low_view, self.low_width, j - 1)
         return ((high << self.low_width) | low) + 1
 
     def access(self, i: int) -> int:
@@ -250,7 +275,7 @@ class SparseBitVector:
         if not 1 <= i <= self.n:
             raise OutOfRangeError(f"position {i} out of [1..{self.n}]")
         r = self._stored_rank(i)
-        if r > self._stored_rank(i - 1):
+        if r and self._stored_select(r) == i:
             return self.stored, r
         return 1 - self.stored, i - r
 
@@ -394,8 +419,8 @@ class SparseDictionary:
     def index_of(self, a: int):
         if not 1 <= a <= self.universe_max:
             raise OutOfRangeError(f"value {a} outside universe [1..{self.universe_max}]")
-        r = self._bv.rank(a, 1)
-        return r if r > self._bv.rank(a - 1, 1) else None
+        bit, r = self._bv.access_rank(a)
+        return r if bit else None
 
     def value_of(self, i: int) -> int:
         if not 1 <= i <= self.size:

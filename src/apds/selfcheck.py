@@ -86,6 +86,8 @@ def suite_bitvectors(rng, iters, max_n, fault=False):
     checks = 0
     for trial in range(iters):
         n = int(rng.integers(1, max_n + 1))
+        if trial % 2 and n % 64 == 0:  # odd trials end in a padded word
+            n -= 1
         density = float(rng.uniform(0.01, 0.99))
         bits = (rng.random(n) < density).astype(np.uint8)
         bv = bitvector(bits)
@@ -107,7 +109,8 @@ def suite_bitvectors(rng, iters, max_n, fault=False):
                 checks += 1
         for bit in (0, 1):
             total = lst.count(bit)
-            for j in range(1, total + 1, max(1, total // 17)):
+            step = 1 if total <= 256 else total // 17  # every rank of a small vector
+            for j in range(1, total + 1, step):
                 if bv.select(j, bit) != _scan_select(lst, bit, j):
                     raise CheckFailure("bitvectors", f"select_{bit}({j}) wrong")
                 checks += 1

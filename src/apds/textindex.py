@@ -20,6 +20,7 @@ the same method that build calls (``_derive_counts``).
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 
 import numpy as np
 
@@ -291,9 +292,10 @@ class FmIndex:
         """Set part_starts (first row of each part), part_cum (occurrences
         of each symbol in the parts before each part) and C (occurrences of
         the symbols smaller than each symbol) from the parts' lengths and
-        symbol counts."""
+        symbol counts.  The LF step reads them one item at a time, so they
+        are lists and a memoryview, whose items are ints."""
         lengths = np.array([len(p) for p in self.parts], dtype=np.int64)
-        self.part_starts = np.cumsum(lengths) - lengths + 1
+        self.part_starts = (np.cumsum(lengths) - lengths + 1).tolist()
         occ = np.zeros((len(self.parts) + 1, self.sigma + 2), dtype=np.int64)
         for p, part in enumerate(self.parts):
             symbols = (np.arange(1, part.sigma + 1) if part.alphabet_dict is None
@@ -301,8 +303,9 @@ class FmIndex:
             if symbols[-1] > self.sigma + 1:
                 raise InputError("a BWT part holds a symbol outside the index alphabet")
             occ[p + 1, symbols] = part.partition.occ
-        self.part_cum = np.cumsum(occ, axis=0)
-        self.C = np.concatenate([[0], np.cumsum(self.part_cum[-1])[:-1]])
+        part_cum = np.cumsum(occ, axis=0)
+        self.C = [0] + np.cumsum(part_cum[-1])[:-1].tolist()
+        self.part_cum = memoryview(part_cum)  # indexed [part, symbol]
 
     def _build_samples(self, sa):
         m = sa.size
@@ -311,15 +314,19 @@ class FmIndex:
         self.sa_marked = bitvector_from_positions(m, marked_rows)
         width = max(1, (m - 1).bit_length())
         self._samp_width = width
-        self.sa_samples = pack_fixed(
-            (sa[marked_rows] - 1).astype(np.uint64), width
-        )
+        sa_samples = pack_fixed((sa[marked_rows] - 1).astype(np.uint64), width)
         isa = np.empty(m + 1, dtype=np.int64)
         isa[sa] = np.arange(1, m + 1)
         pos = np.arange(1, m + 1, rs, dtype=np.int64)
         if pos[-1] != m:
             pos = np.append(pos, m)
-        self.isa_rows = pack_fixed((isa[pos] - 1).astype(np.uint64), width)
+        self._set_samples(sa_samples, pack_fixed((isa[pos] - 1).astype(np.uint64), width))
+
+    def _set_samples(self, sa_samples, isa_rows):
+        """The packed samples, and memoryviews of them for get_fixed."""
+        self.sa_samples, self.isa_rows = sa_samples, isa_rows
+        self._sa_view = memoryview(sa_samples.astype(np.uint64, copy=False))
+        self._isa_view = memoryview(isa_rows.astype(np.uint64, copy=False))
 
     # --- core navigation -----------------------------------------------------------
 
@@ -329,22 +336,20 @@ class FmIndex:
 
     def _bwt_access_rank(self, r: int) -> tuple[int, int]:
         """(BWT symbol c at row r, rank_c(r)) from one ApSequence walk."""
-        p = int(np.searchsorted(self.part_starts, r, side="right")) - 1
-        c, rank = self.parts[p].access_rank(r - int(self.part_starts[p]) + 1)
-        return c, int(self.part_cum[p][c]) + rank
+        p = bisect_right(self.part_starts, r) - 1
+        c, rank = self.parts[p].access_rank(r - self.part_starts[p] + 1)
+        return c, self.part_cum[p, c] + rank
 
     def _bwt_rank(self, a: int, r: int) -> int:
         if r == 0:
             return 0
-        p = int(np.searchsorted(self.part_starts, r, side="right")) - 1
-        return int(self.part_cum[p][a]) + self.parts[p].rank(
-            a, r - int(self.part_starts[p]) + 1
-        )
+        p = bisect_right(self.part_starts, r) - 1
+        return self.part_cum[p, a] + self.parts[p].rank(a, r - self.part_starts[p] + 1)
 
     def _lf(self, r: int) -> tuple[int, int]:
         """(BWT symbol at row r, LF(r))."""
         c, rank = self._bwt_access_rank(r)
-        return c, int(self.C[c]) + rank
+        return c, self.C[c] + rank
 
     def lf_mapping(self) -> np.ndarray:
         """The LF permutation over all rows (test/diagnostic helper)."""
@@ -372,8 +377,8 @@ class FmIndex:
             return None
         sp, ep = 1, self.rows
         for c in reversed(syms):
-            sp = int(self.C[c]) + self._bwt_rank(c, sp - 1) + 1
-            ep = int(self.C[c]) + self._bwt_rank(c, ep)
+            sp = self.C[c] + self._bwt_rank(c, sp - 1) + 1
+            ep = self.C[c] + self._bwt_rank(c, ep)
             if sp > ep:
                 return None
         return sp, ep
@@ -400,7 +405,7 @@ class FmIndex:
             r = self._lf(r)[1]
             steps += 1
             marked, j = self.sa_marked.access_rank(r)
-        return get_fixed(self.sa_samples, self._samp_width, j - 1) + 1 + steps
+        return get_fixed(self._sa_view, self._samp_width, j - 1) + 1 + steps
 
     def extract(self, l: int, r: int) -> list:
         if not 1 <= l <= r <= self.n:
@@ -410,7 +415,7 @@ class FmIndex:
         rs = self.sample_rate
         idx = -(-r // rs)
         p0 = min(1 + idx * rs, self.rows)
-        row = get_fixed(self.isa_rows, self._samp_width, idx) + 1
+        row = get_fixed(self._isa_view, self._samp_width, idx) + 1
         out = []
         p = p0
         while p > l:
@@ -465,8 +470,7 @@ class FmIndex:
         obj.n = sum(len(p) for p in obj.parts) - 1  # the parts hold the BWT's n + 1 rows
         obj._derive_counts()
         obj.sa_marked = load_bitvector(r.blob())
-        obj.sa_samples = r.ints()
-        obj.isa_rows = r.ints()
+        obj._set_samples(r.ints(), r.ints())
         obj._samp_width = max(1, (obj.rows - 1).bit_length())
         if (obj.n < 1 or len(obj.sa_marked) != obj.rows
                 or obj.sa_samples.size * 64 < obj.sa_marked.count(1) * obj._samp_width

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from apds.bits import ByteReader, ByteWriter
+from apds.bits import ByteReader, ByteWriter, select_in_word
 from apds.bitvec import load_bitvector
 from apds.errors import InputError
 
@@ -77,3 +79,30 @@ def test_bad_blob_length_is_input_error():
 def test_unknown_bitvector_kind_is_input_error(kind):
     with pytest.raises(InputError):
         load_bitvector(_varint(kind) + _varint(8) + b"\x01\x01\xff")
+
+
+def _select_by_clearing(word: int, j: int) -> int:
+    """Reference: clear the lowest set bit j - 1 times, then locate the lowest."""
+    for _ in range(j - 1):
+        word &= word - 1
+    return (word & -word).bit_length() - 1
+
+
+def _assert_select_in_word(word: int):
+    for j in range(1, word.bit_count() + 1):
+        assert select_in_word(word, j) == _select_by_clearing(word, j), (hex(word), j)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 2**64 - 1))
+def test_select_in_word_matches_clearing_reference(word):
+    _assert_select_in_word(word)
+
+
+@pytest.mark.parametrize("word", [
+    1 << 63, 2**64 - 1, 1, 0xFF, 0xFF << 56, 0xA5 << 24, 0x81 << 40, 1 << 32, 0xFFFF_FFFF,
+    0xFFFF_FFFF << 32, 0x8000_0000_0000_0001, *(1 << b for b in range(0, 64, 7)),
+])
+def test_select_in_word_edge_words(word):
+    """The top bit, all ones, single bits, and ones all in one byte."""
+    _assert_select_in_word(word)

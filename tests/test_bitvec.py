@@ -237,3 +237,93 @@ def test_dict_rejects_bad_values():
         SparseDictionary([])
     with pytest.raises(InputError):
         SparseDictionary([0, 3])
+
+
+# --- every query at every position, against prefix counts -------------------
+
+def _check_all_queries(bv, bits):
+    """rank, access_rank and select of both bits at every position and rank,
+    against prefix counts and the positions of each bit in ``bits``."""
+    bits = np.asarray(bits, dtype=np.uint8)
+    n = bits.size
+    ones = np.concatenate([[0], np.cumsum(bits)]).tolist()
+    for i in range(n + 1):
+        assert bv.rank(i, 1) == ones[i] and bv.rank(i, 0) == i - ones[i], i
+    for i in range(1, n + 1):
+        b = int(bits[i - 1])
+        assert bv.access_rank(i) == (b, ones[i] if b else i - ones[i]), i
+    for bit in (0, 1):
+        where = (np.flatnonzero(bits == bit) + 1).tolist()
+        assert bv.count(bit) == len(where)
+        for j, pos in enumerate(where, 1):
+            assert bv.select(j, bit) == pos, (bit, j)
+        with pytest.raises(NotFoundError):
+            bv.select(len(where) + 1, bit)
+
+
+def test_plain_every_query_short_lengths():
+    """n = 1..200 at three densities: every tail width of the last word."""
+    rng = np.random.default_rng(23)
+    for n in range(1, 201):
+        for density in (0.1, 0.5, 0.9):
+            bits = (rng.random(n) < density).astype(np.uint8)
+            _check_all_queries(PlainBitVector.from_bits(bits), bits)
+
+
+@pytest.mark.parametrize("words", [1, 4, 64, 65, 130])
+@pytest.mark.parametrize("delta", [-1, 0, 1])
+def test_plain_every_query_around_word_multiples(words, delta):
+    """n = 64k - 1, 64k, 64k + 1: across the 4-word block, the 64-word
+    superblock and (at 130 words, half ones) SELECT_SAMPLE occurrences of
+    each bit."""
+    n = 64 * words + delta
+    bits = (np.random.default_rng(n).random(n) < 0.5).astype(np.uint8)
+    _check_all_queries(PlainBitVector.from_bits(bits), bits)
+
+
+@pytest.mark.parametrize("n", [65, 127, 4097, 8000])
+def test_plain_zero_select_into_padded_last_word(n):
+    """Zeros only at the end, in a last word with padding: the complemented
+    padding reads as ones above them."""
+    for zeros in (1, 2, n % 64):
+        bits = np.ones(n, dtype=np.uint8)
+        bits[n - zeros:] = 0
+        _check_all_queries(PlainBitVector.from_bits(bits), bits)
+    _check_all_queries(PlainBitVector.from_bits(np.zeros(n, np.uint8)), np.zeros(n, np.uint8))
+
+
+def _sparse_cases():
+    k16 = 1 << 14  # low width 7 at k = 100: buckets 128 positions wide
+    return {
+        # few positions, most buckets empty
+        "empty-buckets": (4096, [5, 3000, 3001]),
+        # 100 positions in one bucket: its run of ones crosses an upper word
+        "one-full-bucket": (k16, list(range(1024, 1124))),
+        # 10 positions, low width 10: at bucket starts (multiples of 2048),
+        # at a bucket's last position, at 1 and at n
+        "bucket-starts-and-ends": (k16, sorted([0, *range(2048, k16, 2048), 6143, k16 - 1])),
+        "single-at-n": (300, [299]),
+        "single-at-1": (300, [0]),
+        # more than n/2 positions: low width 0
+        "low-width-0": (300, sorted(np.random.default_rng(3).choice(300, 200, replace=False))),
+        "all": (257, list(range(257))),
+    }
+
+
+@pytest.mark.parametrize("stored", [0, 1])
+@pytest.mark.parametrize("case", list(_sparse_cases()))
+def test_sparse_every_query(case, stored):
+    """A directly built sparse vector: _stored_rank at every i against the
+    vector's own to_bits(), and every query against prefix counts."""
+    n, where = _sparse_cases()[case]
+    bv = SparseBitVector(n, np.asarray(where), stored)
+    bits = np.full(n, 1 - stored, dtype=np.uint8)
+    bits[where] = stored
+    assert bv.to_bits().tolist() == bits.tolist()
+    assert bv.low_width == {"low-width-0": 0, "one-full-bucket": 7,
+                            "bucket-starts-and-ends": 10}.get(case, bv.low_width)
+    stored_before = np.concatenate([[0], np.cumsum(bits == stored)]).tolist()
+    for i in range(n + 1):
+        assert bv._stored_rank(i) == stored_before[i], i
+    _check_all_queries(bv, bits)
+    _check_all_queries(load_bitvector(bv.serialize()), bits)

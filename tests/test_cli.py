@@ -345,3 +345,10 @@ def test_corrupt_containers_exit_2_under_optimize(tmp_path, capsys):
     for argv in queries:
         assert_exit_2_without_traceback(
             run_cli_process(*argv, python_flags=("-O",), timeout=30))
+
+
+def test_selfcheck_injected_bitvector_fault_fails(capsys):
+    code, out, _ = run_cli(capsys, "selfcheck", "--seed", "3", "--iters", "2",
+                           "--max-n", "32", "--inject-fault", "bitvectors")
+    assert code == 1
+    assert "bitvectors: FAIL" in out
