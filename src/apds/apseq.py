@@ -6,16 +6,23 @@ The class string t (one class id per position) carries the compressible
 information and is stored in a wavelet matrix; the projection of the
 sequence onto each class is stored nearly plain (wavelet matrix for small
 class alphabets, chunked large-alphabet store otherwise).  A symbol->class
-map m of length sigma dispatches queries:
+map m of length sigma gives each symbol a its class cls[a] and its local
+symbol local[a], its rank among the members of that class.  The container
+keeps m compressed, but queries read sigma-entry arrays that build and
+load derive from m with one stable sort of the symbols by class: order,
+the symbols sorted by (class, symbol); class_start[l], the symbols in the
+classes before l; and cls and local, where local[a] = where[a] -
+class_start[cls[a]] + 1 for where the inverse of order.  Then
 
-    access(i)      = m.select_l(sub_l.access(t.rank_l(i))),  l = t.access(i)
-    access_rank(i) = (m.select_l(x), r),  (x, r) = sub_l.access_rank(t.rank_l(i))
-    rank_a(i)      = sub_l.rank_c(t.rank_l(i)),   l = m.access(a), c = m.rank_l(a)
+    access(i)      = order[class_start[l] + x - 1],  x = sub_l.access(t.rank_l(i))
+    access_rank(i) = (order[class_start[l] + x - 1], r),
+                     (x, r) = sub_l.access_rank(t.rank_l(i))
+    rank_a(i)      = sub_l.rank_c(t.rank_l(i)),   l = cls[a], c = local[a]
     select_a(j)    = t.select_l(sub_l.select_c(j))
 
-where each (t.access(i), t.rank_l(i)) and (m.access(a), m.rank_l(a)) pair
-comes from one access_rank walk, so access_rank costs three walks (t, s_l,
-m) and gives the symbol at i with its rank in [1..i].
+where l = t.access(i) and t.rank_l(i) come from one access_rank walk, so
+access_rank costs two walks (t, then s_l) and gives the symbol at i with
+its rank in [1..i]; no query walks m.
 
 General (non-effective) alphabets keep the occurring symbols in a sorted
 dictionary and run the machinery over their ranks; a general alphabet
@@ -24,9 +31,9 @@ that is exactly 1..sigma keeps none.
 Only the dictionary (an empty blob if none), t, m, the class stores and
 the raw class values are serialized; load takes n from t and derives the
 partition summary (each symbol's class and occurrences, each class's
-alphabet size and length) from m's decode and the class stores' symbol
-counts, in array operations.  A class store's kind follows from its
-alphabet size, so it is not stored.
+alphabet size and length) and the symbol map's arrays from m's decode and
+the class stores' symbol counts, in array operations.  A class store's
+kind follows from its alphabet size, so it is not stored.
 """
 
 from __future__ import annotations
@@ -130,15 +137,19 @@ class Partition:
                  "partition identity bound violated")
 
 
-def _group_by_class(classes: np.ndarray, sizes: np.ndarray) -> list:
-    """0-based indices of ``classes`` split by class 1..k, ascending within
-    each class; ``sizes`` holds the k class sizes.
+def _class_order(classes: np.ndarray, num_classes: int) -> np.ndarray:
+    """0-based indices of ``classes`` stably sorted by class.
 
     A partition has at most ceil(lg^2 n) + 1 classes, so ids fit in 16 bits,
     where numpy's stable sort is a radix sort."""
-    keys = classes.astype(np.uint16) if sizes.size < 1 << 16 else classes
-    order = np.argsort(keys, kind="stable")
-    return np.split(order, np.cumsum(sizes)[:-1])
+    keys = classes.astype(np.uint16) if num_classes < 1 << 16 else classes
+    return np.argsort(keys, kind="stable")
+
+
+def _group_by_class(classes: np.ndarray, sizes: np.ndarray) -> list:
+    """0-based indices of ``classes`` split by class 1..k, ascending within
+    each class; ``sizes`` holds the k class sizes."""
+    return np.split(_class_order(classes, sizes.size), np.cumsum(sizes)[:-1])
 
 
 def _require(cond, message: str):
@@ -173,14 +184,10 @@ class ApSequence:
         self.M = PolySequence(
             part.symbol_class_dense, alphabet_size=part.num_classes
         )
+        self._set_symbol_map(part.symbol_class_dense, part.sub_sigma)
+        local_of = np.asarray(self._local)
         threshold = poly_threshold(self.n)
-        members = _group_by_class(part.symbol_class_dense, part.sub_sigma)
         positions = _group_by_class(part.t_dense, part.sub_len)
-        # class-local alphabet [1..sigma_l]: the c-th smallest member of a
-        # class becomes c
-        local_of = np.empty(self.sigma, dtype=np.int64)
-        for m in members:
-            local_of[m] = np.arange(1, m.size + 1)
         self.subs = []
         for pos, sig_l in zip(positions, part.sub_sigma.tolist()):
             local = local_of[arr[pos] - 1]
@@ -188,6 +195,23 @@ class ApSequence:
                 self.subs.append(PolySequence(local, alphabet_size=sig_l))
             else:
                 self.subs.append(LargeSequence(local, alphabet_size=sig_l))
+
+    def _set_symbol_map(self, dense: np.ndarray, sub_sigma: np.ndarray) -> np.ndarray:
+        """Set the symbol map's arrays (see the module docstring) from M's
+        decode ``dense`` and the class sizes ``sub_sigma``; return order,
+        0-based.  Queries read them one item at a time, so they are
+        memoryviews, whose items are ints, and a list (class_start)."""
+        order = _class_order(dense, sub_sigma.size)
+        starts = np.cumsum(sub_sigma) - sub_sigma
+        # the c-th smallest member of a class is its local symbol c
+        local = np.empty_like(order)
+        local[order] = np.arange(1, order.size + 1)
+        local -= starts[dense - 1]
+        self._order = memoryview(order + 1)
+        self._cls = memoryview(dense)
+        self._local = memoryview(local)
+        self._class_start = [0] + starts.tolist()
+        return order
 
     # --- symbol mapping ---------------------------------------------------------
 
@@ -214,15 +238,15 @@ class ApSequence:
         li, pos = self.T.access_rank(i)
         # access, not access_rank: a LargeSequence rank costs two selects more
         x = self.subs[li - 1].access(pos)
-        return self._external_symbol(self.M.select(li, x))
+        return self._external_symbol(self._order[self._class_start[li] + x - 1])
 
     def access_rank(self, i: int) -> tuple[int, int]:
-        """(symbol a at i, rank_a(i)) from one walk each of t, s_l and m."""
+        """(symbol a at i, rank_a(i)) from one walk each of t and s_l."""
         if not 1 <= i <= self.n:
             raise OutOfRangeError(f"position {i} out of [1..{self.n}]")
         li, pos = self.T.access_rank(i)
         x, r = self.subs[li - 1].access_rank(pos)
-        return self._external_symbol(self.M.select(li, x)), r
+        return self._external_symbol(self._order[self._class_start[li] + x - 1]), r
 
     def rank(self, a: int, i: int) -> int:
         if not 0 <= i <= self.n:
@@ -230,8 +254,8 @@ class ApSequence:
         ai = self._internal_symbol(a)
         if ai is None or i == 0:
             return 0
-        li, c = self.M.access_rank(ai)
-        return self.subs[li - 1].rank(c, self.T.rank(li, i))
+        li = self._cls[ai - 1]
+        return self.subs[li - 1].rank(self._local[ai - 1], self.T.rank(li, i))
 
     def select(self, a: int, j: int) -> int:
         if j < 1:
@@ -239,8 +263,8 @@ class ApSequence:
         ai = self._internal_symbol(a)
         if ai is None:
             raise NotFoundError(f"symbol {a} does not occur")
-        li, c = self.M.access_rank(ai)
-        return self.T.select(li, self.subs[li - 1].select(c, j))
+        li = self._cls[ai - 1]
+        return self.T.select(li, self.subs[li - 1].select(self._local[ai - 1], j))
 
     def occurrences(self, a: int) -> int:
         ai = self._internal_symbol(a)
@@ -248,12 +272,11 @@ class ApSequence:
 
     def decode(self) -> np.ndarray:
         """Reconstruct the stored sequence in one vectorized pass."""
-        part = self.partition
-        members = _group_by_class(part.symbol_class_dense, part.sub_sigma)
-        positions = _group_by_class(self.T.decode(), part.sub_len)
+        order = np.asarray(self._order)
+        positions = _group_by_class(self.T.decode(), self.partition.sub_len)
         out = np.empty(self.n, dtype=np.int64)
-        for m, pos, sub in zip(members, positions, self.subs):
-            out[pos] = m[sub.decode() - 1] + 1
+        for start, pos, sub in zip(self._class_start[1:], positions, self.subs):
+            out[pos] = order[start + sub.decode() - 1]
         if self.alphabet_dict is not None:
             values = self.alphabet_dict.values()
             out = values[out - 1]
@@ -354,8 +377,8 @@ class ApSequence:
             raise InputError("class counts in T differ from the class store lengths")
         # the c-th smallest member of class l is local symbol c of s_l
         part.occ = np.empty(part.sigma, dtype=np.int64)
-        for m, sub in zip(_group_by_class(dense, part.sub_sigma), self.subs):
-            part.occ[m] = sub.symbol_counts()
+        part.occ[self._set_symbol_map(dense, sub_sigma)] = np.concatenate(
+            [sub.symbol_counts() for sub in self.subs])
         part.t_raw = None  # not materialized after load
         part.t_dense = None
         self.partition = part

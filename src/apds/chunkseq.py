@@ -71,7 +71,6 @@ class LargeSequence:
             lo, hi = k0 * sigma, min((k0 + 1) * sigma, n)
             order = np.argsort(arr[lo:hi], kind="stable")  # sorted idx -> pos
             fwd[lo:hi][order] = np.arange(hi - lo)
-        self._fwd_words = pack_fixed(fwd.astype(np.uint64), self.width)
 
         # unary histograms, one run of ones per symbol per chunk
         reps = np.empty(2 * K * sigma, dtype=np.int64)
@@ -86,7 +85,14 @@ class LargeSequence:
         self._dist = bitvector(np.repeat(np.tile([0, 1], K * sigma), repsd))
         self._cocc = self._cumulative_counts()
 
-        self._build_cycle_marks(fwd)
+        self._set_words(pack_fixed(fwd.astype(np.uint64), self.width),
+                        self._build_cycle_marks(fwd))
+
+    def _set_words(self, fwd_words, back_words):
+        """The packed permutation and back pointers (serialize and decode
+        read the arrays), and memoryviews of them for get_fixed."""
+        self._fwd_words, self._back_words = fwd_words, back_words
+        self._fwd_view, self._back_view = memoryview(fwd_words), memoryview(back_words)
 
     def _cumulative_counts(self) -> np.ndarray:
         """Occurrences of the symbols < a, for a = 1..sigma+1: the zeros of
@@ -95,7 +101,8 @@ class LargeSequence:
         ends = self._dist.ones()[K - 1 :: K]
         return np.concatenate([[0], ends - np.arange(K - 1, K * self.sigma, K)])
 
-    def _build_cycle_marks(self, fwd: np.ndarray):
+    def _build_cycle_marks(self, fwd: np.ndarray) -> np.ndarray:
+        """Set the cycle marks; return the packed back pointers."""
         # one walk over all chunks, as no cycle leaves its chunk
         n, sigma, t = self.n, self.sigma, self.step
         order, lengths = cycle_order((np.arange(n) // sigma * sigma + fwd).tolist())
@@ -107,7 +114,7 @@ class LargeSequence:
         back = order[(start + (idx - t) % size)[mark]] % sigma
         self._marks = bitvector(np.bincount(pos, minlength=n))
         # back pointers must align with mark rank, i.e. mark position order
-        self._back_words = pack_fixed(back[np.argsort(pos)].astype(np.uint64), self.width)
+        return pack_fixed(back[np.argsort(pos)].astype(np.uint64), self.width)
 
     # --- low-level accessors ----------------------------------------------------
 
@@ -120,7 +127,7 @@ class LargeSequence:
 
     def _forward(self, k0: int, p: int) -> int:
         """Sorted-order index (1-based) of in-chunk position p."""
-        return get_fixed(self._fwd_words, self.width, k0 * self.sigma + p - 1) + 1
+        return get_fixed(self._fwd_view, self.width, k0 * self.sigma + p - 1) + 1
 
     def _inverse(self, k0: int, q: int) -> int:
         """In-chunk position p with forward(p) == q, via the cycle walk."""
@@ -134,7 +141,7 @@ class LargeSequence:
             if not jumped:
                 marked, r = self._marks.access_rank(base + y)
                 if marked:
-                    y = get_fixed(self._back_words, self.width, r - 1) + 1
+                    y = get_fixed(self._back_view, self.width, r - 1) + 1
                     jumped = True
                     continue
             y = fy
@@ -289,14 +296,14 @@ class LargeSequence:
         obj.chunks = (obj.n + obj.sigma - 1) // obj.sigma
         obj.width = max(1, (obj.sigma - 1).bit_length())
         obj.step = max(1, math.ceil(math.log2(obj.sigma)) if obj.sigma > 1 else 1)
-        obj._fwd_words = r.ints()
+        fwd_words = r.ints()
         obj._hist = load_bitvector(r.blob())
         obj._dist = load_bitvector(r.blob())
         if obj._dist.count(0) != obj.n or obj._dist.count(1) != obj.chunks * obj.sigma:
             raise InputError("chunk distribution does not match the sequence header")
         obj._cocc = obj._cumulative_counts()
         obj._marks = load_bitvector(r.blob())
-        obj._back_words = r.ints()
+        obj._set_words(fwd_words, r.ints())
         if (obj._fwd_words.size != -(-obj.n * obj.width // 64) or len(obj._marks) != obj.n
                 or obj._back_words.size != -(-obj._marks.count(1) * obj.width // 64)):
             raise InputError("in-chunk permutation or back pointers differ from the header")

@@ -318,9 +318,13 @@ def _load_probes(obj, seq, rng):
                  for a in set(seq)]
                 + [(f"{obj.mode}: eval({i})", lambda x, i=i: x.eval(i))
                    for i in range(1, n + 1, max(1, n // 17))])
-    return ([(f"occurrences({a})", lambda x, a=a: x.occurrences(a)) for a in set(seq)]
+    symbols = sorted(set(seq))
+    sample = symbols[:: -(-len(symbols) // 64)]  # at most 64, spread over the alphabet
+    return ([(f"occurrences({a})", lambda x, a=a: x.occurrences(a)) for a in symbols]
             + [(f"access({i})", lambda x, i=i: x.access(i))
-               for i in range(1, n + 1, max(1, n // 17))])
+               for i in range(1, n + 1, max(1, n // 17))]
+            + [(f"rank({a},{n // 2})", lambda x, a=a: x.rank(a, n // 2)) for a in sample]
+            + [(f"select({a},1)", lambda x, a=a: x.select(a, 1)) for a in sample])
 
 
 def _same_after_load(built, loaded, probes, n):

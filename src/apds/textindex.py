@@ -20,7 +20,7 @@ the same method that build calls (``_derive_counts``).
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 
@@ -292,8 +292,11 @@ class FmIndex:
         """Set part_starts (first row of each part), part_cum (occurrences
         of each symbol in the parts before each part) and C (occurrences of
         the symbols smaller than each symbol) from the parts' lengths and
-        symbol counts.  The LF step reads them one item at a time, so they
-        are lists and a memoryview, whose items are ints."""
+        symbol counts, and alphabet_values (the text alphabet, ascending:
+        internal symbol c is alphabet_values[c - 2]).  Queries read them
+        one item at a time, so they are lists and a memoryview, whose items
+        are ints."""
+        self.alphabet_values = self.alphabet.values().tolist()
         lengths = np.array([len(p) for p in self.parts], dtype=np.int64)
         self.part_starts = (np.cumsum(lengths) - lengths + 1).tolist()
         occ = np.zeros((len(self.parts) + 1, self.sigma + 2), dtype=np.int64)
@@ -361,14 +364,12 @@ class FmIndex:
         syms = text_symbols(pattern)
         if len(syms) == 0:
             raise InputError("empty pattern")
-        out = []
+        values, out = self.alphabet_values, []
         for v in syms:
-            if not 1 <= v <= self.alphabet.universe_max:
+            j = bisect_left(values, v)
+            if j == len(values) or values[j] != v:
                 return None
-            idx = self.alphabet.index_of(int(v))
-            if idx is None:
-                return None
-            out.append(idx + 1)
+            out.append(j + 2)
         return out
 
     def _backward_range(self, pattern):
@@ -423,7 +424,8 @@ class FmIndex:
             out.append(c)
             p -= 1
         seq = out[::-1][: r - l + 1]
-        return [self.alphabet.value_of(c - 1) for c in seq]
+        values = self.alphabet_values
+        return [values[c - 2] for c in seq]
 
     def extract_bytes(self, l: int, r: int) -> bytes:
         return bytes(v - 1 for v in self.extract(l, r))
@@ -438,7 +440,7 @@ class FmIndex:
         out = []
         for r in range(1, self.rows + 1):
             c = self._bwt_access_rank(r)[0]
-            out.append(terminator if c == 1 else chr(self.alphabet.value_of(c - 1) - 1))
+            out.append(terminator if c == 1 else chr(self.alphabet_values[c - 2] - 1))
         return "".join(out)
 
     # --- serialization -------------------------------------------------------------------

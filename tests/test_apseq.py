@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apds.apseq import ApSequence, Partition, build_partition, class_of
 from apds.bits import ByteWriter
@@ -275,3 +277,70 @@ def test_load_refuses_empty_counts():
     with pytest.raises(InputError):  # no dictionary, one class, t and m empty
         ApSequence.deserialize(_fields(b"", [0], empty, empty, one))
     assert ApSequence.deserialize(_fields(b"", [0], one, one, one)).decode().tolist() == [1]
+
+
+def check_symbol_map(aps):
+    """The query arrays give M's access_rank for every symbol and M's
+    select for every class l and local symbol 1 <= x <= sigma_l."""
+    for a in range(1, aps.sigma + 1):
+        assert (aps._cls[a - 1], aps._local[a - 1]) == aps.M.access_rank(a), a
+    for l, sig_l in enumerate(aps.partition.sub_sigma.tolist(), 1):
+        for x in range(1, sig_l + 1):
+            assert aps._order[aps._class_start[l] + x - 1] == aps.M.select(l, x), (l, x)
+
+
+def both_sides(seq, general=False):
+    aps = build_partition(seq, general_alphabet=general)
+    return aps, ApSequence.deserialize(aps.serialize())
+
+
+def large_class_input():
+    rng = np.random.default_rng(31)
+    seq = rng.integers(1, 257, size=2048)
+    seq[:256] = np.arange(1, 257)
+    return seq.tolist()
+
+
+@pytest.mark.parametrize("seq,general", [
+    ([1, 2, 3, 4] * 5, False),  # one class
+    ([4] * 9, True),  # sigma = 1
+    ([1], False),
+    (ABRA, False),
+    ([10, 200, 3000, 10, 10, 77, 200, 10], True),  # general alphabet
+    (large_class_input(), False),  # LargeSequence classes
+], ids=["one-class", "sigma-1", "n-1", "abra", "general", "large"])
+def test_symbol_map_arrays_match_m(seq, general):
+    for aps in both_sides(seq, general):
+        if len(seq) == 2048:
+            assert LargeSequence in {type(s) for s in aps.subs}
+        check_symbol_map(aps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 40), min_size=1, max_size=60), st.integers(0, 2**32 - 1))
+def test_symbol_map_arrays_match_m_random_counts(counts, seed):
+    seq = np.repeat(np.arange(1, len(counts) + 1), counts)
+    np.random.default_rng(seed).shuffle(seq)
+    for aps in both_sides(seq.tolist()):
+        check_symbol_map(aps)
+        assert aps.decode().tolist() == seq.tolist()
+
+
+def test_queries_make_no_call_on_m(monkeypatch):
+    """access, access_rank, rank and select read the symbol map's arrays,
+    never the compressed M, after build and after load."""
+    seq = large_class_input()[:1500] + ABRA
+    for aps in both_sides(seq, general=True):
+        calls = []
+        for name in ("access", "access_rank", "rank", "select", "decode"):
+            method = getattr(aps.M, name)
+            monkeypatch.setattr(aps.M, name,
+                                lambda *a, _m=method, _n=name: calls.append(_n) or _m(*a))
+        n = len(seq)
+        for i in range(1, n + 1, 7):
+            assert aps.access(i) == seq[i - 1]
+            assert aps.access_rank(i) == (seq[i - 1], scan_rank(seq, seq[i - 1], i))
+        for a in sorted(set(seq))[::5]:
+            assert aps.rank(a, n) == seq.count(a)
+            assert aps.select(a, 1) == seq.index(a) + 1
+        assert calls == []

@@ -161,6 +161,20 @@ def test_fm_count_examples():
         fm.count("")
 
 
+def test_fm_absent_and_out_of_universe_symbols():
+    """Pattern symbols map through the sorted alphabet values: a value below,
+    between or above the text's values, or outside [1..universe], matches
+    nothing, after build and after load."""
+    fm = build_fm_index([3, 5, 9, 5, 3])
+    for idx in (fm, FmIndex.deserialize(fm.serialize())):
+        assert idx.alphabet_values == [3, 5, 9]
+        assert idx.count([5, 9]) == 1 and idx.count([3]) == 2
+        for pat in ([1], [4], [10], [0], [-1], [2**40], [5, 4], [9, 2**40]):
+            assert idx._pattern_internal(pat) is None
+            assert idx.count(pat) == 0 and idx.locate(pat) == []
+        assert idx.extract(1, 5) == [3, 5, 9, 5, 3]
+
+
 def test_fm_locate_examples():
     fm = build_fm_index("abracadabra")
     assert fm.locate("abra") == [1, 8]
@@ -316,7 +330,8 @@ def count_calls(monkeypatch, targets):
 @pytest.mark.parametrize("sample_rate", [None, 4])
 def test_locate_lf_steps_below_sample_rate(monkeypatch, sample_rate):
     """Every located row reaches a sampled row within rate - 1 LF steps, and
-    an LF step is one ApSequence.access_rank: three sequence walks."""
+    an LF step is one ApSequence.access_rank: two sequence walks (t, then
+    s_l), as the symbol map is read from arrays."""
     text = natural_text(20000)
     fm = FmIndex(text, sample_rate=sample_rate)
     rate = fm.sample_rate
@@ -338,14 +353,14 @@ def test_locate_lf_steps_below_sample_rate(monkeypatch, sample_rate):
     assert len(steps) > 100 and sum(steps) > 0
     assert max(steps) <= rate - 1
     assert sum(steps) / len(steps) < rate
-    assert all(w == 3 * s for s, w in per_row)
+    assert all(w == 2 * s for s, w in per_row)
 
 
-def test_extract_walks_three_sequences_per_char(monkeypatch):
+def test_extract_walks_two_sequences_per_char(monkeypatch):
     fm = FmIndex(natural_text(5000))
     lf_steps = count_calls(monkeypatch, [(ApSequence, ("access_rank",))])
     walks = count_calls(monkeypatch, SEQUENCE_WALKS)
     assert fm.extract_bytes(100, 199) == natural_text(5000)[99:199]
     # one LF step per char from the next sampled position down to l
     assert 100 <= lf_steps[0] <= 100 + fm.sample_rate
-    assert walks[0] == 3 * lf_steps[0]
+    assert walks[0] == 2 * lf_steps[0]
