@@ -17,11 +17,14 @@ block counts) finds the word that holds it; and ``select_in_word`` (a
 byte table) places it in that word.  Zero-selects scan the complemented
 words, whose padding reads as ones above every zero of the vector.
 
-A sparse rank reads bucket i >> low_width of the upper vector: one
-zero-select finds where the bucket starts, a scan of the upper words to
-the next zero finds where it ends (a bucket holds about one to two
-positions, so that zero is nearly always in the same word), and a binary
-search over the bucket's low parts places i among them.
+A sparse rank(i) and access_rank(i) read the bucket of p = i - 1, the
+stored positions with p's high part (p >> low_width), once: one
+zero-select of the upper vector finds where the bucket starts, a scan of
+the upper words to the next zero finds where it ends (a bucket holds
+about one to two positions, so that zero is nearly always in the same
+word), and a binary search for the first low part above p's gives the
+stored count up to p.  The low part just before it says whether p itself
+is stored, so access_rank makes no upper select1.
 """
 
 from __future__ import annotations
@@ -227,20 +230,17 @@ class SparseBitVector:
     def count(self, bit: int = 1) -> int:
         return self.k if bit == self.stored else self.n - self.k
 
-    def _stored_rank(self, i: int) -> int:
-        """Number of stored positions < i (i.e. in the 1-based prefix of length i)."""
-        if self.k == 0 or i == 0:
-            return 0
-        if i >= self.n:
-            return self.k
-        # bucket h holds the stored positions with high part h: the ones
-        # between the h-th and the (h+1)-th zero of the upper vector, which
-        # exists because i < n
-        h = i >> self.low_width
+    def _stored_upto(self, p: int) -> tuple[int, int]:
+        """(where the bucket of p starts among the low parts, the number of
+        stored positions <= p), for 0 <= p < n and k > 0.
+
+        Bucket h = p >> low_width holds the stored positions with high part
+        h: the ones between the h-th and the (h+1)-th zero of the upper
+        vector, which exists because p < n."""
+        lw = self.low_width
+        h = p >> lw
         z = self._upper.select(h, 0) if h else 0  # upper bits before the bucket
         start = z - h
-        if self.low_width == 0:
-            return start
         # the bucket ends at the next zero: count the ones from bit z up
         words = self._upper._word_view
         w, off = divmod(z, WORD_BITS)
@@ -250,16 +250,24 @@ class SparseBitVector:
             end += WORD_BITS
             w += 1
             zeros = words[w] ^ _WORD_MASK
-        end += (zeros & -zeros).bit_length() - 1
-        target = i & ((1 << self.low_width) - 1)
-        lo, hi = start, end
-        while lo < hi:  # first index with low >= target
+        hi = end + (zeros & -zeros).bit_length() - 1
+        target = p & ((1 << lw) - 1)
+        lo = start
+        while lo < hi:  # first index with low > target
             mid = (lo + hi) // 2
-            if get_fixed(self._low_view, self.low_width, mid) < target:
+            if get_fixed(self._low_view, lw, mid) <= target:
                 lo = mid + 1
             else:
                 hi = mid
-        return lo
+        return start, lo
+
+    def _stored_rank(self, i: int) -> int:
+        """Number of stored positions < i (i.e. in the 1-based prefix of length i)."""
+        if self.k == 0 or i == 0:
+            return 0
+        if i >= self.n:
+            return self.k
+        return self._stored_upto(i - 1)[1]
 
     def _stored_select(self, j: int) -> int:
         pos1 = self._upper.select(j, 1)
@@ -274,8 +282,13 @@ class SparseBitVector:
         """(bit at i, rank of that bit in [1..i])."""
         if not 1 <= i <= self.n:
             raise OutOfRangeError(f"position {i} out of [1..{self.n}]")
-        r = self._stored_rank(i)
-        if r and self._stored_select(r) == i:
+        if self.k == 0:
+            return 1 - self.stored, i
+        # the last stored position <= i - 1, if in the same bucket, says
+        # whether i - 1 is stored
+        start, r = self._stored_upto(i - 1)
+        lw = self.low_width
+        if r > start and get_fixed(self._low_view, lw, r - 1) == (i - 1) & ((1 << lw) - 1):
             return self.stored, r
         return 1 - self.stored, i - r
 

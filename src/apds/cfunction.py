@@ -9,8 +9,9 @@ Three storage modes:
   runs-contiguous  same pair, with the permutation in the contiguous
                    (mirrored strict) layout
 
-In the runs modes  f(i) = b.rank1(b.select0(pi(i)))  and preimages come
-from pi^-1 applied to the zero run of the requested value.  The runs of pi
+In the runs modes  f(i) = b.select0(pi(i)) - pi(i)  (the ones before that
+zero) and preimages come from pi^-1 applied to the zero run of the
+requested value, which starts after b.select1(a) - a zeros.  The runs of pi
 come from permutation.decompose_runs: the patience cover
 ("interleaved-general") or the maximal monotone segments
 ("contiguous-general").  The sort is stable, so pi rises exactly where f
@@ -121,27 +122,30 @@ class CompressedFunction:
             raise OutOfRangeError(f"position {i} out of [1..{self.n}]")
         if self.mode == "direct":
             return self._external(self.ap.access(i))
-        v = self.b.rank(self.b.select(self.pi.apply(i), 0), 1)
-        return self._external(v)
+        # the p-th zero of b sits at select0(p), after p - 1 zeros: the
+        # ones before it are select0(p) - p
+        p = self.pi.apply(i)
+        return self._external(self.b.select(p, 0) - p)
+
+    def _zero_run(self, ai: int) -> tuple[int, int]:
+        """(zeros before, length) of the zero run of internal value ai in b,
+        which lies between its ai-th and (ai+1)-th ones."""
+        s1 = self.b.select(ai, 1)
+        return s1 - ai, self.b.select(ai + 1, 1) - s1 - 1
 
     def preimage_size(self, a: int) -> int:
         ai = self._internal(a)
-        if self.mode == "direct":
-            return self.ap.rank(ai, self.n)
-        z1 = self.b.rank(self.b.select(ai, 1), 0)
-        z2 = self.b.rank(self.b.select(ai + 1, 1), 0)
-        return z2 - z1
+        return self.ap.rank(ai, self.n) if self.mode == "direct" else self._zero_run(ai)[1]
 
     def preimage_select(self, a: int, j: int) -> int:
         ai = self._internal(a)
         if j < 1:
             raise OutOfRangeError("preimage rank must be >= 1")
-        if j > self.preimage_size(a):
+        direct = self.mode == "direct"
+        start, size = (0, self.ap.rank(ai, self.n)) if direct else self._zero_run(ai)
+        if j > size:
             raise NotFoundError(f"preimage of {a} has fewer than {j} elements")
-        if self.mode == "direct":
-            return self.ap.select(ai, j)
-        start = self.b.rank(self.b.select(ai, 1), 0)
-        return self.pi.inverse(start + j)
+        return self.ap.select(ai, j) if direct else self.pi.inverse(start + j)
 
     def preimage(self, a: int, sort: bool = False) -> list:
         out = [self.preimage_select(a, j) for j in range(1, self.preimage_size(a) + 1)]

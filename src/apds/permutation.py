@@ -14,8 +14,9 @@ Strict layouts replace the value-side label string with per-run records
 run minima.  Contiguous-general mirrors the strict layout built for the
 inverse permutation; contiguous-strict needs only two predecessor
 searches.  Loading a strict layout checks that its run records tile
-[1..n].  An optional cycle-marking companion answers pi^k with walks
-bounded by twice its sampling step.
+[1..n].  An optional cycle-marking companion answers pi^k with walks of
+at most t - 1 + t // 2 steps for sampling step t: one to the nearest mark
+in the direction of k, one from the mark nearer to the target.
 
 A container holds the layout tag, the layout and the companion (an empty
 blob if none).  The tag gives the run kind; load takes n, the run lengths
@@ -216,12 +217,13 @@ class PredecessorStructure:
 
 
 class CycleIndex:
-    """Marked elements along permutation cycles with back/forward arrays,
-    so pi^k resolves with at most 2*step applications of pi.
+    """Every step-th element of each cycle of length >= step is marked, in
+    walk order from the cycle's first mark, so pi^k resolves with at most
+    step - 1 + step // 2 applications of pi or pi^-1.
 
-    Only the step, the cycle lengths and each cycle's marks are serialized;
-    the mark bitvector and each mark's cycle and index come from
-    ``_index_marks`` on build and on load."""
+    Only the step, the cycle lengths and the marks (cycle by cycle) are
+    serialized; the mark bitvector, each cycle's first mark and each mark's
+    cycle and index come from ``_index_marks`` on build and on load."""
 
     def __init__(self, pi: np.ndarray, step: int):
         if step < 1:
@@ -232,33 +234,38 @@ class CycleIndex:
         idx = np.arange(n) - np.repeat(np.cumsum(lengths) - lengths, lengths)
         keep = lengths >= step
         marks = order[(idx % step == 0) & np.repeat(keep, lengths)] + 1
-        sizes = -(-lengths[keep] // step)
-        self._index_marks(n, lengths[keep], np.split(marks, np.cumsum(sizes))[:-1])
+        self._index_marks(n, lengths[keep], marks)
 
-    def _index_marks(self, n: int, cycle_lengths: np.ndarray, cycle_marks: list):
-        """Set the cycles, the mark bitvector over [1..n] and, in mark
-        position order, each mark's cycle id and index within its cycle."""
-        self.cycle_lengths = cycle_lengths
-        self.cycle_marks = cycle_marks
-        sizes = np.array([m.size for m in cycle_marks], dtype=np.int64)
-        pos = np.concatenate([np.zeros(0, np.int64), *cycle_marks]) - 1
+    def _index_marks(self, n: int, cycle_lengths: np.ndarray, marks: np.ndarray):
+        """Set the cycles, their marks (ceil(length / step) each, cycle by
+        cycle), the mark bitvector over [1..n], each cycle's first mark and,
+        in mark position order, each mark's cycle id and index within its
+        cycle."""
+        sizes = -(-cycle_lengths // self.step)
+        first = np.cumsum(sizes) - sizes
+        pos = marks - 1
         order = np.argsort(pos, kind="stable")
         bits = np.zeros(n, dtype=np.uint8)
         bits[pos] = 1
         self.marked = bitvector(bits)
-        self.mark_cycle = np.repeat(np.arange(sizes.size), sizes)[order]
-        self.mark_index = (np.arange(pos.size) - np.repeat(np.cumsum(sizes) - sizes, sizes))[order]
+        # power walks read single items: a memoryview returns them as ints
+        # without numpy's per-item cost
+        self.cycle_lengths = memoryview(cycle_lengths)
+        self.cycle_first = memoryview(first)
+        self.marks = memoryview(marks)
+        self.mark_cycle = memoryview(np.repeat(np.arange(sizes.size), sizes)[order])
+        self.mark_index = memoryview((np.arange(pos.size) - np.repeat(first, sizes))[order])
 
     def payload_bits(self) -> int:
         w = max(1, (len(self.marked) - 1).bit_length())
-        nmarks = self.mark_cycle.size
+        nmarks = len(self.mark_cycle)
         return self.marked.payload_bits() + nmarks * 2 * w + nmarks * w
 
     def serialize(self) -> bytes:
         w = ByteWriter()
         w.uint(self.step)
         w.ints(self.cycle_lengths)
-        w.ints(np.concatenate([np.zeros(0, np.int64), *self.cycle_marks]) - 1)
+        w.ints(np.asarray(self.marks) - 1)
         return w.getvalue()
 
     @classmethod
@@ -274,7 +281,7 @@ class CycleIndex:
                 or sizes.sum() != marks.size or ((marks < 1) | (marks > n)).any()
                 or np.unique(marks).size != marks.size):
             raise InputError("power companion: cycles and marks differ from their header")
-        obj._index_marks(n, lengths, np.split(marks, np.cumsum(sizes))[:-1])
+        obj._index_marks(n, lengths, marks)
         return obj
 
 
@@ -560,8 +567,10 @@ class RunPermutation:
         return self._layout.inverse(v)
 
     def power(self, i: int, k: int) -> int:
-        """pi^k(i); negative k is the inverse power.  Walks forward along
-        the cycle, jumping through the companion's mark arrays."""
+        """pi^k(i); negative k is the inverse power.  Walks with pi when
+        k > 0 and with pi^-1 when k < 0 until it meets a mark (at most
+        step - 1 steps), then from the mark nearer to the target: at most
+        step - 1 + step // 2 steps in all."""
         if self.companion is None:
             raise UnsupportedOperationError(
                 "permutation was built without a power companion"
@@ -572,35 +581,44 @@ class RunPermutation:
         if k == 0:
             return i
         ci = self.companion
-        t = ci.step
+        marked = ci.marked
+        step = self._layout.apply if k > 0 else self._layout.inverse
         visited = [i]
         y = i
-        for _ in range(t + 1):
-            marked, r = ci.marked.access_rank(y)
-            if marked:
-                return self._power_from_mark(r, k, len(visited) - 1)
-            y = self.apply(y)
+        for _ in range(ci.step):
+            bit, r = marked.access_rank(y)
+            if bit:
+                d = len(visited) - 1
+                if d >= abs(k):
+                    return visited[abs(k)]
+                return self._power_from_mark(r, k, d if k < 0 else -d)
+            y = step(y)
             self.last_power_walk += 1
             if y == i:  # unmarked short cycle, fully walked
-                L = len(visited)
-                return visited[k % L]
+                return visited[abs(k) % len(visited)]
             visited.append(y)
         raise InputError("power companion: no mark within the step bound")
 
     def _power_from_mark(self, r: int, k: int, d: int) -> int:
-        """pi^k of the element d steps before the r-th marked position."""
+        """pi^k of the element at offset d from the r-th marked position in
+        cycle order.  Walks forward with pi from the mark at or before the
+        target, or back with pi^-1 from the next mark, whichever is nearer."""
         ci = self.companion
         t = ci.step
-        cid = int(ci.mark_cycle[r - 1])
-        idx = int(ci.mark_index[r - 1])
-        L = int(ci.cycle_lengths[cid])
-        marks = ci.cycle_marks[cid]
-        target = (idx * t + (k - d) % L) % L
-        q = min(target // t, marks.size - 1)
-        y = int(marks[q])
-        for _ in range(target - q * t):
-            y = self.apply(y)
-            self.last_power_walk += 1
+        cid = ci.mark_cycle[r - 1]
+        L = ci.cycle_lengths[cid]
+        last = (L - 1) // t  # index of the cycle's last mark
+        target = (ci.mark_index[r - 1] * t + d + k) % L
+        q, ahead = divmod(target, t)
+        behind = (L if q == last else (q + 1) * t) - target
+        if ahead <= behind:
+            step, steps = self._layout.apply, ahead
+        else:
+            q, step, steps = (0 if q == last else q + 1), self._layout.inverse, behind
+        y = ci.marks[ci.cycle_first[cid] + q]
+        for _ in range(steps):
+            y = step(y)
+        self.last_power_walk += steps
         return y
 
     def payload_bits(self) -> int:

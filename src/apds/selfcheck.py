@@ -170,9 +170,10 @@ def suite_permutations(rng, iters, max_n, fault=False):
                     raise CheckFailure(
                         "permutations", f"{kind}: power({i},{k}) = {got} != {y}"
                     )
-                if rp.last_power_walk > 2 * step:
+                if rp.last_power_walk > step - 1 + step // 2:
                     raise CheckFailure(
-                        "permutations", f"walk {rp.last_power_walk} > {2 * step}"
+                        "permutations",
+                        f"walk {rp.last_power_walk} > {step - 1 + step // 2}",
                     )
                 checks += 1
     return checks

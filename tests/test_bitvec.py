@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from apds.bitvec import (
     PlainBitVector,
@@ -327,3 +329,48 @@ def test_sparse_every_query(case, stored):
         assert bv._stored_rank(i) == stored_before[i], i
     _check_all_queries(bv, bits)
     _check_all_queries(load_bitvector(bv.serialize()), bits)
+
+
+def _check_access_rank_every_i(bv):
+    bits = bv.to_bits()
+    ones = np.concatenate([[0], np.cumsum(bits)]).tolist()
+    for i in range(1, len(bv) + 1):
+        b = int(bits[i - 1])
+        assert bv.access_rank(i) == (b, ones[i] if b else i - ones[i]), i
+
+
+@st.composite
+def _sparse_vectors(draw):
+    n = draw(st.integers(1, 3000))
+    where = draw(st.lists(st.integers(0, n - 1), max_size=min(n, 60), unique=True))
+    return n, sorted(where), draw(st.integers(0, 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_sparse_vectors())
+# low width 10: buckets 0 and 3 empty, 1024 and 2048 with low part 0
+@example((4096, [1024, 2048, 3000], 1))
+@example((4096, [1024, 2048, 3000], 0))
+@example((300, [0, 299], 1))
+@example((1, [0], 0))
+@example((5, [], 1))
+def test_sparse_access_rank_every_position(case):
+    """The one-scan access_rank at every i in [1..n] against to_bits()."""
+    n, where, stored = case
+    _check_access_rank_every_i(SparseBitVector(n, np.asarray(where, dtype=np.int64), stored))
+
+
+@pytest.mark.parametrize("case", ["empty-buckets", "bucket-starts-and-ends", "low-width-0"])
+def test_sparse_access_rank_makes_no_upper_select1(case, monkeypatch):
+    n, where = _sparse_cases()[case]
+    bv = SparseBitVector(n, np.asarray(where), 1)
+    upper_select = bv._upper.select
+    bits_asked = []
+
+    def counting_select(j, bit=1):
+        bits_asked.append(bit)
+        return upper_select(j, bit)
+
+    monkeypatch.setattr(bv._upper, "select", counting_select)
+    _check_access_rank_every_i(bv)
+    assert 0 in bits_asked and 1 not in bits_asked

@@ -332,6 +332,23 @@ def test_corrupt_power_marks_exit_2(tmp_path, capsys, stored):
         "query", "--structure", str(out_path), "--op", "power", "--pos", "20", "--k", "3"))
 
 
+def test_corrupt_power_marks_backward_walk_exit_2(tmp_path, capsys):
+    """The 64-cycle of test_corrupt_power_marks_exit_2 with marks stored as
+    1..16: the walk for k = -3 runs back from 20 through 19, 18 and 17 and
+    meets no mark within the step bound either, so it must not answer."""
+    src = tmp_path / "cycle.txt"
+    src.write_text(" ".join(map(str, [*range(2, 65), 1])))
+    out_path = tmp_path / "cycle.apds"
+    run_cli(capsys, "build", "--type", "perm", "--format", "ints", "--input", str(src),
+            "--output", str(out_path), "--power-step", "4")
+    data = out_path.read_bytes()
+    good = bytes([1, 16, *range(0, 64, 4)])
+    assert data.count(good) == 1
+    out_path.write_bytes(data.replace(good, bytes([1, 16, *range(16)])))
+    assert_exit_2_without_traceback(run_cli_process(
+        "query", "--structure", str(out_path), "--op", "power", "--pos", "20", "--k", "-3"))
+
+
 def test_corrupt_perm_layout_bytes_exit_2(tmp_path, capsys):
     for argv in corrupt_perm_queries(tmp_path, capsys):
         assert_exit_2_without_traceback(run_cli_process(*argv))

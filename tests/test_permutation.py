@@ -272,20 +272,64 @@ def test_power_matches_naive(n, t):
     for i in range(1, n + 1, max(1, n // 17)):
         for k in list(range(-n, n + 1, max(1, n // 9))) + [0, 1, -1, 3 * n + 7]:
             assert rp.power(i, k) == naive_power(pi, i, k), (i, k)
-            assert rp.last_power_walk <= 2 * t
+            assert rp.last_power_walk <= t - 1 + t // 2
 
 
 def test_power_walk_bound_instrumented():
     rng = np.random.default_rng(3)
     pi = rng.permutation(np.arange(1, 257)).tolist()
     t = 8
-    rp = build_run_permutation(pi, "interleaved-strict", power_step=t)
-    worst = 0
-    for i in range(1, 257, 5):
-        for k in (-1000, -17, -1, 1, 5, 255, 100000):
-            rp.power(i, k)
-            worst = max(worst, rp.last_power_walk)
-    assert worst <= 2 * t
+    for kind in KINDS:
+        rp = build_run_permutation(pi, kind, power_step=t)
+        worst = 0
+        for i in range(1, 257, 5):
+            for k in (-1000, -17, -1, 1, 5, 255, 100000):
+                rp.power(i, k)
+                worst = max(worst, rp.last_power_walk)
+        assert worst <= t - 1 + t // 2, kind
+
+
+def _permutation_with_cycles(lengths, rng):
+    """A permutation of [1..sum(lengths)] with cycles of the given lengths
+    over shuffled elements."""
+    elems = rng.permutation(np.arange(1, sum(lengths) + 1)).tolist()
+    pi = [0] * len(elems)
+    start = 0
+    for length in lengths:
+        cyc = elems[start:start + length]
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            pi[a - 1] = b
+        start += length
+    return pi
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_power_every_step_against_naive(kind):
+    """Every element, with t in {1, 2, 3, 5, 16}: unmarked cycles shorter
+    than t, cycle lengths off multiples of t, and k from -2n to 2n, both
+    against the naive k-fold application and the walk bound t - 1 + t // 2,
+    before and after a serialization round trip."""
+    rng = np.random.default_rng(KINDS.index(kind))
+    pi = _permutation_with_cycles([1, 2, 3, 4, 6, 10, 15, 16, 17, 21, 33, 47], rng)
+    n = len(pi)
+    orbit = {}  # i -> its cycle in walk order from i
+    for i in range(1, n + 1):
+        cyc, y = [i], pi[i - 1]
+        while y != i:
+            cyc.append(y)
+            y = pi[y - 1]
+        orbit[i] = cyc
+    ks = sorted({-2 * n, -n - 1, -33, -17, -16, -9, -8, -5, -3, -2, -1,
+                 1, 2, 3, 5, 8, 9, 16, 17, 33, n + 1, 2 * n,
+                 *rng.integers(-2 * n, 2 * n + 1, 6).tolist()})
+    for t in (1, 2, 3, 5, 16):
+        rp = build_run_permutation(pi, kind, power_step=t)
+        for perm in (rp, RunPermutation.deserialize(rp.serialize())):
+            for i in range(1, n + 1):
+                cyc = orbit[i]
+                for k in ks:
+                    assert perm.power(i, k) == cyc[k % len(cyc)], (t, i, k)
+                    assert perm.last_power_walk <= t - 1 + t // 2, (t, i, k)
 
 
 def test_cycle_index_invariants():
