@@ -25,15 +25,19 @@ access_rank costs two walks (t, then s_l) and gives the symbol at i with
 its rank in [1..i]; no query walks m.
 
 General (non-effective) alphabets keep the occurring symbols in a sorted
-dictionary and run the machinery over their ranks; a general alphabet
-that is exactly 1..sigma keeps none.
+dictionary (``bitvec.alphabet_ranks``) and run the machinery over their
+ranks; a general alphabet that is exactly 1..sigma keeps none.
 
 Only the dictionary (an empty blob if none), t, m, the class stores and
-the raw class values are serialized; load takes n from t and derives the
-partition summary (each symbol's class and occurrences, each class's
-alphabet size and length) and the symbol map's arrays from m's decode and
-the class stores' symbol counts, in array operations.  A class store's
-kind follows from its alphabet size, so it is not stored.
+the raw class values are serialized.  A build classifies the symbols by
+their counts; a load takes n from t, each symbol's class from m's decode
+and its occurrences from the class stores' symbol counts.  Both then end
+in the same two derivations: ``Partition``'s constructor gives the
+summary (each class's alphabet size and length) and ``_set_symbol_map``
+the symbol map's arrays, so a built and a loaded sequence hold the same
+state.  The class string is kept only as t, and a symbol's raw class is
+class_values[cls[a] - 1].  A class store's kind follows from its
+alphabet size, so it is not stored.
 """
 
 from __future__ import annotations
@@ -43,10 +47,10 @@ import math
 import numpy as np
 
 from .bits import ByteReader, ByteWriter
-from .bitvec import SparseDictionary
+from .bitvec import SparseDictionary, alphabet_ranks
 from .chunkseq import LargeSequence
 from .errors import InputError, NotFoundError, OutOfRangeError
-from .stats import EntropyReport, SectionSpace, distribution_entropy, h0
+from .stats import EntropyReport, SectionSpace, distribution_entropy
 from .wavelet import PolySequence
 
 
@@ -71,30 +75,32 @@ def poly_threshold(n: int) -> int:
 class Partition:
     """The class decomposition of a sequence over effective alphabet [1..sigma]."""
 
-    def __init__(self, seq: np.ndarray):
+    def __init__(self, n: int, occ: np.ndarray, dense: np.ndarray, class_values: np.ndarray):
+        """The summary of a length-n sequence whose symbols occur ``occ``
+        times and have dense class ids ``dense`` (1-based) for the raw class
+        values ``class_values``: the class count, and each class's alphabet
+        size (``sub_sigma``) and length (``sub_len``).  Build and load both
+        end here.  A symbol's raw class is class_values[dense - 1]."""
+        k = class_values.size
+        self.n, self.sigma, self.num_classes = n, occ.size, k
+        self.occ, self.symbol_class_dense, self.class_values = occ, dense, class_values
+        self.sub_sigma = np.bincount(dense, minlength=k + 1)[1:]
+        # float weights are exact: counts stay below 2**53
+        self.sub_len = np.bincount(dense, weights=occ, minlength=k + 1)[1:].astype(np.int64)
+
+    @classmethod
+    def of(cls, seq) -> "Partition":
+        """Classify the symbols of ``seq`` by their occurrences."""
+        seq = np.asarray(seq, dtype=np.int64)
         n = seq.size
-        sigma = int(seq.max())
-        occ = np.bincount(seq, minlength=sigma + 1)[1:]
+        occ = np.bincount(seq, minlength=int(seq.max()) + 1)[1:].astype(np.int64)
         if (occ == 0).any():
             raise InputError("alphabet is not effective: some symbol is absent")
-        self.n = n
-        self.sigma = sigma
-        self.occ = occ.astype(np.int64)
         # raw class value per symbol; class_of runs once per distinct count
-        counts, count_of = np.unique(self.occ, return_inverse=True)
+        counts, count_of = np.unique(occ, return_inverse=True)
         raw = np.array([class_of(n, int(c)) for c in counts], dtype=np.int64)
-        self.symbol_class = raw[count_of]
-        self.class_values, dense0 = np.unique(self.symbol_class, return_inverse=True)
-        self.num_classes = self.class_values.size
-        # dense class index per symbol (1-based)
-        self.symbol_class_dense = dense0.astype(np.int64) + 1
-        self.t_raw = self.symbol_class[seq - 1]
-        self.t_dense = self.symbol_class_dense[seq - 1]
-        # class sub-alphabet sizes and projected sub-sequence lengths
-        self.sub_sigma = np.bincount(
-            self.symbol_class_dense, minlength=self.num_classes + 1
-        )[1:]
-        self.sub_len = np.bincount(self.t_dense, minlength=self.num_classes + 1)[1:]
+        class_values, dense0 = np.unique(raw[count_of], return_inverse=True)
+        return cls(n, occ, dense0.astype(np.int64) + 1, class_values)
 
     def identity_terms(self):
         """(n*H0(t), sum |s_l| lg sigma_l, n*H0(s), n/lg n)."""
@@ -152,6 +158,11 @@ def _group_by_class(classes: np.ndarray, sizes: np.ndarray) -> list:
     return np.split(_class_order(classes, sizes.size), np.cumsum(sizes)[:-1])
 
 
+def _store_for(sigma_l: int, n: int):
+    """The store of a class with alphabet size sigma_l in a length-n sequence."""
+    return PolySequence if sigma_l <= poly_threshold(n) else LargeSequence
+
+
 def _require(cond, message: str):
     if not cond:
         raise AssertionError(message)
@@ -169,32 +180,20 @@ class ApSequence:
             raise InputError(f"invalid symbol {int(arr.min())}: symbols must be >= 1")
         self.alphabet_dict = None
         if general_alphabet:
-            uniq = np.unique(arr)
-            if uniq[-1] != uniq.size:  # values 1..sigma need no dictionary
-                self.alphabet_dict = SparseDictionary(uniq)
-                arr = np.searchsorted(uniq, arr).astype(np.int64) + 1
-        self.partition = Partition(arr)
-        self.n = self.partition.n
-        self.sigma = self.partition.sigma
-        self._build(arr)
+            arr, self.alphabet_dict = alphabet_ranks(arr)
+        self._build(arr, Partition.of(arr))
 
-    def _build(self, arr: np.ndarray):
-        part = self.partition
-        self.T = PolySequence(part.t_dense, alphabet_size=part.num_classes)
-        self.M = PolySequence(
-            part.symbol_class_dense, alphabet_size=part.num_classes
-        )
-        self._set_symbol_map(part.symbol_class_dense, part.sub_sigma)
+    def _build(self, arr: np.ndarray, part: Partition):
+        dense = part.symbol_class_dense
+        t = dense[arr - 1]  # the class string
+        self.T = PolySequence(t, alphabet_size=part.num_classes)
+        self.M = PolySequence(dense, alphabet_size=part.num_classes)
+        self._set_symbol_map(dense, part.sub_sigma)
+        self._set_partition(part)
         local_of = np.asarray(self._local)
-        threshold = poly_threshold(self.n)
-        positions = _group_by_class(part.t_dense, part.sub_len)
-        self.subs = []
-        for pos, sig_l in zip(positions, part.sub_sigma.tolist()):
-            local = local_of[arr[pos] - 1]
-            if sig_l <= threshold:
-                self.subs.append(PolySequence(local, alphabet_size=sig_l))
-            else:
-                self.subs.append(LargeSequence(local, alphabet_size=sig_l))
+        positions = _group_by_class(t, part.sub_len)
+        self.subs = [_store_for(sig_l, self.n)(local_of[arr[pos] - 1], alphabet_size=sig_l)
+                     for pos, sig_l in zip(positions, part.sub_sigma.tolist())]
 
     def _set_symbol_map(self, dense: np.ndarray, sub_sigma: np.ndarray) -> np.ndarray:
         """Set the symbol map's arrays (see the module docstring) from M's
@@ -333,6 +332,8 @@ class ApSequence:
 
     @classmethod
     def deserialize(cls, data: bytes) -> "ApSequence":
+        """Load a sequence; raises InputError when T, M, the class stores
+        and the dictionary disagree."""
         r = ByteReader(data)
         obj = cls.__new__(cls)
         obj.alphabet_dict = SparseDictionary.deserialize(d) if (d := r.blob()) else None
@@ -342,47 +343,26 @@ class ApSequence:
         k = class_values.size
         if k < 1 or obj.M.sigma != k or obj.T.sigma != k:
             raise InputError("class count differs between T, M and the class values")
-        obj.n = obj.T.n  # the class string has one class per position
+        if obj.alphabet_dict is not None and obj.alphabet_dict.size != obj.M.n:
+            raise InputError("alphabet dictionary size differs from the symbol map")
+        n = obj.T.n  # the class string has one class per position
         dense = obj.M.decode()
         sub_sigma = np.bincount(dense, minlength=k + 1)[1:]
-        threshold = poly_threshold(obj.n)
-        obj.subs = [
-            (PolySequence if sig_l <= threshold else LargeSequence).deserialize(r.blob())
-            for sig_l in sub_sigma.tolist()
-        ]
-        obj._restore_partition(class_values, dense, sub_sigma)
+        obj.subs = [_store_for(sig_l, n).deserialize(r.blob()) for sig_l in sub_sigma.tolist()]
+        if not np.array_equal([s.sigma for s in obj.subs], sub_sigma):
+            raise InputError("a class store's alphabet differs from its class in M")
+        # the c-th smallest member of class l is local symbol c of s_l
+        occ = np.empty(dense.size, dtype=np.int64)
+        occ[obj._set_symbol_map(dense, sub_sigma)] = np.concatenate(
+            [sub.symbol_counts() for sub in obj.subs])
+        obj._set_partition(Partition(n, occ, dense, class_values))
+        if not np.array_equal(obj.T.symbol_counts(), obj.partition.sub_len):
+            raise InputError("class counts in T differ from the class store lengths")
         return obj
 
-    def _restore_partition(self, class_values: np.ndarray, dense: np.ndarray,
-                           sub_sigma: np.ndarray):
-        """Derive the partition summary from M's decode ``dense``, its class
-        sizes ``sub_sigma`` and the class stores.
-
-        Raises InputError when T, M and the class stores disagree."""
-        k = class_values.size
-        if self.alphabet_dict is not None and self.alphabet_dict.size != self.M.n:
-            raise InputError("alphabet dictionary size differs from the symbol map")
-        part = Partition.__new__(Partition)
-        part.n = self.n
-        part.sigma = self.M.n
-        part.class_values = class_values
-        part.num_classes = k
-        part.symbol_class_dense = dense
-        part.symbol_class = class_values[dense - 1]
-        part.sub_sigma = sub_sigma
-        part.sub_len = np.array([len(s) for s in self.subs], dtype=np.int64)
-        if not np.array_equal([s.sigma for s in self.subs], part.sub_sigma):
-            raise InputError("a class store's alphabet differs from its class in M")
-        if not np.array_equal(self.T.symbol_counts(), part.sub_len):
-            raise InputError("class counts in T differ from the class store lengths")
-        # the c-th smallest member of class l is local symbol c of s_l
-        part.occ = np.empty(part.sigma, dtype=np.int64)
-        part.occ[self._set_symbol_map(dense, sub_sigma)] = np.concatenate(
-            [sub.symbol_counts() for sub in self.subs])
-        part.t_raw = None  # not materialized after load
-        part.t_dense = None
+    def _set_partition(self, part: Partition):
         self.partition = part
-        self.sigma = part.sigma
+        self.n, self.sigma = part.n, part.sigma
 
 
 def build_partition(seq, general_alphabet: bool = False) -> ApSequence:

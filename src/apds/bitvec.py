@@ -415,7 +415,7 @@ class SparseDictionary:
     """
 
     def __init__(self, values, universe_max=None):
-        vals = np.unique(np.asarray(list(values), dtype=np.int64))
+        vals = np.unique(np.asarray(values, dtype=np.int64))
         if vals.size == 0:
             raise InputError("dictionary needs at least one value")
         if vals[0] < 1:
@@ -459,3 +459,13 @@ class SparseDictionary:
         obj.universe_max = len(obj._bv)
         obj.size = obj._bv.count(1)
         return obj
+
+
+def alphabet_ranks(values: np.ndarray):
+    """(the rank of each value among the distinct values, 1-based; a
+    dictionary of the distinct values), or (values, None) when the values
+    are already exactly 1..sigma."""
+    uniq = np.unique(values)
+    if uniq[0] == 1 and uniq[-1] == uniq.size:
+        return values, None
+    return np.searchsorted(uniq, values).astype(np.int64) + 1, SparseDictionary(uniq)

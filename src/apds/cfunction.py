@@ -25,7 +25,7 @@ import numpy as np
 
 from .apseq import ApSequence
 from .bits import ByteReader, ByteWriter
-from .bitvec import SparseDictionary, bitvector, load_bitvector
+from .bitvec import SparseDictionary, alphabet_ranks, bitvector, load_bitvector
 from .errors import InputError, NotFoundError, OutOfRangeError
 from .permutation import RunDecomposition, RunPermutation, decompose_runs
 from .stats import h0
@@ -62,9 +62,7 @@ class CompressedFunction:
             raise InputError("function values must be >= 1")
         self.mode = mode
         if remap:
-            uniq = np.unique(arr)
-            self.value_dict = SparseDictionary(uniq)
-            arr = np.searchsorted(uniq, arr).astype(np.int64) + 1
+            arr, self.value_dict = alphabet_ranks(arr)
         else:
             self.value_dict = None
             occ = np.bincount(arr, minlength=int(arr.max()) + 1)[1:]
@@ -93,8 +91,8 @@ class CompressedFunction:
             h = h0(arr)
             if dec.entropy() > h + 1e-12:
                 # one all-equal run per value: H(runs) = H0 exactly
-                dec = RunDecomposition("interleaved-general", self.n, arr, counts,
-                                       np.ones(self.sigma, dtype=bool),
+                dec = RunDecomposition("interleaved-general", self.n, counts,
+                                       np.ones(self.sigma, dtype=bool), arr,
                                        np.cumsum(counts) - counts + 1)
             if dec.entropy() > h + 1e-9:
                 raise AssertionError(f"H(runs) = {dec.entropy()} exceeds H0 = {h}")

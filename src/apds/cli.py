@@ -15,6 +15,7 @@ import numpy as np
 
 from . import container
 from .apseq import Partition, build_partition
+from .bitvec import alphabet_ranks
 from .cfunction import MODES as FUNC_MODES, build_function
 from .errors import ApdsError, InputError, NotFoundError
 from .permutation import KINDS as RUN_KINDS, build_run_permutation
@@ -182,12 +183,10 @@ def cmd_query(args) -> int:
 def cmd_stats(args) -> int:
     symbols = _read_symbols(args.input, args.format)
     arr = np.asarray(symbols, dtype=np.int64)
-    uniq = np.unique(arr)
-    dense = np.searchsorted(uniq, arr) + 1
-    part = Partition(dense.astype(np.int64))
+    part = Partition.of(alphabet_ranks(arr)[0])
     nh0t, sub, nh0s, slack = part.identity_terms()
     print(f"n = {arr.size}")
-    print(f"sigma = {uniq.size}")
+    print(f"sigma = {part.sigma}")
     print(f"h0 = {h0(arr):.6f}")
     if args.k is not None:
         print(f"hk_{args.k} = {hk(symbols, args.k):.6f}")

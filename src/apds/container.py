@@ -11,8 +11,9 @@ kind.  Payloads are the structures' own serializations in the codec of
 ``bits``: varint scalars, whole-byte integer arrays and length-prefixed
 blobs.  They hold no value that load can compute: directories, counts
 and lengths such as n and sigma are derived on load, so files are
-deterministic for fixed input and flags.  Version 5 introduced this
-codec; files of any other version are refused.
+deterministic for fixed input and flags.  One exception remains: a
+``PolySequence`` writes its symbol counts, which its levels imply.
+Version 5 introduced this codec; files of any other version are refused.
 """
 
 from __future__ import annotations

@@ -19,9 +19,10 @@ at most t - 1 + t // 2 steps for sampling step t: one to the nearest mark
 in the direction of k, one from the mark nearer to the target.
 
 A container holds the layout tag, the layout and the companion (an empty
-blob if none).  The tag gives the run kind; load takes n, the run lengths
-and directions from the layout, which keeps them in run order, and the
-labels, minima and starts of a loaded decomposition are None.  Values in
+blob if none).  The tag gives the run kind.  A permutation keeps a run
+summary (kind, n, run lengths and directions), which build and load both
+take from the layout, which keeps the runs in run order; the cover's
+labels, minima and starts serve only to build the layout.  Values in
 [1..n] are stored less one, so n = 2**16 fits in two bytes.
 """
 
@@ -58,14 +59,14 @@ def _validate_permutation(pi) -> np.ndarray:
 
 
 @dataclass
-class RunDecomposition:
+class RunSummary:
+    """What a permutation keeps of its runs: the kind, n, and the length
+    and direction of each run, in run order."""
+
     kind: str
     n: int
-    labels: np.ndarray | None  # run id per position, 1..rho; None after load
     lengths: np.ndarray  # per run
     increasing: np.ndarray  # bool per run
-    min_values: np.ndarray | None  # minimum value per run; None after load
-    starts: np.ndarray | None = None  # first position, contiguous kinds only
 
     @property
     def rho(self) -> int:
@@ -80,6 +81,15 @@ class RunDecomposition:
             raise AssertionError(f"H(runs) = {h} exceeds lg rho")
         if self.n > 1 and self.n * h < (self.rho - 1) * math.log2(self.n) - 1e-9:
             raise AssertionError(f"n H(runs) = {self.n * h} below (rho - 1) lg n")
+
+
+@dataclass
+class RunDecomposition(RunSummary):
+    """A run cover, with what a layout is built from."""
+
+    labels: np.ndarray  # run id per position, 1..rho
+    min_values: np.ndarray  # minimum value per run
+    starts: np.ndarray | None = None  # first position, contiguous kinds only
 
 
 def _cover_interleaved_general(arr: np.ndarray):
@@ -192,7 +202,7 @@ def decompose_runs(pi, kind: str) -> RunDecomposition:
         labels, lengths, increasing, mins, starts = _cover_contiguous(
             arr, strict=(kind == "contiguous-strict")
         )
-    dec = RunDecomposition(kind, arr.size, labels, lengths, increasing, mins, starts)
+    dec = RunDecomposition(kind, arr.size, lengths, increasing, labels, mins, starts)
     dec.check_entropy_facts()
     return dec
 
@@ -529,11 +539,13 @@ _LAYOUTS = (_InterleavedGeneralLayout, _InterleavedStrictLayout,
 class RunPermutation:
     """A permutation stored through its run decomposition."""
 
-    def __init__(self, layout, decomposition: RunDecomposition, n: int,
-                 companion: CycleIndex | None = None):
+    def __init__(self, layout, kind: str, companion: CycleIndex | None = None):
+        """Build and load both end here: the run summary comes from the
+        layout, whose runs cover [1..n]."""
         self._layout = layout
-        self.decomposition = decomposition
-        self.n = n
+        lengths, increasing = layout.runs()
+        self.n = int(lengths.sum())
+        self.decomposition = RunSummary(kind, self.n, lengths, increasing)
         self.companion = companion
         self.last_power_walk = 0
 
@@ -550,7 +562,7 @@ class RunPermutation:
         arr = _validate_permutation(pi)
         layout = _LAYOUTS[KINDS.index(dec.kind)](arr, dec)
         companion = CycleIndex(arr, power_step) if power_step else None
-        return cls(layout, dec, arr.size, companion)
+        return cls(layout, dec.kind, companion)
 
     @property
     def rho(self) -> int:
@@ -643,11 +655,10 @@ class RunPermutation:
         if not 1 <= tag <= len(_LAYOUTS):
             raise InputError(f"unknown permutation layout tag {tag}")
         layout = _LAYOUTS[tag - 1].deserialize(r.blob())
-        lengths, increasing = layout.runs()
-        n = int(lengths.sum())  # each layout checks that its runs cover [1..n]
-        dec = RunDecomposition(KINDS[tag - 1], n, None, lengths, increasing, None)
-        companion = CycleIndex.deserialize(d, n) if (d := r.blob()) else None
-        return cls(layout, dec, n, companion)
+        perm = cls(layout, KINDS[tag - 1])
+        if d := r.blob():
+            perm.companion = CycleIndex.deserialize(d, perm.n)
+        return perm
 
 
 def build_run_permutation(pi, kind: str = "interleaved-general",

@@ -92,9 +92,6 @@ class EntropyReport:
     def payload_total(self) -> int:
         return sum(s.payload_bits for s in self.sections)
 
-    def directory_total(self) -> int:
-        return sum(s.directory_bits for s in self.sections)
-
     def format(self) -> str:
         lines = [
             f"n = {self.n}",

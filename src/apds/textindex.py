@@ -26,7 +26,8 @@ import numpy as np
 
 from .apseq import ApSequence, _require
 from .bits import ByteReader, ByteWriter, get_fixed, pack_fixed
-from .bitvec import SparseDictionary, bitvector_from_positions, bitvector, load_bitvector
+from .bitvec import (SparseDictionary, alphabet_ranks, bitvector, bitvector_from_positions,
+                     load_bitvector)
 from .errors import InputError, NotFoundError, OutOfRangeError
 from .permutation import _validate_permutation  # bijection check for LF tests
 
@@ -96,19 +97,14 @@ class BlockStore:
         self.num_blocks = (self.n + b - 1) // b
         padded = np.ones(self.num_blocks * b, dtype=np.int64)  # pad with smallest
         padded[: self.n] = arr
-        blocks = padded.reshape(self.num_blocks, b)
-        ids = np.zeros(self.num_blocks, dtype=np.int64)
-        seen: dict = {}
-        contents = []
-        for j, row in enumerate(map(tuple, blocks.tolist())):
-            d = seen.get(row)
-            if d is None:
-                d = len(seen) + 1
-                seen[row] = d
-                contents.append(row)
-            ids[j] = d
-        self.contents = np.array(contents, dtype=np.int64)
-        self.sprime = ApSequence(ids)
+        # distinct blocks, numbered in order of first occurrence
+        distinct, first, ids = np.unique(padded.reshape(self.num_blocks, b), axis=0,
+                                         return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        number = np.empty(order.size, dtype=np.int64)
+        number[order] = np.arange(1, order.size + 1)
+        self.contents = distinct[order]
+        self.sprime = ApSequence(number[ids.reshape(-1)])
 
     @staticmethod
     def _default_block_len(n: int, sigma: int) -> int:
@@ -128,13 +124,10 @@ class BlockStore:
 
     def block_counts(self) -> np.ndarray:
         """(num_blocks, sigma) occurrence counts, padding excluded."""
-        b = self.block_len
-        counts = np.zeros((self.num_blocks, self.sigma), dtype=np.int64)
-        for j in range(self.num_blocks):
-            row = self.contents[self.sprime.access(j + 1) - 1]
-            valid = min(b, self.n - j * b)
-            counts[j] += np.bincount(row[:valid] - 1, minlength=self.sigma)
-        return counts
+        text = self.contents[self.sprime.decode() - 1].reshape(-1)[: self.n]
+        cell = np.arange(self.n) // self.block_len * self.sigma + text - 1
+        counts = np.bincount(cell, minlength=self.num_blocks * self.sigma)
+        return counts.reshape(self.num_blocks, self.sigma)
 
     def payload_bits(self) -> int:
         return (
@@ -174,17 +167,15 @@ class BlockRelation:
         self.store = store
         counts = store.block_counts()
         sigma, nb = store.sigma, store.num_blocks
-        self._rows = []
-        p_bits = []
-        pair_counts = np.zeros(sigma, dtype=np.int64)
-        for a in range(sigma):
-            hit = np.flatnonzero(counts[:, a] > 0)
-            pair_counts[a] = hit.size
-            self._rows.append(bitvector_from_positions(nb, hit))
-            for x in counts[hit, a]:
-                p_bits.extend([1] * int(x))
-                p_bits.append(0)
-        self.P = bitvector(np.array(p_bits, dtype=np.uint8))
+        # the (character, block) pairs that occur, by character then block
+        sym, blk = np.nonzero(counts.T)
+        pair_counts = np.bincount(sym, minlength=sigma)
+        self._rows = [bitvector_from_positions(nb, hit)
+                      for hit in np.split(blk, np.cumsum(pair_counts)[:-1])]
+        # each pair's count in unary: 1^c 0
+        reps = np.ones(2 * sym.size, dtype=np.int64)
+        reps[0::2] = counts[blk, sym]
+        self.P = bitvector(np.repeat(np.tile(np.array([1, 0], dtype=np.uint8), sym.size), reps))
         self.c_pairs = np.zeros(sigma + 1, dtype=np.int64)
         np.cumsum(pair_counts, out=self.c_pairs[1:])
         self.c_ones = np.zeros(sigma + 1, dtype=np.int64)
@@ -249,11 +240,13 @@ class FmIndex:
             raise InputError("symbols must be positive integers")
         if k_context < 0:
             raise InputError("context length must be >= 0")
-        uniq = np.unique(arr)
-        self.alphabet = SparseDictionary(uniq)
-        dense = np.searchsorted(uniq, arr).astype(np.int64) + 2  # 1 = terminator
+        ranks, alphabet = alphabet_ranks(arr)
         self.n = int(arr.size)
-        self.sigma = int(uniq.size)
+        self.sigma = int(ranks.max())
+        # the index stores its alphabet even when it is 1..sigma
+        self.alphabet = (SparseDictionary(np.arange(1, self.sigma + 1)) if alphabet is None
+                         else alphabet)
+        dense = ranks + 1  # 1 = terminator
         self.k_context = int(k_context)
         t = np.concatenate([dense, [1]])
         sa = suffix_array(t)
@@ -275,16 +268,15 @@ class FmIndex:
     def _build_bwt_partitions(self, t, sa, bwt):
         m = t.size
         k = self.k_context
-        starts = [1]
-        if k > 0:
-            prev = None
-            for r in range(m):
-                p = int(sa[r])
-                key = tuple(t[p - 1 : p - 1 + k].tolist())
-                if prev is not None and key != prev:
-                    starts.append(r + 1)
-                prev = key
-        bounds = np.append(starts, m + 1)
+        # a part starts at each row whose suffix's first k symbols differ
+        # from the row above's; suffixes shorter than k end in the unique
+        # terminator, so they stay apart whatever pads them
+        padded = np.concatenate([t, np.zeros(k, dtype=t.dtype)])
+        change = np.zeros(m - 1, dtype=bool)
+        for j in range(k):
+            head = padded[sa - 1 + j]
+            change |= head[1:] != head[:-1]
+        bounds = np.concatenate([[1], np.flatnonzero(change) + 2, [m + 1]])
         self.parts = [ApSequence(bwt[lo - 1 : hi - 1], general_alphabet=True)
                       for lo, hi in zip(bounds[:-1], bounds[1:])]
 

@@ -51,7 +51,7 @@ def _build_corpus_partitions():
     global _partitions
     if _partitions is None:
         rng = np.random.default_rng(101)
-        _partitions = [(s, Partition(s)) for s in corpus_500(rng)]
+        _partitions = [(s, Partition.of(s)) for s in corpus_500(rng)]
     return _partitions
 
 

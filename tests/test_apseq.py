@@ -31,8 +31,10 @@ def scan_select(seq, a, j):
 def test_partition_worked_example():
     aps = build_partition(ABRA)
     part = aps.partition
-    assert part.t_raw.tolist() == [4, 9, 9, 4, 12, 4, 12, 4, 9, 9, 4]
-    assert part.symbol_class.tolist() == [4, 9, 12, 12, 9]  # m[a..r]
+    t = part.class_values[aps.T.decode() - 1]
+    assert t.tolist() == [4, 9, 9, 4, 12, 4, 12, 4, 9, 9, 4]
+    m = part.class_values[part.symbol_class_dense - 1]
+    assert m.tolist() == [4, 9, 12, 12, 9]  # m[a..r]
     assert part.class_values.tolist() == [4, 9, 12]
     assert part.sub_sigma.tolist() == [1, 2, 2]
     assert part.sub_len.tolist() == [5, 4, 2]
@@ -44,7 +46,8 @@ def test_partition_worked_example():
 
 def test_single_symbol_and_constant():
     aps = build_partition([1])
-    assert aps.partition.t_raw.tolist() == [0]
+    assert aps.partition.class_values[aps.T.decode() - 1].tolist() == [0]
+    assert aps.partition.class_values[aps.partition.symbol_class_dense - 1].tolist() == [0]
     assert aps.partition.num_classes == 1
     assert aps.access(1) == 1
     aps2 = build_partition([1] * 9)  # occ == n stays class 0
@@ -178,7 +181,7 @@ def test_partition_identity_and_bounds():
         sigma = int(rng.integers(1, min(n, 400) + 1))
         theta = float(rng.uniform(0.0, 2.0))
         seq = zipf(rng, n, sigma, theta)
-        part = Partition(np.asarray(seq))
+        part = Partition.of(np.asarray(seq))
         part.check_invariants()
         nh0t, sub, nh0s, slack = part.identity_terms()
         assert nh0t + sub < nh0s + slack + 1e-9 * max(1.0, nh0s + slack)
@@ -217,7 +220,7 @@ def test_space_report_edge_cases():
     assert rep2.h0_bits == pytest.approx(n * math.log2(n), abs=1e-6)
 
 
-PARTITION_FIELDS = ("occ", "symbol_class_dense", "symbol_class", "sub_sigma", "sub_len")
+PARTITION_FIELDS = ("occ", "symbol_class_dense", "sub_sigma", "sub_len")
 
 
 def test_serialize_round_trip():

@@ -36,6 +36,20 @@ def test_non_surjective_rejected_unless_remapped():
         fn.preimage_size(11)
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_remap_of_values_already_one_to_sigma_stores_no_dictionary(mode):
+    f = [3, 1, 2, 2, 4, 1, 3, 3, 4, 1]
+    fn = build_function(f, mode=mode, remap=True)
+    plain = build_function(f, mode=mode)
+    assert fn.value_dict is None
+    assert fn.serialize() == plain.serialize()
+    assert [fn.eval(i) for i in range(1, len(f) + 1)] == f
+    for a in range(1, 5):
+        assert fn.preimage(a) == plain.preimage(a)
+    with pytest.raises(OutOfRangeError):
+        fn.preimage_size(5)
+
+
 def test_eval_examples():
     for mode in MODES:
         fn = build_function(F_EX, mode=mode)
@@ -214,7 +228,7 @@ def test_per_value_runs_survive_load():
     # the patience cover's H(runs) exceeds H0 here, so one run per value is used
     f = [1, 3, 1, 2, 1, 1, 2, 3]
     fn = build_function(f, mode="runs-interleaved")
-    assert fn.pi.decomposition.labels.tolist() == f
+    assert fn.pi._layout.s.decode().tolist() == f
     back = CompressedFunction.deserialize(fn.serialize())
     assert_same_runs(back.pi.decomposition, fn.pi.decomposition)
     assert back.run_entropy() == fn.run_entropy()

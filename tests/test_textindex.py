@@ -142,6 +142,24 @@ def test_block_oracle_equivalence(b):
                         break
 
 
+@pytest.mark.parametrize("n,sigma,b", [(1, 3, 4), (103, 4, 3), (256, 3, 2), (90, 40, 1)])
+def test_block_ids_and_counts_match_a_row_by_row_reference(n, sigma, b):
+    seq = np.random.default_rng(n + b).integers(1, sigma + 1, size=n).tolist()
+    padded = seq + [1] * (-n % b)
+    number, contents, ids, counts = {}, [], [], []
+    for j in range(0, len(padded), b):
+        row = tuple(padded[j : j + b])
+        if row not in number:
+            number[row] = len(number) + 1
+            contents.append(row)
+        ids.append(number[row])
+        counts.append(np.bincount(np.array(seq[j : j + b]) - 1, minlength=sigma))
+    bs = BlockStore(seq, block_len=b, alphabet_size=sigma)
+    assert bs.contents.tolist() == [list(row) for row in contents]
+    assert bs.sprime.decode().tolist() == ids
+    assert bs.block_counts().tolist() == np.array(counts).tolist()
+
+
 def test_block_store_default_length_and_serialize():
     seq = list(np.random.default_rng(5).integers(1, 5, size=300))
     bs = BlockStore(seq)
@@ -264,6 +282,26 @@ def test_fm_serialize_round_trip():
         assert back.count(b"the") == fm.count(b"the")
         assert back.locate(b"win") == fm.locate(b"win")
         assert back.extract_bytes(10, 60) == fm.extract_bytes(10, 60)
+
+
+def naive_context_starts(text, k):
+    """First row of each k-context part, cutting BWT rows one by one where a
+    suffix's first k symbols differ from the row above's."""
+    syms = text_symbols(text)
+    rank = {v: i + 2 for i, v in enumerate(sorted(set(syms)))}
+    t = np.array([rank[v] for v in syms] + [1], dtype=np.int64)
+    keys = [tuple(t[p - 1 : p - 1 + k].tolist()) for p in suffix_array(t).tolist()]
+    return [1] + [r + 1 for r in range(1, len(keys)) if keys[r] != keys[r - 1]]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_fm_context_parts_match_naive_cut(k):
+    rng = np.random.default_rng(41 + k)
+    texts = [b"a", b"ab", b"aaaa", b"abracadabra", natural_text(2000),
+             bytes(rng.integers(97, 100, 500).tolist())]
+    for text in texts:
+        fm = FmIndex(text, k_context=k)
+        assert fm.part_starts == naive_context_starts(text, k), text[:20]
 
 
 def test_fm_load_refuses_parts_without_text():
