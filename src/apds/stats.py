@@ -15,7 +15,8 @@ from .errors import InputError
 
 def distribution_entropy(counts) -> float:
     """Entropy sum (c/n)*lg(n/c) of a vector of positive part sizes."""
-    c = np.asarray([x for x in counts if x > 0], dtype=np.float64)
+    c = np.asarray(counts, dtype=np.float64)
+    c = c[c > 0]
     n = c.sum()
     if n == 0:
         return 0.0

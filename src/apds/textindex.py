@@ -15,6 +15,12 @@ positions 1, 1 + rate, 1 + 2 rate, ... and at the last position, so only
 their rows are stored.  Load derives each part's first row, the per-part
 cumulative symbol counts and the C array from the parts themselves, with
 the same method that build calls (``_derive_counts``).
+
+The build sorts the text's suffixes by prefix doubling from packed keys
+(``suffix_array``).  Its first round packs the first h symbols of each
+suffix into one int64 (h = 10 for 6-bit symbols); every later round sorts
+one int64 key rank(i) * (n + 1) + rank(i + k) and doubles k.  Equal keys
+get equal ranks, so an unstable sort is enough.
 """
 
 from __future__ import annotations
@@ -41,31 +47,57 @@ def text_symbols(data) -> list:
     return list(data)
 
 
+def text_array(data) -> np.ndarray:
+    """text_symbols as an int64 array; bytes and str are read as one
+    buffer, without a per-byte list."""
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    if isinstance(data, (bytes, bytearray)):
+        return np.frombuffer(data, dtype=np.uint8).astype(np.int64) + 1
+    return np.asarray(text_symbols(data), dtype=np.int64)
+
+
 def suffix_array(t: np.ndarray) -> np.ndarray:
-    """1-based suffix array by prefix doubling; all suffixes must be
-    distinct (guaranteed by a unique terminator)."""
+    """1-based suffix array of nonnegative symbols by prefix doubling from
+    packed keys (after Larsson & Sadakane, *Faster suffix sorting*).
+
+    All suffixes must be distinct: every symbol is >= 1, or the text ends
+    in a unique smallest terminator.  The first round packs each suffix's
+    first h symbols into one int64 key, w bits apiece (w = bit length of
+    the largest symbol, h = min(n, max(1, 62 // w))), with 0 past the end.
+    The padding never decides an order: a window runs past the end only
+    through the last symbol, and that symbol is either a unique smallest
+    terminator, which decides first, or >= 1, so the shorter suffix sorts
+    first as it should.  Each round ranks its keys; while ranks tie, the
+    next round sorts the key rank(i) * (n + 1) + rank(i + k), with rank 0
+    past the end, and k (from h) doubles.  Equal keys get equal ranks, so
+    the sort need not be stable.  At most ceil(lg(n / h)) + 1 rounds run."""
     n = t.size
-    rank = t.astype(np.int64)
-    k = 1
+    t = t.astype(np.int64, copy=False)
+    if t.min() < 0:
+        raise InputError("suffix_array needs nonnegative symbols")
+    w = max(1, int(t.max()).bit_length())
+    h = min(n, max(1, 62 // w))
+    key = np.zeros(n, dtype=np.int64)
+    for j in range(h):
+        key <<= w
+        key[: n - j] |= t[j:]
+    k = h
     while True:
-        key2 = np.zeros(n, dtype=np.int64)
-        if k < n:
-            key2[: n - k] = rank[k:]
-        order = np.lexsort((key2, rank))
-        r1, r2 = rank[order], key2[order]
-        bump = np.empty(n, dtype=np.int64)
-        bump[0] = 1
-        if n > 1:
-            bump[1:] = ((r1[1:] != r1[:-1]) | (r2[1:] != r2[:-1])).astype(np.int64)
-        fresh = np.cumsum(bump)
+        order = np.argsort(key)
+        sorted_key = key[order]
+        new = np.ones(n, dtype=bool)
+        new[1:] = sorted_key[1:] != sorted_key[:-1]
+        fresh = np.cumsum(new)
+        if fresh[-1] == n:
+            return order + 1
+        if k >= n:
+            raise InputError("suffix_array needs distinct suffixes")
         rank = np.empty(n, dtype=np.int64)
         rank[order] = fresh
-        if fresh[-1] == n:
-            break
+        key = rank * (n + 1)
+        key[: n - k] += rank[k:]
         k *= 2
-    sa = np.empty(n, dtype=np.int64)
-    sa[rank - 1] = np.arange(1, n + 1)
-    return sa
 
 
 def bwt_of(t: np.ndarray, sa: np.ndarray) -> np.ndarray:
@@ -233,7 +265,7 @@ class FmIndex:
     """count/locate/extract over a text via backward search."""
 
     def __init__(self, text, k_context: int = 0, sample_rate: int | None = None):
-        arr = np.asarray(text_symbols(text), dtype=np.int64)
+        arr = text_array(text)
         if arr.size == 0:
             raise InputError("empty input")
         if arr.min() < 1:

@@ -106,3 +106,25 @@ def test_convexity_bound():
 
 def test_distribution_entropy_ignores_zeros():
     assert distribution_entropy([3, 0, 3]) == pytest.approx(1.0)
+
+
+def _entropy_by_comprehension(counts) -> float:
+    """Reference: the per-element filter distribution_entropy used before numpy."""
+    c = np.asarray([x for x in counts if x > 0], dtype=np.float64)
+    n = c.sum()
+    if n == 0:
+        return 0.0
+    p = c / n
+    return float(-(p * np.log2(p)).sum())
+
+
+@pytest.mark.parametrize("counts", [
+    np.array([5, 0, 0, 7, 1, 0, 2]),
+    np.random.default_rng(12).integers(0, 4, size=65_536),
+    np.zeros(9, dtype=np.int64),
+    np.array([], dtype=np.int64),
+    [4, 0, 1, 0, 3],
+    [],
+])
+def test_distribution_entropy_matches_comprehension_reference(counts):
+    assert distribution_entropy(counts) == _entropy_by_comprehension(counts)

@@ -1,9 +1,13 @@
+import importlib.util
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from apds.apseq import ApSequence
 from apds.bits import ByteWriter
@@ -38,13 +42,107 @@ def naive_locate(text, pattern):
 
 # --- suffix array / BWT -------------------------------------------------------
 
+def sorted_suffixes(t):
+    return sorted(range(1, t.size + 1), key=lambda i: t[i - 1 :].tolist())
+
+
 def test_suffix_array_matches_sorted_suffixes():
     rng = np.random.default_rng(1)
     for n in (1, 2, 10, 100):
         t = np.append(rng.integers(2, 6, size=n - 1), 1) if n > 1 else np.array([1])
-        sa = suffix_array(t)
-        suffixes = sorted(range(1, n + 1), key=lambda i: t[i - 1 :].tolist())
-        assert sa.tolist() == suffixes
+        assert suffix_array(t).tolist() == sorted_suffixes(t)
+
+
+@st.composite
+def terminated_texts(draw):
+    """A body over sigma symbols, random, one run or periodic, shifted so
+    that base is below every symbol, then base as the terminator.  Bases of
+    2^31 and 2^40 make symbols too wide to pack more than one per key."""
+    sigma = draw(st.sampled_from([1, 2, 4, 203]))
+    base = draw(st.sampled_from([0, 1, 2**31, 2**40]))
+    size = draw(st.integers(0, 120))
+    shape = draw(st.sampled_from(["random", "run", "periodic"]))
+    symbol = st.integers(1, sigma)
+    if shape == "random":
+        body = draw(st.lists(symbol, min_size=size, max_size=size))
+    elif shape == "run":
+        body = [draw(symbol)] * size
+    else:
+        period = draw(st.lists(symbol, min_size=1, max_size=6))
+        body = (period * size)[:size]
+    return np.array(body + [0], dtype=np.int64) + base
+
+
+@settings(max_examples=400, deadline=None)
+@given(terminated_texts())
+@example(np.array([1]))
+@example(np.array([0]))
+@example(np.array([2, 1]))
+@example(np.array([2**31 + 5, 2**31]))
+@example(np.array([3] * 200 + [1]))
+def test_suffix_array_matches_sorted_suffixes_property(t):
+    assert suffix_array(t).tolist() == sorted_suffixes(t)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(1, 5), min_size=1, max_size=60))
+def test_suffix_array_without_terminator_sorts_shorter_first(body):
+    """Symbols >= 1 need no terminator: a suffix sorts before the longer
+    ones it prefixes."""
+    t = np.array(body, dtype=np.int64)
+    assert suffix_array(t).tolist() == sorted_suffixes(t)
+
+
+@pytest.mark.parametrize("t", [[-1, 0], [0, 0], [1, 0, 0]])
+def test_suffix_array_refuses_negative_symbols_and_equal_suffixes(t):
+    with pytest.raises(InputError):
+        suffix_array(np.array(t))
+
+
+def _suffix_array_by_lexsort(t):
+    """Reference: prefix doubling from single symbols, a two-key lexsort
+    over all n every round."""
+    n = t.size
+    rank = t.astype(np.int64)
+    k = 1
+    while True:
+        key2 = np.zeros(n, dtype=np.int64)
+        if k < n:
+            key2[: n - k] = rank[k:]
+        order = np.lexsort((key2, rank))
+        r1, r2 = rank[order], key2[order]
+        bump = np.empty(n, dtype=np.int64)
+        bump[0] = 1
+        if n > 1:
+            bump[1:] = ((r1[1:] != r1[:-1]) | (r2[1:] != r2[:-1])).astype(np.int64)
+        fresh = np.cumsum(bump)
+        rank = np.empty(n, dtype=np.int64)
+        rank[order] = fresh
+        if fresh[-1] == n:
+            break
+        k *= 2
+    sa = np.empty(n, dtype=np.int64)
+    sa[rank - 1] = np.arange(1, n + 1)
+    return sa
+
+
+def _english_like_text(size):
+    """The benchmark's fm-text generator (bench/inputs.py), seed 1."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return inputs.english_like_text(np.random.default_rng(1), size)
+
+
+@pytest.mark.parametrize("make", [lambda: natural_text(1 << 16),
+                                  lambda: _english_like_text(1 << 18)],
+                         ids=["natural-64k", "english-like-256k"])
+def test_suffix_array_matches_lexsort_reference(make):
+    text = np.frombuffer(make(), dtype=np.uint8).astype(np.int64)
+    _, dense = np.unique(text, return_inverse=True)
+    t = np.append(dense + 2, 1)  # as FmIndex builds it: 1 = terminator
+    assert np.array_equal(suffix_array(t), _suffix_array_by_lexsort(t))
 
 
 def test_bwt_abracadabra():
@@ -282,6 +380,15 @@ def test_fm_serialize_round_trip():
         assert back.count(b"the") == fm.count(b"the")
         assert back.locate(b"win") == fm.locate(b"win")
         assert back.extract_bytes(10, 60) == fm.extract_bytes(10, 60)
+
+
+@pytest.mark.parametrize("k", [0, 2])
+def test_fm_same_index_from_bytes_str_and_symbol_list(k):
+    text = natural_text(3000).decode() + " na\u00efve caf\u00e9 \u2014 \u00fcber"
+    data = text.encode("utf-8")
+    forms = [data, bytearray(data), text, [b + 1 for b in data]]
+    blobs = [FmIndex(form, k_context=k).serialize() for form in forms]
+    assert all(blob == blobs[0] for blob in blobs[1:])
 
 
 def naive_context_starts(text, k):
