@@ -199,16 +199,18 @@ class ApSequence:
         """Set the symbol map's arrays (see the module docstring) from M's
         decode ``dense`` and the class sizes ``sub_sigma``; return order,
         0-based.  Queries read them one item at a time, so they are
-        memoryviews, whose items are ints, and a list (class_start)."""
+        memoryviews, whose items are ints, and a list (class_start); order
+        and local hold values up to sigma, in int32 below 2**31."""
         order = _class_order(dense, sub_sigma.size)
         starts = np.cumsum(sub_sigma) - sub_sigma
         # the c-th smallest member of a class is its local symbol c
         local = np.empty_like(order)
         local[order] = np.arange(1, order.size + 1)
         local -= starts[dense - 1]
-        self._order = memoryview(order + 1)
+        narrow = np.int32 if order.size < 1 << 31 else np.int64
+        self._order = memoryview((order + 1).astype(narrow))
         self._cls = memoryview(dense)
-        self._local = memoryview(local)
+        self._local = memoryview(local.astype(narrow))
         self._class_start = [0] + starts.tolist()
         return order
 

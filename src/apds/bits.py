@@ -40,10 +40,6 @@ def unpack_bits(words: np.ndarray, n: int) -> np.ndarray:
     return np.unpackbits(words.view(np.uint8), count=n, bitorder="little")
 
 
-def popcount_words(words: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(words).astype(np.int64)
-
-
 def _byte_select_table() -> bytes:
     """Entry 8*b + j is the 0-based position of the (j+1)-th set bit of byte b."""
     table = bytearray(256 * 8)

@@ -1,21 +1,21 @@
 """Bit sequences with rank/select, in two encodings behind one interface.
 
-PlainBitVector packs bits into 64-bit words with a two-level rank
-directory and sampled select; SparseBitVector keeps only the positions of
-the minority bit in an upper/lower split (Elias-Fano), so very skewed
+PlainBitVector packs bits into 64-bit words with a ones count per word
+and sampled select; SparseBitVector keeps only the positions of the
+minority bit in an upper/lower split (Elias-Fano), so very skewed
 vectors cost roughly k*lg(n/k) + 3k bits instead of n.  The
 ``bitvector()`` factory picks the encoding from the minority density.
 
 All public positions are 1-based; rank accepts i = 0.
 
-A plain select takes four steps, each a few word operations: the select
-sample of every SELECT_SAMPLE-th occurrence of the bit names the word
-where the search starts; a binary search over the 4-word blocks up to the
-next sample's word finds the last block that starts before the j-th bit;
-a scan of that block's words (ones before it from the superblock and
-block counts) finds the word that holds it; and ``select_in_word`` (a
-byte table) places it in that word.  Zero-selects scan the complemented
-words, whose padding reads as ones above every zero of the vector.
+A plain vector's directory is the ones count before each word (Vigna's
+and sdsl-lite's rank directories flattened to one level: in Python a
+query pays per read, not per bit), so rank is one read of it plus one
+masked popcount.  A select binary-searches the words between the samples
+of its bit (the word of every SELECT_SAMPLE-th occurrence) on the same
+counts, zeros before word w being 64*w minus the ones, and
+``select_in_word`` (a byte table) places the bit in its word.  Zero-selects
+read the complemented word, whose padding reads as ones above every zero.
 
 A sparse rank(i) and access_rank(i) read the bucket of p = i - 1, the
 stored positions with p's high part (p >> low_width), once: one
@@ -38,7 +38,6 @@ from .bits import (
     get_fixed,
     pack_bits,
     pack_fixed,
-    popcount_words,
     select_in_word,
     unpack_bits,
     unpack_fixed,
@@ -46,19 +45,23 @@ from .bits import (
 from .errors import InputError, NotFoundError, OutOfRangeError
 
 # one select sample per this many occurrences of each bit value
-SELECT_SAMPLE = 512
+SELECT_SAMPLE = 256
 # minority-bit density below which the factory chooses the sparse encoding
 SPARSE_DENSITY = 1.0 / 8.0
 # sparse encoding is pointless for very short vectors
 SPARSE_MIN_BITS = 256
 
-_SB_WORDS = 64  # superblock: absolute counts, one u64 per 64 words
-_BLK_WORDS = 4  # block: u16 counts relative to the superblock
 _WORD_MASK = (1 << WORD_BITS) - 1
 
 
+def count_dtype(n: int) -> np.dtype:
+    """Of an n-bit plain vector's counts and select samples: uint32 if they fit."""
+    return np.dtype(np.uint32 if n < 1 << 32 else np.uint64)
+
+
 class PlainBitVector:
-    """Uncompressed bit-packed vector with O(1) rank and sampled select."""
+    """Uncompressed bit-packed vector with a ones count per word, O(1) rank
+    and sampled select."""
 
     kind = "plain"
 
@@ -74,46 +77,35 @@ class PlainBitVector:
         return cls(pack_bits(arr), arr.size)
 
     def _build_directories(self):
-        pc = popcount_words(self.words)
-        cum = np.zeros(pc.size + 1, dtype=np.int64)
-        np.cumsum(pc, out=cum[1:])
+        cum = np.zeros(self.words.size + 1, dtype=np.int64)  # ones before each word
+        np.cumsum(np.bitwise_count(self.words), out=cum[1:])
         self._ones = int(cum[-1])
-        self._sb = cum[::_SB_WORDS].copy()
-        blk = cum[::_BLK_WORDS]
-        self._blk = (blk - self._sb[np.arange(blk.size) * _BLK_WORDS // _SB_WORDS]).astype(
-            np.uint16
-        )
-        # select samples: word index holding every SAMPLE-th occurrence
-        samp1 = self._sample_words(cum, self._ones)
         # zeros before each word; the last entry counts the padding too, but
         # it is past every zero's rank either way
-        zcum = np.arange(cum.size) * WORD_BITS - cum
-        samp0 = self._sample_words(zcum, self.n - self._ones)
+        zcum = np.arange(0, WORD_BITS * cum.size, WORD_BITS) - cum
+        dtype = count_dtype(self.n)
+        samp1 = self._sample_words(cum, self._ones, dtype)
+        samp0 = self._sample_words(zcum, self.n - self._ones, dtype)
         # queries read single items: a memoryview returns them as ints without
         # numpy's per-item cost (the words view needs the native byte order)
-        self._sb, self._blk = memoryview(self._sb), memoryview(self._blk)
+        self._cum = memoryview(cum.astype(dtype))
         self._samp1, self._samp0 = memoryview(samp1), memoryview(samp0)
         self._word_view = memoryview(self.words.astype(np.uint64, copy=False))
 
-    @staticmethod
-    def _sample_words(cum, total):
-        if total == 0:
-            return np.zeros(0, dtype=np.int64)
-        targets = np.arange(1, total + 1, SELECT_SAMPLE, dtype=np.int64)
-        return np.searchsorted(cum, targets, side="left") - 1
+    def _sample_words(self, cum, total, dtype):
+        """The word of occurrence 1, SELECT_SAMPLE + 1, ... by the counts
+        ``cum``, then the last word, where the search from the last sample ends."""
+        targets = np.arange(1, total + 1, SELECT_SAMPLE)
+        samples = np.empty(targets.size + 1, dtype=dtype)
+        samples[:-1] = np.searchsorted(cum, targets) - 1
+        samples[-1] = max(self.words.size - 1, 0)
+        return samples
 
     def __len__(self):
         return self.n
 
     def count(self, bit: int = 1) -> int:
         return self._ones if bit else self.n - self._ones
-
-    def _cum_to_word(self, w: int) -> int:
-        words = self._word_view
-        base = self._sb[w // _SB_WORDS] + self._blk[w // _BLK_WORDS]
-        for x in range((w // _BLK_WORDS) * _BLK_WORDS, w):
-            base += words[x].bit_count()
-        return base
 
     def access(self, i: int) -> int:
         if not 1 <= i <= self.n:
@@ -125,49 +117,50 @@ class PlainBitVector:
         """(bit at i, rank of that bit in [1..i]), reading the word that holds i once."""
         if not 1 <= i <= self.n:
             raise OutOfRangeError(f"position {i} out of [1..{self.n}]")
-        w, r = divmod(i - 1, WORD_BITS)
+        p = i - 1
+        w, r = p >> 6, p & 63
         word = self._word_view[w]
-        ones = self._cum_to_word(w) + (word & ((2 << r) - 1)).bit_count()
+        ones = self._cum[w] + (word & ((2 << r) - 1)).bit_count()
         return (1, ones) if (word >> r) & 1 else (0, i - ones)
 
     def rank(self, i: int, bit: int = 1) -> int:
         if not 0 <= i <= self.n:
             raise OutOfRangeError(f"rank position {i} out of [0..{self.n}]")
-        w, r = divmod(i, WORD_BITS)
-        ones = self._cum_to_word(w) if w < self.words.size else self._ones
+        w, r = i >> 6, i & 63
+        ones = self._cum[w]  # at i = n on a word boundary, the last entry
         if r:
             ones += (self._word_view[w] & ((1 << r) - 1)).bit_count()
         return ones if bit else i - ones
 
     def select(self, j: int, bit: int = 1) -> int:
-        total = self.count(bit)
         if j < 1:
             raise OutOfRangeError("select rank must be >= 1")
-        if j > total:
+        if j > (self._ones if bit else self.n - self._ones):
             raise NotFoundError(f"fewer than {j} {bit}-bits")
-        # the j-th bit lies between this sample's word and the next one's:
-        # binary search the blocks there for the last one that starts before it
-        words, sb, blk = self._word_view, self._sb, self._blk
-        samp = self._samp1 if bit else self._samp0
+        # the j-th bit lies in the words from this sample's to the next one's:
+        # binary search them for the last word with fewer than j before it
+        cum = self._cum
         k = (j - 1) // SELECT_SAMPLE
-        lo = samp[k] // _BLK_WORDS
-        hi = (samp[k + 1] if k + 1 < len(samp) else len(words) - 1) // _BLK_WORDS
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            ones = sb[mid * _BLK_WORDS // _SB_WORDS] + blk[mid]  # before block mid
-            if (ones if bit else mid * _BLK_WORDS * WORD_BITS - ones) < j:
-                lo = mid
-            else:
-                hi = mid - 1
-        w = lo * _BLK_WORDS
-        ones = sb[w // _SB_WORDS] + blk[lo]  # before word w, a block start
-        # a zero-select scans the complemented words; the last word's padding
-        # complements to ones above all of its zeros, so it is never reached
-        flip, j = (0, j - ones) if bit else (_WORD_MASK, j - (w * WORD_BITS - ones))
-        while (c := (word := words[w] ^ flip).bit_count()) < j:
-            j -= c
-            w += 1
-        return w * WORD_BITS + select_in_word(word, j) + 1
+        if bit:
+            lo, hi = self._samp1[k], self._samp1[k + 1]
+            while lo < hi:
+                mid = (lo + hi + 1) >> 1
+                if cum[mid] < j:
+                    lo = mid
+                else:
+                    hi = mid - 1
+            word, j = self._word_view[lo], j - cum[lo]
+        else:
+            lo, hi = self._samp0[k], self._samp0[k + 1]
+            while lo < hi:
+                mid = (lo + hi + 1) >> 1
+                if (mid << 6) - cum[mid] < j:
+                    lo = mid
+                else:
+                    hi = mid - 1
+            # the last word's padding complements to ones above all its zeros
+            word, j = self._word_view[lo] ^ _WORD_MASK, j - ((lo << 6) - cum[lo])
+        return (lo << 6) + select_in_word(word, j) + 1
 
     def to_bits(self) -> np.ndarray:
         return unpack_bits(self.words, self.n)
@@ -180,11 +173,8 @@ class PlainBitVector:
         return self.words.size * WORD_BITS
 
     def directory_bits(self) -> int:
-        return (
-            self._sb.nbytes * 8
-            + self._blk.nbytes * 8
-            + (len(self._samp1) + len(self._samp0)) * 64
-        )
+        """The per-word ones counts and both bit values' select samples."""
+        return (self._cum.nbytes + self._samp1.nbytes + self._samp0.nbytes) * 8
 
     def serialize(self) -> bytes:
         w = ByteWriter()
@@ -396,7 +386,7 @@ def load_bitvector(data: bytes) -> "PlainBitVector | SparseBitVector":
     if kind == 1:
         return PlainBitVector(_exact_words(r.ints(), n), n)
     stored, lows, upper_words = r.uint(), r.ints(), r.ints()
-    k = int(popcount_words(upper_words).sum())
+    k = int(np.bitwise_count(upper_words).sum())
     if stored > 1 or k > n:
         raise InputError("sparse bitvector: bad stored bit or more stored positions than bits")
     upper_n = _sparse_shape(n, k)[1]
@@ -464,7 +454,14 @@ class SparseDictionary:
 def alphabet_ranks(values: np.ndarray):
     """(the rank of each value among the distinct values, 1-based; a
     dictionary of the distinct values), or (values, None) when the values
-    are already exactly 1..sigma."""
+    are already exactly 1..sigma.  Values in [0..len(values)] (byte text,
+    BWT symbols) take one ``bincount``, others one ``np.unique``."""
+    if values.min() >= 0 and values.max() <= values.size:
+        present = np.bincount(values) > 0
+        if not present[0] and present[1:].all():
+            return values, None
+        ranks = np.cumsum(present)
+        return ranks[values], SparseDictionary(np.flatnonzero(present))
     uniq = np.unique(values)
     if uniq[0] == 1 and uniq[-1] == uniq.size:
         return values, None

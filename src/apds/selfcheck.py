@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .apseq import build_partition
-from .bitvec import bitvector
+from .bitvec import SELECT_SAMPLE, bitvector
 from .cfunction import MODES, CompressedFunction, build_function
 from .chunkseq import LargeSequence
 from .container import dump_structure, load_structure
@@ -110,7 +110,9 @@ def suite_bitvectors(rng, iters, max_n, fault=False):
         for bit in (0, 1):
             total = lst.count(bit)
             step = 1 if total <= 256 else total // 17  # every rank of a small vector
-            for j in range(1, total + 1, step):
+            # and both sides of every select sample's end, up to the last bit
+            ends = {e + d for e in range(SELECT_SAMPLE, total, SELECT_SAMPLE) for d in (0, 1)}
+            for j in sorted({*range(1, total + 1, step), *ends, total} - {0}):
                 if bv.select(j, bit) != _scan_select(lst, bit, j):
                     raise CheckFailure("bitvectors", f"select_{bit}({j}) wrong")
                 checks += 1

@@ -5,12 +5,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from apds import bitvec
 from apds.bitvec import (
+    SELECT_SAMPLE,
     PlainBitVector,
     SparseBitVector,
     SparseDictionary,
+    alphabet_ranks,
     bitvector,
     bitvector_from_positions,
+    count_dtype,
     load_bitvector,
 )
 from apds.errors import InputError, NotFoundError, OutOfRangeError
@@ -241,6 +245,55 @@ def test_dict_rejects_bad_values():
         SparseDictionary([0, 3])
 
 
+
+def _unique_alphabet_ranks(values):
+    """alphabet_ranks by np.unique alone: (ranks, distinct values), or
+    (values, None) when the values are exactly 1..sigma."""
+    uniq = np.unique(values)
+    if uniq[0] == 1 and uniq[-1] == uniq.size:
+        return values, None
+    return np.searchsorted(uniq, values).astype(np.int64) + 1, uniq
+
+
+@st.composite
+def _symbol_arrays(draw):
+    """Symbols >= 1 whose largest is n - 1, n or n + 1 (either side of the
+    bincount switch), far above n, or exactly 1..sigma."""
+    n = draw(st.integers(1, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["n-1", "n", "n+1", "wide", "exact"]))
+    if shape == "exact":
+        sigma = draw(st.integers(1, n))
+        return rng.permutation(np.arange(n) % sigma + 1).astype(np.int64)
+    top = {"n-1": max(n - 1, 1), "n": n, "n+1": n + 1, "wide": 1 << 40}[shape]
+    values = rng.integers(1, top + 1, n, dtype=np.int64)
+    values[rng.integers(n)] = top
+    return values
+
+
+@settings(max_examples=300, deadline=None)
+@given(_symbol_arrays())
+@example(np.array([1], dtype=np.int64))
+@example(np.array([2], dtype=np.int64))
+@example(np.array([3, 1, 3], dtype=np.int64))
+@example(np.array([4, 1, 3], dtype=np.int64))
+def test_alphabet_ranks_match_unique_formula(values):
+    ranks, alphabet = alphabet_ranks(values)
+    want, uniq = _unique_alphabet_ranks(values)
+    if uniq is None:
+        assert alphabet is None and ranks is values
+        return
+    assert ranks.dtype == np.int64 and np.array_equal(ranks, want)
+    assert alphabet.serialize() == SparseDictionary(uniq).serialize()
+    assert np.array_equal(alphabet.values(), uniq)
+
+
+@pytest.mark.parametrize("values", [[0, 1, 2], [2, 0, 2], [0, 7, 9]])
+def test_alphabet_ranks_refuse_zero_on_both_paths(values):
+    with pytest.raises(InputError):
+        alphabet_ranks(np.array(values, dtype=np.int64))
+
+
 # --- every query at every position, against prefix counts -------------------
 
 def _check_all_queries(bv, bits):
@@ -275,12 +328,80 @@ def test_plain_every_query_short_lengths():
 @pytest.mark.parametrize("words", [1, 4, 64, 65, 130])
 @pytest.mark.parametrize("delta", [-1, 0, 1])
 def test_plain_every_query_around_word_multiples(words, delta):
-    """n = 64k - 1, 64k, 64k + 1: across the 4-word block, the 64-word
-    superblock and (at 130 words, half ones) SELECT_SAMPLE occurrences of
-    each bit."""
+    """n = 64k - 1, 64k, 64k + 1: across the per-word counts, up to their
+    last entry (rank(n) when n ends a word), and (at 130 words, half ones)
+    across many SELECT_SAMPLE gaps of each bit."""
     n = 64 * words + delta
     bits = (np.random.default_rng(n).random(n) < 0.5).astype(np.uint8)
     _check_all_queries(PlainBitVector.from_bits(bits), bits)
+
+
+@st.composite
+def _plain_bits(draw):
+    """n = 64k - 1, 64k or 64k + 1 bits whose ones or zeros number a multiple
+    of SELECT_SAMPLE, one fewer or one more; or all zeros, all ones, or one
+    bit (a one among zeros, a zero among ones) in a padded last word."""
+    words = draw(st.integers(1, 40))
+    n = 64 * words + draw(st.sampled_from([-1, 0, 1]))
+    shape = draw(st.sampled_from(["ones", "zeros", "all-zeros", "all-ones", "lone"]))
+    flip = draw(st.integers(0, 1))
+    bits = np.zeros(n, dtype=np.uint8)
+    if shape == "lone":
+        if n % 64 == 0:
+            n -= 1
+            bits = bits[:n]
+        bits[draw(st.integers(n // 64 * 64, n - 1))] = 1
+        return bits ^ flip
+    if shape in ("all-zeros", "all-ones"):
+        return bits ^ (shape == "all-ones")
+    count = draw(st.integers(0, n // SELECT_SAMPLE)) * SELECT_SAMPLE
+    count = min(max(count + draw(st.sampled_from([-1, 0, 1])), 0), n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bits[rng.choice(n, count, replace=False)] = 1
+    return bits ^ (shape == "zeros")
+
+
+@settings(max_examples=150, deadline=None)
+@given(_plain_bits())
+@example(np.zeros(63, dtype=np.uint8))
+@example(np.ones(65, dtype=np.uint8))
+@example(np.eye(1, 129, 128, dtype=np.uint8)[0])
+@example(1 - np.eye(1, 129, 128, dtype=np.uint8)[0])
+@example(np.arange(4 * SELECT_SAMPLE + 1) % 2 == 0)
+def test_plain_every_query_across_select_samples(bits):
+    """rank, access_rank and select of both bits at every position, against
+    numpy prefix counts, with each bit's count at and around sample ends."""
+    bits = np.asarray(bits, dtype=np.uint8)
+    _check_all_queries(PlainBitVector.from_bits(bits), bits)
+
+
+def test_plain_every_query_with_64_bit_counts(monkeypatch):
+    """The uint64 directory that vectors of 2**32 bits or more take, forced
+    on short vectors."""
+    monkeypatch.setattr(bitvec, "count_dtype", lambda n: np.dtype(np.uint64))
+    rng = np.random.default_rng(31)
+    for n in (1, 64, 65, 3 * SELECT_SAMPLE + 1, 2000):
+        bits = (rng.random(n) < 0.4).astype(np.uint8)
+        bv = PlainBitVector.from_bits(bits)
+        assert bv._cum.itemsize == 8 and bv._samp0.itemsize == 8
+        _check_all_queries(bv, bits)
+
+
+def test_count_dtype_switches_at_2_to_the_32_bits():
+    assert count_dtype(0) == np.uint32
+    assert count_dtype(2**32 - 1) == np.uint32
+    assert count_dtype(2**32) == np.uint64
+    assert count_dtype(2**40) == np.uint64
+
+
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 257, 4096, 100_003, 1 << 20])
+@pytest.mark.parametrize("density", [0.0, 0.02, 0.5, 1.0])
+def test_plain_directory_bound(n, density):
+    """Counts and samples take at most 0.65 n + 192 bits: 32 bits per word
+    plus one, and 32 bits per SELECT_SAMPLE occurrences of each bit plus
+    one sample past the last."""
+    bits = (np.random.default_rng(n).random(n) < density).astype(np.uint8)
+    assert PlainBitVector.from_bits(bits).directory_bits() <= 0.65 * n + 192
 
 
 @pytest.mark.parametrize("n", [65, 127, 4097, 8000])
