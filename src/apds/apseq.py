@@ -28,10 +28,11 @@ General (non-effective) alphabets keep the occurring symbols in a sorted
 dictionary (``bitvec.alphabet_ranks``) and run the machinery over their
 ranks; a general alphabet that is exactly 1..sigma keeps none.
 
-Only the dictionary (an empty blob if none), t, m, the class stores and
-the raw class values are serialized.  A build classifies the symbols by
-their counts; a load takes n from t, each symbol's class from m's decode
-and its occurrences from the class stores' symbol counts.  Both then end
+Only the dictionary (an empty blob if none), t, m and the class stores
+are serialized.  A build classifies the symbols by their counts; a load
+takes n from t, each symbol's class from m's decode, its occurrences
+from the class stores' symbol counts and each class's raw value from its
+first member (refused unless the values rise).  Both then end
 in the same two derivations: ``Partition``'s constructor gives the
 summary (each class's alphabet size and length) and ``_set_symbol_map``
 the symbol map's arrays, so a built and a loaded sequence hold the same
@@ -325,7 +326,6 @@ class ApSequence:
     def serialize(self) -> bytes:
         w = ByteWriter()
         w.blob(b"" if self.alphabet_dict is None else self.alphabet_dict.serialize())
-        w.ints(self.partition.class_values)
         w.blob(self.T.serialize())
         w.blob(self.M.serialize())
         for s in self.subs:
@@ -339,12 +339,11 @@ class ApSequence:
         r = ByteReader(data)
         obj = cls.__new__(cls)
         obj.alphabet_dict = SparseDictionary.deserialize(d) if (d := r.blob()) else None
-        class_values = r.ints().astype(np.int64)
         obj.T = PolySequence.deserialize(r.blob())
         obj.M = PolySequence.deserialize(r.blob())
-        k = class_values.size
-        if k < 1 or obj.M.sigma != k or obj.T.sigma != k:
-            raise InputError("class count differs between T, M and the class values")
+        k = obj.M.sigma
+        if obj.T.sigma != k:
+            raise InputError("class count differs between T and M")
         if obj.alphabet_dict is not None and obj.alphabet_dict.size != obj.M.n:
             raise InputError("alphabet dictionary size differs from the symbol map")
         n = obj.T.n  # the class string has one class per position
@@ -354,9 +353,15 @@ class ApSequence:
         if not np.array_equal([s.sigma for s in obj.subs], sub_sigma):
             raise InputError("a class store's alphabet differs from its class in M")
         # the c-th smallest member of class l is local symbol c of s_l
+        counts = np.concatenate([sub.symbol_counts() for sub in obj.subs])
+        if counts.min() < 1:
+            raise InputError("a class store counts a symbol that does not occur")
         occ = np.empty(dense.size, dtype=np.int64)
-        occ[obj._set_symbol_map(dense, sub_sigma)] = np.concatenate(
-            [sub.symbol_counts() for sub in obj.subs])
+        occ[obj._set_symbol_map(dense, sub_sigma)] = counts
+        # a class's raw value is that of any member: read its first
+        class_values = np.array([class_of(n, c) for c in counts[obj._class_start[1:]].tolist()])
+        if (np.diff(class_values) <= 0).any():
+            raise InputError("class values do not rise with the class ids")
         obj._set_partition(Partition(n, occ, dense, class_values))
         if not np.array_equal(obj.T.symbol_counts(), obj.partition.sub_len):
             raise InputError("class counts in T differ from the class store lengths")

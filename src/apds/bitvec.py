@@ -25,6 +25,13 @@ about one to two positions, so that zero is nearly always in the same
 word), and a binary search for the first low part above p's gives the
 stored count up to p.  The low part just before it says whether p itself
 is stored, so access_rank makes no upper select1.
+
+``unary_counts`` writes counts c_1..c_m as 1 0^c_1 1 ... 0^c_m 1, the one
+layout of every unary count vector (chunk histograms and distributions, a
+function's delimiter bitmap, the block relation's P): count_before(a) =
+select1(a) - a is c_1 + ... + c_(a-1), count_owner(x) = select0(x) - x is
+the a whose run holds unit (zero) x, and counts_before gives every
+count_before at once.
 """
 
 from __future__ import annotations
@@ -369,6 +376,44 @@ def bitvector_from_positions(n: int, ones_positions) -> "PlainBitVector | Sparse
     bits = np.zeros(n, dtype=np.uint8)
     bits[pos] = 1
     return PlainBitVector.from_bits(bits)
+
+
+def unary_counts(counts) -> "PlainBitVector | SparseBitVector":
+    """Counts c_1..c_m as the bits 1 0^c_1 1 ... 0^c_m 1."""
+    counts = np.asarray(counts, dtype=np.int64)
+    bits = np.zeros(int(counts.sum()) + counts.size + 1, dtype=np.uint8)
+    bits[np.concatenate([[0], np.cumsum(counts + 1)])] = 1
+    return bitvector(bits)
+
+
+def count_before(bv, a: int) -> int:
+    """c_1 + ... + c_(a-1) of a ``unary_counts`` vector, for a in 1..m+1."""
+    return bv.select(a, 1) - a
+
+
+def count_owner(bv, x: int) -> int:
+    """The a whose run of a ``unary_counts`` vector holds unit x."""
+    return bv.select(x, 0) - x
+
+
+def count_runs(bv) -> int:
+    """m, the number of counts of a ``unary_counts`` vector."""
+    return bv.count(1) - 1
+
+
+def counts_before(bv) -> np.ndarray:
+    """``count_before(bv, a)`` for every a in 1..m+1; its differences are c_1..c_m."""
+    return bv.ones() - np.arange(count_runs(bv) + 1)
+
+
+def load_unary_counts(data: bytes, total: int, m: int | None = None):
+    """A ``unary_counts`` vector of m counts (any m >= 1 if None) summing to total."""
+    bv = load_bitvector(data)
+    runs = count_runs(bv)
+    if (bv.count(0) != total or runs < 1 or m not in (None, runs)
+            or not bv.access(1) or not bv.access(len(bv))):
+        raise InputError(f"unary counts: {bv.count(0)} units in {runs} runs, expected {total}")
+    return bv
 
 
 def _exact_words(words: np.ndarray, n: int) -> np.ndarray:

@@ -3,15 +3,14 @@
 Three storage modes:
 
   direct           the value string kept in an ApSequence
-  runs-interleaved the permutation that stably sorts the values, stored
-                   run-compressed, plus a delimiter bitmap b with sigma+1
-                   ones whose zero gaps count the preimage sizes
+  runs-interleaved the permutation pi that stably sorts the values, stored
+                   run-compressed, plus the preimage sizes in ``bitvec``'s
+                   unary count codec (the delimiter bitmap b)
   runs-contiguous  same pair, with the permutation in the contiguous
                    (mirrored strict) layout
 
-In the runs modes  f(i) = b.select0(pi(i)) - pi(i)  (the ones before that
-zero) and preimages come from pi^-1 applied to the zero run of the
-requested value, which starts after b.select1(a) - a zeros.  The runs of pi
+In the runs modes  f(i) = count_owner(b, pi(i))  and the preimage of a is
+pi^-1 of its run of sorted positions, after count_before(b, a).  The runs of pi
 come from permutation.decompose_runs: the patience cover
 ("interleaved-general") or the maximal monotone segments
 ("contiguous-general").  The sort is stable, so pi rises exactly where f
@@ -25,7 +24,8 @@ import numpy as np
 
 from .apseq import ApSequence
 from .bits import ByteReader, ByteWriter
-from .bitvec import SparseDictionary, alphabet_ranks, bitvector, load_bitvector
+from .bitvec import (SparseDictionary, alphabet_ranks, count_before, count_owner, count_runs,
+                     load_unary_counts, unary_counts)
 from .errors import InputError, NotFoundError, OutOfRangeError
 from .permutation import RunDecomposition, RunPermutation, decompose_runs
 from .stats import h0
@@ -39,16 +39,6 @@ def _sort_permutation(arr: np.ndarray) -> np.ndarray:
     pi = np.empty(arr.size, dtype=np.int64)
     pi[order] = np.arange(1, arr.size + 1)
     return pi
-
-
-def _delimiter_bitmap(counts: np.ndarray):
-    """1 (0^c_1) 1 (0^c_2) 1 ... : sigma+1 ones, n zeros."""
-    sigma = counts.size
-    reps = np.empty(2 * sigma, dtype=np.int64)
-    reps[0::2] = counts
-    reps[1::2] = 1
-    bits = np.concatenate([[1], np.repeat(np.tile([0, 1], sigma), reps)])
-    return bitvector(bits.astype(np.uint8))
 
 
 class CompressedFunction:
@@ -82,7 +72,7 @@ class CompressedFunction:
             self.b = None
             return
         self.ap = None
-        self.b = _delimiter_bitmap(counts)
+        self.b = unary_counts(counts)
         pi = _sort_permutation(arr)
         if self.mode == "runs-contiguous":
             dec = decompose_runs(pi, "contiguous-general")
@@ -120,16 +110,12 @@ class CompressedFunction:
             raise OutOfRangeError(f"position {i} out of [1..{self.n}]")
         if self.mode == "direct":
             return self._external(self.ap.access(i))
-        # the p-th zero of b sits at select0(p), after p - 1 zeros: the
-        # ones before it are select0(p) - p
-        p = self.pi.apply(i)
-        return self._external(self.b.select(p, 0) - p)
+        return self._external(count_owner(self.b, self.pi.apply(i)))
 
     def _zero_run(self, ai: int) -> tuple[int, int]:
-        """(zeros before, length) of the zero run of internal value ai in b,
-        which lies between its ai-th and (ai+1)-th ones."""
-        s1 = self.b.select(ai, 1)
-        return s1 - ai, self.b.select(ai + 1, 1) - s1 - 1
+        """(sorted positions before, count) of internal value ai's run in b."""
+        start = count_before(self.b, ai)
+        return start, count_before(self.b, ai + 1) - start
 
     def preimage_size(self, a: int) -> int:
         ai = self._internal(a)
@@ -182,10 +168,13 @@ class CompressedFunction:
         direct = obj.mode == "direct"
         obj.ap = ApSequence.deserialize(r.blob()) if direct else None
         obj.pi = None if direct else RunPermutation.deserialize(r.blob())
-        obj.b = None if direct else load_bitvector(r.blob())
+        obj.b = None if direct else load_unary_counts(r.blob(), obj.pi.n)
         # n and sigma are the domain and range sizes of the stored parts
         obj.n, obj.sigma = ((obj.ap.n, obj.ap.sigma) if obj.ap is not None
-                            else (obj.pi.n, obj.b.count(1) - 1))
+                            else (obj.pi.n, count_runs(obj.b)))
+        if obj.value_dict is not None and obj.value_dict.size != obj.sigma:
+            raise InputError(f"value dictionary of {obj.value_dict.size} values "
+                             f"for a range of {obj.sigma}")
         return obj
 
 

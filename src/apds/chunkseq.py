@@ -1,15 +1,19 @@
 """Rank/select sequences over large alphabets (sigma comparable to n).
 
-The sequence is cut into chunks of length sigma.  Each chunk stores the
+The sequence is cut into K chunks of length sigma.  Each chunk stores the
 permutation mapping chunk positions to stable-sorted-by-symbol order
-(fixed-width ints) plus a unary occurrence histogram; a per-symbol unary
-chunk distribution locates occurrences across chunks.  The inverse of the
-in-chunk permutation is not stored: it is recovered by walking the
-permutation cycles, with every step-th element of long cycles marked and
-given a back pointer, bounding the walk to ~2*step applications.
+(fixed-width ints).  The counts c(k, a) of symbol a in chunk k are kept
+twice in ``bitvec``'s unary codec: chunk-major (``_hist``, run k * sigma +
+a), whose count_before is a bucket start and count_owner the symbol at a
+sorted index; and symbol-major (``_dist``, run (a - 1) * K + k + 1), whose
+count_before counts a's occurrences before a chunk and count_owner gives
+the chunk of a's j-th occurrence.  The inverse of the in-chunk permutation
+is not stored: it is recovered by walking the permutation cycles, with
+every step-th element of long cycles marked and given a back pointer,
+bounding the walk to ~2*step applications.
 
 The cumulative symbol counts are not serialized: build and load both read
-them off the chunk distribution bitvector (``_cumulative_counts``).
+them off the distribution (``_cumulative_counts``).
 """
 
 from __future__ import annotations
@@ -19,7 +23,8 @@ import math
 import numpy as np
 
 from .bits import ByteReader, ByteWriter, get_fixed, pack_fixed, unpack_fixed
-from .bitvec import bitvector, load_bitvector
+from .bitvec import (bitvector, count_before, count_owner, counts_before, load_bitvector,
+                     load_unary_counts, unary_counts)
 from .errors import InputError, NotFoundError, OutOfRangeError
 
 
@@ -61,28 +66,14 @@ class LargeSequence:
 
     def _build(self, arr: np.ndarray):
         n, sigma, K = self.n, self.sigma, self.chunks
-        counts = np.zeros((K, sigma), dtype=np.int64)  # per chunk histogram
-        chunk_idx = np.arange(n) // sigma
-        np.add.at(counts, (chunk_idx, arr - 1), 1)
-
-        # forward permutation per chunk: position -> stable sorted order
+        # key k * sigma + a - 1 for symbol a in chunk k: its bincount is the
+        # histogram's counts, its stable sort each chunk's sorted order
+        key = np.arange(n) // sigma * sigma + arr - 1
+        counts = np.bincount(key, minlength=K * sigma)
         fwd = np.empty(n, dtype=np.int64)
-        for k0 in range(K):
-            lo, hi = k0 * sigma, min((k0 + 1) * sigma, n)
-            order = np.argsort(arr[lo:hi], kind="stable")  # sorted idx -> pos
-            fwd[lo:hi][order] = np.arange(hi - lo)
-
-        # unary histograms, one run of ones per symbol per chunk
-        reps = np.empty(2 * K * sigma, dtype=np.int64)
-        reps[0::2] = counts.ravel()
-        reps[1::2] = 1
-        self._hist = bitvector(np.repeat(np.tile([1, 0], K * sigma), reps))
-
-        # per-symbol chunk distributions, zeros are occurrences
-        repsd = np.empty(2 * K * sigma, dtype=np.int64)
-        repsd[0::2] = counts.T.ravel()
-        repsd[1::2] = 1
-        self._dist = bitvector(np.repeat(np.tile([0, 1], K * sigma), repsd))
+        fwd[np.argsort(key, kind="stable")] = np.arange(n) % sigma
+        self._hist = unary_counts(counts)
+        self._dist = unary_counts(counts.reshape(K, sigma).T.ravel())
         self._cocc = self._cumulative_counts()
 
         self._set_words(pack_fixed(fwd.astype(np.uint64), self.width),
@@ -95,11 +86,8 @@ class LargeSequence:
         self._fwd_view, self._back_view = memoryview(fwd_words), memoryview(back_words)
 
     def _cumulative_counts(self) -> np.ndarray:
-        """Occurrences of the symbols < a, for a = 1..sigma+1: the zeros of
-        ``_dist`` before its (a-1)*K-th one, K the chunk count."""
-        K = self.chunks
-        ends = self._dist.ones()[K - 1 :: K]
-        return np.concatenate([[0], ends - np.arange(K - 1, K * self.sigma, K)])
+        """Occurrences of the symbols < a, for a = 1..sigma+1: every K-th run's counts_before."""
+        return counts_before(self._dist)[:: self.chunks]
 
     def _build_cycle_marks(self, fwd: np.ndarray) -> np.ndarray:
         """Set the cycle marks; return the packed back pointers."""
@@ -121,9 +109,6 @@ class LargeSequence:
     def _chunk_of(self, i: int):
         k0 = (i - 1) // self.sigma
         return k0, i - k0 * self.sigma
-
-    def _chunk_len(self, k0: int) -> int:
-        return min(self.sigma, self.n - k0 * self.sigma)
 
     def _forward(self, k0: int, p: int) -> int:
         """Sorted-order index (1-based) of in-chunk position p."""
@@ -148,20 +133,15 @@ class LargeSequence:
         raise InputError("cycle walk exceeded its bound: corrupt in-chunk permutation")
 
     def _bucket_start(self, k0: int, a: int) -> int:
-        """Elements with symbol < a in chunk k0 (0 for a == 1)."""
-        if a == 1:
-            return 0
-        off = k0 * 2 * self.sigma
-        zpos = self._hist.select(k0 * self.sigma + (a - 1), 0)
-        return (zpos - 1 - off) - (a - 2)
+        """Elements with symbol < a in chunk k0, for a = 1..sigma+1; the
+        chunks before it are full, so k0 * sigma elements precede it."""
+        return count_before(self._hist, k0 * self.sigma + a) - k0 * self.sigma
 
     def _count_before_chunk(self, a: int, k0: int) -> int:
         """Occurrences of a in chunks [0..k0)."""
         if k0 == 0:
             return 0
-        off_a = int(self._cocc[a - 1]) + (a - 1) * self.chunks
-        pos = self._dist.select((a - 1) * self.chunks + k0, 1)
-        return (pos - 1 - off_a) - (k0 - 1)
+        return count_before(self._dist, (a - 1) * self.chunks + k0 + 1) - int(self._cocc[a - 1])
 
     # --- queries -----------------------------------------------------------------
 
@@ -183,9 +163,7 @@ class LargeSequence:
             raise OutOfRangeError(f"position {i} out of [1..{self.n}]")
         k0, p = self._chunk_of(i)
         q = self._forward(k0, p)
-        pos = self._hist.select(k0 * self.sigma + q, 1)
-        zeros = (pos - 1 - k0 * 2 * self.sigma) - (q - 1)
-        return k0, q, zeros + 1
+        return k0, q, count_owner(self._hist, k0 * self.sigma + q) - k0 * self.sigma
 
     def access(self, i: int) -> int:
         return self._access_in_chunk(i)[2]
@@ -205,10 +183,7 @@ class LargeSequence:
             return 0
         k0, p = self._chunk_of(i)
         s = self._bucket_start(k0, a)
-        if a < self.sigma:
-            c = self._bucket_start(k0, a + 1) - s
-        else:
-            c = self._chunk_len(k0) - s
+        c = self._bucket_start(k0, a + 1) - s
         lo, hi = 0, c
         while lo < hi:  # largest j with position of j-th bucket element <= p
             mid = (lo + hi + 1) // 2
@@ -225,9 +200,7 @@ class LargeSequence:
             raise OutOfRangeError("select rank must be >= 1")
         if j > self.occurrences(a):
             raise NotFoundError(f"fewer than {j} occurrences of symbol {a}")
-        zpos = self._dist.select(int(self._cocc[a - 1]) + j, 0)
-        off_a = int(self._cocc[a - 1]) + (a - 1) * self.chunks
-        k0 = (zpos - 1 - off_a) - (j - 1)
+        k0 = count_owner(self._dist, int(self._cocc[a - 1]) + j) - (a - 1) * self.chunks - 1
         j_within = j - self._count_before_chunk(a, k0)
         q = self._bucket_start(k0, a) + j_within
         return k0 * self.sigma + self._inverse(k0, q)
@@ -235,19 +208,10 @@ class LargeSequence:
     def decode(self) -> np.ndarray:
         """Reconstruct the whole sequence in one vectorized pass."""
         fwd = unpack_fixed(self._fwd_words, self.width, self.n).astype(np.int64)
-        hbits = self._hist.to_bits()
-        out = np.empty(self.n, dtype=np.int64)
-        for k0 in range(self.chunks):
-            L = self._chunk_len(k0)
-            off = k0 * 2 * self.sigma
-            chunk_bits = hbits[off : off + L + self.sigma]
-            # counts per symbol from the unary runs
-            zero_pos = np.flatnonzero(chunk_bits == 0)
-            counts = np.diff(np.concatenate([[-1], zero_pos])) - 1
-            sorted_syms = np.repeat(np.arange(1, self.sigma + 1), counts)
-            lo = k0 * self.sigma
-            out[lo : lo + L] = sorted_syms[fwd[lo : lo + L]]
-        return out
+        # every chunk's symbols in sorted order, chunk after chunk
+        runs = np.arange(self.chunks * self.sigma)
+        sorted_syms = np.repeat(runs % self.sigma + 1, np.diff(counts_before(self._hist)))
+        return sorted_syms[np.arange(self.n) // self.sigma * self.sigma + fwd]
 
     # --- space accounting -----------------------------------------------------
 
@@ -269,8 +233,8 @@ class LargeSequence:
         )
 
     def per_chunk_overhead_bits(self) -> int:
-        # unary terminators in the histogram and distribution structures
-        return 2 * self.chunks * self.sigma
+        # the ones of the histogram and the distribution
+        return 2 * (self.chunks * self.sigma + 1)
 
     # --- serialization -----------------------------------------------------------
 
@@ -297,10 +261,8 @@ class LargeSequence:
         obj.width = max(1, (obj.sigma - 1).bit_length())
         obj.step = max(1, math.ceil(math.log2(obj.sigma)) if obj.sigma > 1 else 1)
         fwd_words = r.ints()
-        obj._hist = load_bitvector(r.blob())
-        obj._dist = load_bitvector(r.blob())
-        if obj._dist.count(0) != obj.n or obj._dist.count(1) != obj.chunks * obj.sigma:
-            raise InputError("chunk distribution does not match the sequence header")
+        obj._hist = load_unary_counts(r.blob(), obj.n, obj.chunks * obj.sigma)
+        obj._dist = load_unary_counts(r.blob(), obj.n, obj.chunks * obj.sigma)
         obj._cocc = obj._cumulative_counts()
         obj._marks = load_bitvector(r.blob())
         obj._set_words(fwd_words, r.ints())

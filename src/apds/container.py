@@ -2,18 +2,18 @@
 
 Layout (header integers little-endian, fixed width):
 
-    "APDS" | u32 version=5 | u8 kind | u8 input-format | u32 section count
+    "APDS" | u32 version=6 | u8 kind | u8 input-format | u32 section count
     per section: u8 section kind | u64 payload byte length
     section payloads, concatenated
 
 A structure file holds exactly one section, of the kind's main section
 kind.  Payloads are the structures' own serializations in the codec of
 ``bits``: varint scalars, whole-byte integer arrays and length-prefixed
-blobs.  They hold no value that load can compute: directories, counts
-and lengths such as n and sigma are derived on load, so files are
-deterministic for fixed input and flags.  One exception remains: a
-``PolySequence`` writes its symbol counts, which its levels imply.
-Version 5 introduced this codec; files of any other version are refused.
+blobs.  They hold no value that load can compute (directories, counts,
+class values, lengths such as n and sigma) but two: a ``PolySequence``'s
+symbol counts, which its levels imply, and a ``LargeSequence``'s n, which
+its count vectors imply.  Version 6 writes every unary count vector as
+``bitvec.unary_counts``; files of any other version are refused.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .permutation import RunPermutation
 from .textindex import FmIndex
 
 MAGIC = b"APDS"
-VERSION = 5
+VERSION = 6
 
 KIND_SEQ = 1
 KIND_PERM = 2

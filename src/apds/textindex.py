@@ -4,8 +4,9 @@ BlockStore cuts a sequence into fixed-length blocks and keeps one copy of
 each distinct block content plus the compressed block-id string, giving
 O(1) access.  BlockRelation adds rank/select: a per-character sparse
 bitmap over block indices records which blocks contain the character, and
-a unary bitmap P concatenates the per-(character, block) occurrence
-counts so cumulative counts resolve in O(1).
+P holds the counts of the (character, block) pairs, by character then
+block, in ``bitvec``'s unary count codec, so cumulative counts resolve
+with one select.
 
 FmIndex supports count/locate/extract by backward search over the
 Burrows-Wheeler transform (stored as ApSequence, optionally split by
@@ -32,8 +33,8 @@ import numpy as np
 
 from .apseq import ApSequence, _require
 from .bits import ByteReader, ByteWriter, get_fixed, pack_fixed
-from .bitvec import (SparseDictionary, alphabet_ranks, bitvector, bitvector_from_positions,
-                     load_bitvector)
+from .bitvec import (SparseDictionary, alphabet_ranks, bitvector_from_positions, count_before,
+                     count_owner, load_bitvector, unary_counts)
 from .errors import InputError, NotFoundError, OutOfRangeError
 from .permutation import _validate_permutation  # bijection check for LF tests
 
@@ -204,10 +205,7 @@ class BlockRelation:
         pair_counts = np.bincount(sym, minlength=sigma)
         self._rows = [bitvector_from_positions(nb, hit)
                       for hit in np.split(blk, np.cumsum(pair_counts)[:-1])]
-        # each pair's count in unary: 1^c 0
-        reps = np.ones(2 * sym.size, dtype=np.int64)
-        reps[0::2] = counts[blk, sym]
-        self.P = bitvector(np.repeat(np.tile(np.array([1, 0], dtype=np.uint8), sym.size), reps))
+        self.P = unary_counts(counts[blk, sym])
         self.c_pairs = np.zeros(sigma + 1, dtype=np.int64)
         np.cumsum(pair_counts, out=self.c_pairs[1:])
         self.c_ones = np.zeros(sigma + 1, dtype=np.int64)
@@ -215,11 +213,7 @@ class BlockRelation:
 
     def _cum(self, a: int, r: int) -> int:
         """Total occurrences of a within its first r blocks."""
-        if r == 0:
-            return 0
-        base = int(self.c_pairs[a - 1])
-        start = self.P.rank(self.P.select(base, 0), 1) if base else 0
-        return self.P.rank(self.P.select(base + r, 0), 1) - start
+        return count_before(self.P, int(self.c_pairs[a - 1]) + r + 1) - int(self.c_ones[a - 1])
 
     def rank(self, a: int, i: int) -> int:
         store = self.store
@@ -244,8 +238,8 @@ class BlockRelation:
             raise OutOfRangeError("select rank must be >= 1")
         if j > total:
             raise NotFoundError(f"fewer than {j} occurrences of symbol {a}")
-        pos = self.P.select(int(self.c_ones[a - 1]) + j, 1)
-        r = self.P.rank(pos, 0) - int(self.c_pairs[a - 1]) + 1
+        # the j-th a lies in the r-th block that holds an a
+        r = count_owner(self.P, int(self.c_ones[a - 1]) + j) - int(self.c_pairs[a - 1])
         before = self._cum(a, r - 1)
         jb = self._rows[a - 1].select(r, 1)
         row = store.contents[store.sprime.access(jb) - 1]
@@ -254,7 +248,8 @@ class BlockRelation:
         return (jb - 1) * store.block_len + off
 
     def check_invariants(self):
-        _require(self.P.count(1) == self.store.n, "P must hold one 1-bit per text position")
+        _require(count_before(self.P, int(self.c_pairs[-1]) + 1) == self.store.n,
+                 "P must hold one unit per text position")
         for a in range(1, self.store.sigma + 1):
             _require(self._cum(a, int(self.c_pairs[a] - self.c_pairs[a - 1]))
                      == int(self.c_ones[a] - self.c_ones[a - 1]),

@@ -103,8 +103,8 @@ class PolySequence:
         self._set_levels(levels, steps)
 
     def _derive_shape(self):
-        """Set codes, zero counts, leaf starts and leaf table from lengths and
-        counts; return the level lengths (and a final 0) and the walk steps."""
+        """Set codes, zero counts, leaf starts, count list and leaf table from
+        lengths and counts; return the level lengths (and a final 0) and the walk steps."""
         lengths, counts = self._lengths.tolist(), self._counts.tolist()
         self._only = None
         coded = [s for s, c in enumerate(counts) if c]
@@ -117,7 +117,8 @@ class PolySequence:
         # by code length down, then symbol up: a leaf starts after every
         # position of a longer code and of a same-length smaller symbol
         before = list(accumulate((counts[sym] for sym in order), initial=0))
-        self._start, self._by_leaf, self._length = [0] * len(counts), order, lengths
+        self._start, self._by_leaf = [0] * len(counts), order
+        self._length, self._count = lengths, counts  # lists: their items are ints
         for sym, start in zip(order, before):
             self._start[sym] = start
         level_lengths = [before[longer[d]] for d in range(depth + 1)]
@@ -140,7 +141,7 @@ class PolySequence:
     def occurrences(self, a: int) -> int:
         if not 1 <= a <= self.sigma:
             return 0
-        return int(self._counts[a - 1])
+        return self._count[a - 1]
 
     def symbol_counts(self) -> np.ndarray:
         """Occurrences of symbols 1..sigma, as one array."""
@@ -169,7 +170,7 @@ class PolySequence:
     def rank(self, a: int, i: int) -> int:
         if not 0 <= i <= self.n:
             raise OutOfRangeError(f"rank position {i} out of [0..{self.n}]")
-        if i == 0 or not 1 <= a <= self.sigma or self._counts[a - 1] == 0:
+        if i == 0 or not 1 <= a <= self.sigma or self._count[a - 1] == 0:
             return 0
         if self._only is not None:
             return i if a - 1 == self._only else 0
@@ -184,7 +185,7 @@ class PolySequence:
     def select(self, a: int, j: int) -> int:
         if j < 1:
             raise OutOfRangeError("select rank must be >= 1")
-        if not 1 <= a <= self.sigma or j > self._counts[a - 1]:
+        if not 1 <= a <= self.sigma or j > self._count[a - 1]:
             raise NotFoundError(f"fewer than {j} occurrences of symbol {a}")
         if self._only is not None:
             return j

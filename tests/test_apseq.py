@@ -277,9 +277,24 @@ def test_load_refuses_empty_counts():
     with pytest.raises(InputError):
         PolySequence.deserialize(_fields([], []))
     one = PolySequence([1]).serialize()
-    with pytest.raises(InputError):  # no dictionary, one class, t and m empty
-        ApSequence.deserialize(_fields(b"", [0], empty, empty, one))
-    assert ApSequence.deserialize(_fields(b"", [0], one, one, one)).decode().tolist() == [1]
+    with pytest.raises(InputError):  # no dictionary, t and m empty
+        ApSequence.deserialize(_fields(b"", empty, empty, one))
+    assert ApSequence.deserialize(_fields(b"", one, one, one)).decode().tolist() == [1]
+
+
+def test_load_derives_class_values_and_refuses_falling_ones():
+    """Symbol 1 occurs 8 times in 9 (class value 1), symbol 2 once (class
+    value 11).  The same sequence with the two class ids swapped in T, M
+    and the store order is refused: its derived class values fall."""
+    def payload(t, m, *subs):
+        return _fields(b"", PolySequence(t).serialize(), PolySequence(m).serialize(),
+                       *(PolySequence(s).serialize() for s in subs))
+
+    good = ApSequence.deserialize(payload([1] * 8 + [2], [1, 2], [1] * 8, [1]))
+    assert good.partition.class_values.tolist() == [class_of(9, 8), class_of(9, 1)] == [1, 11]
+    assert good.decode().tolist() == [1] * 8 + [2]
+    with pytest.raises(InputError):
+        ApSequence.deserialize(payload([2] * 8 + [1], [2, 1], [1], [1] * 8))
 
 
 def check_symbol_map(aps):

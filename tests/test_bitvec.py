@@ -14,8 +14,13 @@ from apds.bitvec import (
     alphabet_ranks,
     bitvector,
     bitvector_from_positions,
+    count_before,
     count_dtype,
+    count_owner,
+    counts_before,
     load_bitvector,
+    load_unary_counts,
+    unary_counts,
 )
 from apds.errors import InputError, NotFoundError, OutOfRangeError
 
@@ -495,3 +500,59 @@ def test_sparse_access_rank_makes_no_upper_select1(case, monkeypatch):
     monkeypatch.setattr(bv._upper, "select", counting_select)
     _check_access_rank_every_i(bv)
     assert 0 in bits_asked and 1 not in bits_asked
+
+
+# --- the unary count codec ------------------------------------------------------
+
+@st.composite
+def _count_sequences(draw):
+    """m = 1..40 counts: small counts with zeros among them, all zeros, or
+    runs longer than SELECT_SAMPLE."""
+    m = draw(st.integers(1, 40))
+    shape = draw(st.sampled_from(["small", "all-zero", "long"]))
+    if shape == "all-zero":
+        return np.zeros(m, dtype=np.int64)
+    values = st.integers(0, 5) if shape == "small" else st.sampled_from(
+        [0, 1, SELECT_SAMPLE + 1, 3 * SELECT_SAMPLE])
+    return np.array(draw(st.lists(values, min_size=m, max_size=m)), dtype=np.int64)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_count_sequences())
+@example(np.array([0], dtype=np.int64))
+@example(np.array([7], dtype=np.int64))
+@example(np.array([0, 0, 0], dtype=np.int64))
+@example(np.array([2 * SELECT_SAMPLE + 5, 0, SELECT_SAMPLE], dtype=np.int64))
+def test_unary_counts_match_cumsum(counts):
+    """The layout 1 0^c_1 1 ... 0^c_m 1 in the factory's encoding; then, on
+    a plain vector and on sparse vectors storing either bit, count_before
+    at every a in 1..m+1, count_owner at every unit and counts_before,
+    against np.cumsum."""
+    m = counts.size
+    before = np.concatenate([[0], np.cumsum(counts)])
+    bits = np.zeros(int(before[-1]) + m + 1, dtype=np.uint8)
+    bits[before + np.arange(m + 1)] = 1
+    bv = unary_counts(counts)
+    assert bv.serialize() == bitvector(bits).serialize()
+    owner = np.repeat(np.arange(1, m + 1), counts).tolist()
+    n = bits.size
+    for enc in (PlainBitVector.from_bits(bits), SparseBitVector(n, np.flatnonzero(bits), 1),
+                SparseBitVector(n, np.flatnonzero(bits == 0), 0)):
+        assert [count_before(enc, a) for a in range(1, m + 2)] == before.tolist()
+        assert [count_owner(enc, x) for x in range(1, len(owner) + 1)] == owner
+        assert np.array_equal(counts_before(enc), before)
+
+
+def test_load_unary_counts_refuses_other_vectors():
+    """The units must number ``total`` and the delimiters m + 1 (at least 2
+    when m is not given), with one at each end."""
+    good = unary_counts([2, 0, 3])
+    assert load_unary_counts(good.serialize(), 5, 3).to_bits().tolist() == [1, 0, 0, 1, 1,
+                                                                             0, 0, 0, 1]
+    assert load_unary_counts(good.serialize(), 5).count(1) == 4
+    bad = [(good, 6, 3), (good, 5, 2), (good, 5, 4), (bitvector([1]), 0, None),
+           (bitvector([0, 1, 0, 1, 1, 0, 0, 0, 1]), 5, 3),
+           (bitvector([1, 0, 0, 1, 1, 0, 0, 1, 0]), 5, 3)]
+    for bv, total, m in bad:
+        with pytest.raises(InputError):
+            load_unary_counts(bv.serialize(), total, m)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from apds.bitvec import SparseDictionary, unary_counts
 from apds.cfunction import MODES, CompressedFunction, build_function
 from apds.errors import InputError, NotFoundError, OutOfRangeError
 from apds.stats import h0, h_runs
@@ -232,3 +233,25 @@ def test_per_value_runs_survive_load():
     back = CompressedFunction.deserialize(fn.serialize())
     assert_same_runs(back.pi.decomposition, fn.pi.decomposition)
     assert back.run_entropy() == fn.run_entropy()
+
+
+def extra_unit_function():
+    """f = [1, 1, 2, 3, 2, 1, 3, 3] in runs-interleaved mode, with one unit
+    too many in value 1's run of b: nine units for n = 8.  Loaded without a
+    check, eval would answer [1, 1, 1, 2, 2, 1, 3, 3]."""
+    fn = build_function([1, 1, 2, 3, 2, 1, 3, 3], mode="runs-interleaved")
+    fn.b = unary_counts([4, 2, 3])
+    return fn
+
+
+def test_load_refuses_bitmap_units_other_than_n():
+    with pytest.raises(InputError):
+        CompressedFunction.deserialize(extra_unit_function().serialize())
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_load_refuses_dictionary_size_other_than_sigma(mode):
+    fn = build_function([10, 20, 30, 20], mode=mode, remap=True)
+    fn.value_dict = SparseDictionary([10, 20])
+    with pytest.raises(InputError):
+        CompressedFunction.deserialize(fn.serialize())

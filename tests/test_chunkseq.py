@@ -87,8 +87,7 @@ def test_forward_inverse_consistency():
     seq = rng.integers(1, 33, size=200).tolist()
     ls = LargeSequence(seq, alphabet_size=32)
     for k0 in range(ls.chunks):
-        L = ls._chunk_len(k0)
-        for p in range(1, L + 1):
+        for p in range(1, min(ls.sigma, ls.n - k0 * ls.sigma) + 1):
             assert ls._inverse(k0, ls._forward(k0, p)) == p
 
 
@@ -148,6 +147,20 @@ def test_load_rejects_wrong_distribution_count():
     distribution with a one too many is refused on load."""
     ls = LargeSequence([3, 1, 2, 3, 3, 1, 2], alphabet_size=3)
     ls._dist = bitvector(np.append(ls._dist.to_bits(), 1))
+    with pytest.raises(InputError):
+        LargeSequence.deserialize(ls.serialize())
+
+
+@pytest.mark.parametrize("corrupt", ["extra-zero", "extra-one", "leading-zero"])
+def test_load_rejects_wrong_histogram(corrupt):
+    """The histogram holds n units in K * sigma runs, delimited at both
+    ends: one unit or one delimiter too many, or a vector starting with a
+    unit, is refused on load."""
+    ls = LargeSequence([3, 1, 2, 3, 3, 1, 2], alphabet_size=3)
+    bits = ls._hist.to_bits()
+    bits = {"extra-zero": np.append(bits, 0), "extra-one": np.append(bits, 1),
+            "leading-zero": np.roll(bits, -1)}[corrupt]
+    ls._hist = bitvector(bits)
     with pytest.raises(InputError):
         LargeSequence.deserialize(ls.serialize())
 
