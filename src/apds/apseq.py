@@ -55,17 +55,24 @@ from .stats import EntropyReport, SectionSpace, distribution_entropy
 from .wavelet import PolySequence
 
 
-def class_of(n: int, occ: int) -> int:
-    """Frequency class ceil(lg(n/occ) * lg n) with deterministic rounding.
+def class_of(n: int, occ) -> np.ndarray:
+    """Frequency classes ceil(lg(n/occ) * lg n) of a count or an array of
+    counts, with deterministic rounding.
 
-    The product is snapped to the nearest integer when within a few ulps,
-    so near-boundary values round identically across platforms.
+    A product within 4 ulps of an integer is snapped to it, so
+    near-boundary values round identically across platforms.  numpy's
+    log2 may be an ulp off ``math.log2``, enough to move a product across
+    that bound, so products within 1e-6 of an integer (few: exact ones
+    come from power-of-two ratios) are recomputed with ``math.log2``.
     """
-    x = (math.log2(n) - math.log2(occ)) * math.log2(n)
-    nearest = round(x)
-    if abs(x - nearest) <= 4 * math.ulp(max(abs(x), 1.0)):
-        return int(nearest)
-    return int(math.ceil(x))
+    occ = np.asarray(occ, dtype=np.float64)
+    lgn = math.log2(n)
+    x = np.atleast_1d((lgn - np.log2(occ)) * lgn)
+    near = np.abs(x - np.rint(x)) < 1e-6
+    x[near] = [(lgn - math.log2(c)) * lgn for c in np.atleast_1d(occ)[near].tolist()]
+    nearest = np.rint(x)
+    snap = np.abs(x - nearest) <= 4 * np.spacing(np.maximum(np.abs(x), 1.0))
+    return np.where(snap, nearest, np.ceil(x)).astype(np.int64).reshape(occ.shape)
 
 
 def poly_threshold(n: int) -> int:
@@ -97,10 +104,9 @@ class Partition:
         occ = np.bincount(seq, minlength=int(seq.max()) + 1)[1:].astype(np.int64)
         if (occ == 0).any():
             raise InputError("alphabet is not effective: some symbol is absent")
-        # raw class value per symbol; class_of runs once per distinct count
+        # raw class value per symbol, from one value per distinct count
         counts, count_of = np.unique(occ, return_inverse=True)
-        raw = np.array([class_of(n, int(c)) for c in counts], dtype=np.int64)
-        class_values, dense0 = np.unique(raw[count_of], return_inverse=True)
+        class_values, dense0 = np.unique(class_of(n, counts)[count_of], return_inverse=True)
         return cls(n, occ, dense0.astype(np.int64) + 1, class_values)
 
     def identity_terms(self):
@@ -359,7 +365,7 @@ class ApSequence:
         occ = np.empty(dense.size, dtype=np.int64)
         occ[obj._set_symbol_map(dense, sub_sigma)] = counts
         # a class's raw value is that of any member: read its first
-        class_values = np.array([class_of(n, c) for c in counts[obj._class_start[1:]].tolist()])
+        class_values = class_of(n, counts[obj._class_start[1:]])
         if (np.diff(class_values) <= 0).any():
             raise InputError("class values do not rise with the class ids")
         obj._set_partition(Partition(n, occ, dense, class_values))

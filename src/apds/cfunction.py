@@ -6,8 +6,8 @@ Three storage modes:
   runs-interleaved the permutation pi that stably sorts the values, stored
                    run-compressed, plus the preimage sizes in ``bitvec``'s
                    unary count codec (the delimiter bitmap b)
-  runs-contiguous  same pair, with the permutation in the contiguous
-                   (mirrored strict) layout
+  runs-contiguous  same pair, with the permutation's runs contiguous (a
+                   position tiling and a label string by value)
 
 In the runs modes  f(i) = count_owner(b, pi(i))  and the preimage of a is
 pi^-1 of its run of sorted positions, after count_before(b, a).  The runs of pi

@@ -2,7 +2,7 @@
 
 Layout (header integers little-endian, fixed width):
 
-    "APDS" | u32 version=6 | u8 kind | u8 input-format | u32 section count
+    "APDS" | u32 version=7 | u8 kind | u8 input-format | u32 section count
     per section: u8 section kind | u64 payload byte length
     section payloads, concatenated
 
@@ -12,8 +12,23 @@ kind.  Payloads are the structures' own serializations in the codec of
 blobs.  They hold no value that load can compute (directories, counts,
 class values, lengths such as n and sigma) but two: a ``PolySequence``'s
 symbol counts, which its levels imply, and a ``LargeSequence``'s n, which
-its count vectors imply.  Version 6 writes every unary count vector as
-``bitvec.unary_counts``; files of any other version are refused.
+its count vectors imply.  Every unary count vector is a
+``bitvec.unary_counts`` vector.
+
+A permutation payload is its layout tag (the run kind's index in
+``permutation.KINDS`` plus one), its layout and its power companion (an
+empty blob if none).  The layout holds, per kind:
+
+    interleaved-general   label string s, label string s', directions
+    interleaved-strict    label string s, directions
+    contiguous-general    label string s', directions
+    contiguous-strict     n, run lengths, value order of the runs, directions
+
+where s gives each position's run, s' each value's run, and directions
+one bit per run.  No run minimum, start or first value is stored: a
+tiling side takes its run intervals from the run lengths, which are the
+label strings' symbol counts where there is one.  Version 7 stores
+permutations so; files of any other version are refused.
 """
 
 from __future__ import annotations
@@ -27,7 +42,7 @@ from .permutation import RunPermutation
 from .textindex import FmIndex
 
 MAGIC = b"APDS"
-VERSION = 6
+VERSION = 7
 
 KIND_SEQ = 1
 KIND_PERM = 2

@@ -1,29 +1,46 @@
 """Run-compressed permutations with inverse and exponentiation.
 
-A permutation is covered by monotone runs; the run-label strings (by
-position and by value) reduce apply/inverse to rank/select on compressed
-sequences.  Four run kinds are supported:
+A permutation pi of [1..n] is covered by rho monotone runs, labelled
+1..rho, and stored through two sides: s, the runs by position, and
+sprime, the runs by value.  Each side answers access_rank(x) = (r, j),
+x being the j-th element of run r on that side, and select(r, j), its
+converse.  Then
 
-  interleaved-general  runs are increasing subsequences (patience cover)
-  interleaved-strict   runs change by exactly +-1 (value chains)
-  contiguous-general   maximal monotone segments
-  contiguous-strict    maximal +-1 segments
+    pi(i)    = sprime.select(r, j'),  (r, j) = s.access_rank(i)
+    pi^-1(v) = s.select(r, j'),       (r, j) = sprime.access_rank(v)
 
-Strict layouts replace the value-side label string with per-run records
-(minimum, length, direction) plus a predecessor search over the sorted
-run minima.  Contiguous-general mirrors the strict layout built for the
-inverse permutation; contiguous-strict needs only two predecessor
-searches.  Loading a strict layout checks that its run records tile
-[1..n].  An optional cycle-marking companion answers pi^k with walks of
-at most t - 1 + t // 2 steps for sampling step t: one to the nearest mark
-in the direction of k, one from the mark nearer to the target.
+where j' = j in an increasing run and len_r + 1 - j in a decreasing one.
+A side is a label string (an ``ApSequence``) where the runs interleave,
+or a tiling where each run is an interval of [1..n]: its access_rank is
+one predecessor search over the interval starts, its select
+start_r + j - 1.  The four run kinds differ only in which side tiles:
 
-A container holds the layout tag, the layout and the companion (an empty
-blob if none).  The tag gives the run kind.  A permutation keeps a run
-summary (kind, n, run lengths and directions), which build and load both
-take from the layout, which keeps the runs in run order; the cover's
-labels, minima and starts serve only to build the layout.  Values in
-[1..n] are stored less one, so n = 2**16 fits in two bytes.
+  kind                 runs                             s        sprime
+  interleaved-general  increasing subsequences          labels   labels
+                       (patience cover)
+  interleaved-strict   value chains with steps +-1      labels   tiling
+  contiguous-general   maximal monotone segments        tiling   labels
+  contiguous-strict    maximal +-1 segments             tiling   tiling
+
+A tiling lays its runs out in label order, except the value side of
+contiguous-strict, which keeps the runs' value order: contiguous runs are
+labelled by position, interleaved-strict runs by minimum value.  A run's
+interval start is the sum of the lengths before it, so no run minimum,
+start or first value is stored.
+
+A container holds the layout tag (the kind's index in KINDS plus one),
+the layout and a cycle-marking companion (an empty blob if none).  The
+layout stores its label strings, in the order s, sprime, and one
+direction bit per run; the run lengths are the label strings' symbol
+counts, so only contiguous-strict, which has none, stores n, the lengths
+and the value order (less one) before its directions.  A permutation
+keeps a run summary (kind, n, run lengths and directions), which build
+and load both take from the layout.  The cover's labels and minima serve
+only to build the layout.
+
+The companion answers pi^k with walks of at most t - 1 + t // 2 steps
+for sampling step t: one to the nearest mark in the direction of k, one
+from the mark nearer to the target.
 """
 
 from __future__ import annotations
@@ -38,7 +55,7 @@ from .apseq import ApSequence
 from .bits import ByteReader, ByteWriter
 from .bitvec import bitvector, load_bitvector
 from .chunkseq import cycle_order
-from .errors import InputError, NotFoundError, OutOfRangeError, UnsupportedOperationError
+from .errors import InputError, OutOfRangeError, UnsupportedOperationError
 from .stats import h_runs
 
 KINDS = (
@@ -50,10 +67,12 @@ KINDS = (
 
 
 def _validate_permutation(pi) -> np.ndarray:
+    """pi as an int64 array, unless it is not a bijection on [1..n]."""
     arr = np.asarray(pi, dtype=np.int64)
     if arr.size == 0:
         raise InputError("empty input")
-    if not np.array_equal(np.sort(arr), np.arange(1, arr.size + 1)):
+    # the range check comes first: np.bincount refuses negatives
+    if arr.ndim != 1 or arr.min() < 1 or arr.max() > arr.size or np.bincount(arr).max() > 1:
         raise InputError("input is not a bijection on [1..n]")
     return arr
 
@@ -89,7 +108,6 @@ class RunDecomposition(RunSummary):
 
     labels: np.ndarray  # run id per position, 1..rho
     min_values: np.ndarray  # minimum value per run
-    starts: np.ndarray | None = None  # first position, contiguous kinds only
 
 
 def _cover_interleaved_general(arr: np.ndarray):
@@ -175,7 +193,7 @@ def _cover_contiguous(arr: np.ndarray, strict: bool):
     labels = np.repeat(np.arange(1, lengths.size + 1), lengths)
     increasing = arr[ends] >= arr[starts]
     mins = np.minimum(arr[starts], arr[ends])
-    return labels, lengths, increasing, mins, starts + 1
+    return labels, lengths, increasing, mins
 
 
 def _relabel_by_min(labels, lengths, increasing, mins):
@@ -190,7 +208,6 @@ def decompose_runs(pi, kind: str) -> RunDecomposition:
     arr = _validate_permutation(pi)
     if kind not in KINDS:
         raise InputError(f"unknown run kind {kind!r}")
-    starts = None
     if kind == "interleaved-general":
         labels, lengths, increasing, mins = _cover_interleaved_general(arr)
     elif kind == "interleaved-strict":
@@ -199,10 +216,10 @@ def decompose_runs(pi, kind: str) -> RunDecomposition:
             labels, lengths, increasing, mins
         )
     else:
-        labels, lengths, increasing, mins, starts = _cover_contiguous(
+        labels, lengths, increasing, mins = _cover_contiguous(
             arr, strict=(kind == "contiguous-strict")
         )
-    dec = RunDecomposition(kind, arr.size, lengths, increasing, labels, mins, starts)
+    dec = RunDecomposition(kind, arr.size, lengths, increasing, labels, mins)
     dec.check_entropy_facts()
     return dec
 
@@ -295,274 +312,160 @@ class CycleIndex:
         return obj
 
 
-# --- storage layouts -------------------------------------------------------
+# --- the two sides ---------------------------------------------------------
 
 
-class _InterleavedGeneralLayout:
-    def __init__(self, arr: np.ndarray, dec: RunDecomposition):
-        labels_by_value = np.zeros(arr.size, dtype=np.int64)
-        labels_by_value[arr - 1] = dec.labels  # s'[pi(i)] = s[i]
-        self.s = ApSequence(dec.labels)
-        self.sprime = ApSequence(labels_by_value)
-        self.dirs = bitvector(dec.increasing.astype(np.uint8))
+def _tiled_sides(kind: str) -> tuple[bool, bool]:
+    """Whether the kind's position side and its value side are tilings."""
+    return kind.startswith("contiguous"), kind.endswith("strict")
+
+
+class _Tiling:
+    """A side on which every run is an interval of [1..n]: the runs listed
+    in ``order`` (labels 1..rho) lie left to right, each as long as its run.
+    A run's interval start is the sum of the lengths before it."""
+
+    def __init__(self, lengths: np.ndarray, order: np.ndarray):
+        lens = lengths[order - 1]
+        starts = np.empty(lengths.size, dtype=np.int64)
+        starts[order - 1] = np.cumsum(lens) - lens + 1
+        self.order = order
+        self.starts = starts.tolist()
+        self.pred = PredecessorStructure(starts, np.arange(1, lengths.size + 1),
+                                         int(lengths.sum()))
+
+    def access_rank(self, x: int) -> tuple[int, int]:
+        start, r = self.pred.query(x)
+        return r, x - start + 1
+
+    def select(self, r: int, j: int) -> int:
+        return self.starts[r - 1] + j - 1
+
+
+def _load_labels(data: bytes) -> ApSequence:
+    labels = ApSequence.deserialize(data)
+    if labels.alphabet_dict is not None:
+        raise InputError("run layout: a label string has a general alphabet")
+    return labels
+
+
+class _RunLayout:
+    """The runs of a permutation by position (side ``s``) and by value (side
+    ``sprime``), each side a label string or a ``_Tiling``, with each run's
+    length and direction."""
+
+    def __init__(self, s, sprime, lengths: np.ndarray, increasing: np.ndarray):
+        self.s, self.sprime = s, sprime
+        self.lengths, self.increasing = lengths, increasing
+        # a decreasing run's j-th element on one side is its (len + 1 - j)-th
+        # on the other; 0 marks an increasing run
+        self._flip = np.where(increasing, 0, lengths + 1).tolist()
+
+    @classmethod
+    def build(cls, arr: np.ndarray, dec: RunDecomposition) -> "_RunLayout":
+        contiguous, strict = _tiled_sides(dec.kind)
+        lengths = np.asarray(dec.lengths, dtype=np.int64)
+        labels = np.asarray(dec.labels, dtype=np.int64)
+        s = _Tiling(lengths, np.arange(1, lengths.size + 1)) if contiguous else ApSequence(labels)
+        if strict:
+            order = np.argsort(dec.min_values, kind="stable") + 1
+            if not contiguous and (np.diff(order) != 1).any():
+                raise InputError("interleaved-strict runs must be labelled in order of their minima")
+            sprime = _Tiling(lengths, order)
+        else:
+            by_value = np.empty_like(labels)
+            by_value[arr - 1] = labels  # s'[pi(i)] = s[i]
+            sprime = ApSequence(by_value)
+        return cls(s, sprime, lengths, np.asarray(dec.increasing, dtype=bool))
 
     def apply(self, i: int) -> int:
         r, j = self.s.access_rank(i)
-        if not self.dirs.access(r):
-            j = self.s.rank(r, len(self.s)) + 1 - j
+        if f := self._flip[r - 1]:
+            j = f - j
         return self.sprime.select(r, j)
 
     def inverse(self, v: int) -> int:
         r, j = self.sprime.access_rank(v)
-        if not self.dirs.access(r):
-            j = self.sprime.rank(r, len(self.sprime)) + 1 - j
+        if f := self._flip[r - 1]:
+            j = f - j
         return self.s.select(r, j)
 
-    def runs(self) -> tuple[np.ndarray, np.ndarray]:
-        """(length, increasing) per run, in run order."""
-        return self.s.partition.occ, self.dirs.to_bits().astype(bool)
-
     def payload_bits(self) -> int:
-        return (
-            self.s.payload_bits()
-            + self.sprime.payload_bits()
-            + self.dirs.payload_bits()
-        )
+        rho = self.lengths.size
+        bits = bitvector(self.increasing.astype(np.uint8)).payload_bits()
+        labelled = [x for x in (self.s, self.sprime) if isinstance(x, ApSequence)]
+        if not labelled:  # lengths and value order
+            n = int(self.lengths.sum())
+            bits += rho * (max(1, n.bit_length()) + max(1, (rho - 1).bit_length()))
+        return bits + sum(x.payload_bits() for x in labelled)
 
     def serialize(self) -> bytes:
         w = ByteWriter()
-        w.blob(self.s.serialize())
-        w.blob(self.sprime.serialize())
-        w.blob(self.dirs.serialize())
+        if isinstance(self.s, _Tiling) and isinstance(self.sprime, _Tiling):
+            w.uint(int(self.lengths.sum()))
+            w.ints(self.lengths)
+            w.ints(self.sprime.order - 1)
+        for side in (self.s, self.sprime):
+            if isinstance(side, ApSequence):
+                w.blob(side.serialize())
+        w.blob(bitvector(self.increasing.astype(np.uint8)).serialize())
         return w.getvalue()
 
     @classmethod
-    def deserialize(cls, data: bytes) -> "_InterleavedGeneralLayout":
+    def deserialize(cls, data: bytes, kind: str) -> "_RunLayout":
+        """Load a layout; raises InputError unless its runs cover [1..n]."""
+        contiguous, strict = _tiled_sides(kind)
         r = ByteReader(data)
-        obj = cls.__new__(cls)
-        obj.s = ApSequence.deserialize(r.blob())
-        obj.sprime = ApSequence.deserialize(r.blob())
-        obj.dirs = load_bitvector(r.blob())
-        if (obj.s.alphabet_dict is not None or obj.sprime.alphabet_dict is not None
-                or len(obj.dirs) != obj.s.sigma
-                or not np.array_equal(obj.s.partition.occ, obj.sprime.partition.occ)):
-            raise InputError("interleaved layout: label strings or run directions disagree")
-        return obj
-
-
-def _check_tiling(keys: np.ndarray, lens: np.ndarray, n: int, what: str):
-    """Raise InputError unless the intervals [key, key + len - 1], taken in
-    the given order, tile [1..n] left to right."""
-    if keys.size != lens.size or keys.size == 0 or lens.min() < 1:
-        raise InputError(f"{what}: run records are empty or have a length < 1")
-    ends = np.cumsum(lens)
-    if ends[-1] != n or not np.array_equal(keys, ends - lens + 1):
-        raise InputError(f"{what}: run intervals do not tile [1..{n}]")
-
-
-class _InterleavedStrictLayout:
-    """Label string + run records (min, direction) + predecessor search over
-    minima; values inside a run are consecutive.  A run's length is its
-    label's count in the label string."""
-
-    def __init__(self, arr: np.ndarray, dec: RunDecomposition):
-        # runs must be labelled in min-value order; arr is not needed
-        self.s = ApSequence(dec.labels)
-        self.mins = dec.min_values.astype(np.int64)
-        self.lens = self.s.partition.occ
-        self.incr = dec.increasing.copy()
-        self._build_pred()
-
-    def _build_pred(self):
-        self.pred = PredecessorStructure(
-            self.mins, np.arange(1, self.mins.size + 1), len(self.s)
-        )
-
-    def apply(self, i: int) -> int:
-        r, j = self.s.access_rank(i)
-        m, l = int(self.mins[r - 1]), int(self.lens[r - 1])
-        return m + j - 1 if self.incr[r - 1] else m + l - j
-
-    def inverse(self, v: int) -> int:
-        hit = self.pred.query(v)
-        if hit is None:
-            raise InputError(f"no run minimum is <= {v}")
-        m, r = hit
-        l = int(self.lens[r - 1])
-        j = v - m + 1 if self.incr[r - 1] else m + l - v
-        return self.s.select(r, j)
-
-    def runs(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.lens, self.incr
-
-    def payload_bits(self) -> int:
-        w = max(1, (len(self.s) - 1).bit_length())
-        return self.s.payload_bits() + self.mins.size * (2 * w + 1)
-
-    def serialize(self) -> bytes:
-        w = ByteWriter()
-        w.blob(self.s.serialize())
-        w.ints(self.mins - 1)
-        w.blob(bitvector(self.incr.astype(np.uint8)).serialize())
-        return w.getvalue()
-
-    @classmethod
-    def deserialize(cls, data: bytes) -> "_InterleavedStrictLayout":
-        r = ByteReader(data)
-        obj = cls.__new__(cls)
-        obj.s = ApSequence.deserialize(r.blob())
-        obj.mins = r.ints().astype(np.int64) + 1
-        obj.incr = load_bitvector(r.blob()).to_bits().astype(bool)
-        obj.lens = obj.s.partition.occ
-        if obj.s.alphabet_dict is not None or obj.incr.size != obj.s.sigma:
-            raise InputError("strict layout: run records differ from the label alphabet")
-        _check_tiling(obj.mins, obj.lens, len(obj.s), "strict layout")
-        obj._build_pred()
-        return obj
-
-
-class _ContiguousGeneralLayout:
-    """Mirror layout: the strict machinery built for the inverse
-    permutation, with apply/inverse swapped."""
-
-    def __init__(self, arr: np.ndarray, dec: RunDecomposition):
-        # contiguous run [p..q] of pi appears in pi^-1 as the value chain
-        # p..q located at positions pi(p)..pi(q), direction preserved
-        inv = np.empty_like(arr)
-        inv[arr - 1] = np.arange(1, arr.size + 1)
-        inner_dec = RunDecomposition(
-            kind="interleaved-strict",
-            n=arr.size,
-            labels=dec.labels[inv - 1],
-            lengths=dec.lengths,
-            increasing=dec.increasing,
-            min_values=dec.starts,  # value of a chain element = pi position
-        )
-        self.inner = _InterleavedStrictLayout(inv, inner_dec)
-
-    def apply(self, i: int) -> int:
-        return self.inner.inverse(i)
-
-    def inverse(self, v: int) -> int:
-        return self.inner.apply(v)
-
-    def runs(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.inner.runs()
-
-    def payload_bits(self) -> int:
-        return self.inner.payload_bits()
-
-    def serialize(self) -> bytes:
-        return self.inner.serialize()
-
-    @classmethod
-    def deserialize(cls, data: bytes) -> "_ContiguousGeneralLayout":
-        obj = cls.__new__(cls)
-        obj.inner = _InterleavedStrictLayout.deserialize(data)
-        return obj
-
-
-class _ContiguousStrictLayout:
-    """Per-run records (start, first value, direction) plus two predecessor
-    searches: one keyed by run start position, one keyed by the minimum of
-    the run's value interval.  Runs follow each other, so a run's length
-    is the gap to the next start."""
-
-    def __init__(self, arr: np.ndarray, dec: RunDecomposition):
-        self.n = arr.size
-        self.starts = dec.starts.astype(np.int64)
-        self.incr = dec.increasing.copy()
-        self.pi_start = arr[self.starts - 1].astype(np.int64)
-        self._build_preds()
-
-    @property
-    def lens(self) -> np.ndarray:
-        return np.diff(np.append(self.starts, self.n + 1))
-
-    def _value_minima(self) -> np.ndarray:
-        return np.where(self.incr, self.pi_start, self.pi_start - self.lens + 1)
-
-    def _build_preds(self):
-        aux = np.arange(1, self.starts.size + 1)
-        self.pred_pos = PredecessorStructure(self.starts, aux, self.n)
-        self.pred_val = PredecessorStructure(self._value_minima(), aux, self.n)
-
-    def apply(self, i: int) -> int:
-        j, r = self.pred_pos.query(i)
-        d = i - j
-        return int(self.pi_start[r - 1]) + (d if self.incr[r - 1] else -d)
-
-    def inverse(self, v: int) -> int:
-        _, r = self.pred_val.query(v)
-        j, pv = int(self.starts[r - 1]), int(self.pi_start[r - 1])
-        return j + (v - pv if self.incr[r - 1] else pv - v)
-
-    def runs(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.lens, self.incr
-
-    def payload_bits(self) -> int:
-        w = max(1, (self.n - 1).bit_length())
-        return self.starts.size * (3 * w + 1)
-
-    def serialize(self) -> bytes:
-        w = ByteWriter()
-        w.uint(self.n)
-        w.ints(self.starts - 1)
-        w.ints(self.pi_start - 1)
-        w.blob(bitvector(self.incr.astype(np.uint8)).serialize())
-        return w.getvalue()
-
-    @classmethod
-    def deserialize(cls, data: bytes) -> "_ContiguousStrictLayout":
-        r = ByteReader(data)
-        obj = cls.__new__(cls)
-        obj.n = r.uint()
-        obj.starts = r.ints().astype(np.int64) + 1
-        obj.pi_start = r.ints().astype(np.int64) + 1
-        obj.incr = load_bitvector(r.blob()).to_bits().astype(bool)
-        if not obj.starts.size == obj.pi_start.size == obj.incr.size:
-            raise InputError("contiguous layout: run record arrays differ in size")
-        _check_tiling(obj.starts, obj.lens, obj.n, "contiguous layout positions")
-        vmin = obj._value_minima()
-        order = np.argsort(vmin, kind="stable")
-        _check_tiling(vmin[order], obj.lens[order], obj.n, "contiguous layout values")
-        obj._build_preds()
-        return obj
-
-
-# one layout per run kind, in KINDS order; a container's layout tag is
-# the kind's index in KINDS plus one
-_LAYOUTS = (_InterleavedGeneralLayout, _InterleavedStrictLayout,
-            _ContiguousGeneralLayout, _ContiguousStrictLayout)
+        if contiguous and strict:
+            n = r.uint()
+            lengths = r.ints().astype(np.int64)
+            order = r.ints().astype(np.int64) + 1
+            # a Python sum: int64 could wrap around to n
+            if (lengths.size == 0 or lengths.min() < 1 or sum(lengths.tolist()) != n
+                    or not np.array_equal(np.sort(order), np.arange(1, lengths.size + 1))):
+                raise InputError("run layout: lengths do not sum to n or the value "
+                                 "order is not a permutation of the runs")
+        s = None if contiguous else _load_labels(r.blob())
+        sprime = None if strict else _load_labels(r.blob())
+        increasing = load_bitvector(r.blob()).to_bits().astype(bool)
+        if s is not None or sprime is not None:
+            lengths = (s if s is not None else sprime).partition.occ
+            order = np.arange(1, lengths.size + 1)
+        if s is not None and sprime is not None and not np.array_equal(
+                s.partition.occ, sprime.partition.occ):
+            raise InputError("run layout: the label strings count the runs differently")
+        if increasing.size != lengths.size:
+            raise InputError("run layout: one direction per run expected")
+        if s is None:
+            s = _Tiling(lengths, np.arange(1, lengths.size + 1))
+        if sprime is None:
+            sprime = _Tiling(lengths, order)
+        return cls(s, sprime, lengths, increasing)
 
 
 class RunPermutation:
     """A permutation stored through its run decomposition."""
 
-    def __init__(self, layout, kind: str, companion: CycleIndex | None = None):
+    def __init__(self, layout: _RunLayout, kind: str, companion: CycleIndex | None = None):
         """Build and load both end here: the run summary comes from the
         layout, whose runs cover [1..n]."""
         self._layout = layout
-        lengths, increasing = layout.runs()
-        self.n = int(lengths.sum())
-        self.decomposition = RunSummary(kind, self.n, lengths, increasing)
+        self.n = int(layout.lengths.sum())
+        self.decomposition = RunSummary(kind, self.n, layout.lengths, layout.increasing)
         self.companion = companion
         self.last_power_walk = 0
 
     @classmethod
     def build(cls, pi, kind: str = "interleaved-general",
               power_step: int | None = None) -> "RunPermutation":
-        arr = _validate_permutation(pi)
-        dec = decompose_runs(arr, kind)
-        return cls.from_decomposition(arr, dec, power_step=power_step)
+        return cls.from_decomposition(pi, decompose_runs(pi, kind), power_step=power_step)
 
     @classmethod
     def from_decomposition(cls, pi, dec: RunDecomposition,
                            power_step: int | None = None) -> "RunPermutation":
         arr = _validate_permutation(pi)
-        layout = _LAYOUTS[KINDS.index(dec.kind)](arr, dec)
         companion = CycleIndex(arr, power_step) if power_step else None
-        return cls(layout, dec.kind, companion)
+        return cls(_RunLayout.build(arr, dec), dec.kind, companion)
 
     @property
     def rho(self) -> int:
@@ -652,9 +555,9 @@ class RunPermutation:
     def deserialize(cls, data: bytes) -> "RunPermutation":
         r = ByteReader(data)
         tag = r.uint()
-        if not 1 <= tag <= len(_LAYOUTS):
+        if not 1 <= tag <= len(KINDS):
             raise InputError(f"unknown permutation layout tag {tag}")
-        layout = _LAYOUTS[tag - 1].deserialize(r.blob())
+        layout = _RunLayout.deserialize(r.blob(), KINDS[tag - 1])
         perm = cls(layout, KINDS[tag - 1])
         if d := r.blob():
             perm.companion = CycleIndex.deserialize(d, perm.n)

@@ -35,20 +35,27 @@ def h0(seq) -> float:
 
 def hk(seq, k: int) -> float:
     """k-th order entropy: average of H0 over symbols following each
-    length-k context, weighted by context frequency."""
-    arr = list(np.asarray(seq).tolist()) if not isinstance(seq, (list, str)) else list(seq)
-    n = len(arr)
+    length-k context, weighted by context frequency.
+
+    Each window of length j + 1 gets a dense id from its length-j prefix's
+    id and its last symbol, one np.unique per step, so the (context, next
+    symbol) pairs are counted without a loop over positions."""
+    arr = np.asarray(list(seq) if isinstance(seq, (str, bytes)) else seq)
+    n = arr.size
     if k < 0:
         raise InputError("context length must be >= 0")
     if k >= n:
         raise InputError("context length must be smaller than the sequence")
     if k == 0:
         return h0(arr)
-    contexts: dict = {}
-    for i in range(n - k):
-        w = tuple(arr[i : i + k])
-        contexts.setdefault(w, []).append(arr[i + k])
-    return sum(len(v) / n * h0(v) for v in contexts.values())
+    symbols, codes = np.unique(arr, return_inverse=True)
+    codes, sigma, m = codes.reshape(-1).astype(np.int64), symbols.size, n - k
+    context = codes[:m]
+    for j in range(1, k):
+        context = np.unique(context * sigma + codes[j : j + m], return_inverse=True)[1]
+    pairs, counts = np.unique(context * sigma + codes[k:], return_counts=True)
+    per_context = np.bincount(context)[pairs // sigma]
+    return float((counts * np.log2(per_context / counts)).sum() / n)
 
 
 def h_runs(run_lengths) -> float:

@@ -124,6 +124,31 @@ def test_class_of_rounding():
     assert class_of(11, 5) == 4
 
 
+def scalar_class_of(n, occ):
+    """The reference: the class formula for one count, in math's floats."""
+    x = (math.log2(n) - math.log2(occ)) * math.log2(n)
+    nearest = round(x)
+    if abs(x - nearest) <= 4 * math.ulp(max(abs(x), 1.0)):
+        return int(nearest)
+    return int(math.ceil(x))
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 16, 1000, 1621, 1652, 2272, 3242, 7957,
+                               1 << 16, (1 << 16) + 1, 3 << 18, 1 << 20])
+def test_class_of_vector_matches_scalar(n):
+    """Every count 1..3000, every power of two up to n and n itself.  The
+    grid holds exact integer products (power-of-two ratios, occ = n) and
+    products within 1e-6 of one: (1652, 150) and (2272, 1665).  At
+    n = occ = 1621 numpy's log2 can be an ulp off math.log2, which leaves
+    the product 0 off by 4 ulps of 1 and more."""
+    occ = np.unique(np.concatenate([np.arange(1, min(n, 3000) + 1),
+                                    1 << np.arange(n.bit_length()), [n]]))
+    occ = occ[occ <= n]
+    got = class_of(n, occ)
+    assert got.dtype == np.int64 and got.shape == occ.shape
+    assert got.tolist() == [scalar_class_of(n, c) for c in occ.tolist()]
+
+
 def zipf(rng, n, sigma, theta):
     w = 1.0 / np.arange(1, sigma + 1) ** theta
     out = rng.choice(np.arange(1, sigma + 1), size=n, p=w / w.sum())

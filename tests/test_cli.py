@@ -238,24 +238,26 @@ def test_truncated_header_exit_2_without_traceback(abra_file, tmp_path, capsys):
     run_cli(capsys, "build", "--type", "seq", "--input", abra_file,
             "--output", str(out_path))
     data = out_path.read_bytes()
-    # 9 bytes: magic, version 6, then the header stops; 20 bytes: the
+    # 9 bytes: magic, version 7, then the header stops; 20 bytes: the
     # header and 6 of the 9 bytes of the first section-table entry
-    for cut in (b"APDS\x06\x00\x00\x00\x01", data[:20]):
+    for cut in (b"APDS\x07\x00\x00\x00\x01", data[:20]):
         out_path.write_bytes(cut)
         assert_exit_2_without_traceback(run_cli_process(
             "query", "--structure", str(out_path), "--op", "access", "--pos", "1"))
 
 
 def test_bad_container_kind_exit_2_without_traceback(abra_file, tmp_path, capsys):
-    """A version-4 and a version-5 file, a header with no section, a seq
-    header over an index payload, and an unknown container kind (byte 8)."""
+    """A version-4, a version-5 and a version-6 file, a header with no
+    section, a seq header over an index payload, and an unknown container
+    kind (byte 8)."""
     seq_path, index_path = tmp_path / "abra.apds", tmp_path / "abra.idx"
     run_cli(capsys, "build", "--type", "seq", "--input", abra_file,
             "--output", str(seq_path))
     run_cli(capsys, "index", "build", "--input", abra_file, "--output", str(index_path))
     seq, index = seq_path.read_bytes(), index_path.read_bytes()
-    assert seq[4:9] == b"\x06\x00\x00\x00\x01" and index[8] == 4
+    assert seq[4:9] == b"\x07\x00\x00\x00\x01" and index[8] == 4
     bad = [seq[:4] + b"\x04" + seq[5:], seq[:4] + b"\x05" + seq[5:],
+           seq[:4] + b"\x06" + seq[5:],
            seq[:10] + b"\x00\x00\x00\x00",
            index[:8] + b"\x01" + index[9:], seq[:8] + b"\x09" + seq[9:]]
     for i, data in enumerate(bad):

@@ -25,7 +25,7 @@ from nl_corpus import natural_text
 def test_header_layout():
     data = pack_container(KIND_SEQ, FORMAT_BYTES, [(0x10, b"abc")])
     assert data[:4] == b"APDS"
-    assert data[4:8] == b"\x06\x00\x00\x00"  # version 6, little-endian
+    assert data[4:8] == b"\x07\x00\x00\x00"  # version 7, little-endian
     kind, fmt, sections = unpack_container(data)
     assert kind == KIND_SEQ and fmt == FORMAT_BYTES
     assert sections == [(0x10, b"abc")]

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apds.apseq import ApSequence
+from apds.bits import ByteWriter
 from apds.errors import InputError, NotFoundError, OutOfRangeError, UnsupportedOperationError
 from apds.permutation import (
     KINDS,
@@ -60,10 +63,22 @@ def test_decompose_interleaved_strict_example():
 
 
 def test_decompose_rejects_non_bijection():
-    with pytest.raises(InputError):
-        decompose_runs([1, 1, 3], "interleaved-general")
-    with pytest.raises(InputError):
-        decompose_runs([2, 3, 4], "contiguous-general")
+    """0, n + 1, -1, 2**40 or a duplicate in place of one value is refused
+    by every public entry, and so is an empty input."""
+    good = [3, 1, 4, 2]
+    dec = decompose_runs(good, "interleaved-general")
+    entries = [
+        lambda pi: decompose_runs(pi, "interleaved-general"),
+        lambda pi: decompose_runs(pi, "contiguous-strict"),
+        lambda pi: RunPermutation.build(pi, "interleaved-strict"),
+        lambda pi: build_run_permutation(pi, "contiguous-general", power_step=2),
+        lambda pi: RunPermutation.from_decomposition(pi, dec),
+    ]
+    for bad in (0, len(good) + 1, -1, 2**40, 4):
+        pi = [bad, *good[1:]]
+        for entry in entries:
+            with pytest.raises(InputError):
+                entry(pi)
     with pytest.raises(InputError):
         decompose_runs([], "contiguous-general")
 
@@ -110,7 +125,8 @@ def test_contiguous_cover_matches_loop(kind):
         else:
             pi = rng.permutation(np.arange(1, n + 1))
         dec = decompose_runs(pi, kind)
-        got = list(zip(dec.starts.tolist(), dec.lengths.tolist(),
+        starts = np.cumsum(dec.lengths) - dec.lengths + 1
+        got = list(zip(starts.tolist(), dec.lengths.tolist(),
                        dec.increasing.tolist(), dec.min_values.tolist()))
         assert got == naive_contiguous_runs(pi.tolist(), kind == "contiguous-strict")
         assert dec.labels.tolist() == np.repeat(np.arange(1, dec.rho + 1), dec.lengths).tolist()
@@ -147,6 +163,15 @@ def test_decreasing_run_arithmetic():
     assert [rp.inverse(v) for v in (1, 2, 3)] == [3, 2, 1]
 
 
+def test_interleaved_strict_needs_runs_in_minimum_order():
+    # the value side tiles [1..n] in label order, which is not stored
+    dec = decompose_runs([3, 1, 4, 2], "interleaved-strict")
+    swapped = RunDecomposition("interleaved-strict", 4, dec.lengths[::-1], dec.increasing[::-1],
+                               3 - dec.labels, dec.min_values[::-1])
+    with pytest.raises(InputError):
+        RunPermutation.from_decomposition([3, 1, 4, 2], swapped)
+
+
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("n", [1, 2, 7, 64, 257])
 def test_round_trip_random(kind, n):
@@ -171,8 +196,8 @@ def test_round_trip_structured(kind):
 
 
 def test_mirror_property_contiguous_vs_strict():
-    # contiguous-general answers must equal the brute-force table, and the
-    # stored machinery is the strict layout of the inverse permutation
+    # contiguous-general answers must equal the brute-force table: a
+    # position tiling of four runs and a label string by value
     rng = np.random.default_rng(5)
     pieces = []
     vals = rng.permutation(np.arange(1, 33)).tolist()
@@ -368,44 +393,112 @@ def test_errors():
         rp.inverse(0)
 
 
-def _swap_first_starts(lay):
-    lay.starts[[0, 1]] = lay.starts[[1, 0]]
+def _sum_above_n(lay):
+    # contiguous-strict stores n before its lengths
+    data = lay.serialize()
+    head = _uint(int(lay.lengths.sum()))
+    assert data.startswith(head)
+    return _uint(int(lay.lengths.sum()) + 1) + data[len(head):]
 
 
-def _shift_first_value(lay):
-    lay.pi_start[0] += lay.n
+def _empty_first_run(lay):
+    # the lengths still sum to n
+    lay.lengths = lay.lengths.copy()
+    lay.lengths[1] += lay.lengths[0]
+    lay.lengths[0] = 0
 
 
-def _raise_second_minimum(lay):
-    lay.mins[1] += 1
-
-
-def _move_a_position_to_the_next_run(lay):
-    # run lengths are the label counts: one run grows, one shrinks
-    labels = lay.s.decode()
-    rho = int(labels.max())
-    i = int(np.flatnonzero(np.bincount(labels)[labels] > 1)[0])
-    labels[i] = labels[i] % rho + 1
-    lay.s = ApSequence(labels)
+def _repeat_a_run_in_value_order(lay):
+    lay.sprime.order = lay.sprime.order.copy()
+    lay.sprime.order[1] = lay.sprime.order[0]
 
 
 def _drop_a_direction(lay):
-    lay.incr = lay.incr[:-1]
+    lay.increasing = lay.increasing[:-1]
+
+
+def _move_a_value_to_the_next_run(lay):
+    # the value side's label counts no longer match the position side's
+    labels = lay.sprime.decode()
+    rho = int(labels.max())
+    i = int(np.flatnonzero(np.bincount(labels)[labels] > 1)[0])
+    labels[i] = labels[i] % rho + 1
+    lay.sprime = ApSequence(labels)
+
+
+def _uint(v):
+    w = ByteWriter()
+    w.uint(v)
+    return w.getvalue()
 
 
 @pytest.mark.parametrize("kind,corrupt", [
-    ("contiguous-strict", _swap_first_starts),
-    ("contiguous-strict", _shift_first_value),
-    ("interleaved-strict", _raise_second_minimum),
-    ("interleaved-strict", _move_a_position_to_the_next_run),
+    ("contiguous-strict", _sum_above_n),
+    ("contiguous-strict", _empty_first_run),
+    ("contiguous-strict", _repeat_a_run_in_value_order),
+    ("contiguous-strict", _drop_a_direction),
     ("interleaved-strict", _drop_a_direction),
+    ("contiguous-general", _drop_a_direction),
+    ("interleaved-general", _drop_a_direction),
+    ("interleaved-general", _move_a_value_to_the_next_run),
 ])
 def test_load_rejects_bad_run_records(kind, corrupt):
+    """Each corruption of a stored field is refused on load: lengths that
+    do not sum to n or hold a 0, a value order that is not a permutation
+    of the runs, a direction vector of the wrong length, and label strings
+    that count the runs differently."""
     rng = np.random.default_rng(3)
     rp = build_run_permutation(rng.permutation(np.arange(1, 301)), kind)
-    corrupt(rp._layout)
+    payload = corrupt(rp._layout)
+    w = ByteWriter()
+    w.uint(KINDS.index(kind) + 1)
+    w.blob(rp._layout.serialize() if payload is None else payload)
+    w.blob(b"")
     with pytest.raises(InputError):
-        RunPermutation.deserialize(rp.serialize())
+        RunPermutation.deserialize(w.getvalue())
+
+
+@st.composite
+def run_permutations(draw):
+    """A permutation of [1..n] made of random runs, each increasing or
+    decreasing: the runs hold value intervals or random value sets, and
+    lie one after another or interleave at random positions."""
+    n = draw(st.integers(1, 300))
+    runs = draw(st.integers(1, min(n, 12)))
+    intervals, contiguous = draw(st.booleans()), draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = np.arange(1, n + 1) if intervals else rng.permutation(n) + 1
+    cuts = np.sort(rng.choice(np.arange(1, n), runs - 1, replace=False))
+    parts = [np.sort(p)[:: rng.choice([1, -1])] for p in np.split(values, cuts)]
+    if contiguous:
+        return np.concatenate([parts[o] for o in rng.permutation(runs)])
+    labels = rng.permutation(np.repeat(np.arange(runs), [p.size for p in parts]))
+    pi = np.empty(n, dtype=np.int64)
+    for r, p in enumerate(parts):
+        pi[labels == r] = p
+    return pi
+
+
+@settings(max_examples=40, deadline=None)
+@given(pi=run_permutations(), t=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_layout_matches_array(pi, t, seed):
+    """apply, inverse and power of every kind, built and loaded, against
+    the array; the container re-dumps byte-identically."""
+    n = pi.size
+    inv = np.empty(n, dtype=np.int64)
+    inv[pi - 1] = np.arange(1, n + 1)
+    rng = np.random.default_rng(seed)
+    powers = list(zip(rng.integers(1, n + 1, 8).tolist(), rng.integers(-2 * n, 2 * n + 1, 8).tolist()))
+    for kind in KINDS:
+        rp = build_run_permutation(pi, kind, power_step=t)
+        data = rp.serialize()
+        loaded = RunPermutation.deserialize(data)
+        assert loaded.serialize() == data, kind
+        for perm in (rp, loaded):
+            assert [perm.apply(i) for i in range(1, n + 1)] == pi.tolist(), kind
+            assert [perm.inverse(v) for v in range(1, n + 1)] == inv.tolist(), kind
+            for i, k in powers:
+                assert perm.power(i, k) == naive_power(pi.tolist(), i, k), (kind, i, k)
 
 
 @pytest.mark.parametrize("kind", KINDS)
