@@ -82,8 +82,7 @@ class CompressedFunction:
             if dec.entropy() > h + 1e-12:
                 # one all-equal run per value: H(runs) = H0 exactly
                 dec = RunDecomposition("interleaved-general", self.n, counts,
-                                       np.ones(self.sigma, dtype=bool), arr,
-                                       np.cumsum(counts) - counts + 1)
+                                       np.ones(self.sigma, dtype=bool), arr)
             if dec.entropy() > h + 1e-9:
                 raise AssertionError(f"H(runs) = {dec.entropy()} exceeds H0 = {h}")
         self.pi = RunPermutation.from_decomposition(pi, dec)

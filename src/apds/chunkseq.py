@@ -86,8 +86,9 @@ class LargeSequence:
         self._fwd_view, self._back_view = memoryview(fwd_words), memoryview(back_words)
 
     def _cumulative_counts(self) -> np.ndarray:
-        """Occurrences of the symbols < a, for a = 1..sigma+1: every K-th run's counts_before."""
-        return counts_before(self._dist)[:: self.chunks]
+        """Occurrences of the symbols < a, for a = 1..sigma+1: every K-th run's counts_before.
+        A copy, as a strided view would keep all K * sigma + 1 counts alive."""
+        return counts_before(self._dist)[:: self.chunks].copy()
 
     def _build_cycle_marks(self, fwd: np.ndarray) -> np.ndarray:
         """Set the cycle marks; return the packed back pointers."""

@@ -233,6 +233,9 @@ def cmd_dsu(args) -> int:
 
 
 def cmd_selfcheck(args) -> int:
+    # the suites draw n from [2..max_n]
+    if args.iters < 1 or args.max_n < 2:
+        raise InputError("selfcheck needs --iters >= 1 and --max-n >= 2")
     return run_selfcheck(args.seed, args.iters, args.max_n,
                          inject_fault=args.inject_fault)
 

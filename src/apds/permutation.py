@@ -24,9 +24,10 @@ start_r + j - 1.  The four run kinds differ only in which side tiles:
 
 A tiling lays its runs out in label order, except the value side of
 contiguous-strict, which keeps the runs' value order: contiguous runs are
-labelled by position, interleaved-strict runs by minimum value.  A run's
-interval start is the sum of the lengths before it, so no run minimum,
-start or first value is stored.
+labelled by position, interleaved-strict runs by value, as they are the
+contiguous runs of pi^-1 (see ``decompose_runs``).  A run's interval
+start is the sum of the lengths before it, so no run minimum, start or
+first value is stored.
 
 A container holds the layout tag (the kind's index in KINDS plus one),
 the layout and a cycle-marking companion (an empty blob if none).  The
@@ -35,8 +36,8 @@ direction bit per run; the run lengths are the label strings' symbol
 counts, so only contiguous-strict, which has none, stores n, the lengths
 and the value order (less one) before its directions.  A permutation
 keeps a run summary (kind, n, run lengths and directions), which build
-and load both take from the layout.  The cover's labels and minima serve
-only to build the layout.
+and load both take from the layout.  The cover's labels serve only to
+build the layout.
 
 The companion answers pi^k with walks of at most t - 1 + t // 2 steps
 for sampling step t: one to the nearest mark in the direction of k, one
@@ -107,7 +108,6 @@ class RunDecomposition(RunSummary):
     """A run cover, with what a layout is built from."""
 
     labels: np.ndarray  # run id per position, 1..rho
-    min_values: np.ndarray  # minimum value per run
 
 
 def _cover_interleaved_general(arr: np.ndarray):
@@ -125,45 +125,7 @@ def _cover_interleaved_general(arr: np.ndarray):
         labels[pos] = idx + 1
     rho = len(neg_tops)
     lengths = np.bincount(labels, minlength=rho + 1)[1:]
-    mins = np.full(rho, arr.size + 1, dtype=np.int64)
-    np.minimum.at(mins, labels - 1, arr)
-    return labels, lengths, np.ones(rho, dtype=bool), mins
-
-
-def _cover_interleaved_strict(arr: np.ndarray):
-    """Greedy covering into +-1 value chains; a singleton extends either
-    way, committed runs keep their direction, earliest run wins ties."""
-    tops: dict[int, int] = {}  # current last value -> run index
-    direction: list[int] = []  # 0 unset, +1 incrementing, -1 decrementing
-    first: list[int] = []
-    labels = np.zeros(arr.size, dtype=np.int64)
-    for pos, v in enumerate(arr.tolist()):
-        up = tops.get(v - 1)
-        down = tops.get(v + 1)
-        cand = []
-        if up is not None and direction[up] >= 0:
-            cand.append((up, 1))
-        if down is not None and direction[down] <= 0:
-            cand.append((down, -1))
-        if cand:
-            r, d = min(cand)
-            direction[r] = d
-            del tops[v - d]
-        else:
-            r = len(direction)
-            direction.append(0)
-            first.append(v)
-        tops[v] = r
-        labels[pos] = r + 1
-    rho = len(direction)
-    lengths = np.bincount(labels, minlength=rho + 1)[1:]
-    increasing = np.array([d >= 0 for d in direction])
-    mins = np.array(
-        [f if direction[r] >= 0 else f - int(lengths[r]) + 1
-         for r, f in enumerate(first)],
-        dtype=np.int64,
-    )
-    return labels, lengths, increasing, mins
+    return labels, lengths, np.ones(rho, dtype=bool)
 
 
 def _cover_contiguous(arr: np.ndarray, strict: bool):
@@ -191,35 +153,39 @@ def _cover_contiguous(arr: np.ndarray, strict: bool):
     starts, ends = np.array(starts), np.array(ends)
     lengths = ends - starts + 1
     labels = np.repeat(np.arange(1, lengths.size + 1), lengths)
-    increasing = arr[ends] >= arr[starts]
-    mins = np.minimum(arr[starts], arr[ends])
-    return labels, lengths, increasing, mins
-
-
-def _relabel_by_min(labels, lengths, increasing, mins):
-    """Renumber runs in order of minimum element."""
-    order = np.argsort(mins, kind="stable")
-    remap = np.empty(order.size + 1, dtype=np.int64)
-    remap[order + 1] = np.arange(1, order.size + 1)
-    return remap[labels], lengths[order], increasing[order], mins[order]
+    return labels, lengths, arr[ends] >= arr[starts]
 
 
 def decompose_runs(pi, kind: str) -> RunDecomposition:
+    """Cover pi with runs of ``kind``, labelled 1..rho.  Two covers serve
+    the four kinds:
+
+      interleaved-general  the patience cover into increasing subsequences
+      contiguous-general   the contiguous cover: maximal left-to-right
+                           monotone segments of pi
+      contiguous-strict    the same, with steps +-1
+      interleaved-strict   the contiguous cover of pi^-1, its labels carried
+                           back to positions through pi
+
+    A +-1 value chain of pi is a segment of consecutive values whose
+    positions are monotone, that is a monotone segment of pi^-1.  So the
+    last cover's runs are value intervals, labelled in value order.  Any
+    part of a monotone segment is monotone, so the greedy cut, which takes
+    the longest run from each start, ends its k-th run no earlier than any
+    other cover does: no cover of pi by +-1 value chains has fewer runs."""
     arr = _validate_permutation(pi)
     if kind not in KINDS:
         raise InputError(f"unknown run kind {kind!r}")
     if kind == "interleaved-general":
-        labels, lengths, increasing, mins = _cover_interleaved_general(arr)
+        labels, lengths, increasing = _cover_interleaved_general(arr)
     elif kind == "interleaved-strict":
-        labels, lengths, increasing, mins = _cover_interleaved_strict(arr)
-        labels, lengths, increasing, mins = _relabel_by_min(
-            labels, lengths, increasing, mins
-        )
+        inv = np.empty_like(arr)
+        inv[arr - 1] = np.arange(1, arr.size + 1)
+        labels, lengths, increasing = _cover_contiguous(inv, strict=False)
+        labels = labels[arr - 1]
     else:
-        labels, lengths, increasing, mins = _cover_contiguous(
-            arr, strict=(kind == "contiguous-strict")
-        )
-    dec = RunDecomposition(kind, arr.size, lengths, increasing, labels, mins)
+        labels, lengths, increasing = _cover_contiguous(arr, strict=(kind == "contiguous-strict"))
+    dec = RunDecomposition(kind, arr.size, lengths, increasing, labels)
     dec.check_entropy_facts()
     return dec
 
@@ -367,15 +333,16 @@ class _RunLayout:
         lengths = np.asarray(dec.lengths, dtype=np.int64)
         labels = np.asarray(dec.labels, dtype=np.int64)
         s = _Tiling(lengths, np.arange(1, lengths.size + 1)) if contiguous else ApSequence(labels)
-        if strict:
-            order = np.argsort(dec.min_values, kind="stable") + 1
-            if not contiguous and (np.diff(order) != 1).any():
-                raise InputError("interleaved-strict runs must be labelled in order of their minima")
-            sprime = _Tiling(lengths, order)
-        else:
-            by_value = np.empty_like(labels)
-            by_value[arr - 1] = labels  # s'[pi(i)] = s[i]
+        by_value = np.empty_like(labels)
+        by_value[arr - 1] = labels  # s'[pi(i)] = s[i]
+        if not strict:
             sprime = ApSequence(by_value)
+        elif contiguous:  # the runs' value order, read off one value of each
+            sprime = _Tiling(lengths, np.argsort(arr[np.cumsum(lengths) - lengths]) + 1)
+        elif (np.diff(by_value) < 0).any():
+            raise InputError("interleaved-strict runs must be labelled in value order")
+        else:
+            sprime = _Tiling(lengths, np.arange(1, lengths.size + 1))
         return cls(s, sprime, lengths, np.asarray(dec.increasing, dtype=bool))
 
     def apply(self, i: int) -> int:
@@ -464,7 +431,7 @@ class RunPermutation:
     def from_decomposition(cls, pi, dec: RunDecomposition,
                            power_step: int | None = None) -> "RunPermutation":
         arr = _validate_permutation(pi)
-        companion = CycleIndex(arr, power_step) if power_step else None
+        companion = None if power_step is None else CycleIndex(arr, power_step)
         return cls(_RunLayout.build(arr, dec), dec.kind, companion)
 
     @property

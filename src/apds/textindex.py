@@ -267,6 +267,8 @@ class FmIndex:
             raise InputError("symbols must be positive integers")
         if k_context < 0:
             raise InputError("context length must be >= 0")
+        if sample_rate is not None and sample_rate < 1:
+            raise InputError("sample rate must be >= 1")
         ranks, alphabet = alphabet_ranks(arr)
         self.n = int(arr.size)
         self.sigma = int(ranks.max())
@@ -280,7 +282,7 @@ class FmIndex:
         bwt = bwt_of(t, sa)
         if sample_rate is None:
             sample_rate = self._default_sample_rate(self.n, self.sigma)
-        self.sample_rate = max(1, int(sample_rate))
+        self.sample_rate = int(sample_rate)
         self._build_bwt_partitions(t, sa, bwt)
         self._derive_counts()
         self._build_samples(sa)

@@ -397,3 +397,28 @@ def test_selfcheck_injected_bitvector_fault_fails(capsys):
                            "--max-n", "32", "--inject-fault", "bitvectors")
     assert code == 1
     assert "bitvectors: FAIL" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["selfcheck", "--iters", "1", "--max-n", "1"],
+    ["selfcheck", "--iters", "-3"],
+    ["selfcheck", "--iters", "0"],
+    ["build", "--type", "perm", "--format", "ints", "--input", "{perm}",
+     "--output", "{out}", "--power-step", "0"],
+    ["build", "--type", "perm", "--format", "ints", "--input", "{perm}",
+     "--output", "{out}", "--power-step", "-3"],
+    ["build", "--type", "index", "--input", "{text}", "--output", "{out}",
+     "--sample-rate", "0"],
+    ["index", "build", "--input", "{text}", "--output", "{out}", "--sample-rate", "-5"],
+], ids=["selfcheck-max-n-1", "selfcheck-iters-negative", "selfcheck-iters-0",
+        "perm-power-step-0", "perm-power-step-negative", "index-sample-rate-0",
+        "index-alias-sample-rate-negative"])
+def test_bad_flag_values_exit_2(abra_file, tmp_path, capsys, argv):
+    perm = tmp_path / "perm.txt"
+    perm.write_text("3 1 4 2")
+    out_path = tmp_path / "x.apds"
+    files = {"perm": str(perm), "text": abra_file, "out": str(out_path)}
+    code, out, err = run_cli(capsys, *(a.format(**files) for a in argv))
+    assert code == 2
+    assert err.startswith("error:") and "pass" not in out
+    assert not out_path.exists()

@@ -56,8 +56,7 @@ def test_decompose_identity_all_kinds():
 def test_decompose_interleaved_strict_example():
     dec = decompose_runs([3, 1, 4, 2], "interleaved-strict")
     assert dec.rho == 2
-    # runs ordered by minimum: {1,2} at positions 2,4 and {3,4} at 1,3
-    assert dec.min_values.tolist() == [1, 3]
+    # runs labelled by value: {1,2} at positions 2,4 and {3,4} at 1,3
     assert dec.labels.tolist() == [2, 1, 2, 1]
     assert dec.lengths.tolist() == [2, 2]
 
@@ -97,7 +96,7 @@ def test_contiguous_decompositions():
 
 def naive_contiguous_runs(pi, strict):
     """Greedy left-to-right monotone segments (steps +-1 when strict):
-    (start, length, increasing, minimum) per run."""
+    (start, length, increasing) per run."""
     def joins(j, up):
         return (pi[j] > pi[j - 1]) == up and (not strict or abs(pi[j] - pi[j - 1]) == 1)
 
@@ -108,7 +107,7 @@ def naive_contiguous_runs(pi, strict):
             up = pi[j] > pi[i]
             while j < len(pi) and joins(j, up):
                 j += 1
-        out.append((i + 1, j - i, up, min(pi[i:j])))
+        out.append((i + 1, j - i, up))
         i = j
     return out
 
@@ -126,8 +125,7 @@ def test_contiguous_cover_matches_loop(kind):
             pi = rng.permutation(np.arange(1, n + 1))
         dec = decompose_runs(pi, kind)
         starts = np.cumsum(dec.lengths) - dec.lengths + 1
-        got = list(zip(starts.tolist(), dec.lengths.tolist(),
-                       dec.increasing.tolist(), dec.min_values.tolist()))
+        got = list(zip(starts.tolist(), dec.lengths.tolist(), dec.increasing.tolist()))
         assert got == naive_contiguous_runs(pi.tolist(), kind == "contiguous-strict")
         assert dec.labels.tolist() == np.repeat(np.arange(1, dec.rho + 1), dec.lengths).tolist()
 
@@ -156,7 +154,6 @@ def test_decreasing_run_arithmetic():
         labels=np.array([1, 1, 1]),
         lengths=np.array([3]),
         increasing=np.array([False]),
-        min_values=np.array([1]),
     )
     rp = RunPermutation.from_decomposition(pi, dec)
     assert [rp.apply(i) for i in (1, 2, 3)] == [3, 2, 1]
@@ -164,10 +161,11 @@ def test_decreasing_run_arithmetic():
 
 
 def test_interleaved_strict_needs_runs_in_minimum_order():
-    # the value side tiles [1..n] in label order, which is not stored
+    # the value side tiles [1..n] in label order, which is not stored: the
+    # runs' labels, read by value, must not fall
     dec = decompose_runs([3, 1, 4, 2], "interleaved-strict")
     swapped = RunDecomposition("interleaved-strict", 4, dec.lengths[::-1], dec.increasing[::-1],
-                               3 - dec.labels, dec.min_values[::-1])
+                               3 - dec.labels)
     with pytest.raises(InputError):
         RunPermutation.from_decomposition([3, 1, 4, 2], swapped)
 
@@ -499,6 +497,28 @@ def test_layout_matches_array(pi, t, seed):
             assert [perm.inverse(v) for v in range(1, n + 1)] == inv.tolist(), kind
             for i, k in powers:
                 assert perm.power(i, k) == naive_power(pi.tolist(), i, k), (kind, i, k)
+
+
+@settings(max_examples=80, deadline=None)
+@given(pi=run_permutations())
+def test_interleaved_strict_is_contiguous_cover_of_inverse(pi):
+    """Read by value, the interleaved-strict runs are the loop's contiguous
+    runs of pi^-1, labelled in value order; by position, each run is a +-1
+    value chain."""
+    n = pi.size
+    inv = np.empty(n, dtype=np.int64)
+    inv[pi - 1] = np.arange(1, n + 1)
+    dec = decompose_runs(pi, "interleaved-strict")
+    by_value = dec.labels[inv - 1]
+    assert (np.diff(by_value) >= 0).all()
+    starts = np.flatnonzero(np.diff(by_value, prepend=0)) + 1
+    runs = by_value[starts - 1]
+    got = list(zip(starts.tolist(), dec.lengths[runs - 1].tolist(),
+                   dec.increasing[runs - 1].tolist()))
+    assert got == naive_contiguous_runs(inv.tolist(), strict=False)
+    for r in range(1, dec.rho + 1):
+        step = 1 if dec.increasing[r - 1] else -1
+        assert (np.diff(pi[dec.labels == r]) == step).all(), r
 
 
 @pytest.mark.parametrize("kind", KINDS)
