@@ -26,7 +26,10 @@ its rank in [1..i]; no query walks m.
 
 General (non-effective) alphabets keep the occurring symbols in a sorted
 dictionary (``bitvec.alphabet_ranks``) and run the machinery over their
-ranks; a general alphabet that is exactly 1..sigma keeps none.
+ranks; a general alphabet that is exactly 1..sigma keeps none.  The
+dictionary holds the sorted values in memory, so mapping a symbol to its
+rank (rank, select) is one bisect and mapping a rank back (access) one
+read; on disk it is the bitvector of the values, decoded once on load.
 
 Only the dictionary (an empty blob if none), t, m and the class stores
 are serialized.  A build classifies the symbols by their counts; a load
@@ -286,8 +289,7 @@ class ApSequence:
         for start, pos, sub in zip(self._class_start[1:], positions, self.subs):
             out[pos] = order[start + sub.decode() - 1]
         if self.alphabet_dict is not None:
-            values = self.alphabet_dict.values()
-            out = values[out - 1]
+            out = self.alphabet_dict.values_of(out)
         return out
 
     # --- reporting ---------------------------------------------------------------

@@ -90,9 +90,29 @@ def pack_fixed(values: np.ndarray, width: int) -> np.ndarray:
 
 
 def unpack_fixed(words: np.ndarray, width: int, count: int) -> np.ndarray:
-    bits = unpack_bits(words, width * count).reshape(count, width)
-    weights = (np.uint64(1) << np.arange(width, dtype=np.uint64))
-    return (bits.astype(np.uint64) * weights).sum(axis=1, dtype=np.uint64)
+    """The first count width-bit fields of packed words, as uint64: each
+    field is its word shifted down, or'ed with the next word shifted up."""
+    if width == 0 or count == 0:
+        return np.zeros(count, dtype=np.uint64)
+    words = np.asarray(words, dtype=np.uint64)
+    # in place where it can be: each new array of this size costs page faults
+    off = np.arange(count, dtype=np.uint64)
+    off *= np.uint64(width)
+    w = (off >> np.uint64(6)).view(np.int64)
+    off &= np.uint64(WORD_BITS - 1)
+    out = words[w]
+    out >>= off
+    # a field that does not straddle keeps only bits of its own word below
+    # its width, so the word after the last may be read as the last again
+    w += 1
+    np.minimum(w, words.size - 1, out=w)
+    high = words[w]
+    # x << (64 - off) in two steps, so that off = 0 shifts it out entirely
+    high <<= np.uint64(1)
+    high <<= np.subtract(np.uint64(WORD_BITS - 1), off, out=off)
+    out |= high
+    out &= np.uint64((1 << width) - 1)
+    return out
 
 
 def get_fixed(words: np.ndarray, width: int, idx: int) -> int:

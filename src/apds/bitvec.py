@@ -24,7 +24,13 @@ the upper words to the next zero finds where it ends (a bucket holds
 about one to two positions, so that zero is nearly always in the same
 word), and a binary search for the first low part above p's gives the
 stored count up to p.  The low part just before it says whether p itself
-is stored, so access_rank makes no upper select1.
+is stored, so access_rank makes no upper select1.  A select of the bit a
+sparse vector does not store is one binary search over the upper bits
+(``_stored_before_complement``).
+
+``SparseDictionary`` (the alphabet of a general-alphabet sequence, text
+index or function) keeps its sorted values in memory and a bitvector of
+them on disk: the container holds the Elias-Fano form, queries a bisect.
 
 ``unary_counts`` writes counts c_1..c_m as 1 0^c_1 1 ... 0^c_m 1, the one
 layout of every unary count vector (chunk histograms and distributions, a
@@ -35,6 +41,8 @@ count_before at once.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
 
 import numpy as np
 
@@ -174,7 +182,8 @@ class PlainBitVector:
 
     def ones(self) -> np.ndarray:
         """0-based positions of the one bits, ascending."""
-        return np.flatnonzero(self.to_bits())
+        # flatnonzero scans a bool view of the 0/1 bytes several times faster
+        return np.flatnonzero(self.to_bits().view(bool))
 
     def payload_bits(self) -> int:
         return self.words.size * WORD_BITS
@@ -302,17 +311,38 @@ class SparseBitVector:
             raise NotFoundError(f"fewer than {j} {bit}-bits")
         if bit == self.stored:
             return self._stored_select(j)
-        # the stored bits before the j-th complement bit are those at
-        # positions p_t with p_t - t < j, a prefix t = 1..lo of the stored
-        # ranks; binary search it
-        lo, hi = 0, self.k
+        return j + self._stored_before_complement(j)
+
+    def _stored_before_complement(self, j: int) -> int:
+        """The number of stored positions before the j-th complement bit.
+
+        Each upper bit marks a point of [0..n): a one the stored position
+        it encodes, the h-th zero the start h << low_width of bucket h.
+        The count of complement bits before each point, its key, rises
+        with the upper bits, so the last bit with a key below j is found
+        by binary search: a probe reads the per-word ones count, the word
+        and, for a one, its low part.  The ones up to it are the answer.
+        """
+        upper, lw = self._upper, self.low_width
+        cum, words, lows = upper._cum, upper._word_view, self._low_view
+        # bits 0..lo have keys below j and bits above hi keys of j or more;
+        # found counts the ones in bits 0..lo
+        lo, hi, found = -1, upper.n - 1, 0
         while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self._stored_select(mid) - mid < j:
-                lo = mid
+            u = (lo + hi + 1) >> 1
+            w, r = u >> 6, u & 63
+            word = words[w]
+            ones = cum[w] + (word & ((1 << r) - 1)).bit_count()  # before bit u
+            if (word >> r) & 1:
+                key = ((u - ones) << lw) + get_fixed(lows, lw, ones) - ones
+                ones += 1
             else:
-                hi = mid - 1
-        return j + lo
+                key = ((u - ones + 1) << lw) - ones
+            if key < j:
+                lo, found = u, ones
+            else:
+                hi = u - 1
+        return found
 
     def _stored_positions(self) -> np.ndarray:
         """0-based positions of the stored bit value, ascending."""
@@ -331,7 +361,7 @@ class SparseBitVector:
         when the ones are the stored minority."""
         if self.stored == 1:
             return self._stored_positions()
-        return np.flatnonzero(self.to_bits())
+        return np.flatnonzero(self.to_bits().view(bool))
 
     def payload_bits(self) -> int:
         return self._lows.size * WORD_BITS + self._upper.payload_bits()
@@ -447,6 +477,13 @@ class SparseDictionary:
 
     index_of maps a member to its 1-based rank among the stored values;
     value_of is the inverse.  Non-members map to None.
+
+    In memory the set is only its sorted values, a memoryview (uint32 below
+    a 2**32 universe, int64 from there): index_of is one bisect and one
+    read, value_of one read.  On disk it is the bitvector of its members
+    over [1..m] (when they are sparse, an Elias-Fano array of about
+    k*(lg(m/k) + 2) bits: Okanohara and Sadakane's sarray); load decodes the
+    values from it once, and serialize and payload_bits encode it again.
     """
 
     def __init__(self, values, universe_max=None):
@@ -455,11 +492,16 @@ class SparseDictionary:
             raise InputError("dictionary needs at least one value")
         if vals[0] < 1:
             raise InputError("dictionary values must be >= 1")
-        self.universe_max = int(universe_max) if universe_max else int(vals[-1])
-        if vals[-1] > self.universe_max:
+        universe_max = int(universe_max) if universe_max else int(vals[-1])
+        if vals[-1] > universe_max:
             raise InputError("value exceeds declared universe")
+        self._set(vals, universe_max)
+
+    def _set(self, vals: np.ndarray, universe_max: int):
+        self.universe_max = universe_max
         self.size = vals.size
-        self._bv = bitvector_from_positions(self.universe_max, vals - 1)
+        dtype = np.uint32 if universe_max < 1 << 32 else np.int64
+        self._values = memoryview(vals.astype(dtype))
 
     def __len__(self):
         return self.size
@@ -467,32 +509,55 @@ class SparseDictionary:
     def index_of(self, a: int):
         if not 1 <= a <= self.universe_max:
             raise OutOfRangeError(f"value {a} outside universe [1..{self.universe_max}]")
-        bit, r = self._bv.access_rank(a)
-        return r if bit else None
+        i = bisect_left(self._values, a)
+        return i + 1 if i < self.size and self._values[i] == a else None
+
+    def indices_of(self, values) -> list | None:
+        """index_of of each value, or None when one is not a member (a
+        value outside the universe included)."""
+        vals, size, out = self._values, self.size, []
+        for a in values:
+            i = bisect_left(vals, a)
+            if i == size or vals[i] != a:
+                return None
+            out.append(i + 1)
+        return out
 
     def value_of(self, i: int) -> int:
         if not 1 <= i <= self.size:
             raise OutOfRangeError(f"rank {i} out of [1..{self.size}]")
-        return self._bv.select(i, 1)
+        return self._values[i - 1]
+
+    def values_of(self, ranks) -> np.ndarray:
+        """value_of of each rank in an int array, as one take."""
+        return np.asarray(self._values)[np.asarray(ranks) - 1].astype(np.int64)
 
     def values(self) -> np.ndarray:
-        return self._bv.ones() + 1
+        return np.asarray(self._values).astype(np.int64)
+
+    def _bitvector(self) -> "PlainBitVector | SparseBitVector":
+        return bitvector_from_positions(self.universe_max, self.values() - 1)
 
     def payload_bits(self) -> int:
-        return self._bv.payload_bits()
+        return self._bitvector().payload_bits()
 
     def directory_bits(self) -> int:
-        return self._bv.directory_bits()
+        """The sorted values that queries read."""
+        return self._values.nbytes * 8
 
     def serialize(self) -> bytes:
-        return self._bv.serialize()
+        return self._bitvector().serialize()
 
     @classmethod
     def deserialize(cls, data: bytes) -> "SparseDictionary":
+        """Load a dictionary; raises InputError unless its decoded values
+        are at least one and strictly rise."""
+        bv = load_bitvector(data)
+        vals = bv.ones() + 1
+        if vals.size == 0 or (vals[1:] <= vals[:-1]).any():
+            raise InputError("dictionary values are empty or do not rise")
         obj = cls.__new__(cls)
-        obj._bv = load_bitvector(data)
-        obj.universe_max = len(obj._bv)
-        obj.size = obj._bv.count(1)
+        obj._set(vals, len(bv))
         return obj
 
 

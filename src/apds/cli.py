@@ -100,25 +100,44 @@ def _format_symbol(value: int, fmt: int) -> int:
     return value - 1 if fmt == container.FORMAT_BYTES else value
 
 
+# the build flags that apply to each --type, each to a parameter of its build
+# function; a flag left out is None and leaves that function's default
+_BUILD_FLAGS = {"seq": {}, "perm": {"runs_kind": "kind", "power_step": "power_step"},
+                "func": {"mode": "mode"}, "index": {"k": "k_context", "sample_rate": "sample_rate"}}
+
+
+def _build_options(args) -> dict:
+    """The build function's keyword arguments from the flags given;
+    InputError for a flag that does not apply to --type (the build
+    functions check the values)."""
+    params = _BUILD_FLAGS[args.type]
+    given = {flag: value for flag in set().union(*_BUILD_FLAGS.values())
+             if (value := getattr(args, flag)) is not None}
+    stray = sorted(given.keys() - params.keys())
+    if stray:
+        raise InputError(f"--{stray[0].replace('_', '-')} does not apply to --type {args.type}")
+    return {params[flag]: value for flag, value in given.items()}
+
+
 def cmd_build(args) -> int:
     fmt = container.FORMAT_BYTES if args.format == "bytes" else container.FORMAT_INTS
     if args.type == "perm" and args.format == "bytes":
         raise InputError("permutations take ints input")
+    options = _build_options(args)
     symbols = _read_symbols(args.input, args.format)
     if args.type == "seq":
         obj = build_partition(symbols, general_alphabet=True)
         summary = obj.space_report().format()
     elif args.type == "perm":
-        obj = build_run_permutation(symbols, args.runs_kind,
-                                    power_step=args.power_step)
+        obj = build_run_permutation(symbols, **options)
         summary = (f"n = {obj.n}\nrho = {obj.rho}\n"
                    f"payload_bits = {obj.payload_bits()}")
     elif args.type == "func":
-        obj = build_function(symbols, mode=args.mode, remap=True)
+        obj = build_function(symbols, remap=True, **options)
         summary = (f"n = {obj.n}\nsigma = {obj.sigma}\n"
                    f"payload_bits = {obj.payload_bits()}")
     else:
-        obj = FmIndex(symbols, k_context=args.k, sample_rate=args.sample_rate)
+        obj = FmIndex(symbols, **options)
         summary = (f"n = {obj.n}\nsigma = {obj.sigma}\n"
                    f"sample_rate = {obj.sample_rate}")
     container.save_file(args.output, obj, fmt)
@@ -250,11 +269,11 @@ def _build_parser():
     b.add_argument("--input", required=True)
     b.add_argument("--output", required=True)
     b.add_argument("--format", default="bytes", choices=["bytes", "ints"])
-    b.add_argument("--runs-kind", default="interleaved-general", choices=RUN_KINDS)
-    b.add_argument("--power-step", type=int, default=None)
-    b.add_argument("--mode", default="direct", choices=FUNC_MODES)
-    b.add_argument("--k", type=int, default=0)
-    b.add_argument("--sample-rate", type=int, default=None)
+    b.add_argument("--runs-kind", choices=RUN_KINDS)
+    b.add_argument("--power-step", type=int)
+    b.add_argument("--mode", choices=FUNC_MODES)
+    b.add_argument("--k", type=int)
+    b.add_argument("--sample-rate", type=int)
     b.set_defaults(func=cmd_build)
 
     q = sub.add_parser("query", help="query a structure container")
@@ -294,10 +313,9 @@ def _build_parser():
     ib.add_argument("--input", required=True)
     ib.add_argument("--output", required=True)
     ib.add_argument("--format", default="bytes", choices=["bytes", "ints"])
-    ib.add_argument("--k", type=int, default=0)
-    ib.add_argument("--sample-rate", type=int, default=None)
-    ib.set_defaults(func=cmd_build, type="index", runs_kind="interleaved-general",
-                    power_step=None, mode="direct")
+    ib.add_argument("--k", type=int)
+    ib.add_argument("--sample-rate", type=int)
+    ib.set_defaults(func=cmd_build, type="index", runs_kind=None, power_step=None, mode=None)
     for opname in ("count", "locate", "extract"):
         iq = isub.add_parser(opname)
         iq.add_argument("--structure", required=True)

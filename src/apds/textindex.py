@@ -27,7 +27,7 @@ get equal ranks, so an unstable sort is enough.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 
 import numpy as np
 
@@ -313,11 +313,8 @@ class FmIndex:
         """Set part_starts (first row of each part), part_cum (occurrences
         of each symbol in the parts before each part) and C (occurrences of
         the symbols smaller than each symbol) from the parts' lengths and
-        symbol counts, and alphabet_values (the text alphabet, ascending:
-        internal symbol c is alphabet_values[c - 2]).  Queries read them
-        one item at a time, so they are lists and a memoryview, whose items
-        are ints."""
-        self.alphabet_values = self.alphabet.values().tolist()
+        symbol counts.  Queries read them one item at a time, so they are
+        lists and a memoryview, whose items are ints."""
         lengths = np.array([len(p) for p in self.parts], dtype=np.int64)
         self.part_starts = (np.cumsum(lengths) - lengths + 1).tolist()
         occ = np.zeros((len(self.parts) + 1, self.sigma + 2), dtype=np.int64)
@@ -382,25 +379,24 @@ class FmIndex:
         return arr
 
     def _pattern_internal(self, pattern):
+        """The alphabet ranks of the pattern's symbols, or None if one does
+        not occur in the text; internal symbols are these ranks plus one,
+        as 1 is the terminator."""
         syms = text_symbols(pattern)
         if len(syms) == 0:
             raise InputError("empty pattern")
-        values, out = self.alphabet_values, []
-        for v in syms:
-            j = bisect_left(values, v)
-            if j == len(values) or values[j] != v:
-                return None
-            out.append(j + 2)
-        return out
+        return self.alphabet.indices_of(syms)
 
     def _backward_range(self, pattern):
-        syms = self._pattern_internal(pattern)
-        if syms is None:
+        ranks = self._pattern_internal(pattern)
+        if ranks is None:
             return None
         sp, ep = 1, self.rows
-        for c in reversed(syms):
-            sp = self.C[c] + self._bwt_rank(c, sp - 1) + 1
-            ep = self.C[c] + self._bwt_rank(c, ep)
+        C, rank = self.C, self._bwt_rank
+        for a in reversed(ranks):
+            c = a + 1
+            sp = C[c] + rank(c, sp - 1) + 1
+            ep = C[c] + rank(c, ep)
             if sp > ep:
                 return None
         return sp, ep
@@ -444,9 +440,7 @@ class FmIndex:
             c, row = self._lf(row)
             out.append(c)
             p -= 1
-        seq = out[::-1][: r - l + 1]
-        values = self.alphabet_values
-        return [values[c - 2] for c in seq]
+        return self.alphabet.values_of(np.array(out[::-1][: r - l + 1]) - 1).tolist()
 
     def extract_bytes(self, l: int, r: int) -> bytes:
         return bytes(v - 1 for v in self.extract(l, r))
@@ -461,7 +455,7 @@ class FmIndex:
         out = []
         for r in range(1, self.rows + 1):
             c = self._bwt_access_rank(r)[0]
-            out.append(terminator if c == 1 else chr(self.alphabet_values[c - 2] - 1))
+            out.append(terminator if c == 1 else chr(self.alphabet.value_of(c - 1) - 1))
         return "".join(out)
 
     # --- serialization -------------------------------------------------------------------

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from apds.bits import ByteReader, ByteWriter, select_in_word
+from apds.bits import ByteReader, ByteWriter, pack_fixed, select_in_word, unpack_fixed
 from apds.bitvec import load_bitvector
 from apds.errors import InputError
 
@@ -106,3 +106,33 @@ def test_select_in_word_matches_clearing_reference(word):
 def test_select_in_word_edge_words(word):
     """The top bit, all ones, single bits, and ones all in one byte."""
     _assert_select_in_word(word)
+
+
+@st.composite
+def _packed_fields(draw):
+    """Random words, a width of 1..64 and a field count from 0 up to the
+    fields that fit, so the last field may end in the last word's top bit."""
+    width = draw(st.integers(1, 64))
+    size = draw(st.integers(1, 10))
+    words = draw(st.lists(st.integers(0, 2**64 - 1), min_size=size, max_size=size))
+    count = draw(st.integers(0, size * 64 // width))
+    return np.array(words, dtype=np.uint64), width, count
+
+
+@settings(max_examples=400, deadline=None)
+@given(_packed_fields())
+@example((np.array([2**64 - 1] * 3, dtype=np.uint64), 64, 3))  # one field per word
+@example((np.array([2**64 - 1, 5], dtype=np.uint64), 63, 2))  # straddles into the last word
+@example((np.array([0x8000_0000_0000_0001] * 3, dtype=np.uint64), 3, 64))  # ends at bit 191
+@example((np.array([7], dtype=np.uint64), 1, 0))
+def test_unpack_fixed_matches_bit_formula(case):
+    """Field i is bits i*w .. i*w + w - 1 of the words read as one
+    little-endian integer; pack_fixed of the fields gives the words back."""
+    words, width, count = case
+    whole = int.from_bytes(words.astype("<u8").tobytes(), "little")
+    want = [(whole >> (i * width)) & ((1 << width) - 1) for i in range(count)]
+    got = unpack_fixed(words, width, count)
+    assert got.dtype == np.uint64 and got.tolist() == want
+    repacked = pack_fixed(got, width)
+    assert unpack_fixed(repacked, width, count).tolist() == want
+    assert repacked.size == -(-count * width // 64)

@@ -22,6 +22,7 @@ from apds.bitvec import (
     load_unary_counts,
     unary_counts,
 )
+from apds.bits import ByteWriter, pack_fixed, unpack_fixed
 from apds.errors import InputError, NotFoundError, OutOfRangeError
 
 
@@ -212,6 +213,10 @@ def test_dict_examples():
     assert SparseDictionary([5]).value_of(1) == 5
     with pytest.raises(OutOfRangeError):
         d.value_of(4)
+    assert d.indices_of([40, 3, 7]) == [3, 1, 2]
+    for absent in ([3, 8], [0], [41], [-1], [2**40]):
+        assert d.indices_of(absent) is None
+    assert d.values_of([3, 1]).tolist() == [40, 3]
 
 
 def test_dict_round_trip_property():
@@ -248,6 +253,32 @@ def test_dict_rejects_bad_values():
         SparseDictionary([])
     with pytest.raises(InputError):
         SparseDictionary([0, 3])
+
+
+def swap_sparse_lows(data: bytes, a: int, b: int) -> bytes:
+    """A sparse bitvector's bytes with its low parts a and b (0-based) swapped."""
+    bv = load_bitvector(data)
+    lows = unpack_fixed(bv._lows, bv.low_width, bv.k)
+    lows[[a, b]] = lows[[b, a]]
+    w = ByteWriter()
+    w.uint(2)
+    w.uint(bv.n)
+    w.uint(bv.stored)
+    w.ints(pack_fixed(lows, bv.low_width))
+    w.ints(bv._upper.words)
+    return w.getvalue()
+
+
+def test_dict_with_swapped_low_parts_is_refused():
+    """Values 101, 102 and 103 share bucket 0 of a sparse dictionary over
+    [1..4096]; with two of their low parts swapped they no longer rise."""
+    data = SparseDictionary([101, 102, 103, 4096]).serialize()
+    assert load_bitvector(data).kind == "sparse"
+    for a, b in ((0, 1), (1, 2)):
+        bad = swap_sparse_lows(data, a, b)
+        assert load_bitvector(bad).to_bits().sum() == 4  # loads as a bitvector
+        with pytest.raises(InputError):
+            SparseDictionary.deserialize(bad)
 
 
 
@@ -484,6 +515,23 @@ def test_sparse_access_rank_every_position(case):
     """The one-scan access_rank at every i in [1..n] against to_bits()."""
     n, where, stored = case
     _check_access_rank_every_i(SparseBitVector(n, np.asarray(where, dtype=np.int64), stored))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_sparse_vectors())
+# 100 positions in one 128-wide bucket: its ones fill an upper word
+@example((1 << 14, list(range(1024, 1124)), 0))
+@example((1 << 14, list(range(1024, 1124)), 1))
+@example((4096, [1024, 2048, 3000], 1))
+@example((300, [0, 1, 298, 299], 0))
+@example((5, [], 1))
+def test_sparse_complement_select_every_j(case):
+    """Select of the bit a sparse vector does not store, at every j, against
+    that bit's positions in to_bits()."""
+    n, where, stored = case
+    bv = SparseBitVector(n, np.asarray(where, dtype=np.int64), stored)
+    other = (np.flatnonzero(bv.to_bits() != stored) + 1).tolist()
+    assert [bv.select(j, 1 - stored) for j in range(1, len(other) + 1)] == other
 
 
 @pytest.mark.parametrize("case", ["empty-buckets", "bucket-starts-and-ends", "low-width-0"])

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from apds.apseq import ApSequence
-from apds.bitvec import bitvector
+from apds.bitvec import SparseDictionary, bitvector
 from apds.chunkseq import LargeSequence
 from apds.cli import main
 from apds.container import dump_structure
 from test_apseq import large_class_input
+from test_bitvec import swap_sparse_lows
 from test_cfunction import extra_unit_function
 from test_chunkseq import corrupt_cycle_walk
 
@@ -274,6 +275,22 @@ def test_corrupt_function_bitmap_exit_2(tmp_path):
         "query", "--structure", str(path), "--op", "eval", "--pos", "3"))
 
 
+def test_corrupt_dictionary_exit_2(tmp_path, capsys):
+    """A sequence whose sparse alphabet dictionary has two low parts of one
+    bucket swapped."""
+    src = tmp_path / "seq.txt"
+    src.write_text("101 102 103 4096 101 102")
+    out_path = tmp_path / "seq.apds"
+    run_cli(capsys, "build", "--type", "seq", "--format", "ints", "--input", str(src),
+            "--output", str(out_path))
+    good = SparseDictionary([101, 102, 103, 4096]).serialize()
+    data = out_path.read_bytes()
+    assert data.count(good) == 1
+    out_path.write_bytes(data.replace(good, swap_sparse_lows(good, 0, 1)))
+    assert_exit_2_without_traceback(run_cli_process(
+        "query", "--structure", str(out_path), "--op", "access", "--pos", "1"))
+
+
 def test_corrupt_chunk_histogram_exit_2(tmp_path):
     """A sequence whose first large class store has one unit too many in
     its histogram."""
@@ -410,9 +427,20 @@ def test_selfcheck_injected_bitvector_fault_fails(capsys):
     ["build", "--type", "index", "--input", "{text}", "--output", "{out}",
      "--sample-rate", "0"],
     ["index", "build", "--input", "{text}", "--output", "{out}", "--sample-rate", "-5"],
+    ["build", "--type", "index", "--input", "{text}", "--output", "{out}", "--k", "-1"],
+    # flags that do not apply to the type
+    ["build", "--type", "seq", "--input", "{text}", "--output", "{out}",
+     "--power-step", "0", "--sample-rate", "-4"],
+    ["build", "--type", "seq", "--input", "{text}", "--output", "{out}", "--k", "0"],
+    ["build", "--type", "index", "--input", "{text}", "--output", "{out}",
+     "--runs-kind", "contiguous-strict"],
+    ["build", "--type", "func", "--input", "{text}", "--output", "{out}", "--sample-rate", "4"],
+    ["build", "--type", "perm", "--format", "ints", "--input", "{perm}",
+     "--output", "{out}", "--mode", "direct"],
 ], ids=["selfcheck-max-n-1", "selfcheck-iters-negative", "selfcheck-iters-0",
         "perm-power-step-0", "perm-power-step-negative", "index-sample-rate-0",
-        "index-alias-sample-rate-negative"])
+        "index-alias-sample-rate-negative", "index-k-negative", "seq-perm-and-index-flags",
+        "seq-k", "index-runs-kind", "func-sample-rate", "perm-mode"])
 def test_bad_flag_values_exit_2(abra_file, tmp_path, capsys, argv):
     perm = tmp_path / "perm.txt"
     perm.write_text("3 1 4 2")
