@@ -81,12 +81,10 @@ def select_in_word(word: int, j: int) -> int:
 
 
 def pack_fixed(values: np.ndarray, width: int) -> np.ndarray:
-    """Pack non-negative integers < 2**width into words, LSB-first."""
-    values = np.asarray(values, dtype=np.uint64)
-    bits = ((values[:, None] >> np.arange(width, dtype=np.uint64)) & 1).astype(
-        np.uint8
-    )
-    return pack_bits(bits.reshape(-1))
+    """Pack non-negative integers < 2**width into words, LSB-first: the low
+    width bits of each value's little-endian bytes, one uint8 per bit."""
+    octets = np.ascontiguousarray(values, dtype="<u8").view(np.uint8).reshape(-1, 8)
+    return pack_bits(np.unpackbits(octets, axis=1, count=width, bitorder="little"))
 
 
 def unpack_fixed(words: np.ndarray, width: int, count: int) -> np.ndarray:

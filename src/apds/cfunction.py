@@ -82,10 +82,10 @@ class CompressedFunction:
             if dec.entropy() > h + 1e-12:
                 # one all-equal run per value: H(runs) = H0 exactly
                 dec = RunDecomposition("interleaved-general", self.n, counts,
-                                       np.ones(self.sigma, dtype=bool), arr)
+                                       np.ones(self.sigma, dtype=bool), arr, checked=dec.checked)
             if dec.entropy() > h + 1e-9:
                 raise AssertionError(f"H(runs) = {dec.entropy()} exceeds H0 = {h}")
-        self.pi = RunPermutation.from_decomposition(pi, dec)
+        self.pi = RunPermutation.from_decomposition(dec.checked, dec)
 
     # --- queries ---------------------------------------------------------------
 

@@ -21,7 +21,7 @@ from .errors import ApdsError, InputError, NotFoundError
 from .permutation import KINDS as RUN_KINDS, build_run_permutation
 from .selfcheck import run_selfcheck
 from .stats import h0, hk
-from .textindex import FmIndex
+from .textindex import FmIndex, text_array
 from .dsets import DisjointSetCollection
 
 EXIT_OK = 0
@@ -29,10 +29,9 @@ EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_NOT_FOUND = 3
 
-INT64_MAX = 2**63 - 1
 
-
-def _read_symbols(path: str, fmt: str) -> list:
+def _read_symbols(path: str, fmt: str) -> np.ndarray:
+    """The file's symbols as one int64 array: byte values + 1, or int tokens."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -41,17 +40,17 @@ def _read_symbols(path: str, fmt: str) -> list:
     if len(data) == 0:
         raise InputError("empty input")
     if fmt == "bytes":
-        return [b + 1 for b in data]
+        return text_array(data)
     try:
-        values = [int(tok) for tok in data.split()]
+        values = np.array(data.split(), dtype=np.int64)
     except ValueError as exc:
         raise InputError(f"bad integer token in {path}: {exc}")
-    if not values:
+    except OverflowError:
+        raise InputError("symbol values must lie in [1..2**63 - 1]")
+    if values.size == 0:
         raise InputError("empty input")
-    if min(values) < 1:
+    if values.min() < 1:
         raise InputError("symbol values must be >= 1")
-    if max(values) > INT64_MAX:
-        raise InputError(f"symbol values must be <= {INT64_MAX}")
     return values
 
 

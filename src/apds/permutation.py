@@ -108,6 +108,7 @@ class RunDecomposition(RunSummary):
     """A run cover, with what a layout is built from."""
 
     labels: np.ndarray  # run id per position, 1..rho
+    checked: np.ndarray | None = None  # the int64 pi found a bijection, read only
 
 
 def _cover_interleaved_general(arr: np.ndarray):
@@ -185,7 +186,9 @@ def decompose_runs(pi, kind: str) -> RunDecomposition:
         labels = labels[arr - 1]
     else:
         labels, lengths, increasing = _cover_contiguous(arr, strict=(kind == "contiguous-strict"))
-    dec = RunDecomposition(kind, arr.size, lengths, increasing, labels)
+    checked = arr.view()  # so that no write through it undoes the check
+    checked.flags.writeable = False
+    dec = RunDecomposition(kind, arr.size, lengths, increasing, labels, checked)
     dec.check_entropy_facts()
     return dec
 
@@ -425,12 +428,13 @@ class RunPermutation:
     @classmethod
     def build(cls, pi, kind: str = "interleaved-general",
               power_step: int | None = None) -> "RunPermutation":
-        return cls.from_decomposition(pi, decompose_runs(pi, kind), power_step=power_step)
+        dec = decompose_runs(pi, kind)
+        return cls.from_decomposition(dec.checked, dec, power_step=power_step)
 
     @classmethod
     def from_decomposition(cls, pi, dec: RunDecomposition,
                            power_step: int | None = None) -> "RunPermutation":
-        arr = _validate_permutation(pi)
+        arr = pi if pi is dec.checked else _validate_permutation(pi)  # check pi once
         companion = None if power_step is None else CycleIndex(arr, power_step)
         return cls(_RunLayout.build(arr, dec), dec.kind, companion)
 

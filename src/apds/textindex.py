@@ -50,12 +50,12 @@ def text_symbols(data) -> list:
 
 def text_array(data) -> np.ndarray:
     """text_symbols as an int64 array; bytes and str are read as one
-    buffer, without a per-byte list."""
+    buffer, without a per-byte list, and an int array is kept as it is."""
     if isinstance(data, str):
         data = data.encode("utf-8")
     if isinstance(data, (bytes, bytearray)):
         return np.frombuffer(data, dtype=np.uint8).astype(np.int64) + 1
-    return np.asarray(text_symbols(data), dtype=np.int64)
+    return np.asarray(data if isinstance(data, np.ndarray) else text_symbols(data), dtype=np.int64)
 
 
 def suffix_array(t: np.ndarray) -> np.ndarray:

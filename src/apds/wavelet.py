@@ -10,10 +10,12 @@ the 0-children of the I_d internal nodes of depth d, then their 1-children
 first; the last L_{d+1} nodes are the leaves, the symbols of code length
 d+1 in ascending order.  So position i with bit b moves to rank_b(i) on
 the next level, plus level d's zero count if b = 1, and is in a leaf when
-that is past the next level's length.  Only the code lengths, the counts
-and the levels are stored; load derives n and sigma (the counts' sum and
+that is past the next level's length.  One symbol makes a matrix with no
+levels, which takes the same walk.  Only the code lengths, the counts and
+the levels are stored; load derives n and sigma (the counts' sum and
 number), the codes, the level count, each level's length and zero count
-and the leaf starts, and refuses levels that disagree.
+and the leaf starts, and refuses levels that disagree.  The code lengths,
+like the shape, are computed on lists, as sigma is small.
 """
 
 from __future__ import annotations
@@ -30,24 +32,24 @@ from .errors import InputError, NotFoundError, OutOfRangeError
 
 
 def huffman_code_lengths(counts: np.ndarray) -> np.ndarray:
-    """Code length per symbol (0 for absent symbols), deterministic ties."""
-    lengths = np.zeros(counts.size, dtype=np.int64)
-    alive = [int(s) for s in np.flatnonzero(counts > 0)]
-    if len(alive) <= 1:
-        return lengths
-    heap = []
-    serial = 0
-    for s in alive:
-        heap.append((int(counts[s]), serial, [s]))
-        serial += 1
+    """Code length per symbol (0 for absent symbols).  Ties merge the leaves
+    in symbol order before the merged nodes in creation order, the order of
+    the node ids: leaves 0..k-1, then merge m makes node k + m."""
+    alive = np.flatnonzero(counts > 0)
+    k = alive.size
+    heap = list(zip(counts[alive].tolist(), range(k)))
     heapq.heapify(heap)
-    while len(heap) > 1:
-        c1, _, m1 = heapq.heappop(heap)
-        c2, _, m2 = heapq.heappop(heap)
-        lengths[m1] += 1
-        lengths[m2] += 1
-        heapq.heappush(heap, (c1 + c2, serial, m1 + m2))
-        serial += 1
+    parent = [0] * (2 * k - 1)
+    for node in range(k, 2 * k - 1):
+        c1, a = heapq.heappop(heap)
+        c2, b = heapq.heappop(heap)
+        parent[a] = parent[b] = node
+        heapq.heappush(heap, (c1 + c2, node))
+    depth = [0] * (2 * k - 1)
+    for node in range(2 * k - 3, -1, -1):  # from the root, 2k - 2, down
+        depth[node] = depth[parent[node]] + 1
+    lengths = np.zeros(counts.size, dtype=np.int64)
+    lengths[alive] = depth[:k]
     return lengths
 
 
@@ -106,11 +108,10 @@ class PolySequence:
         """Set codes, zero counts, leaf starts, count list and leaf table from
         lengths and counts; return the level lengths (and a final 0) and the walk steps."""
         lengths, counts = self._lengths.tolist(), self._counts.tolist()
-        self._only = None
         coded = [s for s, c in enumerate(counts) if c]
-        if len(coded) <= 1:  # a constant sequence stores nothing beyond the symbol id
-            self._only = coded[0] if coded else 0
-        if [s for s, length in enumerate(lengths) if length] != (coded if self._only is None else []):
+        # one symbol: no levels, code length 0, leaf start 0; access names it
+        self._only = coded[0] if len(coded) == 1 else None
+        if [s for s, length in enumerate(lengths) if length] != (coded if len(coded) > 1 else []):
             raise InputError("code lengths do not match the symbol counts")
         self._code, order, internal, longer = matrix_shape(lengths)
         depth = len(internal) - 1
@@ -155,8 +156,6 @@ class PolySequence:
         position reached in a's leaf, minus a's leaf start, is the rank."""
         if not 1 <= i <= self.n:
             raise OutOfRangeError(f"position {i} out of [1..{self.n}]")
-        if self._only is not None:
-            return self._only + 1, i
         node = 0
         for bv, zeros, internal, next_internal, leaf_base in self._walk:
             b, i = bv.access_rank(i)
@@ -166,14 +165,13 @@ class PolySequence:
             if node >= next_internal:
                 a = self._by_leaf[leaf_base + node]
                 return a + 1, i - self._start[a]
+        return self._only + 1, i  # no levels: a constant sequence
 
     def rank(self, a: int, i: int) -> int:
         if not 0 <= i <= self.n:
             raise OutOfRangeError(f"rank position {i} out of [0..{self.n}]")
         if i == 0 or not 1 <= a <= self.sigma or self._count[a - 1] == 0:
             return 0
-        if self._only is not None:
-            return i if a - 1 == self._only else 0
         code, length = self._code[a - 1], self._length[a - 1]
         for d in range(length):
             if (code >> (length - 1 - d)) & 1:
@@ -187,8 +185,6 @@ class PolySequence:
             raise OutOfRangeError("select rank must be >= 1")
         if not 1 <= a <= self.sigma or j > self._count[a - 1]:
             raise NotFoundError(f"fewer than {j} occurrences of symbol {a}")
-        if self._only is not None:
-            return j
         code = self._code[a - 1]
         j += self._start[a - 1]
         for d in range(self._length[a - 1] - 1, -1, -1):
@@ -202,8 +198,6 @@ class PolySequence:
     def decode(self) -> np.ndarray:
         """Reconstruct the whole sequence, one stable partition per level,
         from the deepest level up (values 1..sigma)."""
-        if self._only is not None:
-            return np.full(self.n, self._only + 1, dtype=np.int64)
         order = np.array(self._by_leaf)
         seq = np.repeat(order, self._counts[order])  # level d ends with depth d+1's leaves
         for bv in reversed(self._levels):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -136,3 +138,43 @@ def test_unpack_fixed_matches_bit_formula(case):
     repacked = pack_fixed(got, width)
     assert unpack_fixed(repacked, width, count).tolist() == want
     assert repacked.size == -(-count * width // 64)
+
+
+def per_bit_pack(values: list, width: int) -> list:
+    """The words of values packed LSB-first, width bits apiece, from the
+    bits of one integer: field i is bits i*w .. i*w + w - 1."""
+    whole = sum(v << (i * width) for i, v in enumerate(values))
+    return [(whole >> (64 * k)) & (2**64 - 1) for k in range(-(-len(values) * width // 64))]
+
+
+@st.composite
+def _fields(draw):
+    width = draw(st.integers(1, 64))
+    values = draw(st.lists(st.integers(0, 2**width - 1), max_size=200))
+    return values, width
+
+
+@settings(max_examples=400, deadline=None)
+@given(_fields())
+@example(([], 17))
+@example(([2**64 - 1] * 3, 64))
+@example(([2**63 - 1, 1, 2**63 - 1], 63))  # fields straddle words
+@example(([1] * 65, 1))
+def test_pack_fixed_matches_per_bit_formula(case):
+    values, width = case
+    words = pack_fixed(np.array(values, dtype=np.uint64), width)
+    assert words.dtype == np.uint64 and words.tolist() == per_bit_pack(values, width)
+
+
+def test_pack_fixed_holds_no_array_per_bit():
+    # a bit of output costs one byte on the way, not a uint64
+    values = np.random.default_rng(3).integers(0, 2**17, 1 << 18).astype(np.uint64)
+    pack_fixed(values[:64], 17)
+    tracemalloc.start()
+    try:
+        words = pack_fixed(values, 17)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert words.size == (17 << 18) // 64
+    assert peak <= 2 * values.size * 17, peak

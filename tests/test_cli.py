@@ -311,6 +311,24 @@ def test_int_token_above_int64_exit_2(tmp_path):
         "--output", str(tmp_path / "big.apds")))
 
 
+@pytest.mark.parametrize("text,message", [
+    ("1 x 3", "bad integer token"),
+    ("1 2.5", "bad integer token"),
+    ("3 0 1", "symbol values must be >= 1"),
+    (f"3 {-2**70} 1", "symbol values must"),
+    (" \n\t", "empty input"),
+    (None, "cannot read"),
+])
+def test_bad_int_input_exit_2(tmp_path, capsys, text, message):
+    src = tmp_path / "ints.txt"
+    if text is not None:
+        src.write_text(text)
+    code, _, err = run_cli(capsys, "build", "--type", "seq", "--format", "ints",
+                           "--input", str(src), "--output", str(tmp_path / "o.apds"))
+    assert code == 2
+    assert message in err
+
+
 @pytest.mark.parametrize("bad_range", ["1:x", "5"])
 def test_bad_extract_range_exit_2(abra_file, tmp_path, capsys, bad_range):
     out_path = str(tmp_path / "abra.idx")

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from apds import permutation
 from apds.apseq import ApSequence
 from apds.bits import ByteWriter
+from apds.cfunction import build_function
 from apds.errors import InputError, NotFoundError, OutOfRangeError, UnsupportedOperationError
 from apds.permutation import (
     KINDS,
@@ -80,6 +82,30 @@ def test_decompose_rejects_non_bijection():
                 entry(pi)
     with pytest.raises(InputError):
         decompose_runs([], "contiguous-general")
+
+
+def test_one_bijection_check_per_build(monkeypatch):
+    """A build checks pi once: from_decomposition trusts only the read-only
+    array that decompose_runs checked, and checks any other pi again."""
+    calls = []
+    check = permutation._validate_permutation
+    monkeypatch.setattr(permutation, "_validate_permutation",
+                        lambda pi: calls.append(1) or check(pi))
+    pi = np.random.default_rng(4).permutation(300) + 1
+    builds = [lambda kind=kind: RunPermutation.build(pi, kind, power_step=3) for kind in KINDS]
+    # the last function takes the one-run-per-value fallback
+    builds += [lambda f=f, mode=mode: build_function(f, mode=mode)
+               for mode in ("runs-interleaved", "runs-contiguous")
+               for f in ([1, 2, 3, 1, 3, 2, 2, 1], [1, 3, 1, 2, 1, 1, 2, 3])]
+    for build in builds:
+        calls.clear()
+        build()
+        assert len(calls) == 1
+    dec = decompose_runs(pi, "interleaved-general")
+    assert not dec.checked.flags.writeable
+    calls.clear()
+    RunPermutation.from_decomposition(pi.copy(), dec)
+    assert len(calls) == 1
 
 
 def test_contiguous_decompositions():

@@ -1,8 +1,9 @@
+import heapq
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from apds.bits import ByteWriter
@@ -179,6 +180,47 @@ def test_matrix_shape_codes_prefix_free():
                 assert (cb >> (lb - la)) != ca, "prefix property violated"
     # Kraft equality for a complete code
     assert sum(2.0 ** -l for _, l in items) == pytest.approx(1.0)
+
+
+def member_list_lengths(counts: np.ndarray) -> np.ndarray:
+    """Huffman code lengths by the member-list formula: each heap entry
+    carries its leaves, and every merge adds one to each of their lengths.
+    Equal counts pop in serial order: the leaves in symbol order, then the
+    merged nodes in creation order."""
+    lengths = np.zeros(counts.size, dtype=np.int64)
+    alive = [int(s) for s in np.flatnonzero(counts > 0)]
+    if len(alive) <= 1:
+        return lengths
+    heap = [(int(counts[s]), serial, [s]) for serial, s in enumerate(alive)]
+    heapq.heapify(heap)
+    serial = len(heap)
+    while len(heap) > 1:
+        c1, _, m1 = heapq.heappop(heap)
+        c2, _, m2 = heapq.heappop(heap)
+        lengths[m1] += 1
+        lengths[m2] += 1
+        heapq.heappush(heap, (c1 + c2, serial, m1 + m2))
+        serial += 1
+    return lengths
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.lists(st.integers(0, 3), min_size=1, max_size=300),  # zero counts and many ties
+    st.lists(st.integers(0, 10**6), min_size=1, max_size=300),
+    st.lists(st.sampled_from([0, 1, 2, 4, 8, 16]), min_size=1, max_size=300),  # merged ties leaves
+    st.integers(1, 300).flatmap(  # one symbol present
+        lambda sigma: st.tuples(st.integers(0, sigma - 1), st.integers(1, 10**9)).map(
+            lambda t: [t[1] if s == t[0] else 0 for s in range(sigma)])),
+))
+@example([0, 0, 0])
+@example([5])
+@example([1] * 300)
+def test_huffman_lengths_match_member_lists(counts):
+    counts = np.array(counts, dtype=np.int64)
+    lengths = huffman_code_lengths(counts)
+    assert lengths.dtype == np.int64
+    assert lengths.tolist() == member_list_lengths(counts).tolist()
 
 
 @st.composite
