@@ -50,7 +50,7 @@ import math
 
 import numpy as np
 
-from .bits import ByteReader, ByteWriter
+from .bits import ByteReader, ByteWriter, symbol_array
 from .bitvec import SparseDictionary, alphabet_ranks
 from .chunkseq import LargeSequence
 from .errors import InputError, NotFoundError, OutOfRangeError
@@ -183,11 +183,7 @@ class ApSequence:
     general alphabet remapped through a dictionary."""
 
     def __init__(self, seq, general_alphabet: bool = False):
-        arr = np.asarray(seq, dtype=np.int64)
-        if arr.size == 0:
-            raise InputError("empty input")
-        if arr.min() < 1:
-            raise InputError(f"invalid symbol {int(arr.min())}: symbols must be >= 1")
+        arr = symbol_array(seq)
         self.alphabet_dict = None
         if general_alphabet:
             arr, self.alphabet_dict = alphabet_ranks(arr)

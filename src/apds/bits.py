@@ -14,9 +14,17 @@ a word to one byte with three popcounts and reads a 256 x 8 byte-select
 table built at import.  ``get_fixed`` reads one packed field; hot callers
 pass a memoryview of the words, whose items are ints with no numpy
 per-item cost.
+
+Every structure is built from a string over [1..sigma], and takes it
+through ``symbol_array``: a non-empty one-axis array of integers within
+int64, each >= 1 and at most the alphabet size when one is declared.
+Anything else ends in InputError.  ``int_param`` is the same rule for a
+structure's integer parameters (a block length, a sample rate).
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -27,6 +35,39 @@ _U64 = np.dtype("<u8")
 _UINT_LIMIT = 1 << 63
 _VARINT_MAX_BYTES = 10
 _VIEW_DTYPES = {w: np.dtype(f"<u{w}") for w in (1, 2, 4, 8)}
+
+
+def symbol_array(values, alphabet_size=None) -> np.ndarray:
+    """values as a flat int64 array (an int64 array is returned as itself),
+    unless they break the symbol rule of the module docstring."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # a ragged list
+        raise InputError("symbols must form one flat array of integers")
+    if arr.size == 0:
+        raise InputError("empty input")
+    if arr.ndim != 1 or arr.dtype.kind not in "iu":
+        raise InputError(f"symbols must form one flat array of integers, got a {arr.ndim}-axis "
+                         f"{arr.dtype} array")
+    if arr.dtype == np.uint64 and arr.max() >= _UINT_LIMIT:
+        raise InputError("symbol values must lie in [1..2**63 - 1]")
+    arr = arr.astype(np.int64, copy=False)
+    if arr.min() < 1:
+        raise InputError("symbol values must be >= 1")
+    if alphabet_size is not None and arr.max() > alphabet_size:
+        raise InputError(f"symbol exceeds declared alphabet size {alphabet_size}")
+    return arr
+
+
+def int_param(value, name: str, least: int = 1) -> int:
+    """value as an int, unless it is not an integer or is below least."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise InputError(f"{name} must be >= {least}")
+    return value
 
 
 def pack_bits(bits) -> np.ndarray:

@@ -54,6 +54,7 @@ from .bits import (
     pack_bits,
     pack_fixed,
     select_in_word,
+    symbol_array,
     unpack_bits,
     unpack_fixed,
 )
@@ -487,15 +488,8 @@ class SparseDictionary:
     """
 
     def __init__(self, values, universe_max=None):
-        vals = np.unique(np.asarray(values, dtype=np.int64))
-        if vals.size == 0:
-            raise InputError("dictionary needs at least one value")
-        if vals[0] < 1:
-            raise InputError("dictionary values must be >= 1")
-        universe_max = int(universe_max) if universe_max else int(vals[-1])
-        if vals[-1] > universe_max:
-            raise InputError("value exceeds declared universe")
-        self._set(vals, universe_max)
+        vals = np.unique(symbol_array(values, universe_max))
+        self._set(vals, int(universe_max) if universe_max else int(vals[-1]))
 
     def _set(self, vals: np.ndarray, universe_max: int):
         self.universe_max = universe_max

@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .apseq import ApSequence
-from .bits import ByteReader, ByteWriter
+from .bits import ByteReader, ByteWriter, symbol_array
 from .bitvec import (SparseDictionary, alphabet_ranks, count_before, count_owner, count_runs,
                      load_unary_counts, unary_counts)
 from .errors import InputError, NotFoundError, OutOfRangeError
@@ -45,11 +45,7 @@ class CompressedFunction:
     def __init__(self, f, mode: str = "direct", remap: bool = False):
         if mode not in MODES:
             raise InputError(f"unknown function mode {mode!r}")
-        arr = np.asarray(f, dtype=np.int64)
-        if arr.size == 0:
-            raise InputError("empty input")
-        if arr.min() < 1:
-            raise InputError("function values must be >= 1")
+        arr = symbol_array(f)
         self.mode = mode
         if remap:
             arr, self.value_dict = alphabet_ranks(arr)

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .bits import ByteReader, ByteWriter, get_fixed, pack_fixed, unpack_fixed
+from .bits import ByteReader, ByteWriter, get_fixed, pack_fixed, symbol_array, unpack_fixed
 from .bitvec import (bitvector, count_before, count_owner, counts_before, load_bitvector,
                      load_unary_counts, unary_counts)
 from .errors import InputError, NotFoundError, OutOfRangeError
@@ -47,14 +47,8 @@ def cycle_order(succ: list) -> tuple[np.ndarray, np.ndarray]:
 
 class LargeSequence:
     def __init__(self, seq, alphabet_size: int | None = None):
-        arr = np.asarray(seq, dtype=np.int64)
-        if arr.size == 0:
-            raise InputError("cannot build a sequence from empty input")
-        if arr.min() < 1:
-            raise InputError("symbols must be positive integers")
+        arr = symbol_array(seq, alphabet_size)
         sigma = int(alphabet_size) if alphabet_size else int(arr.max())
-        if arr.max() > sigma:
-            raise InputError("symbol exceeds declared alphabet size")
         self.n = arr.size
         self.sigma = sigma
         self.chunks = (self.n + sigma - 1) // sigma

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import container
 from .apseq import Partition, build_partition
+from .bits import symbol_array
 from .bitvec import alphabet_ranks
 from .cfunction import MODES as FUNC_MODES, build_function
 from .errors import ApdsError, InputError, NotFoundError
@@ -37,8 +38,6 @@ def _read_symbols(path: str, fmt: str) -> np.ndarray:
             data = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}")
-    if len(data) == 0:
-        raise InputError("empty input")
     if fmt == "bytes":
         return text_array(data)
     try:
@@ -47,11 +46,7 @@ def _read_symbols(path: str, fmt: str) -> np.ndarray:
         raise InputError(f"bad integer token in {path}: {exc}")
     except OverflowError:
         raise InputError("symbol values must lie in [1..2**63 - 1]")
-    if values.size == 0:
-        raise InputError("empty input")
-    if values.min() < 1:
-        raise InputError("symbol values must be >= 1")
-    return values
+    return symbol_array(values)
 
 
 def _parse_symbol(text: str, fmt: int) -> int:
@@ -200,12 +195,11 @@ def cmd_query(args) -> int:
 
 def cmd_stats(args) -> int:
     symbols = _read_symbols(args.input, args.format)
-    arr = np.asarray(symbols, dtype=np.int64)
-    part = Partition.of(alphabet_ranks(arr)[0])
+    part = Partition.of(alphabet_ranks(symbols)[0])
     nh0t, sub, nh0s, slack = part.identity_terms()
-    print(f"n = {arr.size}")
+    print(f"n = {symbols.size}")
     print(f"sigma = {part.sigma}")
-    print(f"h0 = {h0(arr):.6f}")
+    print(f"h0 = {h0(symbols):.6f}")
     if args.k is not None:
         print(f"hk_{args.k} = {hk(symbols, args.k):.6f}")
     print(f"h0_bits = {nh0s:.6f}")

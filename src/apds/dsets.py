@@ -21,6 +21,7 @@ import math
 import numpy as np
 
 from .apseq import ApSequence
+from .bits import int_param
 from .errors import InputError, OutOfRangeError
 from .stats import h_sets
 
@@ -31,11 +32,9 @@ def _term(x: int, n: int) -> float:
 
 class DisjointSetCollection:
     def __init__(self, n: int, epsilon: float = 0.1):
-        if n < 1:
-            raise InputError("n must be >= 1")
+        self.n = n = int_param(n, "n")
         if not (epsilon > 0):
             raise InputError("epsilon must be > 0")
-        self.n = n
         self.epsilon = epsilon
         self.live_sets = n
         self.rebuild_count = 0

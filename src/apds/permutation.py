@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .apseq import ApSequence
-from .bits import ByteReader, ByteWriter
+from .bits import ByteReader, ByteWriter, int_param, symbol_array
 from .bitvec import bitvector, load_bitvector
 from .chunkseq import cycle_order
 from .errors import InputError, OutOfRangeError, UnsupportedOperationError
@@ -69,11 +69,8 @@ KINDS = (
 
 def _validate_permutation(pi) -> np.ndarray:
     """pi as an int64 array, unless it is not a bijection on [1..n]."""
-    arr = np.asarray(pi, dtype=np.int64)
-    if arr.size == 0:
-        raise InputError("empty input")
-    # the range check comes first: np.bincount refuses negatives
-    if arr.ndim != 1 or arr.min() < 1 or arr.max() > arr.size or np.bincount(arr).max() > 1:
+    arr = symbol_array(pi)
+    if arr.max() > arr.size or np.bincount(arr).max() > 1:
         raise InputError("input is not a bijection on [1..n]")
     return arr
 
@@ -222,9 +219,7 @@ class CycleIndex:
     cycle and index come from ``_index_marks`` on build and on load."""
 
     def __init__(self, pi: np.ndarray, step: int):
-        if step < 1:
-            raise InputError("power step must be >= 1")
-        self.step = step
+        self.step = step = int_param(step, "power step")
         n = pi.size
         order, lengths = cycle_order((pi - 1).tolist())
         idx = np.arange(n) - np.repeat(np.cumsum(lengths) - lengths, lengths)

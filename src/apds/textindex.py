@@ -32,9 +32,9 @@ from bisect import bisect_right
 import numpy as np
 
 from .apseq import ApSequence, _require
-from .bits import ByteReader, ByteWriter, get_fixed, pack_fixed
+from .bits import ByteReader, ByteWriter, get_fixed, int_param, pack_fixed, symbol_array
 from .bitvec import (SparseDictionary, alphabet_ranks, bitvector_from_positions, count_before,
-                     count_owner, load_bitvector, unary_counts)
+                     count_owner, counts_before, load_bitvector, unary_counts)
 from .errors import InputError, NotFoundError, OutOfRangeError
 from .permutation import _validate_permutation  # bijection check for LF tests
 
@@ -49,13 +49,14 @@ def text_symbols(data) -> list:
 
 
 def text_array(data) -> np.ndarray:
-    """text_symbols as an int64 array; bytes and str are read as one
-    buffer, without a per-byte list, and an int array is kept as it is."""
+    """text_symbols as an int64 array.  Bytes and str are read as one
+    buffer, without a per-byte list; all input, bytes and str included,
+    then goes through ``symbol_array``, so an int64 array is kept as it is."""
     if isinstance(data, str):
         data = data.encode("utf-8")
     if isinstance(data, (bytes, bytearray)):
-        return np.frombuffer(data, dtype=np.uint8).astype(np.int64) + 1
-    return np.asarray(data if isinstance(data, np.ndarray) else text_symbols(data), dtype=np.int64)
+        data = np.frombuffer(data, dtype=np.uint8).astype(np.int64) + 1
+    return symbol_array(data)
 
 
 def suffix_array(t: np.ndarray) -> np.ndarray:
@@ -112,21 +113,12 @@ class BlockStore:
 
     def __init__(self, seq, block_len: int | None = None,
                  alphabet_size: int | None = None):
-        arr = np.asarray(seq, dtype=np.int64)
-        if arr.size == 0:
-            raise InputError("empty input")
-        if arr.min() < 1:
-            raise InputError("symbols must be positive integers")
+        arr = symbol_array(seq, alphabet_size)
         self.n = int(arr.size)
         self.sigma = int(alphabet_size) if alphabet_size else int(arr.max())
-        if arr.max() > self.sigma:
-            raise InputError("symbol exceeds declared alphabet size")
         if block_len is None:
             block_len = self._default_block_len(self.n, self.sigma)
-        self.block_len = int(block_len)
-        if self.block_len < 1:
-            raise InputError("block length must be >= 1")
-        b = self.block_len
+        self.block_len = b = int_param(block_len, "block length")
         self.num_blocks = (self.n + b - 1) // b
         padded = np.ones(self.num_blocks * b, dtype=np.int64)  # pad with smallest
         padded[: self.n] = arr
@@ -155,10 +147,13 @@ class BlockStore:
         off = i - (j - 1) * self.block_len
         return int(self.contents[self.sprime.access(j) - 1][off - 1])
 
+    def decode(self) -> np.ndarray:
+        """The stored sequence, padding excluded."""
+        return self.contents[self.sprime.decode() - 1].reshape(-1)[: self.n]
+
     def block_counts(self) -> np.ndarray:
         """(num_blocks, sigma) occurrence counts, padding excluded."""
-        text = self.contents[self.sprime.decode() - 1].reshape(-1)[: self.n]
-        cell = np.arange(self.n) // self.block_len * self.sigma + text - 1
+        cell = np.arange(self.n) // self.block_len * self.sigma + self.decode() - 1
         counts = np.bincount(cell, minlength=self.num_blocks * self.sigma)
         return counts.reshape(self.num_blocks, self.sigma)
 
@@ -198,18 +193,21 @@ class BlockRelation:
 
     def __init__(self, store: BlockStore):
         self.store = store
-        counts = store.block_counts()
         sigma, nb = store.sigma, store.num_blocks
-        # the (character, block) pairs that occur, by character then block
-        sym, blk = np.nonzero(counts.T)
+        text = store.decode()
+        # the (character, block) pairs that occur, by character then block,
+        # with their counts: O(n) memory, where a blocks x sigma matrix is not
+        pairs, counts = np.unique((text - 1) * nb + np.arange(store.n) // store.block_len,
+                                  return_counts=True)
+        sym, blk = np.divmod(pairs, nb)
         pair_counts = np.bincount(sym, minlength=sigma)
         self._rows = [bitvector_from_positions(nb, hit)
                       for hit in np.split(blk, np.cumsum(pair_counts)[:-1])]
-        self.P = unary_counts(counts[blk, sym])
+        self.P = unary_counts(counts)
         self.c_pairs = np.zeros(sigma + 1, dtype=np.int64)
         np.cumsum(pair_counts, out=self.c_pairs[1:])
         self.c_ones = np.zeros(sigma + 1, dtype=np.int64)
-        np.cumsum(counts.sum(axis=0), out=self.c_ones[1:])
+        np.cumsum(np.bincount(text - 1, minlength=sigma), out=self.c_ones[1:])
 
     def _cum(self, a: int, r: int) -> int:
         """Total occurrences of a within its first r blocks."""
@@ -250,10 +248,10 @@ class BlockRelation:
     def check_invariants(self):
         _require(count_before(self.P, int(self.c_pairs[-1]) + 1) == self.store.n,
                  "P must hold one unit per text position")
-        for a in range(1, self.store.sigma + 1):
-            _require(self._cum(a, int(self.c_pairs[a] - self.c_pairs[a - 1]))
-                     == int(self.c_ones[a] - self.c_ones[a - 1]),
-                     f"P and c_ones disagree on the occurrences of symbol {a}")
+        # a symbol's pairs end where the next one's start: the units of P
+        # before each symbol's first pair are the occurrences before it
+        _require(np.array_equal(counts_before(self.P)[self.c_pairs], self.c_ones),
+                 "P and c_ones disagree on the occurrences of some symbol")
 
 
 class FmIndex:
@@ -261,28 +259,20 @@ class FmIndex:
 
     def __init__(self, text, k_context: int = 0, sample_rate: int | None = None):
         arr = text_array(text)
-        if arr.size == 0:
-            raise InputError("empty input")
-        if arr.min() < 1:
-            raise InputError("symbols must be positive integers")
-        if k_context < 0:
-            raise InputError("context length must be >= 0")
-        if sample_rate is not None and sample_rate < 1:
-            raise InputError("sample rate must be >= 1")
+        self.k_context = int_param(k_context, "context length", least=0)
         ranks, alphabet = alphabet_ranks(arr)
         self.n = int(arr.size)
         self.sigma = int(ranks.max())
+        if sample_rate is None:
+            sample_rate = self._default_sample_rate(self.n, self.sigma)
+        self.sample_rate = int_param(sample_rate, "sample rate")
         # the index stores its alphabet even when it is 1..sigma
         self.alphabet = (SparseDictionary(np.arange(1, self.sigma + 1)) if alphabet is None
                          else alphabet)
         dense = ranks + 1  # 1 = terminator
-        self.k_context = int(k_context)
         t = np.concatenate([dense, [1]])
         sa = suffix_array(t)
         bwt = bwt_of(t, sa)
-        if sample_rate is None:
-            sample_rate = self._default_sample_rate(self.n, self.sigma)
-        self.sample_rate = int(sample_rate)
         self._build_bwt_partitions(t, sa, bwt)
         self._derive_counts()
         self._build_samples(sa)

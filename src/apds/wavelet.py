@@ -26,7 +26,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .bits import ByteReader, ByteWriter
+from .bits import ByteReader, ByteWriter, symbol_array
 from .bitvec import bitvector, load_bitvector
 from .errors import InputError, NotFoundError, OutOfRangeError
 
@@ -81,14 +81,8 @@ class PolySequence:
     """Huffman-shaped wavelet matrix; alphabet [1..sigma] with sigma small."""
 
     def __init__(self, seq, alphabet_size: int | None = None):
-        arr = np.asarray(seq, dtype=np.int64)
-        if arr.size == 0:
-            raise InputError("cannot build a sequence from empty input")
-        if arr.min() < 1:
-            raise InputError("symbols must be positive integers")
+        arr = symbol_array(seq, alphabet_size)
         sigma = int(alphabet_size) if alphabet_size else int(arr.max())
-        if arr.max() > sigma:
-            raise InputError("symbol exceeds declared alphabet size")
         self.n = arr.size
         self.sigma = sigma
         self._counts = np.bincount(arr - 1, minlength=sigma).astype(np.int64)

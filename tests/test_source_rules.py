@@ -14,3 +14,21 @@ def test_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
              if isinstance(node, ast.Assert)]
     assert sorted(SRC.glob("*.py")) and found == []
+
+
+def _raise_sites(message: str) -> list:
+    """file:line of every ``raise InputError(message)`` under src/apds."""
+    return [f"{path.name}:{node.lineno}"
+            for path in sorted(SRC.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+            and isinstance(node.exc.func, ast.Name) and node.exc.func.id == "InputError"
+            and [a.value for a in node.exc.args if isinstance(a, ast.Constant)]
+            == [message]]
+
+
+def test_one_symbol_check():
+    # every structure takes its symbols through bits.symbol_array, so no
+    # entry grows its own copy of the empty or below-1 check
+    for message in ("empty input", "symbol values must be >= 1"):
+        assert len(_raise_sites(message)) == 1, (message, _raise_sites(message))

@@ -2,6 +2,7 @@ import importlib.util
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from apds.apseq import ApSequence
 from apds.bits import ByteWriter
+from apds.bitvec import counts_before
 from apds.chunkseq import LargeSequence
 from apds.errors import InputError, NotFoundError, OutOfRangeError
 from apds.permutation import build_run_permutation
@@ -215,6 +217,27 @@ def test_relation_invariants_raise_under_optimize():
                           text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "raised\n"
+
+
+def test_relation_builds_in_linear_memory():
+    # 2**15 byte values at block length 1 (the default for 1 MiB of them): a
+    # blocks x sigma count matrix alone would take 64 MB
+    seq = np.random.default_rng(7).integers(1, 257, size=1 << 15)
+    bs = BlockStore(seq, block_len=1, alphabet_size=256)
+    tracemalloc.start()
+    try:
+        rel = BlockRelation(bs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 << 20, peak
+    # the same pairs, counts and totals as read from the count matrix
+    counts = bs.block_counts()
+    sym, blk = np.nonzero(counts.T)
+    assert rel.c_pairs.tolist() == [0, *np.cumsum(np.bincount(sym, minlength=256))]
+    assert rel.c_ones.tolist() == [0, *np.cumsum(counts.sum(axis=0))]
+    assert np.diff(counts_before(rel.P)).tolist() == counts[blk, sym].tolist()
+    rel.check_invariants()
 
 
 @pytest.mark.parametrize("b", [1, 2, 3, 4])
