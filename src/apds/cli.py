@@ -166,6 +166,7 @@ def cmd_query(args) -> int:
     elif op == "inverse":
         print(obj.inverse(_need(args.pos, "--pos")))
     elif op == "power":
+        obj.verify()  # the walk trusts the power companion's marks
         print(obj.power(_need(args.pos, "--pos"), args.k))
     elif op == "eval":
         print(_format_symbol(obj.eval(_need(args.pos, "--pos")), fmt))
@@ -272,7 +273,8 @@ def _build_parser():
     q = sub.add_parser("query", help="query a structure container")
     q.add_argument("--structure", required=True)
     q.add_argument("--op", required=True,
-                   choices=sorted(_SEQ_OPS | _PERM_OPS | _FUNC_OPS | _INDEX_OPS))
+                   choices=sorted(_SEQ_OPS | _PERM_OPS | _FUNC_OPS | _INDEX_OPS),
+                   help="power first verifies the permutation's power companion, in O(n)")
     q.add_argument("--symbol")
     q.add_argument("--pos", type=int)
     q.add_argument("--rank", type=int)

@@ -39,9 +39,12 @@ keeps a run summary (kind, n, run lengths and directions), which build
 and load both take from the layout.  The cover's labels serve only to
 build the layout.
 
-The companion answers pi^k with walks of at most t - 1 + t // 2 steps
-for sampling step t: one to the nearest mark in the direction of k, one
-from the mark nearer to the target.
+The companion answers pi^k with walks of at most min(|k|, t - 1 + t // 2)
+steps for sampling step t: straight to the target, or, if a mark comes
+first, to that mark and on from the mark nearer to the target.  A walk
+trusts the marks, and a load checks only the companion's header;
+``RunPermutation.verify`` checks the marks against the permutation's
+cycles in O(n), and the CLI calls it before it answers a power.
 """
 
 from __future__ import annotations
@@ -211,12 +214,14 @@ class PredecessorStructure:
 
 class CycleIndex:
     """Every step-th element of each cycle of length >= step is marked, in
-    walk order from the cycle's first mark, so pi^k resolves with at most
-    step - 1 + step // 2 applications of pi or pi^-1.
+    walk order from the cycle's least element, so pi^k resolves with at
+    most min(|k|, step - 1 + step // 2) applications of pi or pi^-1.
 
     Only the step, the cycle lengths and the marks (cycle by cycle) are
     serialized; the mark bitvector, each cycle's first mark and each mark's
-    cycle and index come from ``_index_marks`` on build and on load."""
+    cycle and index come from ``_index_marks`` on build and on load.  A
+    load checks the header only; ``RunPermutation.verify`` checks the
+    marks against the permutation."""
 
     def __init__(self, pi: np.ndarray, step: int):
         self.step = step = int_param(step, "power step")
@@ -449,9 +454,11 @@ class RunPermutation:
 
     def power(self, i: int, k: int) -> int:
         """pi^k(i); negative k is the inverse power.  Walks with pi when
-        k > 0 and with pi^-1 when k < 0 until it meets a mark (at most
-        step - 1 steps), then from the mark nearer to the target: at most
-        step - 1 + step // 2 steps in all."""
+        k > 0 and with pi^-1 when k < 0 and answers after |k| steps, unless
+        it meets a mark first (within step - 1 steps); then it goes on from
+        the mark nearer to the target, which is never farther than going
+        straight on: at most min(|k|, step - 1 + step // 2) steps in all.
+        The walk trusts the companion, which ``verify`` checks."""
         if self.companion is None:
             raise UnsupportedOperationError(
                 "permutation was built without a power companion"
@@ -464,21 +471,51 @@ class RunPermutation:
         ci = self.companion
         marked = ci.marked
         step = self._layout.apply if k > 0 else self._layout.inverse
+        m = abs(k)
         visited = [i]
         y = i
-        for _ in range(ci.step):
+        for d in range(ci.step):
             bit, r = marked.access_rank(y)
             if bit:
-                d = len(visited) - 1
-                if d >= abs(k):
-                    return visited[abs(k)]
+                self.last_power_walk = d
                 return self._power_from_mark(r, k, d if k < 0 else -d)
             y = step(y)
-            self.last_power_walk += 1
-            if y == i:  # unmarked short cycle, fully walked
-                return visited[abs(k) % len(visited)]
+            if d + 1 == m or y == i:  # at the target, or round an unmarked short cycle
+                self.last_power_walk = d + 1
+                return y if d + 1 == m else visited[m % (d + 1)]
             visited.append(y)
         raise InputError("power companion: no mark within the step bound")
+
+    def decode(self) -> np.ndarray:
+        """pi as an int64 array, from both sides at once: the positions and
+        the values of each run, in run order, pair up, reversed on one side
+        in a decreasing run."""
+        lay, lens = self._layout, self._layout.lengths
+        by_run = [np.argsort(side.decode() if isinstance(side, ApSequence)
+                             else np.repeat(side.order, lens[side.order - 1]),
+                             kind="stable") for side in (lay.s, lay.sprime)]
+        ends = np.cumsum(lens)
+        first, last = np.repeat(ends - lens, lens), np.repeat(ends - 1, lens)
+        q = np.arange(self.n)
+        # the j-th of a decreasing run's positions pairs with its (len + 1 - j)-th value
+        down = ~np.repeat(lay.increasing, lens)
+        q[down] = (first + last - q)[down]
+        pi = np.empty(self.n, dtype=np.int64)
+        pi[by_run[0]] = by_run[1][q] + 1
+        return pi
+
+    def verify(self):
+        """Raise InputError unless the power companion holds the cycle
+        lengths and marks that this permutation's cycles give.  O(n): a load
+        checks only the companion's header, so a caller that answers powers
+        from a container it did not build calls this once first."""
+        ci = self.companion
+        if ci is None:
+            return
+        want = CycleIndex(self.decode(), ci.step)
+        if not (np.array_equal(want.cycle_lengths, ci.cycle_lengths)
+                and np.array_equal(want.marks, ci.marks)):
+            raise InputError("power companion: its cycles or marks differ from the permutation's")
 
     def _power_from_mark(self, r: int, k: int, d: int) -> int:
         """pi^k of the element at offset d from the r-th marked position in

@@ -15,6 +15,7 @@ from .cfunction import MODES, CompressedFunction, build_function
 from .chunkseq import LargeSequence
 from .container import dump_structure, load_structure
 from .dsets import DisjointSetCollection
+from .errors import InputError
 from .permutation import KINDS, RunPermutation, build_run_permutation
 from .textindex import FmIndex
 from .wavelet import PolySequence
@@ -153,6 +154,11 @@ def suite_permutations(rng, iters, max_n, fault=False):
         kind = KINDS[trial % len(KINDS)]
         step = max(2, n // 8)
         rp = build_run_permutation(pi, kind, power_step=step)
+        try:
+            RunPermutation.deserialize(rp.serialize()).verify()
+        except InputError as exc:
+            raise CheckFailure("permutations", f"{kind}: verify refused a loaded copy: {exc}")
+        checks += 1
         for i in range(1, n + 1, max(1, n // 19)):
             want = pi[i - 1] + (1 if fault and trial == 0 else 0)
             if rp.apply(i) != want:
@@ -172,10 +178,11 @@ def suite_permutations(rng, iters, max_n, fault=False):
                     raise CheckFailure(
                         "permutations", f"{kind}: power({i},{k}) = {got} != {y}"
                     )
-                if rp.last_power_walk > step - 1 + step // 2:
+                bound = min(abs(k), step - 1 + step // 2)
+                if rp.last_power_walk > bound:
                     raise CheckFailure(
-                        "permutations",
-                        f"walk {rp.last_power_walk} > {step - 1 + step // 2}",
+                        "permutations", f"{kind}: power({i},{k}) walked "
+                        f"{rp.last_power_walk} > {bound}",
                     )
                 checks += 1
     return checks

@@ -412,6 +412,26 @@ def test_corrupt_power_marks_backward_walk_exit_2(tmp_path, capsys):
         "query", "--structure", str(out_path), "--op", "power", "--pos", "20", "--k", "-3"))
 
 
+def test_swapped_power_marks_exit_2(tmp_path, capsys):
+    """The 64-cycle of test_corrupt_power_marks_exit_2 with its first two
+    marks swapped (5, 1, 9, .., 61): distinct, in range and one per step,
+    so the container loads, but the marks are not every fourth element of
+    the cycle.  A power query verifies the companion first and refuses it."""
+    src = tmp_path / "cycle.txt"
+    src.write_text(" ".join(map(str, [*range(2, 65), 1])))
+    out_path = tmp_path / "cycle.apds"
+    run_cli(capsys, "build", "--type", "perm", "--format", "ints", "--input", str(src),
+            "--output", str(out_path), "--power-step", "4")
+    data = out_path.read_bytes()
+    good = bytes([1, 16, *range(0, 64, 4)])
+    assert data.count(good) == 1
+    out_path.write_bytes(data.replace(good, bytes([1, 16, 4, 0, *range(8, 64, 4)])))
+    assert_exit_2_without_traceback(run_cli_process(
+        "query", "--structure", str(out_path), "--op", "power", "--pos", "3", "--k", "2"))
+    assert run_cli(capsys, "query", "--structure", str(out_path), "--op", "apply",
+                   "--pos", "3")[:2] == (0, "4\n")
+
+
 def test_corrupt_perm_layout_bytes_exit_2(tmp_path, capsys):
     for argv in corrupt_perm_queries(tmp_path, capsys):
         assert_exit_2_without_traceback(run_cli_process(*argv))

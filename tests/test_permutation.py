@@ -564,3 +564,74 @@ def test_serialize_round_trip(kind):
     assert np.array_equal(back.decomposition.lengths, rp.decomposition.lengths)
     assert np.array_equal(back.decomposition.increasing, rp.decomposition.increasing)
     assert back.decomposition.entropy() == pytest.approx(rp.decomposition.entropy())
+
+
+def _cycles_orbits_and_powers(kind):
+    """The permutation, orbits and k set of test_power_every_step_against_naive."""
+    rng = np.random.default_rng(KINDS.index(kind))
+    pi = _permutation_with_cycles([1, 2, 3, 4, 6, 10, 15, 16, 17, 21, 33, 47], rng)
+    n = len(pi)
+    orbit = {}
+    for i in range(1, n + 1):
+        cyc, y = [i], pi[i - 1]
+        while y != i:
+            cyc.append(y)
+            y = pi[y - 1]
+        orbit[i] = cyc
+    ks = sorted({-2 * n, -n - 1, -33, -17, -16, -9, -8, -5, -3, -2, -1,
+                 1, 2, 3, 5, 8, 9, 16, 17, 33, n + 1, 2 * n,
+                 *rng.integers(-2 * n, 2 * n + 1, 6).tolist()})
+    return pi, orbit, ks
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_power_walk_stops_at_target(kind):
+    """A walk that reaches pi^k(i) before any mark answers there: no power
+    takes more than |k| steps, nor more than t - 1 + t // 2, built or
+    loaded."""
+    pi, orbit, ks = _cycles_orbits_and_powers(kind)
+    for t in (1, 2, 3, 5, 16):
+        rp = build_run_permutation(pi, kind, power_step=t)
+        for perm in (rp, RunPermutation.deserialize(rp.serialize())):
+            for i, cyc in orbit.items():
+                for k in ks:
+                    assert perm.power(i, k) == cyc[k % len(cyc)], (t, i, k)
+                    assert perm.last_power_walk <= min(abs(k), t - 1 + t // 2), (t, i, k)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_decode_is_pi(kind):
+    """decode returns pi, built and loaded, for one element, a reversal,
+    blocks that fall and rise, and shuffles; verify accepts every one."""
+    rng = np.random.default_rng(5 + KINDS.index(kind))
+    pis = [[1], [2, 1], list(range(40, 0, -1)),
+           [*range(10, 0, -1), *range(11, 21), *range(30, 20, -1)],
+           *(rng.permutation(np.arange(1, n + 1)).tolist() for n in (3, 17, 200))]
+    for pi in pis:
+        rp = build_run_permutation(pi, kind, power_step=3)
+        for perm in (rp, RunPermutation.deserialize(rp.serialize())):
+            got = perm.decode()
+            assert got.dtype == np.int64
+            assert got.tolist() == pi
+            perm.verify()
+    build_run_permutation([3, 1, 2], kind).verify()  # no companion: nothing to check
+
+
+def _cycle_with_marks(stored):
+    """A 64-cycle with power step 4, loaded with ``stored`` as its marks
+    (built: 1, 5, .., 61)."""
+    rp = build_run_permutation([*range(2, 65), 1], "interleaved-general", power_step=4)
+    data = rp.serialize()
+    good = bytes([1, 16, *range(0, 64, 4)])  # an ints field of marks less one
+    assert data.count(good) == 1
+    return RunPermutation.deserialize(data.replace(good, bytes([1, 16, *(m - 1 for m in stored)])))
+
+
+@pytest.mark.parametrize("stored", [list(range(1, 17)), [5, 1, *range(9, 64, 4)]],
+                         ids=["marks 1..16", "first two swapped"])
+def test_verify_refuses_bad_marks(stored):
+    """Both companions pass the load's header checks; verify refuses them."""
+    _cycle_with_marks(range(1, 64, 4)).verify()
+    perm = _cycle_with_marks(stored)
+    with pytest.raises(InputError, match="power companion"):
+        perm.verify()
