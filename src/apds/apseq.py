@@ -31,11 +31,14 @@ dictionary holds the sorted values in memory, so mapping a symbol to its
 rank (rank, select) is one bisect and mapping a rank back (access) one
 read; on disk it is the bitvector of the values, decoded once on load.
 
-Only the dictionary (an empty blob if none), t, m and the class stores
-are serialized.  A build classifies the symbols by their counts; a load
-takes n from t, each symbol's class from m's decode, its occurrences
-from the class stores' symbol counts and each class's raw value from its
-first member (refused unless the values rise).  Both then end
+Only the dictionary (an empty blob if none), t, m and the stores of the
+classes of two or more symbols are serialized.  A one-symbol class
+stores nothing: its store is the wavelet matrix of one symbol, which its
+count in t fixes, and load makes it from that count in O(1).  A build
+classifies the symbols by their counts; a load takes n from t, each
+symbol's class from m's decode, its occurrences from the class stores'
+symbol counts and each class's raw value from its first member (refused
+unless the values rise).  Both then end
 in the same two derivations: ``Partition``'s constructor gives the
 summary (each class's alphabet size and length) and ``_set_symbol_map``
 the symbol map's arrays, so a built and a loaded sequence hold the same
@@ -302,7 +305,7 @@ class ApSequence:
         for ci, s in enumerate(self.subs, 1):
             raw = int(part.class_values[ci - 1])
             payload = s.payload_bits()
-            if isinstance(s, PolySequence):
+            if isinstance(s, PolySequence) and s.sigma > 1:  # one symbol: nothing stored
                 payload += s.topology_bits()
             sections.append(SectionSpace(f"s_{raw}", payload, s.directory_bits()))
         if self.alphabet_dict is not None:
@@ -333,7 +336,8 @@ class ApSequence:
         w.blob(self.T.serialize())
         w.blob(self.M.serialize())
         for s in self.subs:
-            w.blob(s.serialize())
+            if s.sigma > 1:
+                w.blob(s.serialize())
         return w.getvalue()
 
     @classmethod
@@ -353,7 +357,10 @@ class ApSequence:
         n = obj.T.n  # the class string has one class per position
         dense = obj.M.decode()
         sub_sigma = np.bincount(dense, minlength=k + 1)[1:]
-        obj.subs = [_store_for(sig_l, n).deserialize(r.blob()) for sig_l in sub_sigma.tolist()]
+        t_counts = obj.T.symbol_counts()
+        obj.subs = [_store_for(sig_l, n).deserialize(r.blob()) if sig_l > 1
+                    else PolySequence.from_counts(t_counts[l : l + 1])
+                    for l, sig_l in enumerate(sub_sigma.tolist())]
         if not np.array_equal([s.sigma for s in obj.subs], sub_sigma):
             raise InputError("a class store's alphabet differs from its class in M")
         # the c-th smallest member of class l is local symbol c of s_l

@@ -168,6 +168,11 @@ def get_fixed(words: np.ndarray, width: int, idx: int) -> int:
     return lo & ((1 << width) - 1)
 
 
+def byte_width(largest: int) -> int:
+    """The whole bytes per value of an ``ints`` field whose largest value is largest."""
+    return max(1, (int(largest).bit_length() + 7) // 8)
+
+
 class ByteWriter(bytearray):
     """A payload under construction; used by every serializer."""
 
@@ -187,7 +192,7 @@ class ByteWriter(bytearray):
         if arr.size and arr.min() < 0:
             raise ValueError("ints holds non-negative values only")
         values = arr.astype(_U64)
-        width = max(1, (int(values.max(initial=0)).bit_length() + 7) // 8)
+        width = byte_width(values.max(initial=0))
         self.append(width)
         self.uint(values.size)
         self.extend(values.view(np.uint8).reshape(-1, 8)[:, :width].tobytes())

@@ -1,19 +1,23 @@
-"""On-disk container: magic, version, structure kind, section table.
+"""On-disk container: magic, version, checksum, structure kind, payload.
 
 Layout (header integers little-endian, fixed width):
 
-    "APDS" | u32 version=7 | u8 kind | u8 input-format | u32 section count
-    per section: u8 section kind | u64 payload byte length
-    section payloads, concatenated
+    "APDS" | u32 version=8 | u32 CRC32 | u8 kind | u8 input-format | payload
 
-A structure file holds exactly one section, of the kind's main section
-kind.  Payloads are the structures' own serializations in the codec of
-``bits``: varint scalars, whole-byte integer arrays and length-prefixed
-blobs.  They hold no value that load can compute (directories, counts,
-class values, lengths such as n and sigma) but two: a ``PolySequence``'s
-symbol counts, which its levels imply, and a ``LargeSequence``'s n, which
-its count vectors imply.  Every unary count vector is a
-``bitvec.unary_counts`` vector.
+The CRC32 (``zlib.crc32``) covers every byte after its own field: the
+kind, the input format and the payload.  The payload runs to the end of
+the file, so no length is stored; a truncated or extended file fails the
+checksum, which load checks before any deserializer runs.  Payloads are
+the structures' own serializations in the codec of ``bits``: varint
+scalars, whole-byte integer arrays and length-prefixed blobs.  They hold
+no value that load can compute: directories, counts, class values,
+lengths such as n and sigma, a ``PolySequence``'s code lengths (derived
+from its symbol counts by ``wavelet.huffman_code_lengths``) and the store
+of a one-symbol class of an ``ApSequence`` (fixed by the class's count in
+T).  Two stored values are implied by others: a ``PolySequence``'s symbol
+counts, which its levels imply, and a ``LargeSequence``'s n, which its
+count vectors imply.  Every unary count vector is a ``bitvec.unary_counts``
+vector.
 
 A permutation payload is its layout tag (the run kind's index in
 ``permutation.KINDS`` plus one), its layout and its power companion (an
@@ -27,13 +31,14 @@ empty blob if none).  The layout holds, per kind:
 where s gives each position's run, s' each value's run, and directions
 one bit per run.  No run minimum, start or first value is stored: a
 tiling side takes its run intervals from the run lengths, which are the
-label strings' symbol counts where there is one.  Version 7 stores
-permutations so; files of any other version are refused.
+label strings' symbol counts where there is one.  Files of any version
+but 8 are refused.
 """
 
 from __future__ import annotations
 
 import struct
+import zlib
 
 from .apseq import ApSequence
 from .cfunction import CompressedFunction
@@ -42,7 +47,10 @@ from .permutation import RunPermutation
 from .textindex import FmIndex
 
 MAGIC = b"APDS"
-VERSION = 7
+VERSION = 8
+_HEAD = struct.Struct("<4sII")  # magic, version, CRC32
+CRC_START = _HEAD.size  # the checksum covers data[CRC_START:]
+HEADER_BYTES = CRC_START + 2  # then the kind and the input format
 
 KIND_SEQ = 1
 KIND_PERM = 2
@@ -52,20 +60,13 @@ KIND_INDEX = 4
 FORMAT_INTS = 0
 FORMAT_BYTES = 1
 
-SECTION_APSEQ = 0x10
-SECTION_PERM = 0x20
-SECTION_FUNC = 0x30
-SECTION_INDEX = 0x40
-
 _KIND_NAMES = {KIND_SEQ: "seq", KIND_PERM: "perm", KIND_FUNC: "func",
                KIND_INDEX: "index"}
-_MAIN_SECTION = {KIND_SEQ: SECTION_APSEQ, KIND_PERM: SECTION_PERM,
-                 KIND_FUNC: SECTION_FUNC, KIND_INDEX: SECTION_INDEX}
 _DESERIALIZERS = {
-    SECTION_APSEQ: ApSequence.deserialize,
-    SECTION_PERM: RunPermutation.deserialize,
-    SECTION_FUNC: CompressedFunction.deserialize,
-    SECTION_INDEX: FmIndex.deserialize,
+    KIND_SEQ: ApSequence.deserialize,
+    KIND_PERM: RunPermutation.deserialize,
+    KIND_FUNC: CompressedFunction.deserialize,
+    KIND_INDEX: FmIndex.deserialize,
 }
 
 
@@ -73,39 +74,23 @@ def kind_name(kind: int) -> str:
     return _KIND_NAMES.get(kind, f"unknown({kind})")
 
 
-def pack_container(kind: int, input_format: int, sections: list) -> bytes:
-    head = [MAGIC, struct.pack("<I", VERSION), struct.pack("<BB", kind, input_format),
-            struct.pack("<I", len(sections))]
-    for skind, payload in sections:
-        head.append(struct.pack("<BQ", skind, len(payload)))
-    return b"".join(head) + b"".join(p for _, p in sections)
+def pack_container(kind: int, input_format: int, payload: bytes) -> bytes:
+    body = bytes([kind, input_format]) + payload
+    return _HEAD.pack(MAGIC, VERSION, zlib.crc32(body)) + body
 
 
 def unpack_container(data: bytes):
+    """Returns (kind, input_format, payload) of a v8 file whose checksum holds."""
     if data[:4] != MAGIC:
         raise InputError("not an APDS container (bad magic)")
-    if len(data) < 14:
-        raise InputError("container is shorter than its 14-byte header")
-    version = struct.unpack_from("<I", data, 4)[0]
+    if len(data) < HEADER_BYTES:
+        raise InputError(f"container is shorter than its {HEADER_BYTES}-byte header")
+    _, version, crc = _HEAD.unpack_from(data)
     if version != VERSION:
         raise InputError(f"unsupported container version {version}")
-    kind, input_format = struct.unpack_from("<BB", data, 8)
-    count = struct.unpack_from("<I", data, 10)[0]
-    off = 14
-    table = []
-    for _ in range(count):
-        if len(data) < off + 9:
-            raise InputError("container ends inside its section table")
-        skind, length = struct.unpack_from("<BQ", data, off)
-        off += 9
-        table.append((skind, length))
-    sections = []
-    for skind, length in table:
-        sections.append((skind, data[off : off + length]))
-        off += length
-    if off != len(data):
-        raise InputError("container has trailing or missing bytes")
-    return kind, input_format, sections
+    if zlib.crc32(memoryview(data)[CRC_START:]) != crc:
+        raise InputError("container checksum mismatch: the file is corrupt or truncated")
+    return data[CRC_START], data[CRC_START + 1], data[HEADER_BYTES:]
 
 
 def structure_kind(obj) -> int:
@@ -121,21 +106,15 @@ def structure_kind(obj) -> int:
 
 
 def dump_structure(obj, input_format: int = FORMAT_INTS) -> bytes:
-    kind = structure_kind(obj)
-    return pack_container(kind, input_format,
-                          [(_MAIN_SECTION[kind], obj.serialize())])
+    return pack_container(structure_kind(obj), input_format, obj.serialize())
 
 
 def load_structure(data: bytes):
     """Returns (object, kind, input_format)."""
-    kind, input_format, sections = unpack_container(data)
-    if kind not in _MAIN_SECTION:
+    kind, input_format, payload = unpack_container(data)
+    if kind not in _DESERIALIZERS:
         raise InputError(f"unknown structure kind {kind}")
-    if [skind for skind, _ in sections] != [_MAIN_SECTION[kind]]:
-        raise InputError(f"a {kind_name(kind)} container must hold exactly one "
-                         f"section of kind {_MAIN_SECTION[kind]:#x}")
-    skind, payload = sections[0]
-    return _DESERIALIZERS[skind](payload), kind, input_format
+    return _DESERIALIZERS[kind](payload), kind, input_format
 
 
 def save_file(path: str, obj, input_format: int = FORMAT_INTS):

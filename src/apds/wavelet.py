@@ -11,11 +11,13 @@ first; the last L_{d+1} nodes are the leaves, the symbols of code length
 d+1 in ascending order.  So position i with bit b moves to rank_b(i) on
 the next level, plus level d's zero count if b = 1, and is in a leaf when
 that is past the next level's length.  One symbol makes a matrix with no
-levels, which takes the same walk.  Only the code lengths, the counts and
-the levels are stored; load derives n and sigma (the counts' sum and
-number), the codes, the level count, each level's length and zero count
-and the leaf starts, and refuses levels that disagree.  The code lengths,
-like the shape, are computed on lists, as sigma is small.
+levels, which takes the same walk.  Only the counts and the levels are
+stored; load derives n and sigma (the counts' sum and number), the code
+lengths, the codes, the level count, each level's length and zero count
+and the leaf starts, and refuses levels that disagree.  Build and load
+both take the code lengths from ``huffman_code_lengths``, so its tie rule
+(pinned by ``test_huffman_lengths_match_member_lists``) is part of the
+format.  They and the shape are computed on lists, as sigma is small.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .bits import ByteReader, ByteWriter, symbol_array
+from .bits import ByteReader, ByteWriter, byte_width, symbol_array
 from .bitvec import bitvector, load_bitvector
 from .errors import InputError, NotFoundError, OutOfRangeError
 
@@ -35,9 +37,10 @@ def huffman_code_lengths(counts: np.ndarray) -> np.ndarray:
     """Code length per symbol (0 for absent symbols).  Ties merge the leaves
     in symbol order before the merged nodes in creation order, the order of
     the node ids: leaves 0..k-1, then merge m makes node k + m."""
-    alive = np.flatnonzero(counts > 0)
-    k = alive.size
-    heap = list(zip(counts[alive].tolist(), range(k)))
+    counts = counts.tolist()  # lists: sigma is small, and a load makes one code per class
+    alive = [sym for sym, c in enumerate(counts) if c]
+    k = len(alive)
+    heap = [(counts[sym], leaf) for leaf, sym in enumerate(alive)]
     heapq.heapify(heap)
     parent = [0] * (2 * k - 1)
     for node in range(k, 2 * k - 1):
@@ -48,9 +51,10 @@ def huffman_code_lengths(counts: np.ndarray) -> np.ndarray:
     depth = [0] * (2 * k - 1)
     for node in range(2 * k - 3, -1, -1):  # from the root, 2k - 2, down
         depth[node] = depth[parent[node]] + 1
-    lengths = np.zeros(counts.size, dtype=np.int64)
-    lengths[alive] = depth[:k]
-    return lengths
+    lengths = [0] * len(counts)
+    for sym, d in zip(alive, depth):
+        lengths[sym] = d
+    return np.array(lengths, dtype=np.int64)
 
 
 def matrix_shape(lengths: list):
@@ -69,8 +73,6 @@ def matrix_shape(lengths: list):
     for d in range(1, depth + 1):
         nodes = [c << 1 for c in inner] + [c << 1 | 1 for c in inner]
         internal.append(len(nodes) - (longer[d - 1] - longer[d]))
-        if not 0 <= internal[-1] <= longer[d]:  # each internal node needs a leaf below
-            raise InputError("code lengths do not describe a full binary tree")
         for sym, code in zip(order[longer[d] : longer[d - 1]], nodes[internal[-1] :]):
             codes[sym] = code
         inner = nodes[: internal[-1]]
@@ -86,9 +88,8 @@ class PolySequence:
         self.n = arr.size
         self.sigma = sigma
         self._counts = np.bincount(arr - 1, minlength=sigma).astype(np.int64)
-        self._lengths = huffman_code_lengths(self._counts)
         level_lengths, steps = self._derive_shape()
-        codes, lengths = np.array(self._code, dtype=np.int64), self._lengths
+        codes, lengths = np.array(self._code), np.array(self._length)
         levels = []
         below = arr - 1  # symbols of the positions at the current level
         for d in range(len(steps)):
@@ -99,14 +100,11 @@ class PolySequence:
         self._set_levels(levels, steps)
 
     def _derive_shape(self):
-        """Set codes, zero counts, leaf starts, count list and leaf table from
-        lengths and counts; return the level lengths (and a final 0) and the walk steps."""
-        lengths, counts = self._lengths.tolist(), self._counts.tolist()
-        coded = [s for s, c in enumerate(counts) if c]
+        """Set code lengths, codes, zero counts, leaf starts, count list and leaf
+        table from the counts; return the level lengths (and a final 0) and the walk steps."""
+        lengths, counts = huffman_code_lengths(self._counts).tolist(), self._counts.tolist()
         # one symbol: no levels, code length 0, leaf start 0; access names it
-        self._only = coded[0] if len(coded) == 1 else None
-        if [s for s, length in enumerate(lengths) if length] != (coded if len(coded) > 1 else []):
-            raise InputError("code lengths do not match the symbol counts")
+        self._only = counts.index(max(counts))
         self._code, order, internal, longer = matrix_shape(lengths)
         depth = len(internal) - 1
         # by code length down, then symbol up: a leaf starts after every
@@ -208,13 +206,12 @@ class PolySequence:
         return sum(bv.directory_bits() for bv in self._levels)
 
     def topology_bits(self) -> int:
-        return 8 * self.sigma  # one code length byte per symbol
+        return 8 * self.sigma * byte_width(max(self._count))  # the stored counts
 
     # --- serialization --------------------------------------------------------
 
     def serialize(self) -> bytes:
         w = ByteWriter()
-        w.ints(self._lengths)
         w.ints(self._counts)
         for bv in self._levels:
             w.blob(bv.serialize())
@@ -223,19 +220,21 @@ class PolySequence:
     @classmethod
     def deserialize(cls, data: bytes) -> "PolySequence":
         r = ByteReader(data)
+        return cls.from_counts(r.ints(), r.blob)
+
+    @classmethod
+    def from_counts(cls, counts: np.ndarray, level_blob=None) -> "PolySequence":
+        """The matrix with these symbol counts and the levels that ``level_blob()``
+        returns in turn; one symbol makes no levels, so its count alone makes it."""
         obj = cls.__new__(cls)
-        lengths, counts = r.ints(), r.ints()
-        obj.sigma = counts.size
-        obj.n = sum(counts.tolist())
-        # a full code over sigma symbols is at most sigma - 1 bits long
-        if (lengths.size != obj.sigma or not 1 <= obj.n < 1 << 63
-                or lengths.max(initial=0) >= max(obj.sigma, 1)):
-            raise InputError("code lengths and symbol counts do not describe a sequence")
-        obj._lengths, obj._counts = lengths.astype(np.int64), counts.astype(np.int64)
+        obj.sigma, obj.n = counts.size, sum(counts.tolist())
+        if not 1 <= obj.n < 1 << 63:
+            raise InputError("symbol counts do not describe a sequence")
+        obj._counts = counts.astype(np.int64)
         level_lengths, steps = obj._derive_shape()
-        levels = [load_bitvector(r.blob()) for _ in steps]
+        levels = [load_bitvector(level_blob()) for _ in steps]
         for bv, length, zeros in zip(levels, level_lengths, obj._zeros):
             if len(bv) != length or bv.count(0) != zeros:
-                raise InputError("a wavelet level does not match the code lengths")
+                raise InputError("a wavelet level does not match the symbol counts")
         obj._set_levels(levels, steps)
         return obj

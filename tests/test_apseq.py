@@ -227,7 +227,13 @@ def test_sub_structure_choice():
 
 
 def test_space_report_abracadabra():
-    rep = build_partition(ABRA).space_report()
+    aps = build_partition(ABRA)
+    rep = aps.space_report()
+    # a wavelet matrix counts its stored symbol counts, one byte each here;
+    # the one-symbol class (symbol 1) stores nothing and counts 0 bits
+    assert [s.sigma for s in aps.subs] == [1, 2, 2]
+    assert aps.T.topology_bits() == 8 * aps.T.sigma
+    assert [(s.payload_bits, s.directory_bits) for s in rep.sections[2:3]] == [(0, 0)]
     assert rep.h0_bits == pytest.approx(22.44, abs=1e-2)
     assert rep.partition_bits == pytest.approx(22.44, abs=1e-2)
     assert rep.bound_bits == pytest.approx(25.62, abs=1e-2)
@@ -278,9 +284,11 @@ def test_serialize_round_trip():
 
 
 def test_load_rejects_swapped_class_stores():
-    aps = build_partition(ABRA)
-    assert aps.subs[0].sigma != aps.subs[1].sigma
-    aps.subs[0], aps.subs[1] = aps.subs[1], aps.subs[0]
+    """Two stored classes (one-symbol classes store nothing) of 2 and 3
+    symbols, written in each other's place."""
+    aps = build_partition([1] * 16 + [2, 3] * 6 + [4, 5, 6] * 2 + [7])
+    assert [s.sigma for s in aps.subs] == [1, 2, 3, 1]
+    aps.subs[1], aps.subs[2] = aps.subs[2], aps.subs[1]
     with pytest.raises(InputError):
         ApSequence.deserialize(aps.serialize())
 
@@ -296,30 +304,31 @@ def _fields(*values) -> bytes:
 def test_load_refuses_empty_counts():
     """n is no longer stored: a class string, or a wavelet matrix, whose
     symbol counts sum to 0 is refused, as a header n of 0 was."""
-    empty = _fields([0], [0])  # code lengths [0], counts [0]
+    empty = _fields([0])  # counts [0]
     with pytest.raises(InputError):
         PolySequence.deserialize(empty)
     with pytest.raises(InputError):
-        PolySequence.deserialize(_fields([], []))
+        PolySequence.deserialize(_fields([]))
     one = PolySequence([1]).serialize()
     with pytest.raises(InputError):  # no dictionary, t and m empty
-        ApSequence.deserialize(_fields(b"", empty, empty, one))
-    assert ApSequence.deserialize(_fields(b"", one, one, one)).decode().tolist() == [1]
+        ApSequence.deserialize(_fields(b"", empty, empty))
+    # the one class has one symbol, so no class store is written
+    assert ApSequence.deserialize(_fields(b"", one, one)).decode().tolist() == [1]
 
 
 def test_load_derives_class_values_and_refuses_falling_ones():
     """Symbol 1 occurs 8 times in 9 (class value 1), symbol 2 once (class
-    value 11).  The same sequence with the two class ids swapped in T, M
-    and the store order is refused: its derived class values fall."""
-    def payload(t, m, *subs):
-        return _fields(b"", PolySequence(t).serialize(), PolySequence(m).serialize(),
-                       *(PolySequence(s).serialize() for s in subs))
+    value 11).  The same sequence with the two class ids swapped in T and M
+    is refused: its derived class values fall.  Both classes have one
+    symbol, so no class store is written."""
+    def payload(t, m):
+        return _fields(b"", PolySequence(t).serialize(), PolySequence(m).serialize())
 
-    good = ApSequence.deserialize(payload([1] * 8 + [2], [1, 2], [1] * 8, [1]))
+    good = ApSequence.deserialize(payload([1] * 8 + [2], [1, 2]))
     assert good.partition.class_values.tolist() == [class_of(9, 8), class_of(9, 1)] == [1, 11]
     assert good.decode().tolist() == [1] * 8 + [2]
     with pytest.raises(InputError):
-        ApSequence.deserialize(payload([2] * 8 + [1], [2, 1], [1], [1] * 8))
+        ApSequence.deserialize(payload([2] * 8 + [1], [2, 1]))
 
 
 def check_symbol_map(aps):

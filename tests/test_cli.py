@@ -1,5 +1,4 @@
 import os
-import struct
 import subprocess
 import sys
 
@@ -10,11 +9,13 @@ from apds.apseq import ApSequence
 from apds.bitvec import SparseDictionary, bitvector
 from apds.chunkseq import LargeSequence
 from apds.cli import main
-from apds.container import dump_structure
+from apds.container import CRC_START, HEADER_BYTES, dump_structure, load_structure
+from apds.wavelet import PolySequence
 from test_apseq import large_class_input
 from test_bitvec import swap_sparse_lows
 from test_cfunction import extra_unit_function
 from test_chunkseq import corrupt_cycle_walk
+from test_container import reseal
 
 
 def run_cli(capsys, *argv):
@@ -215,10 +216,13 @@ def run_cli_process(*argv, python_flags=(), timeout=60):
                           capture_output=True, text=True, env=env, timeout=timeout)
 
 
-def assert_exit_2_without_traceback(proc):
+def assert_exit_2_without_traceback(proc, message=None):
+    """Exit 2 with an error line, and no traceback; the error names
+    ``message`` when one is given (the check that refused the file)."""
     assert proc.returncode == 2
     assert any(line.startswith("error:") for line in proc.stderr.splitlines())
     assert "Traceback" not in proc.stderr
+    assert message is None or message in proc.stderr, proc.stderr
 
 
 def test_truncated_payload_exit_2_without_traceback(abra_file, tmp_path, capsys):
@@ -226,12 +230,11 @@ def test_truncated_payload_exit_2_without_traceback(abra_file, tmp_path, capsys)
     run_cli(capsys, "build", "--type", "seq", "--input", abra_file,
             "--output", str(out_path))
     data = out_path.read_bytes()
-    # one section: its payload starts at byte 23, its length is at byte 15
-    payload = data[23:]
-    cut = payload[: len(payload) // 2]
-    out_path.write_bytes(data[:15] + struct.pack("<Q", len(cut)) + cut)
+    # half the payload, resealed: the payload ends at the file's end
+    payload = data[HEADER_BYTES:]
+    out_path.write_bytes(reseal(data[:HEADER_BYTES] + payload[: len(payload) // 2]))
     assert_exit_2_without_traceback(run_cli_process(
-        "query", "--structure", str(out_path), "--op", "access", "--pos", "1"))
+        "query", "--structure", str(out_path), "--op", "access", "--pos", "1"), "truncated")
 
 
 def test_truncated_header_exit_2_without_traceback(abra_file, tmp_path, capsys):
@@ -239,33 +242,57 @@ def test_truncated_header_exit_2_without_traceback(abra_file, tmp_path, capsys):
     run_cli(capsys, "build", "--type", "seq", "--input", abra_file,
             "--output", str(out_path))
     data = out_path.read_bytes()
-    # 9 bytes: magic, version 7, then the header stops; 20 bytes: the
-    # header and 6 of the 9 bytes of the first section-table entry
-    for cut in (b"APDS\x07\x00\x00\x00\x01", data[:20]):
+    # 9 bytes: magic, version 8 and one checksum byte; the whole header
+    # but its last byte, the input format
+    for cut in (data[:9], data[: HEADER_BYTES - 1]):
         out_path.write_bytes(cut)
         assert_exit_2_without_traceback(run_cli_process(
-            "query", "--structure", str(out_path), "--op", "access", "--pos", "1"))
+            "query", "--structure", str(out_path), "--op", "access", "--pos", "1"),
+            f"shorter than its {HEADER_BYTES}-byte header")
 
 
 def test_bad_container_kind_exit_2_without_traceback(abra_file, tmp_path, capsys):
-    """A version-4, a version-5 and a version-6 file, a header with no
-    section, a seq header over an index payload, and an unknown container
-    kind (byte 8)."""
+    """A version-4 to version-7 file, and, resealed, a seq header over an
+    index payload and an unknown container kind (the byte at CRC_START)."""
     seq_path, index_path = tmp_path / "abra.apds", tmp_path / "abra.idx"
     run_cli(capsys, "build", "--type", "seq", "--input", abra_file,
             "--output", str(seq_path))
     run_cli(capsys, "index", "build", "--input", abra_file, "--output", str(index_path))
     seq, index = seq_path.read_bytes(), index_path.read_bytes()
-    assert seq[4:9] == b"\x07\x00\x00\x00\x01" and index[8] == 4
-    bad = [seq[:4] + b"\x04" + seq[5:], seq[:4] + b"\x05" + seq[5:],
-           seq[:4] + b"\x06" + seq[5:],
-           seq[:10] + b"\x00\x00\x00\x00",
-           index[:8] + b"\x01" + index[9:], seq[:8] + b"\x09" + seq[9:]]
-    for i, data in enumerate(bad):
+    assert seq[4:8] == b"\x08\x00\x00\x00" and seq[CRC_START] == 1 and index[CRC_START] == 4
+    bad = [(seq[:4] + bytes([v]) + seq[5:], f"unsupported container version {v}")
+           for v in (4, 5, 6, 7)]
+    bad += [(reseal(index[:CRC_START] + b"\x01" + index[CRC_START + 1:]), None),
+            (reseal(seq[:CRC_START] + b"\x09" + seq[CRC_START + 1:]), "unknown structure kind 9")]
+    for i, (data, message) in enumerate(bad):
         path = tmp_path / f"bad{i}.apds"
         path.write_bytes(data)
-        assert_exit_2_without_traceback(run_cli_process(
-            "query", "--structure", str(path), "--op", "access", "--pos", "1"))
+        proc = run_cli_process("query", "--structure", str(path), "--op", "access", "--pos", "1")
+        assert_exit_2_without_traceback(proc, message)
+        assert "checksum" not in proc.stderr
+
+
+def test_swapped_symbol_classes_exit_2(tmp_path):
+    """Two symbols, each the second member of its class, swap classes in M.
+    Each class keeps its size, so the file, resealed, loads and decodes
+    wrong; with its checksum as written, a query refuses it."""
+    rng = np.random.default_rng(1)
+    weights = 1.0 / np.arange(1, 201)
+    seq = rng.choice(np.arange(1, 201), size=4000, p=weights / weights.sum())
+    seq[:200] = np.arange(1, 201)
+    aps = ApSequence(seq)
+    data = dump_structure(aps)
+    dense = aps.M.decode()
+    two = np.flatnonzero(np.bincount(dense) >= 2)[-2:]  # the last classes of 2+ symbols
+    a, b = (np.flatnonzero(dense == l)[1] for l in two)
+    dense[[a, b]] = dense[[b, a]]
+    aps.M = PolySequence(dense, alphabet_size=aps.M.sigma)
+    bad = data[:HEADER_BYTES] + aps.serialize()
+    assert (load_structure(reseal(bad))[0].decode() != seq).any()
+    path = tmp_path / "seq.apds"
+    path.write_bytes(bad)
+    assert_exit_2_without_traceback(run_cli_process(
+        "query", "--structure", str(path), "--op", "access", "--pos", "1"), "checksum")
 
 
 def test_corrupt_function_bitmap_exit_2(tmp_path):
@@ -286,9 +313,10 @@ def test_corrupt_dictionary_exit_2(tmp_path, capsys):
     good = SparseDictionary([101, 102, 103, 4096]).serialize()
     data = out_path.read_bytes()
     assert data.count(good) == 1
-    out_path.write_bytes(data.replace(good, swap_sparse_lows(good, 0, 1)))
+    out_path.write_bytes(reseal(data.replace(good, swap_sparse_lows(good, 0, 1))))
     assert_exit_2_without_traceback(run_cli_process(
-        "query", "--structure", str(out_path), "--op", "access", "--pos", "1"))
+        "query", "--structure", str(out_path), "--op", "access", "--pos", "1"),
+        "dictionary")
 
 
 def test_corrupt_chunk_histogram_exit_2(tmp_path):
@@ -347,16 +375,16 @@ def test_removed_build_flags_exit_2(abra_file, tmp_path, flag):
 
 def corrupt_perm_queries(tmp_path, capsys):
     """CLI query argv for a contiguous-strict permutation container with a
-    layout tag (byte 23) of 9."""
+    layout tag (the first payload byte) of 9, resealed."""
     src = tmp_path / "perm.txt"
     src.write_text("1 2 3 7 6 5 4 8 9")
     out_path = tmp_path / "perm.apds"
     run_cli(capsys, "build", "--type", "perm", "--format", "ints", "--input", str(src),
             "--output", str(out_path), "--runs-kind", "contiguous-strict")
     data = out_path.read_bytes()
-    assert data[23] == 4
-    bad = tmp_path / "perm-23.apds"
-    bad.write_bytes(data[:23] + bytes([9]) + data[24:])
+    assert data[HEADER_BYTES] == 4
+    bad = tmp_path / "perm-tag.apds"
+    bad.write_bytes(reseal(data[:HEADER_BYTES] + bytes([9]) + data[HEADER_BYTES + 1:]))
     return [("query", "--structure", str(bad), "--op", "apply", "--pos", "1")]
 
 
@@ -371,7 +399,7 @@ def corrupt_cycle_walk_query(tmp_path, capsys):
             "--output", str(out_path))
     data = out_path.read_bytes()
     assert data.count(good) == 1
-    out_path.write_bytes(data.replace(good, bad))
+    out_path.write_bytes(reseal(data.replace(good, bad)))
     return ("query", "--structure", str(out_path), "--op", "select",
             "--symbol", "300", "--rank", "1")
 
@@ -390,9 +418,10 @@ def test_corrupt_power_marks_exit_2(tmp_path, capsys, stored):
     # the marks are an ints field stored less one: width 1, count 16
     good = bytes([1, 16, *range(0, 64, 4)])
     assert data.count(good) == 1
-    out_path.write_bytes(data.replace(good, bytes([1, 16, *(m - 1 for m in stored)])))
+    out_path.write_bytes(reseal(data.replace(good, bytes([1, 16, *(m - 1 for m in stored)]))))
     assert_exit_2_without_traceback(run_cli_process(
-        "query", "--structure", str(out_path), "--op", "power", "--pos", "20", "--k", "3"))
+        "query", "--structure", str(out_path), "--op", "power", "--pos", "20", "--k", "3"),
+        "power companion")
 
 
 def test_corrupt_power_marks_backward_walk_exit_2(tmp_path, capsys):
@@ -407,9 +436,10 @@ def test_corrupt_power_marks_backward_walk_exit_2(tmp_path, capsys):
     data = out_path.read_bytes()
     good = bytes([1, 16, *range(0, 64, 4)])
     assert data.count(good) == 1
-    out_path.write_bytes(data.replace(good, bytes([1, 16, *range(16)])))
+    out_path.write_bytes(reseal(data.replace(good, bytes([1, 16, *range(16)]))))
     assert_exit_2_without_traceback(run_cli_process(
-        "query", "--structure", str(out_path), "--op", "power", "--pos", "20", "--k", "-3"))
+        "query", "--structure", str(out_path), "--op", "power", "--pos", "20", "--k", "-3"),
+        "power companion")
 
 
 def test_swapped_power_marks_exit_2(tmp_path, capsys):
@@ -425,26 +455,27 @@ def test_swapped_power_marks_exit_2(tmp_path, capsys):
     data = out_path.read_bytes()
     good = bytes([1, 16, *range(0, 64, 4)])
     assert data.count(good) == 1
-    out_path.write_bytes(data.replace(good, bytes([1, 16, 4, 0, *range(8, 64, 4)])))
+    out_path.write_bytes(reseal(data.replace(good, bytes([1, 16, 4, 0, *range(8, 64, 4)]))))
     assert_exit_2_without_traceback(run_cli_process(
-        "query", "--structure", str(out_path), "--op", "power", "--pos", "3", "--k", "2"))
+        "query", "--structure", str(out_path), "--op", "power", "--pos", "3", "--k", "2"),
+        "power companion")
     assert run_cli(capsys, "query", "--structure", str(out_path), "--op", "apply",
                    "--pos", "3")[:2] == (0, "4\n")
 
 
 def test_corrupt_perm_layout_bytes_exit_2(tmp_path, capsys):
     for argv in corrupt_perm_queries(tmp_path, capsys):
-        assert_exit_2_without_traceback(run_cli_process(*argv))
+        assert_exit_2_without_traceback(run_cli_process(*argv), "layout tag")
 
 
 def test_corrupt_containers_exit_2_under_optimize(tmp_path, capsys):
     # python -O strips assert statements: a check of loaded data written as
     # an assert would turn these into a hang or a wrong answer
-    queries = corrupt_perm_queries(tmp_path, capsys)
-    queries.append(corrupt_cycle_walk_query(tmp_path, capsys))
-    for argv in queries:
+    queries = [(argv, "layout tag") for argv in corrupt_perm_queries(tmp_path, capsys)]
+    queries.append((corrupt_cycle_walk_query(tmp_path, capsys), "cycle walk"))
+    for argv, message in queries:
         assert_exit_2_without_traceback(
-            run_cli_process(*argv, python_flags=("-O",), timeout=30))
+            run_cli_process(*argv, python_flags=("-O",), timeout=30), message)
 
 
 def test_selfcheck_injected_bitvector_fault_fails(capsys):
