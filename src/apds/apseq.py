@@ -344,23 +344,23 @@ class ApSequence:
     def deserialize(cls, data: bytes) -> "ApSequence":
         """Load a sequence; raises InputError when T, M, the class stores
         and the dictionary disagree."""
-        r = ByteReader(data)
-        obj = cls.__new__(cls)
-        obj.alphabet_dict = SparseDictionary.deserialize(d) if (d := r.blob()) else None
-        obj.T = PolySequence.deserialize(r.blob())
-        obj.M = PolySequence.deserialize(r.blob())
-        k = obj.M.sigma
-        if obj.T.sigma != k:
-            raise InputError("class count differs between T and M")
-        if obj.alphabet_dict is not None and obj.alphabet_dict.size != obj.M.n:
-            raise InputError("alphabet dictionary size differs from the symbol map")
-        n = obj.T.n  # the class string has one class per position
-        dense = obj.M.decode()
-        sub_sigma = np.bincount(dense, minlength=k + 1)[1:]
-        t_counts = obj.T.symbol_counts()
-        obj.subs = [_store_for(sig_l, n).deserialize(r.blob()) if sig_l > 1
-                    else PolySequence.from_counts(t_counts[l : l + 1])
-                    for l, sig_l in enumerate(sub_sigma.tolist())]
+        with ByteReader(data) as r:
+            obj = cls.__new__(cls)
+            obj.alphabet_dict = SparseDictionary.deserialize(d) if (d := r.blob()) else None
+            obj.T = PolySequence.deserialize(r.blob())
+            obj.M = PolySequence.deserialize(r.blob())
+            k = obj.M.sigma
+            if obj.T.sigma != k:
+                raise InputError("class count differs between T and M")
+            if obj.alphabet_dict is not None and obj.alphabet_dict.size != obj.M.n:
+                raise InputError("alphabet dictionary size differs from the symbol map")
+            n = obj.T.n  # the class string has one class per position
+            dense = obj.M.decode()
+            sub_sigma = np.bincount(dense, minlength=k + 1)[1:]
+            t_counts = obj.T.symbol_counts()
+            obj.subs = [_store_for(sig_l, n).deserialize(r.blob()) if sig_l > 1
+                        else PolySequence.from_counts(t_counts[l : l + 1])
+                        for l, sig_l in enumerate(sub_sigma.tolist())]
         if not np.array_equal([s.sigma for s in obj.subs], sub_sigma):
             raise InputError("a class store's alphabet differs from its class in M")
         # the c-th smallest member of class l is local symbol c of s_l

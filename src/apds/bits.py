@@ -207,11 +207,20 @@ class ByteWriter(bytearray):
 
 
 class ByteReader:
-    """Malformed fields end in InputError; counts are checked before anything is allocated."""
+    """Malformed fields end in InputError; counts are checked before anything
+    is allocated.  Read inside ``with ByteReader(data) as r:``, which ends in
+    InputError when the block leaves bytes of data unread."""
 
     def __init__(self, data: bytes):
         self._data = data
         self._pos = 0
+
+    def __enter__(self) -> "ByteReader":
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if exc_type is None and self._pos != len(self._data):
+            raise InputError(f"{len(self._data) - self._pos} unread bytes after the payload")
 
     def _take(self, k: int) -> int:
         """Skip k bytes; return where they start."""

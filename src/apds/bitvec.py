@@ -455,13 +455,13 @@ def _exact_words(words: np.ndarray, n: int) -> np.ndarray:
 
 
 def load_bitvector(data: bytes) -> "PlainBitVector | SparseBitVector":
-    r = ByteReader(data)
-    kind, n = r.uint(), r.uint()
-    if kind not in (1, 2):
-        raise InputError(f"unknown bitvector encoding {kind}")
-    if kind == 1:
-        return PlainBitVector(_exact_words(r.ints(), n), n)
-    stored, lows, upper_words = r.uint(), r.ints(), r.ints()
+    with ByteReader(data) as r:
+        kind, n = r.uint(), r.uint()
+        if kind not in (1, 2):
+            raise InputError(f"unknown bitvector encoding {kind}")
+        if kind == 1:
+            return PlainBitVector(_exact_words(r.ints(), n), n)
+        stored, lows, upper_words = r.uint(), r.ints(), r.ints()
     k = int(np.bitwise_count(upper_words).sum())
     if stored > 1 or k > n:
         raise InputError("sparse bitvector: bad stored bit or more stored positions than bits")

@@ -153,17 +153,17 @@ class CompressedFunction:
 
     @classmethod
     def deserialize(cls, data: bytes) -> "CompressedFunction":
-        r = ByteReader(data)
-        obj = cls.__new__(cls)
-        mode = r.uint()
-        if mode >= len(MODES):
-            raise InputError(f"unknown function mode index {mode}")
-        obj.mode = MODES[mode]
-        obj.value_dict = SparseDictionary.deserialize(d) if (d := r.blob()) else None
-        direct = obj.mode == "direct"
-        obj.ap = ApSequence.deserialize(r.blob()) if direct else None
-        obj.pi = None if direct else RunPermutation.deserialize(r.blob())
-        obj.b = None if direct else load_unary_counts(r.blob(), obj.pi.n)
+        with ByteReader(data) as r:
+            obj = cls.__new__(cls)
+            mode = r.uint()
+            if mode >= len(MODES):
+                raise InputError(f"unknown function mode index {mode}")
+            obj.mode = MODES[mode]
+            obj.value_dict = SparseDictionary.deserialize(d) if (d := r.blob()) else None
+            direct = obj.mode == "direct"
+            obj.ap = ApSequence.deserialize(r.blob()) if direct else None
+            obj.pi = None if direct else RunPermutation.deserialize(r.blob())
+            obj.b = None if direct else load_unary_counts(r.blob(), obj.pi.n)
         # n and sigma are the domain and range sizes of the stored parts
         obj.n, obj.sigma = ((obj.ap.n, obj.ap.sigma) if obj.ap is not None
                             else (obj.pi.n, count_runs(obj.b)))

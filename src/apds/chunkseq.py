@@ -246,21 +246,21 @@ class LargeSequence:
 
     @classmethod
     def deserialize(cls, data: bytes) -> "LargeSequence":
-        r = ByteReader(data)
-        obj = cls.__new__(cls)
-        obj.n = r.uint()
-        obj.sigma = r.uint()
-        if obj.sigma < 1 or obj.n < 1:
-            raise InputError("large-alphabet store with an empty alphabet or sequence")
-        obj.chunks = (obj.n + obj.sigma - 1) // obj.sigma
-        obj.width = max(1, (obj.sigma - 1).bit_length())
-        obj.step = max(1, math.ceil(math.log2(obj.sigma)) if obj.sigma > 1 else 1)
-        fwd_words = r.ints()
-        obj._hist = load_unary_counts(r.blob(), obj.n, obj.chunks * obj.sigma)
-        obj._dist = load_unary_counts(r.blob(), obj.n, obj.chunks * obj.sigma)
-        obj._cocc = obj._cumulative_counts()
-        obj._marks = load_bitvector(r.blob())
-        obj._set_words(fwd_words, r.ints())
+        with ByteReader(data) as r:
+            obj = cls.__new__(cls)
+            obj.n = r.uint()
+            obj.sigma = r.uint()
+            if obj.sigma < 1 or obj.n < 1:
+                raise InputError("large-alphabet store with an empty alphabet or sequence")
+            obj.chunks = (obj.n + obj.sigma - 1) // obj.sigma
+            obj.width = max(1, (obj.sigma - 1).bit_length())
+            obj.step = max(1, math.ceil(math.log2(obj.sigma)) if obj.sigma > 1 else 1)
+            fwd_words = r.ints()
+            obj._hist = load_unary_counts(r.blob(), obj.n, obj.chunks * obj.sigma)
+            obj._dist = load_unary_counts(r.blob(), obj.n, obj.chunks * obj.sigma)
+            obj._cocc = obj._cumulative_counts()
+            obj._marks = load_bitvector(r.blob())
+            obj._set_words(fwd_words, r.ints())
         if (obj._fwd_words.size != -(-obj.n * obj.width // 64) or len(obj._marks) != obj.n
                 or obj._back_words.size != -(-obj._marks.count(1) * obj.width // 64)):
             raise InputError("in-chunk permutation or back pointers differ from the header")

@@ -1,8 +1,11 @@
 """Command-line interface.
 
 Subcommands: build, query, stats, dsu, selfcheck, plus an `index` group
-aliasing the build/query paths for text indexes.  Exit codes: 0 ok,
-1 selfcheck/invariant failure, 2 input error, 3 query target not found.
+aliasing the build/query paths for text indexes.  The `--type` names, the
+`--op` values of each kind and the `index` query subcommands all come from
+``container.STRUCTURE_KINDS``; `apds query --help` lists each kind's ops.
+Exit codes: 0 ok, 1 selfcheck/invariant failure, 2 input error, 3 query
+target not found.
 """
 
 from __future__ import annotations
@@ -49,22 +52,6 @@ def _read_symbols(path: str, fmt: str) -> np.ndarray:
     return symbol_array(values)
 
 
-def _parse_symbol(text: str, fmt: int) -> int:
-    if text is None:
-        raise InputError("this op needs --symbol")
-    if fmt == container.FORMAT_BYTES:
-        m = re.fullmatch(r"\\(\d+)", text)
-        if m:
-            return int(m.group(1)) + 1
-        if len(text) == 1:
-            return ord(text) + 1
-        raise InputError(f"bytes-format symbol must be one char or \\ddd, got {text!r}")
-    try:
-        return int(text)
-    except ValueError:
-        raise InputError(f"bad symbol {text!r}")
-
-
 def _need(value, flag: str):
     if value is None:
         raise InputError(f"this op needs {flag}")
@@ -87,7 +74,14 @@ def _parse_pattern(text: str, fmt: int) -> list:
     try:
         return [int(tok) for tok in re.split(r"[,\s]+", text.strip()) if tok]
     except ValueError:
-        raise InputError(f"bad integer in pattern {text!r}")
+        raise InputError(f"bad integer in {text!r}")
+
+
+def _parse_symbol(text: str, fmt: int) -> int:
+    symbols = _parse_pattern(_need(text, "--symbol"), fmt)
+    if len(symbols) != 1:
+        raise InputError(f"--symbol takes one symbol, got {text!r}")
+    return symbols[0]
 
 
 def _format_symbol(value: int, fmt: int) -> int:
@@ -106,7 +100,7 @@ def _build_options(args) -> dict:
     functions check the values)."""
     params = _BUILD_FLAGS[args.type]
     given = {flag: value for flag in set().union(*_BUILD_FLAGS.values())
-             if (value := getattr(args, flag)) is not None}
+             if (value := getattr(args, flag, None)) is not None}
     stray = sorted(given.keys() - params.keys())
     if stray:
         raise InputError(f"--{stray[0].replace('_', '-')} does not apply to --type {args.type}")
@@ -140,21 +134,11 @@ def cmd_build(args) -> int:
     return EXIT_OK
 
 
-_SEQ_OPS = {"access", "rank", "select"}
-_PERM_OPS = {"apply", "inverse", "power"}
-_FUNC_OPS = {"eval", "preimage"}
-_INDEX_OPS = {"count", "locate", "extract"}
-
-
 def cmd_query(args) -> int:
-    obj, kind, fmt = container.load_file(args.structure)
-    op = args.op
-    valid = {container.KIND_SEQ: _SEQ_OPS, container.KIND_PERM: _PERM_OPS,
-             container.KIND_FUNC: _FUNC_OPS, container.KIND_INDEX: _INDEX_OPS}[kind]
-    if op not in valid:
-        raise InputError(
-            f"op {op!r} does not apply to a {container.kind_name(kind)} structure"
-        )
+    obj, _, fmt = container.load_file(args.structure)
+    op, kind = args.op, container.structure_kind(obj)
+    if op not in kind.ops:
+        raise InputError(f"op {op!r} does not apply to a {kind.name} structure")
     if op == "access":
         print(_format_symbol(obj.access(_need(args.pos, "--pos")), fmt))
     elif op == "rank":
@@ -256,10 +240,11 @@ def cmd_selfcheck(args) -> int:
 def _build_parser():
     p = argparse.ArgumentParser(prog="apds",
                                 description="compressed rank/select toolkit")
+    kinds = container.STRUCTURE_KINDS
     sub = p.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("build", help="build a structure container")
-    b.add_argument("--type", required=True, choices=["seq", "perm", "func", "index"])
+    b.add_argument("--type", required=True, choices=[k.name for k in kinds])
     b.add_argument("--input", required=True)
     b.add_argument("--output", required=True)
     b.add_argument("--format", default="bytes", choices=["bytes", "ints"])
@@ -272,9 +257,9 @@ def _build_parser():
 
     q = sub.add_parser("query", help="query a structure container")
     q.add_argument("--structure", required=True)
-    q.add_argument("--op", required=True,
-                   choices=sorted(_SEQ_OPS | _PERM_OPS | _FUNC_OPS | _INDEX_OPS),
-                   help="power first verifies the permutation's power companion, in O(n)")
+    q.add_argument("--op", required=True, choices=sorted(op for k in kinds for op in k.ops),
+                   help="; ".join(f"{k.name}: {', '.join(k.ops)}" for k in kinds)
+                   + ". power first verifies the permutation's power companion, in O(n)")
     q.add_argument("--symbol")
     q.add_argument("--pos", type=int)
     q.add_argument("--rank", type=int)
@@ -310,18 +295,12 @@ def _build_parser():
     ib.add_argument("--format", default="bytes", choices=["bytes", "ints"])
     ib.add_argument("--k", type=int)
     ib.add_argument("--sample-rate", type=int)
-    ib.set_defaults(func=cmd_build, type="index", runs_kind=None, power_step=None, mode=None)
-    for opname in ("count", "locate", "extract"):
+    ib.set_defaults(func=cmd_build, type="index")
+    for opname in next(k.ops for k in kinds if k.name == "index"):
         iq = isub.add_parser(opname)
         iq.add_argument("--structure", required=True)
-        if opname == "extract":
-            iq.add_argument("--range", required=True)
-            iq.set_defaults(pattern=None)
-        else:
-            iq.add_argument("--pattern", required=True)
-            iq.set_defaults(range=None)
-        iq.set_defaults(func=cmd_query, op=opname, symbol=None, pos=None,
-                        rank=None, k=0)
+        iq.add_argument("--range" if opname == "extract" else "--pattern", required=True)
+        iq.set_defaults(func=cmd_query, op=opname)
     return p
 
 

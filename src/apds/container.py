@@ -4,6 +4,10 @@ Layout (header integers little-endian, fixed width):
 
     "APDS" | u32 version=8 | u32 CRC32 | u8 kind | u8 input-format | payload
 
+A kind is declared in one place, its row of ``STRUCTURE_KINDS``: the kind
+byte, the name (``apds build --type``), the class and the ``apds query``
+ops it answers.  Dump, load and the CLI dispatch through that table.
+
 The CRC32 (``zlib.crc32``) covers every byte after its own field: the
 kind, the input format and the payload.  The payload runs to the end of
 the file, so no length is stored; a truncated or extended file fails the
@@ -39,6 +43,7 @@ from __future__ import annotations
 
 import struct
 import zlib
+from typing import NamedTuple
 
 from .apseq import ApSequence
 from .cfunction import CompressedFunction
@@ -52,26 +57,26 @@ _HEAD = struct.Struct("<4sII")  # magic, version, CRC32
 CRC_START = _HEAD.size  # the checksum covers data[CRC_START:]
 HEADER_BYTES = CRC_START + 2  # then the kind and the input format
 
-KIND_SEQ = 1
-KIND_PERM = 2
-KIND_FUNC = 3
-KIND_INDEX = 4
-
 FORMAT_INTS = 0
 FORMAT_BYTES = 1
 
-_KIND_NAMES = {KIND_SEQ: "seq", KIND_PERM: "perm", KIND_FUNC: "func",
-               KIND_INDEX: "index"}
-_DESERIALIZERS = {
-    KIND_SEQ: ApSequence.deserialize,
-    KIND_PERM: RunPermutation.deserialize,
-    KIND_FUNC: CompressedFunction.deserialize,
-    KIND_INDEX: FmIndex.deserialize,
-}
+
+class StructureKind(NamedTuple):
+    id: int  # the kind byte of the header
+    name: str  # the `apds build --type` value
+    cls: type
+    ops: tuple  # the `apds query --op` values it answers
 
 
-def kind_name(kind: int) -> str:
-    return _KIND_NAMES.get(kind, f"unknown({kind})")
+STRUCTURE_KINDS = (
+    StructureKind(1, "seq", ApSequence, ("access", "rank", "select")),
+    StructureKind(2, "perm", RunPermutation, ("apply", "inverse", "power")),
+    StructureKind(3, "func", CompressedFunction, ("eval", "preimage")),
+    StructureKind(4, "index", FmIndex, ("count", "locate", "extract")),
+)
+KIND_SEQ, KIND_PERM, KIND_FUNC, KIND_INDEX = (k.id for k in STRUCTURE_KINDS)
+_DESERIALIZERS = {k.id: k.cls.deserialize for k in STRUCTURE_KINDS}
+_KIND_OF_CLASS = {k.cls: k for k in STRUCTURE_KINDS}
 
 
 def pack_container(kind: int, input_format: int, payload: bytes) -> bytes:
@@ -93,20 +98,15 @@ def unpack_container(data: bytes):
     return data[CRC_START], data[CRC_START + 1], data[HEADER_BYTES:]
 
 
-def structure_kind(obj) -> int:
-    if isinstance(obj, ApSequence):
-        return KIND_SEQ
-    if isinstance(obj, RunPermutation):
-        return KIND_PERM
-    if isinstance(obj, CompressedFunction):
-        return KIND_FUNC
-    if isinstance(obj, FmIndex):
-        return KIND_INDEX
-    raise InputError(f"cannot serialize object of type {type(obj).__name__}")
+def structure_kind(obj) -> StructureKind:
+    """The table's row for the object's class."""
+    if (kind := _KIND_OF_CLASS.get(type(obj))) is None:
+        raise InputError(f"cannot serialize object of type {type(obj).__name__}")
+    return kind
 
 
 def dump_structure(obj, input_format: int = FORMAT_INTS) -> bytes:
-    return pack_container(structure_kind(obj), input_format, obj.serialize())
+    return pack_container(structure_kind(obj).id, input_format, obj.serialize())
 
 
 def load_structure(data: bytes):

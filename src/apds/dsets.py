@@ -49,7 +49,6 @@ class DisjointSetCollection:
         """Install a dense id string as the new rebuild epoch."""
         self.ids = ApSequence(id_string)
         base = int(id_string.max())
-        self._nbase = base
         self._parent = np.arange(base + 1, dtype=np.int64)
         self._rank = np.zeros(base + 1, dtype=np.int8)
         self._sizes = np.bincount(id_string, minlength=base + 1).astype(np.int64)

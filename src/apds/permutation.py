@@ -267,11 +267,11 @@ class CycleIndex:
     @classmethod
     def deserialize(cls, data: bytes, n: int) -> "CycleIndex":
         """Load the companion of a permutation of [1..n]."""
-        r = ByteReader(data)
-        obj = cls.__new__(cls)
-        obj.step = r.uint()
-        lengths = r.ints().astype(np.int64)
-        marks = r.ints().astype(np.int64) + 1
+        with ByteReader(data) as r:
+            obj = cls.__new__(cls)
+            obj.step = r.uint()
+            lengths = r.ints().astype(np.int64)
+            marks = r.ints().astype(np.int64) + 1
         sizes = -(-lengths // max(1, obj.step))
         if (obj.step < 1 or lengths.sum() > n or (lengths < obj.step).any()
                 or sizes.sum() != marks.size or ((marks < 1) | (marks > n)).any()
@@ -385,19 +385,19 @@ class _RunLayout:
     def deserialize(cls, data: bytes, kind: str) -> "_RunLayout":
         """Load a layout; raises InputError unless its runs cover [1..n]."""
         contiguous, strict = _tiled_sides(kind)
-        r = ByteReader(data)
-        if contiguous and strict:
-            n = r.uint()
-            lengths = r.ints().astype(np.int64)
-            order = r.ints().astype(np.int64) + 1
-            # a Python sum: int64 could wrap around to n
-            if (lengths.size == 0 or lengths.min() < 1 or sum(lengths.tolist()) != n
-                    or not np.array_equal(np.sort(order), np.arange(1, lengths.size + 1))):
-                raise InputError("run layout: lengths do not sum to n or the value "
-                                 "order is not a permutation of the runs")
-        s = None if contiguous else _load_labels(r.blob())
-        sprime = None if strict else _load_labels(r.blob())
-        increasing = load_bitvector(r.blob()).to_bits().astype(bool)
+        with ByteReader(data) as r:
+            if contiguous and strict:
+                n = r.uint()
+                lengths = r.ints().astype(np.int64)
+                order = r.ints().astype(np.int64) + 1
+                # a Python sum: int64 could wrap around to n
+                if (lengths.size == 0 or lengths.min() < 1 or sum(lengths.tolist()) != n
+                        or not np.array_equal(np.sort(order), np.arange(1, lengths.size + 1))):
+                    raise InputError("run layout: lengths do not sum to n or the value "
+                                     "order is not a permutation of the runs")
+            s = None if contiguous else _load_labels(r.blob())
+            sprime = None if strict else _load_labels(r.blob())
+            increasing = load_bitvector(r.blob()).to_bits().astype(bool)
         if s is not None or sprime is not None:
             lengths = (s if s is not None else sprime).partition.occ
             order = np.arange(1, lengths.size + 1)
@@ -556,14 +556,14 @@ class RunPermutation:
 
     @classmethod
     def deserialize(cls, data: bytes) -> "RunPermutation":
-        r = ByteReader(data)
-        tag = r.uint()
-        if not 1 <= tag <= len(KINDS):
-            raise InputError(f"unknown permutation layout tag {tag}")
-        layout = _RunLayout.deserialize(r.blob(), KINDS[tag - 1])
-        perm = cls(layout, KINDS[tag - 1])
-        if d := r.blob():
-            perm.companion = CycleIndex.deserialize(d, perm.n)
+        with ByteReader(data) as r:
+            tag = r.uint()
+            if not 1 <= tag <= len(KINDS):
+                raise InputError(f"unknown permutation layout tag {tag}")
+            layout = _RunLayout.deserialize(r.blob(), KINDS[tag - 1])
+            perm = cls(layout, KINDS[tag - 1])
+            if d := r.blob():
+                perm.companion = CycleIndex.deserialize(d, perm.n)
         return perm
 
 

@@ -174,16 +174,16 @@ class BlockStore:
 
     @classmethod
     def deserialize(cls, data: bytes) -> "BlockStore":
-        r = ByteReader(data)
-        obj = cls.__new__(cls)
-        obj.n = r.uint()
-        obj.sigma = r.uint()
-        obj.block_len = r.uint()
-        contents = r.ints().astype(np.int64)
-        if obj.block_len < 1 or contents.size % obj.block_len:
-            raise InputError("block contents do not split into whole blocks")
-        obj.contents = contents.reshape(-1, obj.block_len)
-        obj.sprime = ApSequence.deserialize(r.blob())
+        with ByteReader(data) as r:
+            obj = cls.__new__(cls)
+            obj.n = r.uint()
+            obj.sigma = r.uint()
+            obj.block_len = r.uint()
+            contents = r.ints().astype(np.int64)
+            if obj.block_len < 1 or contents.size % obj.block_len:
+                raise InputError("block contents do not split into whole blocks")
+            obj.contents = contents.reshape(-1, obj.block_len)
+            obj.sprime = ApSequence.deserialize(r.blob())
         obj.num_blocks = (obj.n + obj.block_len - 1) // obj.block_len
         return obj
 
@@ -465,19 +465,19 @@ class FmIndex:
 
     @classmethod
     def deserialize(cls, data: bytes) -> "FmIndex":
-        r = ByteReader(data)
-        obj = cls.__new__(cls)
-        obj.k_context = r.uint()
-        obj.sample_rate = r.uint()
-        if obj.sample_rate < 1:
-            raise InputError("index sample rate must be >= 1")
-        obj.alphabet = SparseDictionary.deserialize(r.blob())
-        obj.sigma = obj.alphabet.size
-        obj.parts = [ApSequence.deserialize(r.blob()) for _ in range(r.uint())]
-        obj.n = sum(len(p) for p in obj.parts) - 1  # the parts hold the BWT's n + 1 rows
-        obj._derive_counts()
-        obj.sa_marked = load_bitvector(r.blob())
-        obj._set_samples(r.ints(), r.ints())
+        with ByteReader(data) as r:
+            obj = cls.__new__(cls)
+            obj.k_context = r.uint()
+            obj.sample_rate = r.uint()
+            if obj.sample_rate < 1:
+                raise InputError("index sample rate must be >= 1")
+            obj.alphabet = SparseDictionary.deserialize(r.blob())
+            obj.sigma = obj.alphabet.size
+            obj.parts = [ApSequence.deserialize(r.blob()) for _ in range(r.uint())]
+            obj.n = sum(len(p) for p in obj.parts) - 1  # the parts hold the BWT's n + 1 rows
+            obj._derive_counts()
+            obj.sa_marked = load_bitvector(r.blob())
+            obj._set_samples(r.ints(), r.ints())
         obj._samp_width = max(1, (obj.rows - 1).bit_length())
         if (obj.n < 1 or len(obj.sa_marked) != obj.rows
                 or obj.sa_samples.size * 64 < obj.sa_marked.count(1) * obj._samp_width

@@ -219,8 +219,8 @@ class PolySequence:
 
     @classmethod
     def deserialize(cls, data: bytes) -> "PolySequence":
-        r = ByteReader(data)
-        return cls.from_counts(r.ints(), r.blob)
+        with ByteReader(data) as r:
+            return cls.from_counts(r.ints(), r.blob)
 
     @classmethod
     def from_counts(cls, counts: np.ndarray, level_blob=None) -> "PolySequence":

@@ -1,3 +1,4 @@
+import argparse
 import os
 import subprocess
 import sys
@@ -8,14 +9,15 @@ import pytest
 from apds.apseq import ApSequence
 from apds.bitvec import SparseDictionary, bitvector
 from apds.chunkseq import LargeSequence
-from apds.cli import main
-from apds.container import CRC_START, HEADER_BYTES, dump_structure, load_structure
+from apds.cli import _build_parser, main
+from apds.container import (CRC_START, HEADER_BYTES, STRUCTURE_KINDS, dump_structure,
+                            load_structure, save_file)
 from apds.wavelet import PolySequence
 from test_apseq import large_class_input
 from test_bitvec import swap_sparse_lows
 from test_cfunction import extra_unit_function
 from test_chunkseq import corrupt_cycle_walk
-from test_container import reseal
+from test_container import _structures, reseal
 
 
 def run_cli(capsys, *argv):
@@ -154,6 +156,34 @@ def test_wrong_op_for_structure(abra_file, tmp_path, capsys):
                            "--op", "locate", "--pattern", "a")
     assert code == 2
     assert "does not apply" in err
+    # every op outside a kind's row, on a container of each kind
+    all_ops = {op for k in STRUCTURE_KINDS for op in k.ops}
+    for (obj, _), kind in zip(_structures(), STRUCTURE_KINDS):
+        path = str(tmp_path / f"{kind.name}.apds")
+        save_file(path, obj)
+        for op in sorted(all_ops - set(kind.ops)):
+            code, out, err = run_cli(capsys, "query", "--structure", path, "--op", op)
+            assert (code, out) == (2, "")
+            assert f"op {op!r} does not apply to a {kind.name} structure" in err
+
+
+def _choices(parser, *path):
+    """The choices of the action with dest path[-1], in the subcommand path[:-1]."""
+    for name in path[:-1]:
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parser = sub.choices[name]
+    if path[-1] is None:  # the parser's own subcommands
+        return list(next(a for a in parser._actions
+                         if isinstance(a, argparse._SubParsersAction)).choices)
+    return list(next(a for a in parser._actions if a.dest == path[-1]).choices)
+
+
+def test_kind_choices_come_from_the_table():
+    parser = _build_parser()
+    assert _choices(parser, "build", "type") == [k.name for k in STRUCTURE_KINDS]
+    assert set(_choices(parser, "query", "op")) == {op for k in STRUCTURE_KINDS for op in k.ops}
+    index_ops = next(k.ops for k in STRUCTURE_KINDS if k.name == "index")
+    assert _choices(parser, "index", None) == ["build", *index_ops]
 
 
 def test_stats_output(abra_file, capsys):
@@ -206,6 +236,34 @@ def test_bytes_symbol_escape(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "query", "--structure", out_path,
                            "--op", "rank", "--symbol", r"\100", "--pos", "4")
     assert out.strip() == "3"
+
+
+def test_symbol_escape_answers_as_its_char(abra_file, tmp_path, capsys):
+    out_path = str(tmp_path / "abra.apds")
+    run_cli(capsys, "build", "--type", "seq", "--input", abra_file, "--output", out_path)
+    for op, arg, answer in (("rank", "--pos", "1\n"), ("select", "--rank", "6\n")):
+        for symbol in ("a", r"\97"):
+            assert run_cli(capsys, "query", "--structure", out_path, "--op", op,
+                           "--symbol", symbol, arg, "3")[:2] == (0, answer)
+
+
+@pytest.mark.parametrize("fmt,symbol,message", [
+    ("bytes", "ab", "--symbol takes one symbol"),
+    ("ints", "5,6", "--symbol takes one symbol"),
+    ("ints", "", "--symbol takes one symbol"),
+    ("ints", "x", "bad integer in 'x'"),
+    ("bytes", None, "this op needs --symbol"),
+])
+def test_symbol_takes_one_symbol(tmp_path, capsys, fmt, symbol, message):
+    src = tmp_path / "s.txt"
+    src.write_text("5 6 5 7" if fmt == "ints" else "abra")
+    out_path = str(tmp_path / "s.apds")
+    run_cli(capsys, "build", "--type", "seq", "--format", fmt, "--input", str(src),
+            "--output", out_path)
+    argv = ["query", "--structure", out_path, "--op", "rank", "--pos", "2"]
+    code, out, err = run_cli(capsys, *argv, *([] if symbol is None else ["--symbol", symbol]))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and message in err, err
 
 
 def run_cli_process(*argv, python_flags=(), timeout=60):
@@ -270,6 +328,17 @@ def test_bad_container_kind_exit_2_without_traceback(abra_file, tmp_path, capsys
         proc = run_cli_process("query", "--structure", str(path), "--op", "access", "--pos", "1")
         assert_exit_2_without_traceback(proc, message)
         assert "checksum" not in proc.stderr
+
+
+def test_appended_payload_bytes_exit_2(abra_file, tmp_path, capsys):
+    """Bytes appended to the payload, resealed: the checksum holds, and the
+    payload's reader refuses the bytes it did not read."""
+    out_path = tmp_path / "abra.apds"
+    run_cli(capsys, "build", "--type", "seq", "--input", abra_file, "--output", str(out_path))
+    out_path.write_bytes(reseal(out_path.read_bytes() + b"junk"))
+    assert_exit_2_without_traceback(run_cli_process(
+        "query", "--structure", str(out_path), "--op", "access", "--pos", "1"),
+        "4 unread bytes after the payload")
 
 
 def test_swapped_symbol_classes_exit_2(tmp_path):

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from apds.apseq import ApSequence, build_partition
-from apds.cfunction import build_function
+from apds.bitvec import SparseBitVector, SparseDictionary, bitvector, load_bitvector
+from apds.cfunction import CompressedFunction, build_function
+from apds.chunkseq import LargeSequence
 from apds.container import (
     CRC_START,
     FORMAT_BYTES,
@@ -14,14 +16,16 @@ from apds.container import (
     KIND_INDEX,
     KIND_PERM,
     KIND_SEQ,
+    STRUCTURE_KINDS,
     dump_structure,
     load_structure,
     pack_container,
     unpack_container,
 )
 from apds.errors import InputError
-from apds.permutation import KINDS, build_run_permutation
-from apds.textindex import FmIndex
+from apds.permutation import KINDS, CycleIndex, RunPermutation, _RunLayout, build_run_permutation
+from apds.textindex import BlockStore, FmIndex
+from apds.wavelet import PolySequence
 from nl_corpus import natural_text
 
 
@@ -192,3 +196,64 @@ def test_any_flipped_byte_is_refused(index):
             bad[pos] ^= mask
             with pytest.raises(InputError):
                 load_structure(bytes(bad))
+
+
+def test_kind_table_rows():
+    """One row per kind byte and per class; the structures these tests build
+    are the table's classes, in its order."""
+    assert len({k.id for k in STRUCTURE_KINDS}) == len({k.cls for k in STRUCTURE_KINDS}) == 4
+    assert ([(type(obj), kind) for obj, kind in _structures()]
+            == [(k.cls, k.id) for k in STRUCTURE_KINDS])
+
+
+def test_dump_refuses_a_structure_outside_the_table():
+    with pytest.raises(InputError, match="cannot serialize object of type BlockStore"):
+        dump_structure(BlockStore([1, 2, 3, 1, 2, 3, 4]))
+
+
+def _loaders():
+    """(name, payload, loader) for every deserializer of the package."""
+    rng = np.random.default_rng(21)
+    seq = rng.integers(1, 9, 200)
+    pi = rng.permutation(200) + 1
+    perm = build_run_permutation(pi, "interleaved-general", power_step=4)
+    strict = build_run_permutation(pi, "contiguous-strict")
+    sparse = np.zeros(4096, dtype=np.uint8)
+    sparse[[5, 700, 3000]] = 1
+    assert isinstance(bitvector(sparse), SparseBitVector)
+    cases = [
+        ("ApSequence", build_partition(seq * 1009, general_alphabet=True), ApSequence.deserialize),
+        ("PolySequence", PolySequence(seq), PolySequence.deserialize),
+        ("LargeSequence", LargeSequence(seq), LargeSequence.deserialize),
+        ("plain bitvector", bitvector(seq % 2), load_bitvector),
+        ("sparse bitvector", bitvector(sparse), load_bitvector),
+        ("SparseDictionary", SparseDictionary([3, 9, 40, 1000]), SparseDictionary.deserialize),
+        ("CycleIndex", perm.companion, lambda d: CycleIndex.deserialize(d, perm.n)),
+        ("run layout", perm._layout, lambda d: _RunLayout.deserialize(d, perm.decomposition.kind)),
+        ("strict run layout", strict._layout,
+         lambda d: _RunLayout.deserialize(d, "contiguous-strict")),
+        ("RunPermutation", perm, RunPermutation.deserialize),
+        ("CompressedFunction", build_function(seq, mode="runs-interleaved"),
+         CompressedFunction.deserialize),
+        ("FmIndex", FmIndex(seq), FmIndex.deserialize),
+        ("BlockStore", BlockStore(seq), BlockStore.deserialize),
+    ]
+    return [pytest.param(obj.serialize(), load, id=name) for name, obj, load in cases]
+
+
+@pytest.mark.parametrize("payload,load", _loaders())
+def test_loader_refuses_an_appended_byte(payload, load):
+    """Every deserializer reads its payload to the end: its payload loads,
+    and with one byte appended it ends in InputError."""
+    load(payload)
+    with pytest.raises(InputError, match="1 unread bytes"):
+        load(payload + b"\x00")
+
+
+@pytest.mark.parametrize("index", range(4), ids=["seq", "perm", "func", "index"])
+def test_resealed_container_with_appended_bytes_is_refused(index):
+    """A payload with bytes appended and its checksum recomputed passes the
+    checksum, so the payload's own reader refuses it."""
+    data = dump_structure(_structures()[index][0])
+    with pytest.raises(InputError, match="4 unread bytes"):
+        load_structure(reseal(data + b"junk"))

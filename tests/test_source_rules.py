@@ -32,3 +32,20 @@ def test_one_symbol_check():
     # entry grows its own copy of the empty or below-1 check
     for message in ("empty input", "symbol values must be >= 1"):
         assert len(_raise_sites(message)) == 1, (message, _raise_sites(message))
+
+
+def _byte_reader_calls(nodes) -> list:
+    return [node for node in nodes if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name) and node.func.id == "ByteReader"]
+
+
+def test_every_byte_reader_is_read_to_its_end():
+    # a ByteReader opened as a with item refuses bytes left unread, so no
+    # deserializer can load a payload with trailing bytes
+    nodes = [node for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))]
+    calls = _byte_reader_calls(nodes)
+    opened = _byte_reader_calls(item.context_expr for node in nodes
+                                if isinstance(node, ast.With) for item in node.items)
+    assert len(calls) >= 10, len(calls)
+    assert [c.lineno for c in calls if c not in opened] == []
