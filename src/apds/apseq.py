@@ -22,7 +22,18 @@ class_start[cls[a]] + 1 for where the inverse of order.  Then
 
 where l = t.access(i) and t.rank_l(i) come from one access_rank walk, so
 access_rank costs two walks (t, then s_l) and gives the symbol at i with
-its rank in [1..i]; no query walks m.
+its rank in [1..i]; no query walks m.  A class of one symbol (sigma_l = 1,
+one flag per class) holds that symbol at every one of its positions, so
+its queries walk t alone:
+
+    access(i)      = order[class_start[l]]
+    access_rank(i) = (order[class_start[l]], t.rank_l(i))
+    rank_a(i)      = t.rank_l(i)
+    select_a(j)    = t.select_l(j)
+
+rank_pair(a, i, j) = (rank_a(i), rank_a(j)) for i <= j ranks both ends of
+a range from one walk of a's code in t (``PolySequence.rank_pair``), then
+ranks each in s_l unless sigma_l = 1.
 
 General (non-effective) alphabets keep the occurring symbols in a sorted
 dictionary (``bitvec.alphabet_ranks``) and run the machinery over their
@@ -221,6 +232,7 @@ class ApSequence:
         self._cls = memoryview(dense)
         self._local = memoryview(local.astype(narrow))
         self._class_start = [0] + starts.tolist()
+        self._single = [False] + (sub_sigma == 1).tolist()  # by class id
         return order
 
     # --- symbol mapping ---------------------------------------------------------
@@ -247,15 +259,18 @@ class ApSequence:
             raise OutOfRangeError(f"position {i} out of [1..{self.n}]")
         li, pos = self.T.access_rank(i)
         # access, not access_rank: a LargeSequence rank costs two selects more
-        x = self.subs[li - 1].access(pos)
+        x = 1 if self._single[li] else self.subs[li - 1].access(pos)
         return self._external_symbol(self._order[self._class_start[li] + x - 1])
 
     def access_rank(self, i: int) -> tuple[int, int]:
-        """(symbol a at i, rank_a(i)) from one walk each of t and s_l."""
+        """(symbol a at i, rank_a(i)) from one walk of t, and one of s_l
+        unless a's class has one symbol."""
         if not 1 <= i <= self.n:
             raise OutOfRangeError(f"position {i} out of [1..{self.n}]")
-        li, pos = self.T.access_rank(i)
-        x, r = self.subs[li - 1].access_rank(pos)
+        li, r = self.T.access_rank(i)
+        x = 1
+        if not self._single[li]:
+            x, r = self.subs[li - 1].access_rank(r)
         return self._external_symbol(self._order[self._class_start[li] + x - 1]), r
 
     def rank(self, a: int, i: int) -> int:
@@ -265,7 +280,23 @@ class ApSequence:
         if ai is None or i == 0:
             return 0
         li = self._cls[ai - 1]
-        return self.subs[li - 1].rank(self._local[ai - 1], self.T.rank(li, i))
+        r = self.T.rank(li, i)
+        return r if self._single[li] else self.subs[li - 1].rank(self._local[ai - 1], r)
+
+    def rank_pair(self, a: int, i: int, j: int) -> tuple[int, int]:
+        """(rank_a(i), rank_a(j)) for 0 <= i <= j <= n from one walk of t,
+        and two ranks in s_l unless a's class has one symbol."""
+        if not 0 <= i <= j <= self.n:
+            raise OutOfRangeError(f"rank positions {i}, {j} not in order within [0..{self.n}]")
+        ai = self._internal_symbol(a)
+        if ai is None:
+            return 0, 0
+        li = self._cls[ai - 1]
+        ri, rj = self.T.rank_pair(li, i, j)
+        if self._single[li]:
+            return ri, rj
+        sub, c = self.subs[li - 1], self._local[ai - 1]
+        return sub.rank(c, ri), sub.rank(c, rj)
 
     def select(self, a: int, j: int) -> int:
         if j < 1:
@@ -273,12 +304,16 @@ class ApSequence:
         ai = self._internal_symbol(a)
         if ai is None:
             raise NotFoundError(f"symbol {a} does not occur")
+        if j > self._occ[ai - 1]:
+            raise NotFoundError(f"fewer than {j} occurrences of symbol {a}")
         li = self._cls[ai - 1]
-        return self.T.select(li, self.subs[li - 1].select(self._local[ai - 1], j))
+        if not self._single[li]:
+            j = self.subs[li - 1].select(self._local[ai - 1], j)
+        return self.T.select(li, j)
 
     def occurrences(self, a: int) -> int:
         ai = self._internal_symbol(a)
-        return int(self.partition.occ[ai - 1]) if ai else 0
+        return self._occ[ai - 1] if ai else 0
 
     def decode(self) -> np.ndarray:
         """Reconstruct the stored sequence in one vectorized pass."""
@@ -380,6 +415,7 @@ class ApSequence:
 
     def _set_partition(self, part: Partition):
         self.partition = part
+        self._occ = memoryview(part.occ)  # its items are ints, read one at a time
         self.n, self.sigma = part.n, part.sigma
 
 

@@ -46,6 +46,13 @@ def _scan_access_rank(seq, i):
     return seq[i - 1], _scan_rank(seq, seq[i - 1], i)
 
 
+def _zipf_sequence(rng, n, sigma):
+    """n draws over [1..sigma] with P(a) proportional to a^-1.5: skewed
+    counts put symbols in classes of their own, which uniform draws seldom do."""
+    weights = 1.0 / np.arange(1, sigma + 1) ** 1.5
+    return rng.choice(np.arange(1, sigma + 1), size=n, p=weights / weights.sum())
+
+
 def _shrink_sequence(seq, fails):
     """Smallest failing prefix by halving, then trimming one element."""
     cur = list(seq)
@@ -80,6 +87,12 @@ def _sequence_mismatch(seq, fault=False):
         for j in range(1, occ + 1, max(1, occ // 7)):
             if aps.select(a, j) != _scan_select(seq, a, j):
                 return f"select({a},{j}) wrong on {seq}"
+    for a in (*sorted(set(seq)), max(seq) + 1):  # and one absent symbol
+        for i in range(0, n + 1, max(1, n // 5)):
+            for j in (i, (i + n + 1) // 2, n):
+                want = _scan_rank(seq, a, i), _scan_rank(seq, a, j)
+                if aps.rank_pair(a, i, j) != want:
+                    return f"rank_pair({a},{i},{j}) != {want} on {seq}"
     return None
 
 
@@ -125,7 +138,8 @@ def suite_sequences(rng, iters, max_n, fault=False):
     for trial in range(iters):
         n = int(rng.integers(1, max_n + 1))
         sigma = int(rng.integers(1, min(n, 64) + 1))
-        seq = rng.integers(1, sigma + 1, size=n).tolist()
+        seq = (_zipf_sequence(rng, n, sigma) if trial % 2
+               else rng.integers(1, sigma + 1, size=n)).tolist()
         witness = _sequence_mismatch(seq, fault=(fault and trial == 0))
         if witness:
             small = _shrink_sequence(seq, lambda s: _sequence_mismatch(s) is not None)
@@ -256,7 +270,8 @@ def suite_index(rng, iters, max_n, fault=False):
         n = int(rng.integers(2, max_n + 1))
         sigma = int(rng.integers(2, 17))
         text = rng.integers(1, sigma + 1, size=n).tolist()
-        fm = FmIndex(text)
+        k = trial % 2
+        fm = FmIndex(text, k_context=k)
         for _ in range(12):
             m = int(rng.integers(1, min(8, n) + 1))
             start = int(rng.integers(0, n - m + 1))
@@ -266,13 +281,13 @@ def suite_index(rng, iters, max_n, fault=False):
             ) + (1 if fault and trial == 0 else 0)
             if fm.count(pat) != want:
                 raise CheckFailure(
-                    "index", f"count({pat}) != {want} on text {text[:48]}..."
+                    "index", f"k={k}: count({pat}) != {want} on text {text[:48]}..."
                 )
             checks += 1
         l = int(rng.integers(1, n + 1))
         r = int(rng.integers(l, n + 1))
         if fm.extract(l, r) != text[l - 1 : r]:
-            raise CheckFailure("index", f"extract({l},{r}) on {text[:48]}...")
+            raise CheckFailure("index", f"k={k}: extract({l},{r}) on {text[:48]}...")
         checks += 1
     return checks
 

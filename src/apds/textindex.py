@@ -11,11 +11,14 @@ with one select.
 FmIndex supports count/locate/extract by backward search over the
 Burrows-Wheeler transform (stored as ApSequence, optionally split by
 length-k right-context), with text-regular suffix-array samples for
-locate and inverse samples for extract.  The inverse samples sit at text
-positions 1, 1 + rate, 1 + 2 rate, ... and at the last position, so only
-their rows are stored.  Load derives each part's first row, the per-part
-cumulative symbol counts and the C array from the parts themselves, with
-the same method that build calls (``_derive_counts``).
+locate and inverse samples for extract.  A backward-search step ranks
+its symbol up to rows sp - 1 and ep.  When both rows lie in one part
+(always at k = 0; row sp - 1 may be the row just before the part), one
+paired walk (``ApSequence.rank_pair``) ranks both.  The inverse samples
+sit at text positions 1, 1 + rate, 1 + 2 rate, ... and at the last
+position, so only their rows are stored.  Load derives each part's first
+row, the per-part cumulative symbol counts and the C array from the parts
+themselves, with the same method that build calls (``_derive_counts``).
 
 The build sorts the text's suffixes by prefix doubling from packed keys
 (``suffix_array``).  Its first round packs the first h symbols of each
@@ -382,11 +385,18 @@ class FmIndex:
         if ranks is None:
             return None
         sp, ep = 1, self.rows
-        C, rank = self.C, self._bwt_rank
+        C, starts, parts, part_cum = self.C, self.part_starts, self.parts, self.part_cum
         for a in reversed(ranks):
             c = a + 1
-            sp = C[c] + rank(c, sp - 1) + 1
-            ep = C[c] + rank(c, ep)
+            p = bisect_right(starts, ep) - 1
+            lo = starts[p]
+            if sp >= lo:  # rows sp - 1 and ep in part p: one walk ranks both
+                r_sp, r_ep = parts[p].rank_pair(c, sp - lo, ep - lo + 1)
+                base = C[c] + part_cum[p, c]
+                sp, ep = base + r_sp + 1, base + r_ep
+            else:
+                sp = C[c] + self._bwt_rank(c, sp - 1) + 1
+                ep = C[c] + self._bwt_rank(c, ep)
             if sp > ep:
                 return None
         return sp, ep

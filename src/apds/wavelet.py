@@ -172,6 +172,26 @@ class PolySequence:
                 i = self._levels[d].rank(i, 0)
         return i - self._start[a - 1]
 
+    def rank_pair(self, a: int, i: int, j: int) -> tuple[int, int]:
+        """(rank_a(i), rank_a(j)) for 0 <= i <= j <= n from one walk of a's
+        code, each level ranking both positions (j alone when i = 0)."""
+        if not 0 <= i <= j <= self.n:
+            raise OutOfRangeError(f"rank positions {i}, {j} not in order within [0..{self.n}]")
+        if i == 0:  # every backward search starts here; walk j alone
+            return 0, self.rank(a, j)
+        if not 1 <= a <= self.sigma or self._count[a - 1] == 0:
+            return 0, 0
+        code, length = self._code[a - 1], self._length[a - 1]
+        for d in range(length):
+            bv = self._levels[d]
+            if (code >> (length - 1 - d)) & 1:
+                zeros = self._zeros[d]
+                i, j = zeros + bv.rank(i, 1), zeros + bv.rank(j, 1)
+            else:
+                i, j = bv.rank(i, 0), bv.rank(j, 0)
+        start = self._start[a - 1]
+        return i - start, j - start
+
     def select(self, a: int, j: int) -> int:
         if j < 1:
             raise OutOfRangeError("select rank must be >= 1")

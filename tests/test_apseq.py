@@ -396,3 +396,55 @@ def test_queries_make_no_call_on_m(monkeypatch):
             assert aps.rank(a, n) == seq.count(a)
             assert aps.select(a, 1) == seq.index(a) + 1
         assert calls == []
+
+
+@pytest.mark.parametrize("seq,general", [
+    ([1, 1, 1, 2, 2, 3, 4], False),
+    ([5, 5, 5, 7, 7, 9, 1000], True),
+], ids=["plain", "general"])
+def test_select_past_the_last_occurrence_names_the_symbol(seq, general):
+    """The not-found error of select names the caller's symbol, whether its
+    class has one symbol (answered from t) or more (answered from s_l)."""
+    for aps in both_sides(seq, general):
+        assert set(aps.partition.sub_sigma.tolist()) == {1, 2}
+        for a in sorted(set(seq)):
+            j = seq.count(a) + 1
+            with pytest.raises(NotFoundError, match=f"^fewer than {j} occurrences of symbol {a}$"):
+                aps.select(a, j)
+            assert aps.select(a, j - 1) == len(seq) - seq[::-1].index(a)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=6), st.integers(0, 2**32 - 1),
+       st.booleans())
+def test_rank_pair_matches_two_ranks(counts, seed, general):
+    """rank_pair(a, i, j) == (rank_a(i), rank_a(j)) for every 0 <= i <= j <= n,
+    on PolySequence and ApSequence, built and loaded, for present, absent and
+    out-of-universe symbols; one count makes a one-symbol matrix, and
+    ``general`` stores symbol a as 7a + 3 in a general alphabet."""
+    sigma = len(counts)
+    seq = np.random.default_rng(seed).permutation(np.repeat(np.arange(1, sigma + 1), counts))
+    n = seq.size
+    prefix = np.zeros((sigma + 1, n + 1), dtype=np.int64)  # prefix[a, i] = rank_a(i)
+    prefix[seq, np.arange(1, n + 1)] = 1
+    prefix = np.cumsum(prefix, axis=1).tolist()  # row 0 counts no symbol
+    ps = PolySequence(seq, alphabet_size=sigma + 1)  # symbol sigma + 1 is absent
+    poly_probes = [(a, a if a <= sigma else 0) for a in range(sigma + 3)]  # (asked, oracle row)
+    if general:
+        stored = 7 * seq + 3
+        ap_probes = [(7 * a + 3, a) for a in range(1, sigma + 1)] + [(1, 0), (11, 0), (10**9, 0)]
+    else:
+        stored = seq
+        ap_probes = [(a, a if a <= sigma else 0) for a in range(sigma + 2)]
+    cases = ([(ps, poly_probes), (PolySequence.deserialize(ps.serialize()), poly_probes)]
+             + [(s, ap_probes) for s in both_sides(stored.tolist(), general)])
+    for s, probes in cases:
+        for a, row in probes:
+            ranks = [s.rank(a, i) for i in range(n + 1)]
+            assert ranks == prefix[row]
+            for i in range(n + 1):
+                for j in range(i, n + 1):
+                    assert s.rank_pair(a, i, j) == (ranks[i], ranks[j])
+        for i, j in ((1, 0), (0, n + 1), (-1, 0)):
+            with pytest.raises(OutOfRangeError):
+                s.rank_pair(probes[0][0], i, j)

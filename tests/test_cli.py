@@ -65,6 +65,19 @@ def test_query_select_not_found_exit_3(abra_file, tmp_path, capsys):
     assert "not found" in err.lower()
 
 
+def test_select_not_found_names_the_callers_symbol(tmp_path, capsys):
+    src = tmp_path / "s.txt"
+    src.write_text("5 5 5 7 7 9 1000")
+    out_path = str(tmp_path / "s.apds")
+    run_cli(capsys, "build", "--type", "seq", "--format", "ints", "--input", str(src),
+            "--output", out_path)
+    for symbol, rank in (("1000", "5"), ("5", "4")):  # a two- and a one-symbol class
+        code, _, err = run_cli(capsys, "query", "--structure", out_path,
+                               "--op", "select", "--symbol", symbol, "--rank", rank)
+        assert code == 3
+        assert f"fewer than {rank} occurrences of symbol {symbol}" in err
+
+
 def test_empty_input_exit_2(tmp_path, capsys):
     empty = tmp_path / "empty.txt"
     empty.write_bytes(b"")

@@ -27,6 +27,7 @@ from apds.textindex import (
 )
 from apds.wavelet import PolySequence
 from nl_corpus import natural_text
+from test_apseq import zipf
 
 ABRA = text_symbols("abracadabra")
 
@@ -333,13 +334,23 @@ def test_fm_extract_examples():
 
 
 @pytest.mark.parametrize("k_context", [0, 1, 2])
-def test_fm_random_texts_match_naive(k_context):
+def test_fm_random_texts_match_naive(monkeypatch, k_context):
+    """Uniform texts on even trials and Zipf-skewed ones, which make
+    one-symbol classes, on odd trials.  The ranks of a backward step whose
+    rows straddle two parts (every first step at k > 0) take _bwt_rank;
+    at k = 0 no step does."""
     rng = np.random.default_rng(29 + k_context)
+    straddles = count_calls(monkeypatch, [(FmIndex, ("_bwt_rank",))])
+    one_symbol_classes = 0
     for trial in range(6):
         n = int(rng.integers(2, 400))
         sigma = int(rng.integers(2, 20))
-        text = rng.integers(1, sigma + 1, size=n).tolist()
+        if trial % 2:
+            text = zipf(rng, n, min(sigma, n), 1.5).tolist()
+        else:
+            text = rng.integers(1, sigma + 1, size=n).tolist()
         fm = FmIndex(text, k_context=k_context)
+        one_symbol_classes += sum(int((p.partition.sub_sigma == 1).sum()) for p in fm.parts)
         for _ in range(60):
             m = int(rng.integers(1, 9))
             if rng.random() < 0.7 and m <= n:
@@ -353,6 +364,8 @@ def test_fm_random_texts_match_naive(k_context):
             l = int(rng.integers(1, n + 1))
             r = int(rng.integers(l, n + 1))
             assert fm.extract(l, r) == text[l - 1 : r]
+    assert one_symbol_classes > 0
+    assert (straddles[0] > 0) == (k_context > 0)
 
 
 def test_fm_sample_rates():
@@ -469,8 +482,31 @@ def test_fm_extract_every_range(sample_rate):
 
 # --- work per LF step -------------------------------------------------------------
 
-SEQUENCE_WALKS = [(cls, ("access", "access_rank", "rank", "select"))
-                  for cls in (PolySequence, LargeSequence)]
+SEQUENCE_WALKS = [(PolySequence, ("access", "access_rank", "rank", "rank_pair", "select")),
+                  (LargeSequence, ("access", "access_rank", "rank", "select"))]
+
+
+def class_size(aps, a):
+    """The number of symbols in the class of aps's symbol a."""
+    part = aps.partition
+    return int(part.sub_sigma[part.symbol_class_dense[aps._internal_symbol(a) - 1] - 1])
+
+
+def count_lf_steps(monkeypatch):
+    """Wrap ApSequence.access_rank, the LF step; returns a two-item list:
+    the LF steps, and those whose symbol's class has two or more symbols,
+    the only steps that walk a class store after t."""
+    count = [0, 0]
+    access_rank = ApSequence.access_rank
+
+    def counted(self, i):
+        a, r = access_rank(self, i)
+        count[0] += 1
+        count[1] += class_size(self, a) > 1
+        return a, r
+
+    monkeypatch.setattr(ApSequence, "access_rank", counted)
+    return count
 
 
 def count_calls(monkeypatch, targets):
@@ -498,37 +534,57 @@ def count_calls(monkeypatch, targets):
 @pytest.mark.parametrize("sample_rate", [None, 4])
 def test_locate_lf_steps_below_sample_rate(monkeypatch, sample_rate):
     """Every located row reaches a sampled row within rate - 1 LF steps, and
-    an LF step is one ApSequence.access_rank: two sequence walks (t, then
-    s_l), as the symbol map is read from arrays."""
+    an LF step is one ApSequence.access_rank: one walk of t, and one of s_l
+    when the symbol's class has two or more symbols, as the symbol map is
+    read from arrays."""
     text = natural_text(20000)
     fm = FmIndex(text, sample_rate=sample_rate)
     rate = fm.sample_rate
-    lf_steps = count_calls(monkeypatch, [(ApSequence, ("access_rank",))])
+    lf_steps = count_lf_steps(monkeypatch)
     walks = count_calls(monkeypatch, SEQUENCE_WALKS)
-    per_row = []  # (LF steps, sequence walks) per located row
+    per_row = []  # (LF steps, of them steps in a class of 2+ symbols, sequence walks)
     suffix_position = FmIndex._suffix_position
 
     def counted_row(self, r):
-        before = lf_steps[0], walks[0]
+        before = *lf_steps, walks[0]
         pos = suffix_position(self, r)
-        per_row.append((lf_steps[0] - before[0], walks[0] - before[1]))
+        per_row.append((lf_steps[0] - before[0], lf_steps[1] - before[1], walks[0] - before[2]))
         return pos
 
     monkeypatch.setattr(FmIndex, "_suffix_position", counted_row)
     for pat in (b"river", b" and ", b"winter", b"coins"):
         assert fm.locate(pat) == naive_locate(list(text), list(pat))
-    steps = [s for s, _ in per_row]
+    steps = [s for s, _, _ in per_row]
     assert len(steps) > 100 and sum(steps) > 0
     assert max(steps) <= rate - 1
     assert sum(steps) / len(steps) < rate
-    assert all(w == 2 * s for s, w in per_row)
+    assert 0 < sum(m for _, m, _ in per_row) < sum(steps)  # both kinds of step occur
+    assert all(w == s + m for s, m, w in per_row)
 
 
 def test_extract_walks_two_sequences_per_char(monkeypatch):
     fm = FmIndex(natural_text(5000))
-    lf_steps = count_calls(monkeypatch, [(ApSequence, ("access_rank",))])
+    lf_steps = count_lf_steps(monkeypatch)
     walks = count_calls(monkeypatch, SEQUENCE_WALKS)
     assert fm.extract_bytes(100, 199) == natural_text(5000)[99:199]
     # one LF step per char from the next sampled position down to l
     assert 100 <= lf_steps[0] <= 100 + fm.sample_rate
-    assert walks[0] == 2 * lf_steps[0]
+    assert 0 < lf_steps[1] < lf_steps[0]
+    assert walks[0] == lf_steps[0] + lf_steps[1]
+
+
+def test_count_walks_once_per_one_symbol_step(monkeypatch):
+    """At k = 0 rows sp - 1 and ep lie in the one part, so a backward step
+    is one paired walk of t, then two ranks in s_l only when the symbol's
+    class has two or more symbols: one walk per step in a one-symbol class."""
+    text = natural_text(20000)
+    fm = FmIndex(text)
+    (part,) = fm.parts
+    # every symbol of "river" has a class of its own: five steps, five walks
+    assert {class_size(part, r + 1) for r in fm._pattern_internal(b"river")} == {1}
+    walks = count_calls(monkeypatch, SEQUENCE_WALKS)
+    for pat in (b"river", b" and ", b"winter", b"coins"):
+        sizes = [class_size(part, r + 1) for r in fm._pattern_internal(pat)]
+        before = walks[0]
+        assert fm.count(pat) == naive_count(list(text), list(pat)) > 0
+        assert walks[0] - before == sum(1 if s == 1 else 3 for s in sizes)
