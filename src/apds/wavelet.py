@@ -174,11 +174,9 @@ class PolySequence:
 
     def rank_pair(self, a: int, i: int, j: int) -> tuple[int, int]:
         """(rank_a(i), rank_a(j)) for 0 <= i <= j <= n from one walk of a's
-        code, each level ranking both positions (j alone when i = 0)."""
+        code, each level ranking both positions."""
         if not 0 <= i <= j <= self.n:
             raise OutOfRangeError(f"rank positions {i}, {j} not in order within [0..{self.n}]")
-        if i == 0:  # every backward search starts here; walk j alone
-            return 0, self.rank(a, j)
         if not 1 <= a <= self.sigma or self._count[a - 1] == 0:
             return 0, 0
         code, length = self._code[a - 1], self._length[a - 1]
