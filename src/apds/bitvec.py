@@ -16,6 +16,10 @@ of its bit (the word of every SELECT_SAMPLE-th occurrence) on the same
 counts, zeros before word w being 64*w minus the ones, and
 ``select_in_word`` (a byte table) places the bit in its word.  Zero-selects
 read the complemented word, whose padding reads as ones above every zero.
+``PolySequence`` (wavelet.py) reads this directory inline, the words view
+``_word_view`` and the counts ``_cum``, so a change to their layout must
+change both modules; ``test_wavelet_reads_only_the_plain_directory_of_a_bitvector``
+(tests/test_source_rules.py) keeps that contract at those two names.
 
 A sparse rank(i) and access_rank(i) read the bucket of p = i - 1, the
 stored positions with p's high part (p >> low_width), once: one

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .apseq import build_partition
-from .bitvec import SELECT_SAMPLE, bitvector
+from .bitvec import SELECT_SAMPLE, SPARSE_MIN_BITS, bitvector
 from .cfunction import MODES, CompressedFunction, build_function
 from .chunkseq import LargeSequence
 from .container import dump_structure, load_structure
@@ -51,6 +51,19 @@ def _zipf_sequence(rng, n, sigma):
     counts put symbols in classes of their own, which uniform draws seldom do."""
     weights = 1.0 / np.arange(1, sigma + 1) ** 1.5
     return rng.choice(np.arange(1, sigma + 1), size=n, p=weights / weights.sum())
+
+
+def _dominant_sequence(rng, n):
+    """n draws where symbol 1 holds at least 90 % and two to nine others
+    share the rest: from n = SPARSE_MIN_BITS on, the first level of a
+    wavelet matrix of it is sparse, and the levels of the rest below it
+    are plain while they are short."""
+    sigma = int(rng.integers(3, 11))
+    seq = np.ones(n, dtype=np.int64)
+    rest = rng.integers(2, sigma + 1, size=int(rng.integers(2, n // 10 + 1)))
+    rest[:2] = 2, 3
+    seq[rng.choice(n, size=rest.size, replace=False)] = rest
+    return seq
 
 
 def _shrink_sequence(seq, fails):
@@ -134,12 +147,20 @@ def suite_bitvectors(rng, iters, max_n, fault=False):
 
 
 def suite_sequences(rng, iters, max_n, fault=False):
+    """The last trial draws ``_dominant_sequence`` at n = max(max_n,
+    SPARSE_MIN_BITS), so every run walks a sparse level and plain ones."""
     checks = 0
     for trial in range(iters):
         n = int(rng.integers(1, max_n + 1))
         sigma = int(rng.integers(1, min(n, 64) + 1))
-        seq = (_zipf_sequence(rng, n, sigma) if trial % 2
-               else rng.integers(1, sigma + 1, size=n)).tolist()
+        if trial == iters - 1:
+            n = max(max_n, SPARSE_MIN_BITS)
+            seq = _dominant_sequence(rng, n)
+            sigma = int(seq.max())
+        else:
+            seq = (_zipf_sequence(rng, n, sigma) if trial % 2
+                   else rng.integers(1, sigma + 1, size=n))
+        seq = seq.tolist()
         witness = _sequence_mismatch(seq, fault=(fault and trial == 0))
         if witness:
             small = _shrink_sequence(seq, lambda s: _sequence_mismatch(s) is not None)
@@ -157,6 +178,12 @@ def suite_sequences(rng, iters, max_n, fault=False):
             if ps.access_rank(i) != want or ls.access_rank(i) != want:
                 raise CheckFailure("sequences", f"sub-store access_rank({i}) on {seq}")
             checks += 2
+        for a in sorted(set(seq)):
+            for i in range(0, n + 1, max(1, n // 11)):
+                want = _scan_rank(seq, a, i), _scan_rank(seq, a, n)
+                if ps.rank(a, i) != want[0] or ps.rank_pair(a, i, n) != want:
+                    raise CheckFailure("sequences", f"sub-store rank({a},{i}) on {seq}")
+                checks += 2
     return checks
 
 

@@ -18,6 +18,15 @@ and the leaf starts, and refuses levels that disagree.  Build and load
 both take the code lengths from ``huffman_code_lengths``, so its tie rule
 (pinned by ``test_huffman_lengths_match_member_lists``) is part of the
 format.  They and the shape are computed on lists, as sigma is small.
+
+The three top-down walks (``access_rank``, ``rank``, ``rank_pair``) read a
+plain level's words and per-word ones counts themselves, the memoryviews
+``_word_view`` and ``_cum`` of ``PlainBitVector``, so a plain level costs
+no method call; a sparse level answers through its own ``access_rank`` or
+``rank``.  Either way a zero-rank is the position minus the ones, and the
+walk's positions are in range by construction, so only the entry is
+checked.  ``select`` walks up through ``PlainBitVector.select``: an inlined
+select, with an interpolated word search, was slower there than the call.
 """
 
 from __future__ import annotations
@@ -125,8 +134,13 @@ class PolySequence:
         return level_lengths, steps
 
     def _set_levels(self, levels: list, steps: list):
-        self._levels = levels
-        self._walk = [(bv, *step) for bv, step in zip(levels, steps)]
+        """Keep the levels, and per level the walk's row: a plain level's
+        words and ones counts (None for a sparse one), the level, its zero
+        count and the node fields of ``access_rank``'s step."""
+        self._levels, self._walk = levels, []
+        for bv, step in zip(levels, steps):
+            words, cum = (bv._word_view, bv._cum) if bv.kind == "plain" else (None, None)
+            self._walk.append((words, cum, bv, *step))
 
     def __len__(self):
         return self.n
@@ -149,8 +163,16 @@ class PolySequence:
         if not 1 <= i <= self.n:
             raise OutOfRangeError(f"position {i} out of [1..{self.n}]")
         node = 0
-        for bv, zeros, internal, next_internal, leaf_base in self._walk:
-            b, i = bv.access_rank(i)
+        for words, cum, bv, zeros, internal, next_internal, leaf_base in self._walk:
+            if words is None:
+                b, i = bv.access_rank(i)
+            else:  # the word that holds i: its bit, and the ones up to it
+                p = i - 1
+                w, r = p >> 6, p & 63
+                word = words[w]
+                ones = cum[w] + (word & ((2 << r) - 1)).bit_count()
+                b = (word >> r) & 1
+                i = ones if b else i - ones
             if b:
                 i += zeros
                 node += internal
@@ -164,12 +186,17 @@ class PolySequence:
             raise OutOfRangeError(f"rank position {i} out of [0..{self.n}]")
         if i == 0 or not 1 <= a <= self.sigma or self._count[a - 1] == 0:
             return 0
-        code, length = self._code[a - 1], self._length[a - 1]
-        for d in range(length):
-            if (code >> (length - 1 - d)) & 1:
-                i = self._zeros[d] + self._levels[d].rank(i, 1)
-            else:
-                i = self._levels[d].rank(i, 0)
+        code, shift = self._code[a - 1], self._length[a - 1]
+        for words, cum, bv, zeros, _, _, _ in self._walk[:shift]:
+            if words is None:
+                ones = bv.rank(i, 1)
+            else:  # i = n on a word boundary reads the last count alone
+                w, r = i >> 6, i & 63
+                ones = cum[w]
+                if r:
+                    ones += (words[w] & ((1 << r) - 1)).bit_count()
+            shift -= 1
+            i = zeros + ones if (code >> shift) & 1 else i - ones
         return i - self._start[a - 1]
 
     def rank_pair(self, a: int, i: int, j: int) -> tuple[int, int]:
@@ -179,14 +206,24 @@ class PolySequence:
             raise OutOfRangeError(f"rank positions {i}, {j} not in order within [0..{self.n}]")
         if not 1 <= a <= self.sigma or self._count[a - 1] == 0:
             return 0, 0
-        code, length = self._code[a - 1], self._length[a - 1]
-        for d in range(length):
-            bv = self._levels[d]
-            if (code >> (length - 1 - d)) & 1:
-                zeros = self._zeros[d]
-                i, j = zeros + bv.rank(i, 1), zeros + bv.rank(j, 1)
+        code, shift = self._code[a - 1], self._length[a - 1]
+        for words, cum, bv, zeros, _, _, _ in self._walk[:shift]:
+            if words is None:
+                ones_i, ones_j = bv.rank(i, 1), bv.rank(j, 1)
             else:
-                i, j = bv.rank(i, 0), bv.rank(j, 0)
+                w, r = i >> 6, i & 63
+                ones_i = cum[w]
+                if r:
+                    ones_i += (words[w] & ((1 << r) - 1)).bit_count()
+                w, r = j >> 6, j & 63
+                ones_j = cum[w]
+                if r:
+                    ones_j += (words[w] & ((1 << r) - 1)).bit_count()
+            shift -= 1
+            if (code >> shift) & 1:
+                i, j = zeros + ones_i, zeros + ones_j
+            else:
+                i, j = i - ones_i, j - ones_j
         start = self._start[a - 1]
         return i - start, j - start
 

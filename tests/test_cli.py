@@ -12,6 +12,7 @@ from apds.chunkseq import LargeSequence
 from apds.cli import _build_parser, main
 from apds.container import (CRC_START, HEADER_BYTES, STRUCTURE_KINDS, dump_structure,
                             load_structure, save_file)
+from apds.selfcheck import suite_sequences
 from apds.wavelet import PolySequence
 from test_apseq import large_class_input
 from test_bitvec import swap_sparse_lows
@@ -230,6 +231,22 @@ def test_selfcheck_passes(capsys):
                            "--iters", "3", "--max-n", "48")
     assert code == 0
     assert out.count("pass") == 7
+
+
+@pytest.mark.parametrize("seed,iters,max_n", [(1, 20, 256), (3, 2, 32), (5, 1, 2)])
+def test_selfcheck_sequences_walk_a_sparse_level(monkeypatch, seed, iters, max_n):
+    """Every run of the sequences suite builds a matrix with a sparse level
+    and a plain one, so its walks take both kinds of level."""
+    kinds = []
+    set_levels = PolySequence._set_levels
+
+    def recorded(self, levels, steps):
+        kinds.append({bv.kind for bv in levels})
+        set_levels(self, levels, steps)
+
+    monkeypatch.setattr(PolySequence, "_set_levels", recorded)
+    assert suite_sequences(np.random.default_rng(seed), iters, max_n) > 0
+    assert {"plain", "sparse"} in kinds
 
 
 def test_selfcheck_injected_fault_fails(capsys):

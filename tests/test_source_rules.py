@@ -49,3 +49,21 @@ def test_every_byte_reader_is_read_to_its_end():
                                 if isinstance(node, ast.With) for item in node.items)
     assert len(calls) >= 10, len(calls)
     assert [c.lineno for c in calls if c not in opened] == []
+
+
+def test_wavelet_reads_only_the_plain_directory_of_a_bitvector():
+    # PolySequence reads a plain level's words and per-word ones counts
+    # inline; those two names are the whole contract between wavelet.py and
+    # bitvec.py's private layout
+    tree = ast.parse((SRC / "wavelet.py").read_text())
+    own = ("self", "obj", "cls")
+    read = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+            and not node.attr.startswith("__")
+            and not (isinstance(node.value, ast.Name) and node.value.id in own)}
+    read |= {arg.value for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id in ("getattr", "hasattr", "setattr")
+             for arg in node.args[1:2]
+             if isinstance(arg, ast.Constant) and str(arg.value).startswith("_")}
+    assert read == {"_word_view", "_cum"}

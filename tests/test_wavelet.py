@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from apds.bits import ByteWriter
-from apds.bitvec import bitvector
+from apds.bitvec import PlainBitVector, SparseBitVector, bitvector
 from apds.errors import InputError, NotFoundError, OutOfRangeError
 from apds.stats import h0
 from apds.wavelet import PolySequence, huffman_code_lengths, matrix_shape
@@ -294,3 +294,89 @@ def test_load_rejects_levels_that_disagree_with_the_code_lengths():
     for level in (bits[:-1], np.append(bits, 0), flipped):  # length, length, zeros
         with pytest.raises(InputError):
             PolySequence.deserialize(_with_levels(ps, [first, bitvector(level), *rest]))
+
+
+def _near_64(lo: int, hi: int):
+    """64 m - 1, 64 m or 64 m + 1 for m in [lo..hi]."""
+    return st.tuples(st.integers(lo, hi), st.sampled_from([-1, 0, 1])).map(
+        lambda t: 64 * t[0] + t[1])
+
+
+@st.composite
+def mixed_matrices(draw):
+    """A sequence whose one symbol holds >= 90 % and whose other symbols,
+    two or more, share the rest: the first level (all n bits, the minority
+    the rest) is sparse and the levels of the rest below it are plain.  The
+    length n and the rest's count, the first plain level's length, fall at
+    and around multiples of 64."""
+    n = draw(_near_64(5, 20))
+    ends = [r for r in (63, 64, 65, 127, 128, 129) if r <= n // 10]
+    rest = draw(st.one_of(st.integers(2, n // 10), st.sampled_from(ends or [2])))
+    sigma = draw(st.integers(3, 12))
+    dominant = draw(st.integers(1, sigma))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    others = np.setdiff1d(np.arange(1, sigma + 1), [dominant])
+    tail = others[rng.integers(0, others.size, size=rest)]
+    tail[:2] = others[:2]  # two of them at least, so a level below the first
+    seq = np.full(n, dominant)
+    seq[rng.choice(n, size=rest, replace=False)] = tail
+    return seq, sigma, rng
+
+
+@settings(max_examples=30, deadline=None)
+@given(mixed_matrices())
+def test_mixed_sparse_and_plain_walks_match_scan(case):
+    seq, sigma, rng = case
+    n = seq.size
+    prefix = np.zeros((sigma + 1, n + 1), dtype=np.int64)  # prefix[a, i] = rank_a(i)
+    prefix[seq, np.arange(1, n + 1)] = 1
+    prefix = np.cumsum(prefix, axis=1).tolist()
+    lst = seq.tolist()
+    ends = (np.arange(n + 1) + rng.random(n + 1) * (n + 1 - np.arange(n + 1))).astype(int).tolist()
+    built = PolySequence(seq, alphabet_size=sigma)
+    for ps in (built, PolySequence.deserialize(built.serialize())):
+        assert {bv.kind for bv in ps._levels} == {"plain", "sparse"}
+        for i in range(1, n + 1):
+            assert ps.access_rank(i) == (lst[i - 1], prefix[lst[i - 1]][i])
+        for a in range(1, sigma + 1):
+            row = prefix[a]
+            for i, j in zip(range(n + 1), ends):
+                assert ps.rank(a, i) == row[i]
+                assert ps.rank_pair(a, i, j) == (row[i], row[j])
+            assert ps.rank_pair(a, n, n) == (row[n], row[n])
+
+
+def _count_bitvector_calls(monkeypatch) -> list:
+    """Wrap rank and access_rank of both bitvector kinds; each call appends
+    (kind, method name) to the returned list."""
+    calls = []
+    for cls in (PlainBitVector, SparseBitVector):
+        for name in ("rank", "access_rank"):
+            def counted(self, *args, _method=getattr(cls, name), _key=(cls.kind, name)):
+                calls.append(_key)
+                return _method(self, *args)
+            monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def test_plain_levels_are_read_inline(monkeypatch):
+    """access_rank, rank and rank_pair read a plain level's words and ones
+    counts themselves; a sparse level still answers through its methods."""
+    rng = np.random.default_rng(3)
+    plain = PolySequence(rng.integers(1, 9, size=1000), alphabet_size=8)
+    mixed = PolySequence(np.where(rng.random(1000) < 0.95, 1, rng.integers(2, 6, size=1000)))
+    assert {bv.kind for bv in plain._levels} == {"plain"}
+    assert {bv.kind for bv in mixed._levels} == {"plain", "sparse"}
+    calls = _count_bitvector_calls(monkeypatch)
+    for i in (1, 64, 65, 500, 1000):
+        plain.access_rank(i)
+        plain.rank(3, i)
+        plain.rank_pair(3, i - 1, i)
+    assert calls == []
+    for a in range(1, 6):
+        mixed.rank(a, 640)
+        mixed.rank_pair(a, 128, 999)
+    assert ("sparse", "rank") in calls
+    mixed.access_rank(321)
+    assert ("sparse", "access_rank") in calls
+    assert {kind for kind, _ in calls} == {"sparse"}
