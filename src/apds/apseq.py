@@ -22,9 +22,9 @@ class_start[cls[a]] + 1 for where the inverse of order.  Then
 
 where l = t.access(i) and t.rank_l(i) come from one access_rank walk, so
 access_rank costs two walks (t, then s_l) and gives the symbol at i with
-its rank in [1..i]; no query walks m.  A class of one symbol (sigma_l = 1,
-one flag per class) holds that symbol at every one of its positions, so
-its queries walk t alone:
+its rank in [1..i]; no query walks m.  A class of one symbol (sigma_l = 1)
+holds that symbol at every one of its positions, so it has no store (its
+slot of ``subs`` is None) and its queries walk t alone:
 
     access(i)      = order[class_start[l]]
     access_rank(i) = (order[class_start[l]], t.rank_l(i))
@@ -43,17 +43,15 @@ rank (rank, select) is one bisect and mapping a rank back (access) one
 read; on disk it is the bitvector of the values, decoded once on load.
 
 Only the dictionary (an empty blob if none), t, m and the stores of the
-classes of two or more symbols are serialized.  A one-symbol class
-stores nothing: its store is the wavelet matrix of one symbol, which its
-count in t fixes, and load makes it from that count in O(1).  A build
-classifies the symbols by their counts; a load takes n from t, each
-symbol's class from m's decode, its occurrences from the class stores'
-symbol counts and each class's raw value from its first member (refused
-unless the values rise).  Both then end
-in the same two derivations: ``Partition``'s constructor gives the
-summary (each class's alphabet size and length) and ``_set_symbol_map``
-the symbol map's arrays, so a built and a loaded sequence hold the same
-state.  The class string is kept only as t, and a symbol's raw class is
+classes of two or more symbols are serialized.  A build classifies the
+symbols by their counts; a load takes n from t, each symbol's class from
+m's decode, its occurrences from the class stores' symbol counts (from
+t for a one-symbol class) and each class's raw value from its first
+member (refused unless the values rise).  Both then end in the same two
+derivations: ``Partition``'s constructor gives the summary (each class's
+alphabet size and length) and ``_set_symbol_map`` the symbol map's
+arrays, so a built and a loaded sequence hold the same state.  The class
+string is kept only as t, and a symbol's raw class is
 class_values[cls[a] - 1].  A class store's kind follows from its
 alphabet size, so it is not stored.
 """
@@ -213,6 +211,7 @@ class ApSequence:
         local_of = np.asarray(self._local)
         positions = _group_by_class(t, part.sub_len)
         self.subs = [_store_for(sig_l, self.n)(local_of[arr[pos] - 1], alphabet_size=sig_l)
+                     if sig_l > 1 else None
                      for pos, sig_l in zip(positions, part.sub_sigma.tolist())]
 
     def _set_symbol_map(self, dense: np.ndarray, sub_sigma: np.ndarray) -> np.ndarray:
@@ -232,7 +231,6 @@ class ApSequence:
         self._cls = memoryview(dense)
         self._local = memoryview(local.astype(narrow))
         self._class_start = [0] + starts.tolist()
-        self._single = [False] + (sub_sigma == 1).tolist()  # by class id
         return order
 
     # --- symbol mapping ---------------------------------------------------------
@@ -259,7 +257,7 @@ class ApSequence:
             raise OutOfRangeError(f"position {i} out of [1..{self.n}]")
         li, pos = self.T.access_rank(i)
         # access, not access_rank: a LargeSequence rank costs two selects more
-        x = 1 if self._single[li] else self.subs[li - 1].access(pos)
+        x = 1 if (sub := self.subs[li - 1]) is None else sub.access(pos)
         return self._external_symbol(self._order[self._class_start[li] + x - 1])
 
     def access_rank(self, i: int) -> tuple[int, int]:
@@ -269,8 +267,8 @@ class ApSequence:
             raise OutOfRangeError(f"position {i} out of [1..{self.n}]")
         li, r = self.T.access_rank(i)
         x = 1
-        if not self._single[li]:
-            x, r = self.subs[li - 1].access_rank(r)
+        if (sub := self.subs[li - 1]) is not None:
+            x, r = sub.access_rank(r)
         return self._external_symbol(self._order[self._class_start[li] + x - 1]), r
 
     def rank(self, a: int, i: int) -> int:
@@ -280,8 +278,8 @@ class ApSequence:
         if ai is None or i == 0:
             return 0
         li = self._cls[ai - 1]
-        r = self.T.rank(li, i)
-        return r if self._single[li] else self.subs[li - 1].rank(self._local[ai - 1], r)
+        r, sub = self.T.rank(li, i), self.subs[li - 1]
+        return r if sub is None else sub.rank(self._local[ai - 1], r)
 
     def rank_pair(self, a: int, i: int, j: int) -> tuple[int, int]:
         """(rank_a(i), rank_a(j)) for 0 <= i <= j <= n from one walk of t,
@@ -293,9 +291,9 @@ class ApSequence:
             return 0, 0
         li = self._cls[ai - 1]
         ri, rj = self.T.rank_pair(li, i, j)
-        if self._single[li]:
+        if (sub := self.subs[li - 1]) is None:
             return ri, rj
-        sub, c = self.subs[li - 1], self._local[ai - 1]
+        c = self._local[ai - 1]
         return sub.rank(c, ri), sub.rank(c, rj)
 
     def select(self, a: int, j: int) -> int:
@@ -307,8 +305,8 @@ class ApSequence:
         if j > self._occ[ai - 1]:
             raise NotFoundError(f"fewer than {j} occurrences of symbol {a}")
         li = self._cls[ai - 1]
-        if not self._single[li]:
-            j = self.subs[li - 1].select(self._local[ai - 1], j)
+        if (sub := self.subs[li - 1]) is not None:
+            j = sub.select(self._local[ai - 1], j)
         return self.T.select(li, j)
 
     def occurrences(self, a: int) -> int:
@@ -321,7 +319,7 @@ class ApSequence:
         positions = _group_by_class(self.T.decode(), self.partition.sub_len)
         out = np.empty(self.n, dtype=np.int64)
         for start, pos, sub in zip(self._class_start[1:], positions, self.subs):
-            out[pos] = order[start + sub.decode() - 1]
+            out[pos] = order[start] if sub is None else order[start + sub.decode() - 1]
         if self.alphabet_dict is not None:
             out = self.alphabet_dict.values_of(out)
         return out
@@ -337,12 +335,11 @@ class ApSequence:
             SectionSpace("M", self.M.payload_bits() + self.M.topology_bits(),
                          self.M.directory_bits()),
         ]
-        for ci, s in enumerate(self.subs, 1):
-            raw = int(part.class_values[ci - 1])
-            payload = s.payload_bits()
-            if isinstance(s, PolySequence) and s.sigma > 1:  # one symbol: nothing stored
+        for raw, s in zip(part.class_values.tolist(), self.subs):
+            payload, directory = (0, 0) if s is None else (s.payload_bits(), s.directory_bits())
+            if isinstance(s, PolySequence):
                 payload += s.topology_bits()
-            sections.append(SectionSpace(f"s_{raw}", payload, s.directory_bits()))
+            sections.append(SectionSpace(f"s_{raw}", payload, directory))
         if self.alphabet_dict is not None:
             sections.append(
                 SectionSpace("dict", self.alphabet_dict.payload_bits(),
@@ -371,7 +368,7 @@ class ApSequence:
         w.blob(self.T.serialize())
         w.blob(self.M.serialize())
         for s in self.subs:
-            if s.sigma > 1:
+            if s is not None:
                 w.blob(s.serialize())
         return w.getvalue()
 
@@ -392,14 +389,15 @@ class ApSequence:
             n = obj.T.n  # the class string has one class per position
             dense = obj.M.decode()
             sub_sigma = np.bincount(dense, minlength=k + 1)[1:]
-            t_counts = obj.T.symbol_counts()
-            obj.subs = [_store_for(sig_l, n).deserialize(r.blob()) if sig_l > 1
-                        else PolySequence.from_counts(t_counts[l : l + 1])
-                        for l, sig_l in enumerate(sub_sigma.tolist())]
-        if not np.array_equal([s.sigma for s in obj.subs], sub_sigma):
+            obj.subs = [_store_for(sig_l, n).deserialize(r.blob()) if sig_l > 1 else None
+                        for sig_l in sub_sigma.tolist()]
+        # None is one symbol, so a class that M leaves empty is refused
+        if not np.array_equal([1 if s is None else s.sigma for s in obj.subs], sub_sigma):
             raise InputError("a class store's alphabet differs from its class in M")
         # the c-th smallest member of class l is local symbol c of s_l
-        counts = np.concatenate([sub.symbol_counts() for sub in obj.subs])
+        t_counts = obj.T.symbol_counts()
+        counts = np.concatenate([t_counts[l : l + 1] if s is None else s.symbol_counts()
+                                 for l, s in enumerate(obj.subs)])
         if counts.min() < 1:
             raise InputError("a class store counts a symbol that does not occur")
         occ = np.empty(dense.size, dtype=np.int64)

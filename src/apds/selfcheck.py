@@ -87,6 +87,8 @@ def _sequence_mismatch(seq, fault=False):
         want = seq[i - 1] + (1 if fault and i == n else 0)
         if got != want:
             return f"access({i}) = {got}, expected {want} on {seq}"
+    if aps.decode().tolist() != seq:
+        return f"decode() differs from {seq}"
     for i in range(1, n + 1, max(1, n // 13)):
         got = aps.access_rank(i)
         want = _scan_access_rank(seq, i)
@@ -324,7 +326,8 @@ def suite_serialization(rng, iters, max_n, fault=False):
     for trial in range(iters):
         n = int(rng.integers(2, max_n + 1))
         sigma = max(2, int(rng.integers(2, min(n, 32) + 1)))
-        seq = rng.integers(1, sigma + 1, size=n).tolist()
+        seq = (_zipf_sequence(rng, n, sigma) if trial % 2
+               else rng.integers(1, sigma + 1, size=n)).tolist()
         aps = build_partition(seq, general_alphabet=True)
         perm = build_run_permutation(
             rng.permutation(np.arange(1, n + 1)).tolist(), KINDS[trial % 4],
@@ -372,7 +375,8 @@ def _load_probes(obj, seq, rng):
                    for i in range(1, n + 1, max(1, n // 17))])
     symbols = sorted(set(seq))
     sample = symbols[:: -(-len(symbols) // 64)]  # at most 64, spread over the alphabet
-    return ([(f"occurrences({a})", lambda x, a=a: x.occurrences(a)) for a in symbols]
+    return ([("decode()", lambda x: x.decode().tolist())]
+            + [(f"occurrences({a})", lambda x, a=a: x.occurrences(a)) for a in symbols]
             + [(f"access({i})", lambda x, i=i: x.access(i))
                for i in range(1, n + 1, max(1, n // 17))]
             + [(f"rank({a},{n // 2})", lambda x, a=a: x.rank(a, n // 2)) for a in sample]

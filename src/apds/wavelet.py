@@ -274,20 +274,17 @@ class PolySequence:
 
     @classmethod
     def deserialize(cls, data: bytes) -> "PolySequence":
-        with ByteReader(data) as r:
-            return cls.from_counts(r.ints(), r.blob)
-
-    @classmethod
-    def from_counts(cls, counts: np.ndarray, level_blob=None) -> "PolySequence":
-        """The matrix with these symbol counts and the levels that ``level_blob()``
-        returns in turn; one symbol makes no levels, so its count alone makes it."""
+        """The matrix of the stored symbol counts and levels; raises
+        InputError when a level disagrees with the counts."""
         obj = cls.__new__(cls)
-        obj.sigma, obj.n = counts.size, sum(counts.tolist())
-        if not 1 <= obj.n < 1 << 63:
-            raise InputError("symbol counts do not describe a sequence")
-        obj._counts = counts.astype(np.int64)
-        level_lengths, steps = obj._derive_shape()
-        levels = [load_bitvector(level_blob()) for _ in steps]
+        with ByteReader(data) as r:
+            counts = r.ints()
+            obj.sigma, obj.n = counts.size, sum(counts.tolist())
+            if not 1 <= obj.n < 1 << 63:
+                raise InputError("symbol counts do not describe a sequence")
+            obj._counts = counts.astype(np.int64)
+            level_lengths, steps = obj._derive_shape()
+            levels = [load_bitvector(r.blob()) for _ in steps]
         for bv, length, zeros in zip(levels, level_lengths, obj._zeros):
             if len(bv) != length or bv.count(0) != zeros:
                 raise InputError("a wavelet level does not match the symbol counts")

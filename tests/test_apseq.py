@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apds.apseq import ApSequence, Partition, build_partition, class_of
+from apds.apseq import ApSequence, Partition, build_partition, class_of, poly_threshold
 from apds.bits import ByteWriter
 from apds.chunkseq import LargeSequence
 from apds.errors import InputError, NotFoundError, OutOfRangeError
@@ -38,8 +38,8 @@ def test_partition_worked_example():
     assert part.class_values.tolist() == [4, 9, 12]
     assert part.sub_sigma.tolist() == [1, 2, 2]
     assert part.sub_len.tolist() == [5, 4, 2]
-    # projected class strings
-    assert [aps.subs[0].access(i) for i in range(1, 6)] == [1] * 5
+    # projected class strings; the one-symbol class of 'a' keeps no store
+    assert aps.subs[0] is None
     assert [aps.subs[1].access(i) for i in range(1, 5)] == [1, 2, 1, 2]
     assert [aps.subs[2].access(i) for i in range(1, 3)] == [1, 2]
 
@@ -220,18 +220,20 @@ def test_sub_structure_choice():
     seq = rng.integers(1, 513, size=n)
     seq[:512] = np.arange(1, 513)
     aps = build_partition(seq.tolist())
-    kinds = {type(s) for s in aps.subs}
-    assert LargeSequence in kinds
-    abra = build_partition(ABRA)
-    assert all(isinstance(s, PolySequence) for s in abra.subs)
+    assert LargeSequence in {type(s) for s in aps.subs}
+    for built in (aps, build_partition(ABRA)):
+        top = poly_threshold(built.n)
+        want = [None if s == 1 else PolySequence if s <= top else LargeSequence
+                for s in built.partition.sub_sigma.tolist()]
+        assert [None if s is None else type(s) for s in built.subs] == want
 
 
 def test_space_report_abracadabra():
     aps = build_partition(ABRA)
     rep = aps.space_report()
     # a wavelet matrix counts its stored symbol counts, one byte each here;
-    # the one-symbol class (symbol 1) stores nothing and counts 0 bits
-    assert [s.sigma for s in aps.subs] == [1, 2, 2]
+    # the one-symbol class (symbol 1) keeps no store and counts 0 bits
+    assert [None if s is None else s.sigma for s in aps.subs] == [None, 2, 2]
     assert aps.T.topology_bits() == 8 * aps.T.sigma
     assert [(s.payload_bits, s.directory_bits) for s in rep.sections[2:3]] == [(0, 0)]
     assert rep.h0_bits == pytest.approx(22.44, abs=1e-2)
@@ -287,7 +289,7 @@ def test_load_rejects_swapped_class_stores():
     """Two stored classes (one-symbol classes store nothing) of 2 and 3
     symbols, written in each other's place."""
     aps = build_partition([1] * 16 + [2, 3] * 6 + [4, 5, 6] * 2 + [7])
-    assert [s.sigma for s in aps.subs] == [1, 2, 3, 1]
+    assert aps.partition.sub_sigma.tolist() == [1, 2, 3, 1]
     aps.subs[1], aps.subs[2] = aps.subs[2], aps.subs[1]
     with pytest.raises(InputError):
         ApSequence.deserialize(aps.serialize())
@@ -331,6 +333,23 @@ def test_load_derives_class_values_and_refuses_falling_ones():
         ApSequence.deserialize(payload([2] * 8 + [1], [2, 1]))
 
 
+def test_load_refuses_an_empty_class_that_t_uses():
+    """M leaves class 2 without a symbol while T gives it a position."""
+    t = PolySequence([1] * 8 + [2] + [3] * 3).serialize()
+    m = PolySequence([1, 3], alphabet_size=3).serialize()
+    with pytest.raises(InputError):
+        ApSequence.deserialize(_fields(b"", t, m))
+
+
+def test_load_refuses_a_one_symbol_class_without_positions():
+    """Three one-symbol classes, the second of which T never uses."""
+    t = PolySequence([1] * 8 + [3] * 3, alphabet_size=3)
+    assert t.symbol_counts().tolist() == [8, 0, 3]
+    m = PolySequence([1, 2, 3]).serialize()
+    with pytest.raises(InputError):
+        ApSequence.deserialize(_fields(b"", t.serialize(), m))
+
+
 def check_symbol_map(aps):
     """The query arrays give M's access_rank for every symbol and M's
     select for every class l and local symbol 1 <= x <= sigma_l."""
@@ -353,7 +372,7 @@ def large_class_input():
     return seq.tolist()
 
 
-@pytest.mark.parametrize("seq,general", [
+MAP_CASES = pytest.mark.parametrize("seq,general", [
     ([1, 2, 3, 4] * 5, False),  # one class
     ([4] * 9, True),  # sigma = 1
     ([1], False),
@@ -361,11 +380,23 @@ def large_class_input():
     ([10, 200, 3000, 10, 10, 77, 200, 10], True),  # general alphabet
     (large_class_input(), False),  # LargeSequence classes
 ], ids=["one-class", "sigma-1", "n-1", "abra", "general", "large"])
+
+
+@MAP_CASES
 def test_symbol_map_arrays_match_m(seq, general):
     for aps in both_sides(seq, general):
         if len(seq) == 2048:
             assert LargeSequence in {type(s) for s in aps.subs}
         check_symbol_map(aps)
+
+
+@MAP_CASES
+def test_one_symbol_classes_keep_no_store(seq, general):
+    """A class's store slot is None exactly when the class has one symbol,
+    built and loaded, and decode fills its positions from T."""
+    for aps in both_sides(seq, general):
+        assert [s is None for s in aps.subs] == (aps.partition.sub_sigma == 1).tolist()
+        assert aps.decode().tolist() == list(seq)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,3 +1,4 @@
+import hashlib
 import struct
 import zlib
 
@@ -127,6 +128,35 @@ def test_deterministic_bytes():
     a = dump_structure(build_partition(seq, general_alphabet=True))
     b = dump_structure(build_partition(list(seq), general_alphabet=True))
     assert a == b
+
+
+def _pinned_structures():
+    """``_structures()``, then a Zipf-skewed sequence and a k = 1 index of
+    natural text, both with one-symbol classes."""
+    zipf = np.repeat(np.arange(1, 65), [4096 // a for a in range(1, 65)])  # theta = 1
+    seq = build_partition(np.random.default_rng(7).permutation(zipf).tolist(),
+                          general_alphabet=True)
+    index = FmIndex(natural_text(1 << 12), k_context=1)
+    assert (seq.partition.sub_sigma == 1).any()
+    assert any((part.partition.sub_sigma == 1).any() for part in index.parts)
+    return [obj for obj, _ in _structures()] + [seq, index]
+
+
+# sha256 of each container of _pinned_structures(); a format change updates
+# these and says so in CHANGES.md
+PINNED_SHA256 = [
+    "dc6b4d99f63799d5a3f38f8df1305d672a61bbc5d36b02c03ca7321b0913aec5",
+    "3f18b2aa7088e78913f4953001dc724dcd8eaef1942c1bc77b937ec9ca703c1f",
+    "16c5068a136645bd1c23eaf46a4e8dbe2e5be2513be145c25ef54bac81a1afb6",
+    "5195117504c6554586d8a783a50cadeceaa117ab7ca9fe0afd23d657951b6ec5",
+    "640f0a1c4d1322f66a1206b897335a068f285a5a89c90fd6fe62f4bbc2ced9ac",
+    "2170088bf7d66dee9ad8c089ce8b8f6e3a7a3bc2df502d9ee622f9f3bb7b2f87",
+]
+
+
+def test_container_bytes_are_pinned():
+    got = [hashlib.sha256(dump_structure(obj)).hexdigest() for obj in _pinned_structures()]
+    assert got == PINNED_SHA256
 
 
 # Fixed allowance of the serialized-size bound, in bits: the 14-byte
