@@ -2,7 +2,7 @@
 
 Layout (header integers little-endian, fixed width):
 
-    "APDS" | u32 version=8 | u32 CRC32 | u8 kind | u8 input-format | payload
+    "APDS" | u32 version=9 | u32 CRC32 | u8 kind | u8 input-format | payload
 
 A kind is declared in one place, its row of ``STRUCTURE_KINDS``: the kind
 byte, the name (``apds build --type``), the class and the ``apds query``
@@ -35,8 +35,17 @@ empty blob if none).  The layout holds, per kind:
 where s gives each position's run, s' each value's run, and directions
 one bit per run.  No run minimum, start or first value is stored: a
 tiling side takes its run intervals from the run lengths, which are the
-label strings' symbol counts where there is one.  Files of any version
-but 8 are refused.
+label strings' symbol counts where there is one.
+
+An index payload is its context length, its sample rate, its alphabet,
+its BWT parts, its suffix-array row marks and its SA samples, each
+stored as (sa - 1) / rate.  Its inverse samples are not stored: the
+first extract derives them from the SA samples (``FmIndex.isa_rows``).
+
+Versions: 8 put the whole payload under one CRC32 and dropped the section
+table; 9 stores the index's SA samples as (sa - 1) / rate and no inverse
+samples, where 8 stored both at the bit length of n.  Files of any
+version but 9 are refused.
 """
 
 from __future__ import annotations
@@ -52,7 +61,7 @@ from .permutation import RunPermutation
 from .textindex import FmIndex
 
 MAGIC = b"APDS"
-VERSION = 8
+VERSION = 9
 _HEAD = struct.Struct("<4sII")  # magic, version, CRC32
 CRC_START = _HEAD.size  # the checksum covers data[CRC_START:]
 HEADER_BYTES = CRC_START + 2  # then the kind and the input format
@@ -85,7 +94,7 @@ def pack_container(kind: int, input_format: int, payload: bytes) -> bytes:
 
 
 def unpack_container(data: bytes):
-    """Returns (kind, input_format, payload) of a v8 file whose checksum holds."""
+    """Returns (kind, input_format, payload) of a v9 file whose checksum holds."""
     if data[:4] != MAGIC:
         raise InputError("not an APDS container (bad magic)")
     if len(data) < HEADER_BYTES:

@@ -294,6 +294,8 @@ def suite_dsets(rng, iters, max_n, fault=False):
 
 
 def suite_index(rng, iters, max_n, fault=False):
+    """count against a naive scan, and locate and extract on the built index
+    and on its loaded copy, whose first extract derives the inverse samples."""
     checks = 0
     for trial in range(iters):
         n = int(rng.integers(2, max_n + 1))
@@ -301,23 +303,31 @@ def suite_index(rng, iters, max_n, fault=False):
         text = rng.integers(1, sigma + 1, size=n).tolist()
         k = trial % 2
         fm = FmIndex(text, k_context=k)
+        copies = (("built", fm), ("loaded", load_structure(dump_structure(fm))[0]))
         for _ in range(12):
             m = int(rng.integers(1, min(8, n) + 1))
             start = int(rng.integers(0, n - m + 1))
             pat = text[start : start + m]
-            want = sum(
-                1 for i in range(n - m + 1) if text[i : i + m] == pat
-            ) + (1 if fault and trial == 0 else 0)
+            occ = [i + 1 for i in range(n - m + 1) if text[i : i + m] == pat]
+            want = len(occ) + (1 if fault and trial == 0 else 0)
             if fm.count(pat) != want:
                 raise CheckFailure(
                     "index", f"k={k}: count({pat}) != {want} on text {text[:48]}..."
                 )
             checks += 1
+            for label, idx in copies:
+                if idx.locate(pat) != occ:
+                    raise CheckFailure(
+                        "index", f"k={k}: {label} locate({pat}) != {occ} on text {text[:48]}..."
+                    )
+                checks += 1
         l = int(rng.integers(1, n + 1))
         r = int(rng.integers(l, n + 1))
-        if fm.extract(l, r) != text[l - 1 : r]:
-            raise CheckFailure("index", f"k={k}: extract({l},{r}) on {text[:48]}...")
-        checks += 1
+        for label, idx in copies:
+            for a, b in ((l, r), (n, n)):  # (n, n) reads the last inverse sample
+                if idx.extract(a, b) != text[a - 1 : b]:
+                    raise CheckFailure("index", f"k={k}: {label} extract({a},{b}) on {text[:48]}...")
+                checks += 1
     return checks
 
 
@@ -362,6 +372,7 @@ def _load_probes(obj, seq, rng):
             l = int(rng.integers(1, n + 1))
             r = int(rng.integers(l, n + 1))
             probes += [(f"k={obj.k_context}: count({pat})", lambda x, p=pat: x.count(p)),
+                       (f"k={obj.k_context}: locate({pat})", lambda x, p=pat: x.locate(p)),
                        (f"k={obj.k_context}: extract({l},{r})",
                         lambda x, l=l, r=r: x.extract(l, r))]
         return probes

@@ -14,11 +14,19 @@ length-k right-context), with text-regular suffix-array samples for
 locate and inverse samples for extract.  A backward-search step ranks
 its symbol up to rows sp - 1 and ep.  When both rows lie in one part
 (always at k = 0; row sp - 1 may be the row just before the part), one
-paired walk (``ApSequence.rank_pair``) ranks both.  The inverse samples
-sit at text positions 1, 1 + rate, 1 + 2 rate, ... and at the last
-position, so only their rows are stored.  Load derives each part's first
-row, the per-part cumulative symbol counts and the C array from the parts
-themselves, with the same method that build calls (``_derive_counts``).
+paired walk (``ApSequence.rank_pair``) ranks both.  Load derives each
+part's first row, the per-part cumulative symbol counts and the C array
+from the parts themselves, with the same method that build calls
+(``_derive_counts``).
+
+Only one sample array is stored.  The k = n // rate + 1 rows of text
+positions 1, 1 + rate, 1 + 2 rate, ... are marked, and each marked row
+stores (sa - 1) / rate, at the bit length of k - 1; locate answers
+sample * rate + 1 + its LF steps.  The samples are a permutation of
+[0, k), so the inverse samples, the rows of those positions (and of
+position n + 1, the terminator's row 0, when rate does not divide n), are
+one scatter of the marked rows.  The first extract makes it, on a built
+and on a loaded index alike (``isa_rows``).
 
 The build sorts the text's suffixes by prefix doubling from packed keys
 (``suffix_array``).  Its first round packs the first h symbols of each
@@ -35,7 +43,8 @@ from bisect import bisect_right
 import numpy as np
 
 from .apseq import ApSequence, _require
-from .bits import ByteReader, ByteWriter, get_fixed, int_param, pack_fixed, symbol_array
+from .bits import (ByteReader, ByteWriter, get_fixed, int_param, pack_fixed, symbol_array,
+                   unpack_fixed)
 from .bitvec import (SparseDictionary, alphabet_ranks, bitvector_from_positions, count_before,
                      count_owner, counts_before, load_bitvector, unary_counts)
 from .errors import InputError, NotFoundError, OutOfRangeError
@@ -322,25 +331,42 @@ class FmIndex:
         self.part_cum = memoryview(part_cum)  # indexed [part, symbol]
 
     def _build_samples(self, sa):
-        m = sa.size
         rs = self.sample_rate
         marked_rows = np.flatnonzero((sa - 1) % rs == 0)  # 0-based rows
-        self.sa_marked = bitvector_from_positions(m, marked_rows)
-        width = max(1, (m - 1).bit_length())
-        self._samp_width = width
-        sa_samples = pack_fixed((sa[marked_rows] - 1).astype(np.uint64), width)
-        isa = np.empty(m + 1, dtype=np.int64)
-        isa[sa] = np.arange(1, m + 1)
-        pos = np.arange(1, m + 1, rs, dtype=np.int64)
-        if pos[-1] != m:
-            pos = np.append(pos, m)
-        self._set_samples(sa_samples, pack_fixed((isa[pos] - 1).astype(np.uint64), width))
+        self.sa_marked = bitvector_from_positions(sa.size, marked_rows)
+        self._set_samples(pack_fixed((sa[marked_rows] - 1) // rs, self._sample_shape()[1]))
 
-    def _set_samples(self, sa_samples, isa_rows):
-        """The packed samples, and memoryviews of them for get_fixed."""
-        self.sa_samples, self.isa_rows = sa_samples, isa_rows
+    def _sample_shape(self) -> tuple[int, int]:
+        """(k, w): the k = n // rate + 1 marked rows, and the field width of
+        a sample, which lies in [0, k)."""
+        k = self.n // self.sample_rate + 1
+        return k, max(1, (k - 1).bit_length())
+
+    def _set_samples(self, sa_samples):
+        """The packed samples, and a memoryview of them and their width for
+        get_fixed; ``isa_rows`` is derived on first use."""
+        self.sa_samples = sa_samples
         self._sa_view = memoryview(sa_samples.astype(np.uint64, copy=False))
-        self._isa_view = memoryview(isa_rows.astype(np.uint64, copy=False))
+        self._samp_width = self._sample_shape()[1]
+        self._isa = None
+
+    @property
+    def isa_rows(self) -> np.ndarray:
+        """The 0-based rows of text positions 1, 1 + rate, ..., then 0, the
+        terminator's row, when rate does not divide n.  Made on first use:
+        marked row i goes to index sample[i].  That unpacks every sample, so
+        the samples are checked here."""
+        if self._isa is None:
+            k, w = self._sample_shape()
+            samples = unpack_fixed(self.sa_samples, w, k).astype(np.int64)
+            # k samples below 2k, each in [0, k) at least once: each exactly once
+            hits = np.bincount(samples, minlength=k)
+            if hits.size != k or not hits.all():
+                raise InputError("index samples are not a permutation of the marked rows")
+            rows = np.zeros(k + (self.n % self.sample_rate != 0), dtype=np.min_scalar_type(self.n))
+            rows[samples] = self.sa_marked.ones()
+            self._isa = rows
+        return self._isa
 
     # --- core navigation -----------------------------------------------------------
 
@@ -423,7 +449,10 @@ class FmIndex:
             r = self._lf(r)[1]
             steps += 1
             marked, j = self.sa_marked.access_rank(r)
-        return get_fixed(self._sa_view, self._samp_width, j - 1) + 1 + steps
+        pos = get_fixed(self._sa_view, self._samp_width, j - 1) * self.sample_rate + 1 + steps
+        if pos > self.n:
+            raise InputError(f"a suffix-array sample places a suffix at {pos}, past the text")
+        return pos
 
     def extract(self, l: int, r: int) -> list:
         if not 1 <= l <= r <= self.n:
@@ -433,7 +462,7 @@ class FmIndex:
         rs = self.sample_rate
         idx = -(-r // rs)
         p0 = min(1 + idx * rs, self.rows)
-        row = get_fixed(self._isa_view, self._samp_width, idx) + 1
+        row = int(self.isa_rows[idx]) + 1
         out = []
         p = p0
         while p > l:
@@ -446,9 +475,9 @@ class FmIndex:
         return bytes(v - 1 for v in self.extract(l, r))
 
     def payload_bits(self) -> int:
-        """Model bits of the BWT parts, the row marks and the packed samples."""
-        return (sum(p.payload_bits() for p in self.parts) + self.sa_marked.payload_bits()
-                + 64 * (self.sa_samples.size + self.isa_rows.size))
+        """Model bits of the BWT parts, the row marks and the k w-bit samples."""
+        k, w = self._sample_shape()
+        return sum(p.payload_bits() for p in self.parts) + self.sa_marked.payload_bits() + k * w
 
     def bwt_string(self, terminator: str = "$") -> str:
         """External BWT as text (for byte/str-built indexes)."""
@@ -470,7 +499,6 @@ class FmIndex:
             w.blob(p.serialize())
         w.blob(self.sa_marked.serialize())
         w.ints(self.sa_samples)
-        w.ints(self.isa_rows)
         return w.getvalue()
 
     @classmethod
@@ -487,11 +515,11 @@ class FmIndex:
             obj.n = sum(len(p) for p in obj.parts) - 1  # the parts hold the BWT's n + 1 rows
             obj._derive_counts()
             obj.sa_marked = load_bitvector(r.blob())
-            obj._set_samples(r.ints(), r.ints())
-        obj._samp_width = max(1, (obj.rows - 1).bit_length())
-        if (obj.n < 1 or len(obj.sa_marked) != obj.rows
-                or obj.sa_samples.size * 64 < obj.sa_marked.count(1) * obj._samp_width
-                or obj.isa_rows.size * 64 < (-(-obj.n // obj.sample_rate) + 1) * obj._samp_width):
+            obj._set_samples(r.ints())
+        k, w = obj._sample_shape()
+        # sample values are checked where the first extract unpacks them all
+        if (obj.n < 1 or len(obj.sa_marked) != obj.rows or obj.sa_marked.count(1) != k
+                or obj.sa_samples.size != -(-k * w // 64)):
             raise InputError("index rows, row marks and samples disagree")
         return obj
 

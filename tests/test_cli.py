@@ -10,8 +10,8 @@ from apds.apseq import ApSequence
 from apds.bitvec import SparseDictionary, bitvector
 from apds.chunkseq import LargeSequence
 from apds.cli import _build_parser, main
-from apds.container import (CRC_START, HEADER_BYTES, STRUCTURE_KINDS, dump_structure,
-                            load_structure, save_file)
+from apds.container import (CRC_START, FORMAT_BYTES, HEADER_BYTES, KIND_INDEX, STRUCTURE_KINDS,
+                            dump_structure, load_structure, pack_container, save_file)
 from apds.selfcheck import suite_sequences
 from apds.wavelet import PolySequence
 from test_apseq import large_class_input
@@ -19,6 +19,7 @@ from test_bitvec import swap_sparse_lows
 from test_cfunction import extra_unit_function
 from test_chunkseq import corrupt_cycle_walk
 from test_container import _structures, reseal
+from test_textindex import all_ones_samples_index
 
 
 def run_cli(capsys, *argv):
@@ -330,7 +331,7 @@ def test_truncated_header_exit_2_without_traceback(abra_file, tmp_path, capsys):
     run_cli(capsys, "build", "--type", "seq", "--input", abra_file,
             "--output", str(out_path))
     data = out_path.read_bytes()
-    # 9 bytes: magic, version 8 and one checksum byte; the whole header
+    # 9 bytes: magic, version 9 and one checksum byte; the whole header
     # but its last byte, the input format
     for cut in (data[:9], data[: HEADER_BYTES - 1]):
         out_path.write_bytes(cut)
@@ -340,16 +341,16 @@ def test_truncated_header_exit_2_without_traceback(abra_file, tmp_path, capsys):
 
 
 def test_bad_container_kind_exit_2_without_traceback(abra_file, tmp_path, capsys):
-    """A version-4 to version-7 file, and, resealed, a seq header over an
+    """A version-4 to version-8 file, and, resealed, a seq header over an
     index payload and an unknown container kind (the byte at CRC_START)."""
     seq_path, index_path = tmp_path / "abra.apds", tmp_path / "abra.idx"
     run_cli(capsys, "build", "--type", "seq", "--input", abra_file,
             "--output", str(seq_path))
     run_cli(capsys, "index", "build", "--input", abra_file, "--output", str(index_path))
     seq, index = seq_path.read_bytes(), index_path.read_bytes()
-    assert seq[4:8] == b"\x08\x00\x00\x00" and seq[CRC_START] == 1 and index[CRC_START] == 4
+    assert seq[4:8] == b"\x09\x00\x00\x00" and seq[CRC_START] == 1 and index[CRC_START] == 4
     bad = [(seq[:4] + bytes([v]) + seq[5:], f"unsupported container version {v}")
-           for v in (4, 5, 6, 7)]
+           for v in (4, 5, 6, 7, 8)]
     bad += [(reseal(index[:CRC_START] + b"\x01" + index[CRC_START + 1:]), None),
             (reseal(seq[:CRC_START] + b"\x09" + seq[CRC_START + 1:]), "unknown structure kind 9")]
     for i, (data, message) in enumerate(bad):
@@ -369,6 +370,21 @@ def test_appended_payload_bytes_exit_2(abra_file, tmp_path, capsys):
     assert_exit_2_without_traceback(run_cli_process(
         "query", "--structure", str(out_path), "--op", "access", "--pos", "1"),
         "4 unread bytes after the payload")
+
+
+def test_index_samples_past_the_text_exit_2(tmp_path):
+    """A 780-char index whose SA samples are all ones, with a valid
+    checksum: locate places a suffix past the text, and extract's first use
+    of the samples finds that they are not a permutation."""
+    payload, _ = all_ones_samples_index()
+    path = tmp_path / "ones.idx"
+    path.write_bytes(pack_container(KIND_INDEX, FORMAT_BYTES, payload))
+    assert_exit_2_without_traceback(run_cli_process(
+        "query", "--structure", str(path), "--op", "locate", "--pattern", "abra"),
+        "past the text")
+    assert_exit_2_without_traceback(run_cli_process(
+        "index", "extract", "--structure", str(path), "--range", "1:5"),
+        "not a permutation")
 
 
 def test_swapped_symbol_classes_exit_2(tmp_path):

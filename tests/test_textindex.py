@@ -11,8 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from apds.apseq import ApSequence
-from apds.bits import ByteWriter
-from apds.bitvec import counts_before
+from apds.bits import ByteWriter, pack_fixed, unpack_fixed
+from apds.bitvec import bitvector, counts_before
 from apds.chunkseq import LargeSequence
 from apds.errors import InputError, NotFoundError, OutOfRangeError
 from apds.permutation import build_run_permutation
@@ -447,30 +447,132 @@ def test_fm_context_parts_match_naive_cut(k):
         assert fm.part_starts == naive_context_starts(text, k), text[:20]
 
 
+def fm_payload(fm, parts=None, sa_samples=None) -> bytes:
+    """An index payload written field by field, with its parts or its
+    packed SA samples replaced where given."""
+    parts = fm.parts if parts is None else parts
+    w = ByteWriter()
+    w.uint(fm.k_context)
+    w.uint(fm.sample_rate)
+    w.blob(fm.alphabet.serialize())
+    w.uint(len(parts))
+    for p in parts:
+        w.blob(p.serialize())
+    w.blob(fm.sa_marked.serialize())
+    w.ints(fm.sa_samples if sa_samples is None else sa_samples)
+    return w.getvalue()
+
+
 def test_fm_load_refuses_parts_without_text():
     """n is the parts' row count less one: an index with no part, or with
     one row only, is refused, as a header n of 0 was."""
     fm = FmIndex(b"ab")
+    assert FmIndex.deserialize(fm_payload(fm)).extract_bytes(1, 2) == b"ab"
     for parts in ([], [ApSequence([1])]):
-        w = ByteWriter()
-        w.uint(fm.k_context)
-        w.uint(fm.sample_rate)
-        w.blob(fm.alphabet.serialize())
-        w.uint(len(parts))
-        for p in parts:
-            w.blob(p.serialize())
-        w.blob(fm.sa_marked.serialize())
-        w.ints(fm.sa_samples)
-        w.ints(fm.isa_rows)
         with pytest.raises(InputError):
-            FmIndex.deserialize(w.getvalue())
+            FmIndex.deserialize(fm_payload(fm, parts=parts))
+
+
+def inverse_sample_rows(text, rate):
+    """The 0-based row of each text position 1, 1 + rate, ... <= n + 1, and
+    of position n + 1 when rate does not divide n, from suffixes sorted one
+    by one (the terminator sorts first, as the empty suffix)."""
+    n = len(text)
+    order = sorted(range(n + 1), key=lambda i: text[i:])  # order[row] = position - 1
+    row_of = {pos: row for row, pos in enumerate(order)}
+    positions = list(range(0, n + 1, rate)) + ([n] if n % rate else [])
+    return [row_of[p] for p in positions]
+
+
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("sample_rate", [1, 2, 3, 4, 5, None])
+def test_fm_isa_rows_invert_the_suffix_array(k, sample_rate):
+    """Over n = 40 and n = 500, rates 2, 4 and 5 divide both, rate 3
+    divides neither, and the default rates, 4 and 6, divide 40 and not 500.
+    The SA samples are stored at the bit length of n // rate, and built and
+    loaded indexes derive the same rows on the first extract, none before."""
+    divides = set()
+    for text in (natural_text(40)[:40], natural_text(500)[:500]):
+        fm = FmIndex(text, k_context=k, sample_rate=sample_rate)
+        rate = fm.sample_rate
+        divides.add(len(text) % rate == 0)
+        assert fm._samp_width == max(1, (len(text) // rate).bit_length())
+        back = FmIndex.deserialize(fm.serialize())
+        want = inverse_sample_rows(text, rate)
+        for idx in (fm, back):
+            assert idx._isa is None
+            assert idx.extract_bytes(1, len(text)) == text
+            assert idx._isa.tolist() == want
+    if sample_rate is None:
+        assert divides == {True, False}
+
+
+def sample_words(fm, values):
+    """SA sample values packed at fm's field width."""
+    return pack_fixed(np.asarray(values, dtype=np.uint64), fm._samp_width)
+
+
+def test_fm_load_refuses_a_sample_word_count_other_than_exact():
+    """k samples of w bits take exactly ceil(k w / 64) words."""
+    fm = FmIndex(natural_text(3000))
+    k, w = fm._sample_shape()
+    assert fm.sa_samples.size == -(-k * w // 64)
+    for words in (fm.sa_samples[:-1], np.append(fm.sa_samples, 0), np.zeros(0, np.uint64)):
+        with pytest.raises(InputError, match="samples disagree"):
+            FmIndex.deserialize(fm_payload(fm, sa_samples=words))
+
+
+def test_fm_load_refuses_row_marks_other_than_k():
+    fm = FmIndex(natural_text(3000))
+    bits = fm.sa_marked.to_bits()
+    bits[np.flatnonzero(bits == 0)[0]] = 1
+    fm.sa_marked = bitvector(bits)
+    with pytest.raises(InputError, match="samples disagree"):
+        FmIndex.deserialize(fm_payload(fm))
+
+
+def test_fm_derivation_refuses_samples_that_are_not_a_permutation():
+    """Load trusts the sample values; the first extract unpacks them all and
+    refuses a repeated sample, and a sample of k or more."""
+    fm = FmIndex(natural_text(3000))
+    k, w = fm._sample_shape()
+    assert k < 1 << w
+    samples = unpack_fixed(fm.sa_samples, w, k)
+    repeated, too_large = samples.copy(), samples.copy()
+    repeated[1] = repeated[0]
+    too_large[np.argmax(samples)] = k
+    for values in (repeated, too_large):
+        back = FmIndex.deserialize(fm_payload(fm, sa_samples=sample_words(fm, values)))
+        with pytest.raises(InputError, match="not a permutation"):
+            back.extract(1, 10)
+        with pytest.raises(InputError, match="not a permutation"):
+            back.isa_rows
+
+
+def all_ones_samples_index() -> tuple[bytes, FmIndex]:
+    """A 780-char index whose every SA sample is all ones (2**w - 1), as a
+    payload that loads: its word count is exact."""
+    fm = FmIndex(b"abracadabra " * 65)
+    k, w = fm._sample_shape()
+    return fm_payload(fm, sa_samples=sample_words(fm, np.full(k, (1 << w) - 1))), fm
+
+
+def test_fm_locate_refuses_a_sample_past_the_text():
+    """All-ones samples place every located suffix past n = 780: locate
+    ends in InputError, where it once answered 1024."""
+    payload, fm = all_ones_samples_index()
+    assert (fm.n, fm.sample_rate, fm._samp_width) == (780, 13, 6)
+    back = FmIndex.deserialize(payload)
+    assert back.count(b"abra") == 130
+    with pytest.raises(InputError, match="past the text"):
+        back.locate(b"abra")
 
 
 @pytest.mark.parametrize("sample_rate", [1, 2, 3, 4, 5])
 def test_fm_extract_every_range(sample_rate):
     """The inverse sample of an extract is found by arithmetic; n = 40 makes
     the last sample regular at rates 1, 2, 4, 5 and extra at rate 3."""
-    text = natural_text(40)
+    text = natural_text(40)[:40]
     fm = FmIndex(text, sample_rate=sample_rate)
     back = FmIndex.deserialize(fm.serialize())
     for l in range(1, 41):
