@@ -170,11 +170,9 @@ class LargeSequence:
         return a, self._count_before_chunk(a, k0) + q - self._bucket_start(k0, a)
 
     def rank(self, a: int, i: int) -> int:
-        if not 1 <= a <= self.sigma:
-            raise OutOfRangeError(f"symbol {a} out of [1..{self.sigma}]")
         if not 0 <= i <= self.n:
             raise OutOfRangeError(f"rank position {i} out of [0..{self.n}]")
-        if i == 0:
+        if i == 0 or not 1 <= a <= self.sigma:
             return 0
         k0, p = self._chunk_of(i)
         s = self._bucket_start(k0, a)
@@ -189,11 +187,9 @@ class LargeSequence:
         return self._count_before_chunk(a, k0) + lo
 
     def select(self, a: int, j: int) -> int:
-        if not 1 <= a <= self.sigma:
-            raise OutOfRangeError(f"symbol {a} out of [1..{self.sigma}]")
         if j < 1:
             raise OutOfRangeError("select rank must be >= 1")
-        if j > self.occurrences(a):
+        if j > self.occurrences(a):  # 0 for a symbol outside [1..sigma]
             raise NotFoundError(f"fewer than {j} occurrences of symbol {a}")
         k0 = count_owner(self._dist, int(self._cocc[a - 1]) + j) - (a - 1) * self.chunks - 1
         j_within = j - self._count_before_chunk(a, k0)

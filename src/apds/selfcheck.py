@@ -1,8 +1,12 @@
 """Randomized oracle suites behind the `selfcheck` command.
 
-Every suite replays structure queries against a naive scan oracle; a
-failure is shrunk to a small witness before reporting.  The fault hook
-corrupts one comparison on purpose so the harness itself can be tested.
+One checker, ``rank_select_mismatch``, holds a rank/select structure to
+numpy prefix counts of its input: ``bitvectors`` runs it on PlainBitVector
+and SparseBitVector storing ones and zeros (through ``BitSequence``),
+``sequences`` on ApSequence, PolySequence and LargeSequence, each built and
+loaded.  The other suites replay queries against naive scans.  A failure
+is shrunk to a small witness.  The fault hook corrupts the oracle's input
+or one comparison, so the harness itself can be tested.
 """
 
 from __future__ import annotations
@@ -10,12 +14,12 @@ from __future__ import annotations
 import numpy as np
 
 from .apseq import build_partition
-from .bitvec import SELECT_SAMPLE, SPARSE_MIN_BITS, bitvector
+from .bitvec import SPARSE_MIN_BITS, PlainBitVector, SparseBitVector, load_bitvector
 from .cfunction import MODES, CompressedFunction, build_function
 from .chunkseq import LargeSequence
 from .container import dump_structure, load_structure
 from .dsets import DisjointSetCollection
-from .errors import InputError
+from .errors import InputError, NotFoundError, OutOfRangeError
 from .permutation import KINDS, RunPermutation, build_run_permutation
 from .textindex import FmIndex
 from .wavelet import PolySequence
@@ -28,22 +32,110 @@ class CheckFailure(Exception):
         self.witness = witness
 
 
-def _scan_rank(seq, a, i):
-    return sum(1 for x in seq[:i] if x == a)
+class BitSequence:
+    """A bitvector as a sequence over [1..2]: bit b is symbol b + 1, and
+    every other symbol is absent."""
+
+    def __init__(self, bv):
+        self.bv = bv
+
+    def access(self, i: int) -> int:
+        return self.bv.access(i) + 1
+
+    def access_rank(self, i: int) -> tuple[int, int]:
+        b, r = self.bv.access_rank(i)
+        return b + 1, r
+
+    def rank(self, a: int, i: int) -> int:
+        if a not in (1, 2) and 0 <= i <= self.bv.n:
+            return 0
+        return self.bv.rank(i, a - 1)  # which checks i
+
+    def select(self, a: int, j: int) -> int:
+        if a not in (1, 2) and j >= 1:
+            raise NotFoundError(f"symbol {a} does not occur")
+        return self.bv.select(j, a - 1)
+
+    def decode(self) -> np.ndarray:
+        return self.bv.to_bits().astype(np.int64) + 1
 
 
-def _scan_select(seq, a, j):
-    seen = 0
-    for pos, x in enumerate(seq, 1):
-        if x == a:
-            seen += 1
-            if seen == j:
-                return pos
+def reload(struct):
+    """A copy of a rank/select structure, loaded from its own bytes."""
+    if isinstance(struct, BitSequence):
+        return BitSequence(load_bitvector(struct.bv.serialize()))
+    return type(struct).deserialize(struct.serialize())
+
+
+def rank_select_mismatch(struct, seq, symbols=None) -> str | None:
+    """The first answer of ``struct`` that differs from numpy prefix counts
+    of ``seq``, as a witness string, or None.  rank and rank_pair are asked
+    at every i of the ``symbols`` given (by default every symbol of ``seq``
+    and one absent one), and rank of any other symbol of ``seq`` at each of
+    its occurrences, just before each and at n; select is asked of every
+    symbol.  An error raised where an answer is due, or the wrong error, is
+    a wrong answer."""
+    for query, args, wants in _queries(struct, np.asarray(seq, dtype=np.int64), symbols):
+        try:
+            if [query(*x) for x in args] == wants:
+                continue
+        except Exception:  # an error: the walk below finds the first
+            pass
+        for x, want in zip(args, wants):
+            try:
+                got = query(*x)
+            except Exception as exc:
+                got = type(exc)
+            if got != want:
+                got, want = (getattr(v, "__name__", v) for v in (got, want))  # error classes
+                return f"{query.__name__}({', '.join(map(str, x))}) = {got}, expected {want}"
     return None
 
 
-def _scan_access_rank(seq, i):
-    return seq[i - 1], _scan_rank(seq, seq[i - 1], i)
+def _queries(struct, seq, symbols):
+    """(query, argument tuples, the answer or error due for each): access,
+    access_rank and decode; rank at every i in [0..n] and rank_pair(a, i, j)
+    where the structure has it, j spread over [i..n], or rank around each
+    occurrence; select of every occurrence and one past the last; and the
+    out-of-range arguments."""
+    n, want = seq.size, seq.tolist()
+    order = np.argsort(seq, kind="stable")  # each symbol's positions, in order
+    ordered = seq[order]
+    # a position's rank of its own symbol: its place in its symbol's run
+    own = np.empty(n, dtype=np.int64)
+    own[order] = np.arange(1, n + 1) - np.searchsorted(ordered, ordered)
+    positions = [(i,) for i in range(1, n + 1)]
+    yield struct.access, positions, want
+    yield struct.access_rank, positions, list(zip(want, own.tolist()))
+
+    def decode():
+        return struct.decode().tolist()
+
+    yield decode, [()], [want]
+    for query in (struct.access, struct.access_rank):
+        yield query, [(0,), (n + 1,)], [OutOfRangeError] * 2
+    present = np.unique(seq).tolist()
+    if symbols is None:
+        symbols = [*present, int(seq.max(initial=0)) + 1]
+    ranked = [int(a) for a in symbols]
+    pair = getattr(struct, "rank_pair", None)
+    # i's second end by a multiplicative hash: near, far and equal ends all occur
+    ends = [(i, i + (i + 1) * 40503 % (n + 1 - i)) for i in range(n + 1)]
+    for a in ranked:
+        prefix = np.concatenate([[0], np.cumsum(seq == a)]).tolist()
+        yield struct.rank, [(a, i) for i in range(n + 1)], prefix
+        yield struct.rank, [(a, -1), (a, n + 1)], [OutOfRangeError] * 2
+        if pair:
+            yield pair, [(a, i, j) for i, j in ends], [(prefix[i], prefix[j]) for i, j in ends]
+            yield pair, [(a, 1, 0), (a, 0, n + 1), (a, -1, 0)], [OutOfRangeError] * 3
+    for a in sorted({*present, *ranked}):
+        where = (order[np.searchsorted(ordered, a):np.searchsorted(ordered, a, "right")]
+                 + 1).tolist()
+        if a not in ranked:
+            yield struct.rank, [(a, p - d) for p in where for d in (1, 0)] + [(a, n)], [
+                j + d for j in range(len(where)) for d in (0, 1)] + [len(where)]
+        yield struct.select, [(a, j) for j in range(1, len(where) + 1)], where
+        yield struct.select, [(a, len(where) + 1), (a, 0)], [NotFoundError, OutOfRangeError]
 
 
 def _zipf_sequence(rng, n, sigma):
@@ -76,42 +168,32 @@ def _shrink_sequence(seq, fails):
     return cur
 
 
-def _sequence_mismatch(seq, fault=False):
-    try:
-        aps = build_partition(seq, general_alphabet=True)
-    except Exception as exc:  # build errors are failures here
-        return f"build raised {exc!r}"
-    n = len(seq)
-    for i in range(1, n + 1):
-        got = aps.access(i)
-        want = seq[i - 1] + (1 if fault and i == n else 0)
-        if got != want:
-            return f"access({i}) = {got}, expected {want} on {seq}"
-    if aps.decode().tolist() != seq:
-        return f"decode() differs from {seq}"
-    for i in range(1, n + 1, max(1, n // 13)):
-        got = aps.access_rank(i)
-        want = _scan_access_rank(seq, i)
-        if got != want:
-            return f"access_rank({i}) = {got}, expected {want} on {seq}"
-    for a in sorted(set(seq)):
-        for i in range(0, n + 1, max(1, n // 13)):
-            if aps.rank(a, i) != _scan_rank(seq, a, i):
-                return f"rank({a},{i}) wrong on {seq}"
-        occ = seq.count(a)
-        for j in range(1, occ + 1, max(1, occ // 7)):
-            if aps.select(a, j) != _scan_select(seq, a, j):
-                return f"select({a},{j}) wrong on {seq}"
-    for a in (*sorted(set(seq)), max(seq) + 1):  # and one absent symbol
-        for i in range(0, n + 1, max(1, n // 5)):
-            for j in (i, (i + n + 1) // 2, n):
-                want = _scan_rank(seq, a, i), _scan_rank(seq, a, j)
-                if aps.rank_pair(a, i, j) != want:
-                    return f"rank_pair({a},{i},{j}) != {want} on {seq}"
-    return None
+def _raise_last(seq: list) -> list:
+    """The fault hook's oracle input: its last symbol raised by one."""
+    return seq[:-1] + [seq[-1] + 1]
+
+
+def _stores_mismatch(stores, seq) -> tuple[str | None, int]:
+    """The first witness of any store, built or loaded, against ``seq``
+    (a load error is one), and how many queries were asked.  ``stores``
+    holds (store, the symbols it is asked rank of at every i) pairs."""
+    asked = 0
+    for built, symbols in stores:
+        name = type(getattr(built, "bv", built)).__name__
+        try:
+            loaded = reload(built)
+        except Exception as exc:
+            return f"loading {name} raised {exc!r}", asked
+        for label, struct in (("built", built), ("loaded", loaded)):
+            if witness := rank_select_mismatch(struct, seq, symbols):
+                return f"{label} {name}: {witness}", asked
+            asked += sum(len(args) for _, args, _ in _queries(struct, np.asarray(seq), symbols))
+    return None, asked
 
 
 def suite_bitvectors(rng, iters, max_n, fault=False):
+    """Plain and sparse (storing ones, storing zeros) vectors of random
+    density, built and loaded."""
     checks = 0
     for trial in range(iters):
         n = int(rng.integers(1, max_n + 1))
@@ -119,38 +201,22 @@ def suite_bitvectors(rng, iters, max_n, fault=False):
             n -= 1
         density = float(rng.uniform(0.01, 0.99))
         bits = (rng.random(n) < density).astype(np.uint8)
-        bv = bitvector(bits)
-        lst = bits.tolist()
-        for i in range(0, n + 1, max(1, n // 29)):
-            want = _scan_rank(lst, 1, i)
-            if fault and trial == 0:
-                want += 1
-            if bv.rank(i, 1) != want:
-                raise CheckFailure(
-                    "bitvectors", f"rank1({i}) != {want} on bits {lst[:64]}..."
-                )
-            checks += 1
-            if i:
-                if bv.access_rank(i) != _scan_access_rank(lst, i):
-                    raise CheckFailure(
-                        "bitvectors", f"access_rank({i}) wrong on bits {lst[:64]}..."
-                    )
-                checks += 1
-        for bit in (0, 1):
-            total = lst.count(bit)
-            step = 1 if total <= 256 else total // 17  # every rank of a small vector
-            # and both sides of every select sample's end, up to the last bit
-            ends = {e + d for e in range(SELECT_SAMPLE, total, SELECT_SAMPLE) for d in (0, 1)}
-            for j in sorted({*range(1, total + 1, step), *ends, total} - {0}):
-                if bv.select(j, bit) != _scan_select(lst, bit, j):
-                    raise CheckFailure("bitvectors", f"select_{bit}({j}) wrong")
-                checks += 1
+        seq = (bits + 1).tolist()
+        stores = [PlainBitVector.from_bits(bits), SparseBitVector(n, np.flatnonzero(bits), 1),
+                  SparseBitVector(n, np.flatnonzero(bits == 0), 0)]
+        witness, asked = _stores_mismatch([(BitSequence(bv), None) for bv in stores],
+                                          _raise_last(seq) if fault and trial == 0 else seq)
+        if witness:
+            raise CheckFailure("bitvectors", f"{witness} on bits {bits[:64].tolist()}...")
+        checks += asked
     return checks
 
 
 def suite_sequences(rng, iters, max_n, fault=False):
-    """The last trial draws ``_dominant_sequence`` at n = max(max_n,
-    SPARSE_MIN_BITS), so every run walks a sparse level and plain ones."""
+    """ApSequence over a general alphabet, PolySequence and LargeSequence,
+    built and loaded.  The last trial draws ``_dominant_sequence`` at
+    n = max(max_n, SPARSE_MIN_BITS), so every run walks a sparse level and
+    plain ones."""
     checks = 0
     for trial in range(iters):
         n = int(rng.integers(1, max_n + 1))
@@ -162,30 +228,25 @@ def suite_sequences(rng, iters, max_n, fault=False):
         else:
             seq = (_zipf_sequence(rng, n, sigma) if trial % 2
                    else rng.integers(1, sigma + 1, size=n))
-        seq = seq.tolist()
-        witness = _sequence_mismatch(seq, fault=(fault and trial == 0))
+        oracle = _raise_last if fault and trial == 0 else list
+        # LargeSequence.rank is the slowest: eight symbols and an absent one
+        # at every i, the others around their occurrences
+        spread = [*range(1, sigma + 1, -(-sigma // 8)), sigma + 1]
+
+        def mismatch(s):
+            try:
+                stores = [(build_partition(s, general_alphabet=True), None),
+                          (PolySequence(s, alphabet_size=sigma), None),
+                          (LargeSequence(s, alphabet_size=sigma), spread)]
+            except Exception as exc:  # build errors are failures here
+                return f"build raised {exc!r}", 0
+            return _stores_mismatch(stores, oracle(s))
+
+        witness, asked = mismatch(seq.tolist())
         if witness:
-            small = _shrink_sequence(seq, lambda s: _sequence_mismatch(s) is not None)
-            if fault and trial == 0:
-                small = seq
+            small = _shrink_sequence(seq.tolist(), lambda s: mismatch(s)[0] is not None)
             raise CheckFailure("sequences", f"{witness}; shrunk witness: {small}")
-        checks += n
-        # the two sub-sequence stores, driven directly
-        ps = PolySequence(seq, alphabet_size=sigma)
-        ls = LargeSequence(seq, alphabet_size=sigma)
-        for i in range(1, n + 1, max(1, n // 11)):
-            if ps.access(i) != seq[i - 1] or ls.access(i) != seq[i - 1]:
-                raise CheckFailure("sequences", f"sub-store access({i}) on {seq}")
-            want = _scan_access_rank(seq, i)
-            if ps.access_rank(i) != want or ls.access_rank(i) != want:
-                raise CheckFailure("sequences", f"sub-store access_rank({i}) on {seq}")
-            checks += 2
-        for a in sorted(set(seq)):
-            for i in range(0, n + 1, max(1, n // 11)):
-                want = _scan_rank(seq, a, i), _scan_rank(seq, a, n)
-                if ps.rank(a, i) != want[0] or ps.rank_pair(a, i, n) != want:
-                    raise CheckFailure("sequences", f"sub-store rank({a},{i}) on {seq}")
-                checks += 2
+        checks += asked
     return checks
 
 
@@ -384,14 +445,8 @@ def _load_probes(obj, seq, rng):
                  for a in set(seq)]
                 + [(f"{obj.mode}: eval({i})", lambda x, i=i: x.eval(i))
                    for i in range(1, n + 1, max(1, n // 17))])
-    symbols = sorted(set(seq))
-    sample = symbols[:: -(-len(symbols) // 64)]  # at most 64, spread over the alphabet
-    return ([("decode()", lambda x: x.decode().tolist())]
-            + [(f"occurrences({a})", lambda x, a=a: x.occurrences(a)) for a in symbols]
-            + [(f"access({i})", lambda x, i=i: x.access(i))
-               for i in range(1, n + 1, max(1, n // 17))]
-            + [(f"rank({a},{n // 2})", lambda x, a=a: x.rank(a, n // 2)) for a in sample]
-            + [(f"select({a},1)", lambda x, a=a: x.select(a, 1)) for a in sample])
+    # a sequence: the sequences suite holds its loaded copies to every query
+    return [("decode()", lambda x: x.decode().tolist())]
 
 
 def _same_after_load(built, loaded, probes, n):

@@ -9,23 +9,11 @@ from apds.apseq import ApSequence, Partition, build_partition, class_of, poly_th
 from apds.bits import ByteWriter
 from apds.chunkseq import LargeSequence
 from apds.errors import InputError, NotFoundError, OutOfRangeError
+from apds.selfcheck import rank_select_mismatch, reload
 from apds.stats import convexity_lower_bound, h0
 from apds.wavelet import PolySequence
 
 ABRA = [1, 2, 5, 1, 3, 1, 4, 1, 2, 5, 1]  # "abracadabra", a..d,r -> 1..5
-
-
-def scan_rank(seq, a, i):
-    return sum(1 for x in seq[:i] if x == a)
-
-def scan_select(seq, a, j):
-    seen = 0
-    for pos, x in enumerate(seq, 1):
-        if x == a:
-            seen += 1
-            if seen == j:
-                return pos
-    return None
 
 
 def test_partition_worked_example():
@@ -162,27 +150,16 @@ def zipf(rng, n, sigma, theta):
                                            (512, 512, 0.0)])
 def test_oracle_equivalence(n, sigma, theta):
     rng = np.random.default_rng(n + sigma)
-    seq = zipf(rng, n, sigma, theta).tolist() if theta else rng.permutation(
-        np.arange(1, sigma + 1)).tolist()
-    aps = build_partition(seq)
-    # the same sequence over a general alphabet: symbol a stored as 7a + 3
-    gen = build_partition([7 * a + 3 for a in seq], general_alphabet=True)
-    for i in range(1, n + 1):
-        a = seq[i - 1]
-        assert aps.access(i) == a
-        assert aps.access_rank(i) == (a, aps.rank(a, i))
-        assert gen.access_rank(i) == (7 * a + 3, gen.rank(7 * a + 3, i))
-    for s in (aps, gen):
-        for i in (0, n + 1):
-            with pytest.raises(OutOfRangeError):
-                s.access_rank(i)
-    syms = sorted(set(seq))[:: max(1, sigma // 23)]
-    for a in syms:
-        for i in range(0, n + 1, 3):
-            assert aps.rank(a, i) == scan_rank(seq, a, i)
-        occ = seq.count(a)
-        for j in range(1, occ + 1, max(1, occ // 50)):
-            assert aps.select(a, j) == scan_select(seq, a, j)
+    seq = zipf(rng, n, sigma, theta) if theta else rng.permutation(np.arange(1, sigma + 1))
+    # rank at every i costs sigma * n calls: every (sigma // 23)-th symbol,
+    # and one past the alphabet; the checker asks the others around their
+    # occurrences
+    syms = [*range(1, sigma + 1, max(1, sigma // 23)), sigma + 1]
+    assert rank_select_mismatch(build_partition(seq), seq, syms) is None
+    # the same sequence over a general alphabet, symbol a stored as 7a + 3:
+    # the absent symbol at every i
+    gen = build_partition(7 * seq + 3, general_alphabet=True)
+    assert rank_select_mismatch(gen, 7 * seq + 3, [7 * sigma + 10]) is None
 
 
 def test_duality_property():
@@ -399,7 +376,7 @@ def test_one_symbol_classes_keep_no_store(seq, general):
         assert aps.decode().tolist() == list(seq)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.lists(st.integers(1, 40), min_size=1, max_size=60), st.integers(0, 2**32 - 1))
 def test_symbol_map_arrays_match_m_random_counts(counts, seed):
     seq = np.repeat(np.arange(1, len(counts) + 1), counts)
@@ -419,13 +396,7 @@ def test_queries_make_no_call_on_m(monkeypatch):
             method = getattr(aps.M, name)
             monkeypatch.setattr(aps.M, name,
                                 lambda *a, _m=method, _n=name: calls.append(_n) or _m(*a))
-        n = len(seq)
-        for i in range(1, n + 1, 7):
-            assert aps.access(i) == seq[i - 1]
-            assert aps.access_rank(i) == (seq[i - 1], scan_rank(seq, seq[i - 1], i))
-        for a in sorted(set(seq))[::5]:
-            assert aps.rank(a, n) == seq.count(a)
-            assert aps.select(a, 1) == seq.index(a) + 1
+        assert rank_select_mismatch(aps, seq, symbols=sorted(set(seq))[::32]) is None
         assert calls == []
 
 
@@ -445,7 +416,7 @@ def test_select_past_the_last_occurrence_names_the_symbol(seq, general):
             assert aps.select(a, j - 1) == len(seq) - seq[::-1].index(a)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(st.lists(st.integers(1, 4), min_size=1, max_size=6), st.integers(0, 2**32 - 1),
        st.booleans())
 def test_rank_pair_matches_two_ranks(counts, seed, general):
@@ -456,26 +427,19 @@ def test_rank_pair_matches_two_ranks(counts, seed, general):
     sigma = len(counts)
     seq = np.random.default_rng(seed).permutation(np.repeat(np.arange(1, sigma + 1), counts))
     n = seq.size
-    prefix = np.zeros((sigma + 1, n + 1), dtype=np.int64)  # prefix[a, i] = rank_a(i)
-    prefix[seq, np.arange(1, n + 1)] = 1
-    prefix = np.cumsum(prefix, axis=1).tolist()  # row 0 counts no symbol
     ps = PolySequence(seq, alphabet_size=sigma + 1)  # symbol sigma + 1 is absent
-    poly_probes = [(a, a if a <= sigma else 0) for a in range(sigma + 3)]  # (asked, oracle row)
     if general:
         stored = 7 * seq + 3
-        ap_probes = [(7 * a + 3, a) for a in range(1, sigma + 1)] + [(1, 0), (11, 0), (10**9, 0)]
+        ap_symbols = [7 * a + 3 for a in range(1, sigma + 1)] + [1, 11, 10**9]
     else:
         stored = seq
-        ap_probes = [(a, a if a <= sigma else 0) for a in range(sigma + 2)]
-    cases = ([(ps, poly_probes), (PolySequence.deserialize(ps.serialize()), poly_probes)]
-             + [(s, ap_probes) for s in both_sides(stored.tolist(), general)])
-    for s, probes in cases:
-        for a, row in probes:
+        ap_symbols = list(range(sigma + 2))
+    cases = ([(ps, seq, range(sigma + 3)), (reload(ps), seq, range(sigma + 3))]
+             + [(s, stored, ap_symbols) for s in both_sides(stored.tolist(), general)])
+    for s, want, symbols in cases:
+        assert rank_select_mismatch(s, want, symbols) is None
+        for a in symbols:
             ranks = [s.rank(a, i) for i in range(n + 1)]
-            assert ranks == prefix[row]
             for i in range(n + 1):
                 for j in range(i, n + 1):
                     assert s.rank_pair(a, i, j) == (ranks[i], ranks[j])
-        for i, j in ((1, 0), (0, n + 1), (-1, 0)):
-            with pytest.raises(OutOfRangeError):
-                s.rank_pair(probes[0][0], i, j)

@@ -95,7 +95,7 @@ def _assert_select_in_word(word: int):
         assert select_in_word(word, j) == _select_by_clearing(word, j), (hex(word), j)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(st.integers(1, 2**64 - 1))
 def test_select_in_word_matches_clearing_reference(word):
     _assert_select_in_word(word)
@@ -121,7 +121,7 @@ def _packed_fields(draw):
     return np.array(words, dtype=np.uint64), width, count
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400)
 @given(_packed_fields())
 @example((np.array([2**64 - 1] * 3, dtype=np.uint64), 64, 3))  # one field per word
 @example((np.array([2**64 - 1, 5], dtype=np.uint64), 63, 2))  # straddles into the last word
@@ -154,7 +154,7 @@ def _fields(draw):
     return values, width
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400)
 @given(_fields())
 @example(([], 17))
 @example(([2**64 - 1] * 3, 64))

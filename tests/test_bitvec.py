@@ -24,19 +24,15 @@ from apds.bitvec import (
 )
 from apds.bits import ByteWriter, pack_fixed, unpack_fixed
 from apds.errors import InputError, NotFoundError, OutOfRangeError
+from apds.selfcheck import BitSequence, rank_select_mismatch
 
 
-def scan_rank(bits, i, bit):
-    return sum(1 for b in bits[:i] if b == bit)
-
-def scan_select(bits, j, bit):
-    seen = 0
-    for pos, b in enumerate(bits, 1):
-        if b == bit:
-            seen += 1
-            if seen == j:
-                return pos
-    return None
+def assert_conforms(bv, bits):
+    """Both bits' counts, and every query through the shared checker, which
+    reads bit b as symbol b + 1."""
+    bits = np.asarray(bits, dtype=np.int64)
+    assert (bv.count(0), bv.count(1)) == (bits.size - bits.sum(), bits.sum())
+    assert rank_select_mismatch(BitSequence(bv), bits + 1) is None
 
 
 V = [1, 0, 0, 0, 1, 0, 0, 1, 0, 1]  # "1000100101"
@@ -79,24 +75,7 @@ def test_oracle_equivalence(cls, n, density):
         bv = SparseBitVector(n, np.flatnonzero(bits == 0), 0)
     else:
         bv = bitvector(bits)
-    lst = bits.tolist()
-    for i in range(n + 1):
-        assert bv.rank(i, 1) == scan_rank(lst, i, 1)
-        assert bv.rank(i, 0) == scan_rank(lst, i, 0)
-    for bit in (0, 1):
-        total = bv.count(bit)
-        assert total == lst.count(bit)
-        for j in range(1, total + 1):
-            assert bv.select(j, bit) == scan_select(lst, j, bit)
-        if total < n:
-            with pytest.raises(NotFoundError):
-                bv.select(total + 1, bit)
-    for i in range(1, n + 1):
-        assert bv.access(i) == lst[i - 1]
-        assert bv.access_rank(i) == (lst[i - 1], bv.rank(i, lst[i - 1]))
-    for i in (0, n + 1):
-        with pytest.raises(OutOfRangeError):
-            bv.access_rank(i)
+    assert_conforms(bv, bits)
 
 
 @pytest.mark.parametrize("stored", [0, 1])
@@ -138,13 +117,8 @@ def test_rank_select_inverse_properties():
 
 def test_select_crossing_sample_boundaries():
     # more than one sample gap of each bit value
-    rng = np.random.default_rng(11)
-    bits = (rng.random(3000) < 0.5).astype(np.uint8)
-    bv = PlainBitVector.from_bits(bits)
-    lst = bits.tolist()
-    for bit in (0, 1):
-        for j in range(1, bv.count(bit) + 1, 97):
-            assert bv.select(j, bit) == scan_select(lst, j, bit)
+    bits = (np.random.default_rng(11).random(3000) < 0.5).astype(np.uint8)
+    assert_conforms(PlainBitVector.from_bits(bits), bits)
 
 
 def test_factory_chooses_sparse():
@@ -307,7 +281,7 @@ def _symbol_arrays(draw):
     return values
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(_symbol_arrays())
 @example(np.array([1], dtype=np.int64))
 @example(np.array([2], dtype=np.int64))
@@ -332,33 +306,13 @@ def test_alphabet_ranks_refuse_zero_on_both_paths(values):
 
 # --- every query at every position, against prefix counts -------------------
 
-def _check_all_queries(bv, bits):
-    """rank, access_rank and select of both bits at every position and rank,
-    against prefix counts and the positions of each bit in ``bits``."""
-    bits = np.asarray(bits, dtype=np.uint8)
-    n = bits.size
-    ones = np.concatenate([[0], np.cumsum(bits)]).tolist()
-    for i in range(n + 1):
-        assert bv.rank(i, 1) == ones[i] and bv.rank(i, 0) == i - ones[i], i
-    for i in range(1, n + 1):
-        b = int(bits[i - 1])
-        assert bv.access_rank(i) == (b, ones[i] if b else i - ones[i]), i
-    for bit in (0, 1):
-        where = (np.flatnonzero(bits == bit) + 1).tolist()
-        assert bv.count(bit) == len(where)
-        for j, pos in enumerate(where, 1):
-            assert bv.select(j, bit) == pos, (bit, j)
-        with pytest.raises(NotFoundError):
-            bv.select(len(where) + 1, bit)
-
-
 def test_plain_every_query_short_lengths():
     """n = 1..200 at three densities: every tail width of the last word."""
     rng = np.random.default_rng(23)
     for n in range(1, 201):
         for density in (0.1, 0.5, 0.9):
             bits = (rng.random(n) < density).astype(np.uint8)
-            _check_all_queries(PlainBitVector.from_bits(bits), bits)
+            assert_conforms(PlainBitVector.from_bits(bits), bits)
 
 
 @pytest.mark.parametrize("words", [1, 4, 64, 65, 130])
@@ -369,7 +323,7 @@ def test_plain_every_query_around_word_multiples(words, delta):
     across many SELECT_SAMPLE gaps of each bit."""
     n = 64 * words + delta
     bits = (np.random.default_rng(n).random(n) < 0.5).astype(np.uint8)
-    _check_all_queries(PlainBitVector.from_bits(bits), bits)
+    assert_conforms(PlainBitVector.from_bits(bits), bits)
 
 
 @st.composite
@@ -397,7 +351,7 @@ def _plain_bits(draw):
     return bits ^ (shape == "zeros")
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(_plain_bits())
 @example(np.zeros(63, dtype=np.uint8))
 @example(np.ones(65, dtype=np.uint8))
@@ -408,7 +362,7 @@ def test_plain_every_query_across_select_samples(bits):
     """rank, access_rank and select of both bits at every position, against
     numpy prefix counts, with each bit's count at and around sample ends."""
     bits = np.asarray(bits, dtype=np.uint8)
-    _check_all_queries(PlainBitVector.from_bits(bits), bits)
+    assert_conforms(PlainBitVector.from_bits(bits), bits)
 
 
 def test_plain_every_query_with_64_bit_counts(monkeypatch):
@@ -420,7 +374,7 @@ def test_plain_every_query_with_64_bit_counts(monkeypatch):
         bits = (rng.random(n) < 0.4).astype(np.uint8)
         bv = PlainBitVector.from_bits(bits)
         assert bv._cum.itemsize == 8 and bv._samp0.itemsize == 8
-        _check_all_queries(bv, bits)
+        assert_conforms(bv, bits)
 
 
 def test_count_dtype_switches_at_2_to_the_32_bits():
@@ -447,8 +401,8 @@ def test_plain_zero_select_into_padded_last_word(n):
     for zeros in (1, 2, n % 64):
         bits = np.ones(n, dtype=np.uint8)
         bits[n - zeros:] = 0
-        _check_all_queries(PlainBitVector.from_bits(bits), bits)
-    _check_all_queries(PlainBitVector.from_bits(np.zeros(n, np.uint8)), np.zeros(n, np.uint8))
+        assert_conforms(PlainBitVector.from_bits(bits), bits)
+    assert_conforms(PlainBitVector.from_bits(np.zeros(n, np.uint8)), np.zeros(n, np.uint8))
 
 
 def _sparse_cases():
@@ -472,8 +426,9 @@ def _sparse_cases():
 @pytest.mark.parametrize("stored", [0, 1])
 @pytest.mark.parametrize("case", list(_sparse_cases()))
 def test_sparse_every_query(case, stored):
-    """A directly built sparse vector: _stored_rank at every i against the
-    vector's own to_bits(), and every query against prefix counts."""
+    """A directly built sparse vector and its loaded copy: to_bits(), the
+    low width, and every query against prefix counts (rank of the stored
+    bit is _stored_rank at every i)."""
     n, where = _sparse_cases()[case]
     bv = SparseBitVector(n, np.asarray(where), stored)
     bits = np.full(n, 1 - stored, dtype=np.uint8)
@@ -481,57 +436,8 @@ def test_sparse_every_query(case, stored):
     assert bv.to_bits().tolist() == bits.tolist()
     assert bv.low_width == {"low-width-0": 0, "one-full-bucket": 7,
                             "bucket-starts-and-ends": 10}.get(case, bv.low_width)
-    stored_before = np.concatenate([[0], np.cumsum(bits == stored)]).tolist()
-    for i in range(n + 1):
-        assert bv._stored_rank(i) == stored_before[i], i
-    _check_all_queries(bv, bits)
-    _check_all_queries(load_bitvector(bv.serialize()), bits)
-
-
-def _check_access_rank_every_i(bv):
-    bits = bv.to_bits()
-    ones = np.concatenate([[0], np.cumsum(bits)]).tolist()
-    for i in range(1, len(bv) + 1):
-        b = int(bits[i - 1])
-        assert bv.access_rank(i) == (b, ones[i] if b else i - ones[i]), i
-
-
-@st.composite
-def _sparse_vectors(draw):
-    n = draw(st.integers(1, 3000))
-    where = draw(st.lists(st.integers(0, n - 1), max_size=min(n, 60), unique=True))
-    return n, sorted(where), draw(st.integers(0, 1))
-
-
-@settings(max_examples=60, deadline=None)
-@given(_sparse_vectors())
-# low width 10: buckets 0 and 3 empty, 1024 and 2048 with low part 0
-@example((4096, [1024, 2048, 3000], 1))
-@example((4096, [1024, 2048, 3000], 0))
-@example((300, [0, 299], 1))
-@example((1, [0], 0))
-@example((5, [], 1))
-def test_sparse_access_rank_every_position(case):
-    """The one-scan access_rank at every i in [1..n] against to_bits()."""
-    n, where, stored = case
-    _check_access_rank_every_i(SparseBitVector(n, np.asarray(where, dtype=np.int64), stored))
-
-
-@settings(max_examples=80, deadline=None)
-@given(_sparse_vectors())
-# 100 positions in one 128-wide bucket: its ones fill an upper word
-@example((1 << 14, list(range(1024, 1124)), 0))
-@example((1 << 14, list(range(1024, 1124)), 1))
-@example((4096, [1024, 2048, 3000], 1))
-@example((300, [0, 1, 298, 299], 0))
-@example((5, [], 1))
-def test_sparse_complement_select_every_j(case):
-    """Select of the bit a sparse vector does not store, at every j, against
-    that bit's positions in to_bits()."""
-    n, where, stored = case
-    bv = SparseBitVector(n, np.asarray(where, dtype=np.int64), stored)
-    other = (np.flatnonzero(bv.to_bits() != stored) + 1).tolist()
-    assert [bv.select(j, 1 - stored) for j in range(1, len(other) + 1)] == other
+    assert_conforms(bv, bits)
+    assert_conforms(load_bitvector(bv.serialize()), bits)
 
 
 @pytest.mark.parametrize("case", ["empty-buckets", "bucket-starts-and-ends", "low-width-0"])
@@ -546,7 +452,7 @@ def test_sparse_access_rank_makes_no_upper_select1(case, monkeypatch):
         return upper_select(j, bit)
 
     monkeypatch.setattr(bv._upper, "select", counting_select)
-    _check_access_rank_every_i(bv)
+    assert [bv.access_rank(i)[0] for i in range(1, n + 1)] == bv.to_bits().tolist()
     assert 0 in bits_asked and 1 not in bits_asked
 
 
@@ -565,7 +471,7 @@ def _count_sequences(draw):
     return np.array(draw(st.lists(values, min_size=m, max_size=m)), dtype=np.int64)
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=120)
 @given(_count_sequences())
 @example(np.array([0], dtype=np.int64))
 @example(np.array([7], dtype=np.int64))

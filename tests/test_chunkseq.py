@@ -6,19 +6,7 @@ import pytest
 from apds.bitvec import bitvector
 from apds.chunkseq import LargeSequence
 from apds.errors import InputError, NotFoundError, OutOfRangeError
-
-
-def scan_rank(seq, a, i):
-    return sum(1 for x in seq[:i] if x == a)
-
-def scan_select(seq, a, j):
-    seen = 0
-    for pos, x in enumerate(seq, 1):
-        if x == a:
-            seen += 1
-            if seen == j:
-                return pos
-    return None
+from apds.selfcheck import rank_select_mismatch
 
 
 def test_access_examples():
@@ -50,13 +38,16 @@ def test_select_examples():
 
 
 def test_errors():
+    """A position out of range raises; a symbol out of [1..sigma] is absent:
+    rank 0, and select NotFoundError."""
     ls = LargeSequence([1, 2, 3], alphabet_size=3)
     with pytest.raises(OutOfRangeError):
         ls.access(4)
     with pytest.raises(OutOfRangeError):
-        ls.rank(4, 2)
-    with pytest.raises(OutOfRangeError):
-        ls.rank(0, 2)
+        ls.rank(4, 4)
+    assert ls.rank(4, 2) == ls.rank(0, 2) == 0
+    with pytest.raises(NotFoundError):
+        ls.select(4, 1)
     with pytest.raises(InputError):
         LargeSequence([])
 
@@ -65,21 +56,10 @@ def test_errors():
                                      (100, 40), (257, 19), (1024, striped := 100)])
 def test_oracle_equivalence_exhaustive(n, sigma):
     rng = np.random.default_rng(n * 7 + sigma)
-    seq = rng.integers(1, sigma + 1, size=n).tolist()
+    seq = rng.integers(1, sigma + 1, size=n)
     ls = LargeSequence(seq, alphabet_size=sigma)
-    for i in range(1, n + 1):
-        assert ls.access(i) == seq[i - 1]
-        assert ls.access_rank(i) == (seq[i - 1], ls.rank(seq[i - 1], i))
-    for i in (0, n + 1):
-        with pytest.raises(OutOfRangeError):
-            ls.access_rank(i)
-    step = max(1, sigma // 17)
-    for a in range(1, sigma + 1, step):
-        for i in range(n + 1):
-            assert ls.rank(a, i) == scan_rank(seq, a, i)
-        occ = seq.count(a)
-        for j in range(1, occ + 1):
-            assert ls.select(a, j) == scan_select(seq, a, j)
+    symbols = [*range(1, sigma + 1, max(1, sigma // 17)), sigma + 1]
+    assert rank_select_mismatch(ls, seq, symbols) is None
 
 
 def test_forward_inverse_consistency():
@@ -117,12 +97,7 @@ def test_space_bound(n, sigma):
 
 def test_last_chunk_shorter():
     seq = list(range(1, 11)) * 3 + [5, 5, 7]  # n=33, sigma=10, last chunk len 3
-    ls = LargeSequence(seq, alphabet_size=10)
-    for i in range(1, 34):
-        assert ls.access(i) == seq[i - 1]
-    for a in (5, 7, 10):
-        for i in range(34):
-            assert ls.rank(a, i) == scan_rank(seq, a, i)
+    assert rank_select_mismatch(LargeSequence(seq, alphabet_size=10), seq) is None
 
 
 def test_serialize_round_trip():
@@ -133,13 +108,7 @@ def test_serialize_round_trip():
     back = LargeSequence.deserialize(data)
     assert back.serialize() == data
     assert np.array_equal(back._cocc, ls._cocc)
-    for i in range(1, 301, 7):
-        assert back.access(i) == seq[i - 1]
-    for a in range(1, 50, 3):
-        assert back.rank(a, 300) == scan_rank(seq, a, 300)
-        occ = seq.count(a)
-        if occ:
-            assert back.select(a, occ) == scan_select(seq, a, occ)
+    assert rank_select_mismatch(back, seq) is None
 
 
 def test_load_rejects_wrong_distribution_count():

@@ -503,7 +503,7 @@ def run_permutations(draw):
     return pi
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(pi=run_permutations(), t=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
 def test_layout_matches_array(pi, t, seed):
     """apply, inverse and power of every kind, built and loaded, against
@@ -525,7 +525,7 @@ def test_layout_matches_array(pi, t, seed):
                 assert perm.power(i, k) == naive_power(pi.tolist(), i, k), (kind, i, k)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(pi=run_permutations())
 def test_interleaved_strict_is_contiguous_cover_of_inverse(pi):
     """Read by value, the interleaved-strict runs are the loop's contiguous

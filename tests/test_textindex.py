@@ -76,7 +76,7 @@ def terminated_texts(draw):
     return np.array(body + [0], dtype=np.int64) + base
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400)
 @given(terminated_texts())
 @example(np.array([1]))
 @example(np.array([0]))
@@ -87,7 +87,7 @@ def test_suffix_array_matches_sorted_suffixes_property(t):
     assert suffix_array(t).tolist() == sorted_suffixes(t)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(st.lists(st.integers(1, 5), min_size=1, max_size=60))
 def test_suffix_array_without_terminator_sorts_shorter_first(body):
     """Symbols >= 1 need no terminator: a suffix sorts before the longer

@@ -9,21 +9,9 @@ from hypothesis import strategies as st
 from apds.bits import ByteWriter
 from apds.bitvec import PlainBitVector, SparseBitVector, bitvector
 from apds.errors import InputError, NotFoundError, OutOfRangeError
+from apds.selfcheck import rank_select_mismatch, reload
 from apds.stats import h0
 from apds.wavelet import PolySequence, huffman_code_lengths, matrix_shape
-
-
-def scan_rank(seq, a, i):
-    return sum(1 for x in seq[:i] if x == a)
-
-def scan_select(seq, a, j):
-    seen = 0
-    for pos, x in enumerate(seq, 1):
-        if x == a:
-            seen += 1
-            if seen == j:
-                return pos
-    return None
 
 
 T_ABRA = [4, 9, 9, 4, 12, 4, 12, 4, 9, 9, 4]  # class string of "abracadabra"
@@ -77,39 +65,16 @@ def test_errors():
                                      (512, 16), (300, 31)])
 def test_oracle_equivalence_exhaustive(n, sigma):
     rng = np.random.default_rng(n * 31 + sigma)
-    seq = rng.integers(1, sigma + 1, size=n).tolist()
+    seq = rng.integers(1, sigma + 1, size=n)
     ps = PolySequence(seq, alphabet_size=sigma)
-    for i in range(1, n + 1):
-        assert ps.access(i) == seq[i - 1]
-        assert ps.access_rank(i) == (seq[i - 1], ps.rank(seq[i - 1], i))
-    for i in (0, n + 1):
-        with pytest.raises(OutOfRangeError):
-            ps.access_rank(i)
-    for a in range(1, sigma + 1):
-        for i in range(n + 1):
-            assert ps.rank(a, i) == scan_rank(seq, a, i)
-        occ = seq.count(a)
-        for j in range(1, occ + 1):
-            assert ps.select(a, j) == scan_select(seq, a, j)
-        if occ < n:
-            with pytest.raises(NotFoundError):
-                ps.select(a, occ + 1)
+    assert rank_select_mismatch(ps, seq, symbols=range(sigma + 2)) is None
 
 
 def test_skewed_distribution_oracle():
     # exercises sparse node bitmaps
     rng = np.random.default_rng(77)
     seq = np.where(rng.random(5000) < 0.97, 1, rng.integers(2, 5, size=5000))
-    ps = PolySequence(seq.tolist())
-    lst = seq.tolist()
-    for i in rng.integers(1, 5001, size=200):
-        assert ps.access(int(i)) == lst[i - 1]
-    for a in range(1, 5):
-        for i in rng.integers(0, 5001, size=50):
-            assert ps.rank(a, int(i)) == scan_rank(lst, a, int(i))
-        occ = lst.count(a)
-        for j in rng.integers(1, occ + 1, size=min(occ, 50)):
-            assert ps.select(a, int(j)) == scan_select(lst, a, int(j))
+    assert rank_select_mismatch(PolySequence(seq.tolist()), seq) is None
 
 
 def test_duality_properties():
@@ -204,7 +169,7 @@ def member_list_lengths(counts: np.ndarray) -> np.ndarray:
     return lengths
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(st.one_of(
     st.lists(st.integers(0, 3), min_size=1, max_size=300),  # zero counts and many ties
     st.lists(st.integers(0, 10**6), min_size=1, max_size=300),
@@ -243,29 +208,18 @@ def count_vectors(draw):
     return np.append(counts, np.zeros(extra, dtype=np.int64)), draw(st.integers(0, 2**32))
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(count_vectors())
-def test_matrix_matches_scan_oracle(case):
+def test_matrix_matches_prefix_counts(case):
     counts, seed = case
     sigma = counts.size
     seq = np.random.default_rng(seed).permutation(np.repeat(np.arange(1, sigma + 1), counts))
-    n = seq.size
     ps = PolySequence(seq, alphabet_size=sigma)
-    lst = seq.tolist()
-    prefix = np.zeros((sigma + 1, n + 1), dtype=np.int64)  # prefix[a, i] = rank_a(i)
-    prefix[seq, np.arange(1, n + 1)] = 1
-    prefix = np.cumsum(prefix, axis=1)
-    for i in range(1, n + 1):
-        assert ps.access_rank(i) == (lst[i - 1], prefix[lst[i - 1], i])
-    probes = sorted({0, n, *np.linspace(0, n, 17).astype(int).tolist()})
-    for a in range(1, sigma + 1):
-        for i in probes:
-            assert ps.rank(a, i) == prefix[a, i]
-        where = np.flatnonzero(seq == a) + 1
-        for j, pos in enumerate(where.tolist(), 1):
-            assert ps.select(a, j) == pos
-        with pytest.raises(NotFoundError):
-            ps.select(a, where.size + 1)
+    # rank at every i costs sigma * n calls: five symbols spread over the
+    # alphabet, every absent one and one past it; the checker asks the
+    # others around their occurrences
+    symbols = {*range(1, sigma + 1, -(-sigma // 5)), *(np.flatnonzero(counts == 0) + 1), sigma + 1}
+    assert rank_select_mismatch(ps, seq, symbols) is None
     assert len(ps._levels) == int(huffman_code_lengths(counts).max(initial=0))
     data = ps.serialize()
     back = PolySequence.deserialize(data)
@@ -320,30 +274,17 @@ def mixed_matrices(draw):
     tail[:2] = others[:2]  # two of them at least, so a level below the first
     seq = np.full(n, dominant)
     seq[rng.choice(n, size=rest, replace=False)] = tail
-    return seq, sigma, rng
+    return seq, sigma
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(mixed_matrices())
 def test_mixed_sparse_and_plain_walks_match_scan(case):
-    seq, sigma, rng = case
-    n = seq.size
-    prefix = np.zeros((sigma + 1, n + 1), dtype=np.int64)  # prefix[a, i] = rank_a(i)
-    prefix[seq, np.arange(1, n + 1)] = 1
-    prefix = np.cumsum(prefix, axis=1).tolist()
-    lst = seq.tolist()
-    ends = (np.arange(n + 1) + rng.random(n + 1) * (n + 1 - np.arange(n + 1))).astype(int).tolist()
+    seq, sigma = case
     built = PolySequence(seq, alphabet_size=sigma)
-    for ps in (built, PolySequence.deserialize(built.serialize())):
+    for ps in (built, reload(built)):
         assert {bv.kind for bv in ps._levels} == {"plain", "sparse"}
-        for i in range(1, n + 1):
-            assert ps.access_rank(i) == (lst[i - 1], prefix[lst[i - 1]][i])
-        for a in range(1, sigma + 1):
-            row = prefix[a]
-            for i, j in zip(range(n + 1), ends):
-                assert ps.rank(a, i) == row[i]
-                assert ps.rank_pair(a, i, j) == (row[i], row[j])
-            assert ps.rank_pair(a, n, n) == (row[n], row[n])
+        assert rank_select_mismatch(ps, seq, symbols=range(sigma + 2)) is None
 
 
 def _count_bitvector_calls(monkeypatch) -> list:
