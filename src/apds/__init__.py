@@ -28,6 +28,6 @@ from .permutation import (
 )
 from .stats import EntropyReport, h0, h_runs, h_sets, hk
 from .textindex import BlockRelation, BlockStore, FmIndex, build_fm_index
-from .wavelet import PolySequence
+from .wavelet import BalancedSequence, PolySequence
 
 __version__ = "0.1.0"

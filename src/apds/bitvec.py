@@ -150,12 +150,22 @@ class PlainBitVector:
         ones = self._cum[w]  # at i = n on a word boundary, the last entry
         if r:
             ones += (self._word_view[w] & ((1 << r) - 1)).bit_count()
-        return ones if bit else i - ones
+        if bit == 1:
+            return ones
+        if bit == 0:
+            return i - ones
+        raise InputError(f"bit must be 0 or 1, got {bit!r}")
 
     def select(self, j: int, bit: int = 1) -> int:
         if j < 1:
             raise OutOfRangeError("select rank must be >= 1")
-        if j > (self._ones if bit else self.n - self._ones):
+        if bit == 1:
+            total = self._ones
+        elif bit == 0:
+            total = self.n - self._ones
+        else:
+            raise InputError(f"bit must be 0 or 1, got {bit!r}")
+        if j > total:
             raise NotFoundError(f"fewer than {j} {bit}-bits")
         # the j-th bit lies in the words from this sample's to the next one's:
         # binary search them for the last word with fewer than j before it
@@ -306,12 +316,16 @@ class SparseBitVector:
     def rank(self, i: int, bit: int = 1) -> int:
         if not 0 <= i <= self.n:
             raise OutOfRangeError(f"rank position {i} out of [0..{self.n}]")
+        if bit != 0 and bit != 1:
+            raise InputError(f"bit must be 0 or 1, got {bit!r}")
         r = self._stored_rank(i)
         return r if bit == self.stored else i - r
 
     def select(self, j: int, bit: int = 1) -> int:
         if j < 1:
             raise OutOfRangeError("select rank must be >= 1")
+        if bit != 0 and bit != 1:
+            raise InputError(f"bit must be 0 or 1, got {bit!r}")
         if j > self.count(bit):
             raise NotFoundError(f"fewer than {j} {bit}-bits")
         if bit == self.stored:

@@ -2,7 +2,7 @@
 
 Layout (header integers little-endian, fixed width):
 
-    "APDS" | u32 version=9 | u32 CRC32 | u8 kind | u8 input-format | payload
+    "APDS" | u32 version=10 | u32 CRC32 | u8 kind | u8 input-format | payload
 
 A kind is declared in one place, its row of ``STRUCTURE_KINDS``: the kind
 byte, the name (``apds build --type``), the class and the ``apds query``
@@ -16,12 +16,23 @@ the structures' own serializations in the codec of ``bits``: varint
 scalars, whole-byte integer arrays and length-prefixed blobs.  They hold
 no value that load can compute: directories, counts, class values,
 lengths such as n and sigma, a ``PolySequence``'s code lengths (derived
-from its symbol counts by ``wavelet.huffman_code_lengths``) and the store
+from its symbol counts by ``wavelet.huffman_code_lengths``), the store
 of a one-symbol class of an ``ApSequence`` (fixed by the class's count in
-T).  Two stored values are implied by others: a ``PolySequence``'s symbol
-counts, which its levels imply, and a ``LargeSequence``'s n, which its
-count vectors imply.  Every unary count vector is a ``bitvec.unary_counts``
-vector.
+T) and the kind of each class store (``apseq._store_for`` picks it from
+the class's alphabet size in M and its length in T).  Two stored values
+are implied by others: a ``PolySequence``'s symbol counts, which its
+levels imply, and a ``LargeSequence``'s n, which its count vectors imply.
+Every unary count vector is a ``bitvec.unary_counts`` vector.
+
+A ``BalancedSequence`` writes sigma, its symbol counts as offsets from
+their minimum at the least fixed width that holds them (the minimum, the
+width, then ``bits.pack_fixed`` words), and the words of its levels, each
+padded to whole words.  Load derives n (the counts' sum), the level count
+ceil(lg sigma), the leaf starts, each level's zero count and the one
+directory over all levels, and refuses counts not at their least width
+or not offsets from their minimum, a sigma too large for the payload, a
+word count that disagrees with sigma and n, a set padding bit and a level
+whose zero count disagrees with the counts.
 
 A permutation payload is its layout tag (the run kind's index in
 ``permutation.KINDS`` plus one), its layout and its power companion (an
@@ -44,8 +55,10 @@ first extract derives them from the SA samples (``FmIndex.isa_rows``).
 
 Versions: 8 put the whole payload under one CRC32 and dropped the section
 table; 9 stores the index's SA samples as (sa - 1) / rate and no inverse
-samples, where 8 stored both at the bit length of n.  Files of any
-version but 9 are refused.
+samples, where 8 stored both at the bit length of n; 10 stores an
+``ApSequence`` class with repeated symbols and more than
+``apseq.poly_threshold`` of them as a ``BalancedSequence``, where 9 stored
+it as a ``LargeSequence``.  Files of any version but 10 are refused.
 """
 
 from __future__ import annotations
@@ -61,7 +74,7 @@ from .permutation import RunPermutation
 from .textindex import FmIndex
 
 MAGIC = b"APDS"
-VERSION = 9
+VERSION = 10
 _HEAD = struct.Struct("<4sII")  # magic, version, CRC32
 CRC_START = _HEAD.size  # the checksum covers data[CRC_START:]
 HEADER_BYTES = CRC_START + 2  # then the kind and the input format
@@ -94,7 +107,7 @@ def pack_container(kind: int, input_format: int, payload: bytes) -> bytes:
 
 
 def unpack_container(data: bytes):
-    """Returns (kind, input_format, payload) of a v9 file whose checksum holds."""
+    """Returns (kind, input_format, payload) of a v10 file whose checksum holds."""
     if data[:4] != MAGIC:
         raise InputError("not an APDS container (bad magic)")
     if len(data) < HEADER_BYTES:

@@ -3,10 +3,11 @@
 One checker, ``rank_select_mismatch``, holds a rank/select structure to
 numpy prefix counts of its input: ``bitvectors`` runs it on PlainBitVector
 and SparseBitVector storing ones and zeros (through ``BitSequence``),
-``sequences`` on ApSequence, PolySequence and LargeSequence, each built and
-loaded.  The other suites replay queries against naive scans.  A failure
-is shrunk to a small witness.  The fault hook corrupts the oracle's input
-or one comparison, so the harness itself can be tested.
+``sequences`` on ApSequence, PolySequence, BalancedSequence and
+LargeSequence, each built and loaded.  The other suites replay queries
+against naive scans.  A failure is shrunk to a small witness.  The fault
+hook corrupts the oracle's input or one comparison, so the harness itself
+can be tested.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .dsets import DisjointSetCollection
 from .errors import InputError, NotFoundError, OutOfRangeError
 from .permutation import KINDS, RunPermutation, build_run_permutation
 from .textindex import FmIndex
-from .wavelet import PolySequence
+from .wavelet import BalancedSequence, PolySequence
 
 
 class CheckFailure(Exception):
@@ -213,10 +214,10 @@ def suite_bitvectors(rng, iters, max_n, fault=False):
 
 
 def suite_sequences(rng, iters, max_n, fault=False):
-    """ApSequence over a general alphabet, PolySequence and LargeSequence,
-    built and loaded.  The last trial draws ``_dominant_sequence`` at
-    n = max(max_n, SPARSE_MIN_BITS), so every run walks a sparse level and
-    plain ones."""
+    """ApSequence over a general alphabet, PolySequence, BalancedSequence
+    and LargeSequence, built and loaded.  The last trial draws
+    ``_dominant_sequence`` at n = max(max_n, SPARSE_MIN_BITS), so every run
+    walks a sparse level and plain ones."""
     checks = 0
     for trial in range(iters):
         n = int(rng.integers(1, max_n + 1))
@@ -237,6 +238,7 @@ def suite_sequences(rng, iters, max_n, fault=False):
             try:
                 stores = [(build_partition(s, general_alphabet=True), None),
                           (PolySequence(s, alphabet_size=sigma), None),
+                          (BalancedSequence(s, alphabet_size=sigma), None),
                           (LargeSequence(s, alphabet_size=sigma), spread)]
             except Exception as exc:  # build errors are failures here
                 return f"build raised {exc!r}", 0

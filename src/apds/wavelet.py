@@ -1,5 +1,7 @@
-"""Zero-order compressed sequences over small alphabets: a Huffman-shaped
-wavelet matrix (Claude, Navarro & Ordóñez, Inf. Syst. 2015).
+"""Wavelet matrices (Claude, Navarro & Ordóñez, Inf. Syst. 2015): a
+Huffman-shaped one for small alphabets (``PolySequence``), zero-order
+compressed, and a balanced one for the large classes of an ``ApSequence``
+that repeat symbols (``BalancedSequence``).
 
 Symbols [1..sigma] keep Huffman code lengths, so the payload is near n*H0,
 and skewed levels use the sparse bitvector encoding.  Level d holds code
@@ -27,6 +29,22 @@ no method call; a sparse level answers through its own ``access_rank`` or
 walk's positions are in range by construction, so only the entry is
 checked.  ``select`` walks up through ``PlainBitVector.select``: an inlined
 select, with an interpolated word search, was slower there than the call.
+
+``BalancedSequence`` gives symbol c the L = ceil(lg sigma)-bit code c - 1,
+and level d holds bit d of it, least significant bit first, at every
+position: level d + 1 is level d stably partitioned by that bit.  That is
+an LSD radix sort of the codes, so the last level ends with its leaves in
+symbol order, each symbol's positions in sequence order.  (MSB first, the
+leaves would come in bit-reversed order and need a table to find.)  So
+one cumulative count array of sigma + 1 entries is both the leaf starts
+and the counts: a walk down that ends at position p of c's leaf has
+rank_c = p - start[c], and select_c(j) walks up from start[c] + j.  The L
+levels, each n bits padded to whole words, are one ``PlainBitVector``,
+so a load builds one directory; the walks down read its ``_word_view`` and
+``_cum`` inline, level d's words from d * ceil(n / 64) on, and select calls
+its ``select`` with the ranks offset by the ones, or the zeros (padding
+included), of the levels before d.  A code of sigma or more, which only
+corrupt levels can make, ends an access in InputError.
 """
 
 from __future__ import annotations
@@ -37,8 +55,9 @@ from itertools import accumulate
 
 import numpy as np
 
-from .bits import ByteReader, ByteWriter, byte_width, symbol_array
-from .bitvec import bitvector, load_bitvector
+from .bits import (WORD_BITS, ByteReader, ByteWriter, byte_width, pack_bits, pack_fixed,
+                   symbol_array, unpack_bits, unpack_fixed)
+from .bitvec import PlainBitVector, bitvector, load_bitvector
 from .errors import InputError, NotFoundError, OutOfRangeError
 
 
@@ -289,4 +308,180 @@ class PolySequence:
             if len(bv) != length or bv.count(0) != zeros:
                 raise InputError("a wavelet level does not match the symbol counts")
         obj._set_levels(levels, steps)
+        return obj
+
+
+class BalancedSequence:
+    """Balanced wavelet matrix over [1..sigma]: symbol c has the
+    L = ceil(lg sigma)-bit code c - 1, level d holds its bit d, and the
+    leaves end in symbol order (see the module docstring)."""
+
+    def __init__(self, seq, alphabet_size: int | None = None):
+        arr = symbol_array(seq, alphabet_size)
+        sigma = int(alphabet_size) if alphabet_size else int(arr.max())
+        code = arr - 1
+        counts, levels = np.bincount(code, minlength=sigma), []
+        for d in range((sigma - 1).bit_length()):
+            bits = (code & (1 << d)) != 0
+            levels.append(pack_bits(bits))
+            code = code[np.argsort(bits, kind="stable")]  # zeros first
+        words = np.concatenate(levels) if levels else np.zeros(0, dtype=np.uint64)
+        self._set(counts, words)
+
+    def _set(self, counts: np.ndarray, words: np.ndarray):
+        """Derive the leaf starts, the levels' zero counts and the walks'
+        rows from the symbol counts, and keep the levels' words as one
+        plain vector; return the levels' ones counts by the words and by
+        the counts."""
+        self.sigma = sigma = counts.size
+        cum = np.zeros(sigma + 1, dtype=np.int64)
+        np.cumsum(counts, out=cum[1:])
+        self.n = n = int(cum[-1])
+        self._start = memoryview(cum.astype(np.uint32 if n < 1 << 32 else np.int64))
+        depth = (sigma - 1).bit_length()
+        nw = -(-n // WORD_BITS)  # words per level
+        self._bv = bv = PlainBitVector(words, depth * nw * WORD_BITS)
+        self._words, self._cum = bv._word_view, bv._cum
+        # zeros of level d: n minus the occurrences of the codes with bit d set
+        code_bits = np.unpackbits(np.arange(sigma, dtype="<u4").view(np.uint8).reshape(sigma, 4),
+                                  axis=1, count=depth, bitorder="little")
+        zeros = [n - ones for ones in (counts @ code_bits).tolist()]
+        before = [self._cum[d * nw] for d in range(depth + 1)]  # ones before each level
+        # per level: (its code bit, first word, ones before, zeros - ones before)
+        self._walk = [(1 << d, d * nw, before[d], zeros[d] - before[d]) for d in range(depth)]
+        return [b - a for a, b in zip(before, before[1:])], [n - z for z in zeros]
+
+    def __len__(self):
+        return self.n
+
+    def symbol_counts(self) -> np.ndarray:
+        """Occurrences of symbols 1..sigma, as one array."""
+        return np.diff(np.asarray(self._start)).astype(np.int64)
+
+    def access(self, i: int) -> int:
+        return self.access_rank(i)[0]
+
+    def access_rank(self, i: int) -> tuple[int, int]:
+        """(symbol a at i, rank_a(i)): the code's bits from one walk down,
+        and the rank from the position reached in a's leaf."""
+        if not 1 <= i <= self.n:
+            raise OutOfRangeError(f"position {i} out of [1..{self.n}]")
+        words, cum, code = self._words, self._cum, 0
+        for bit, base, before, shift in self._walk:
+            p = i - 1
+            w, r = base + (p >> 6), p & 63
+            word = words[w]
+            ones = cum[w] + (word & ((2 << r) - 1)).bit_count()
+            if (word >> r) & 1:
+                i = ones + shift
+                code |= bit
+            else:
+                i += before - ones
+        if code >= self.sigma:
+            raise InputError(f"a balanced wavelet level is corrupt: code {code} past the alphabet")
+        return code + 1, i - self._start[code]
+
+    def rank(self, a: int, i: int) -> int:
+        if not 0 <= i <= self.n:
+            raise OutOfRangeError(f"rank position {i} out of [0..{self.n}]")
+        if i == 0 or not 1 <= a <= self.sigma:
+            return 0
+        words, cum, code = self._words, self._cum, a - 1
+        for bit, base, before, shift in self._walk:
+            w, r = base + (i >> 6), i & 63
+            ones = cum[w]  # at i = n on a word boundary, the next level's first count
+            if r:
+                ones += (words[w] & ((1 << r) - 1)).bit_count()
+            if code & bit:
+                i = ones + shift
+            else:
+                i += before - ones
+        return i - self._start[a - 1]
+
+    def select(self, a: int, j: int) -> int:
+        if j < 1:
+            raise OutOfRangeError("select rank must be >= 1")
+        if not 1 <= a <= self.sigma or j > self._start[a] - self._start[a - 1]:
+            raise NotFoundError(f"fewer than {j} occurrences of symbol {a}")
+        code, j, select = a - 1, j + self._start[a - 1], self._bv.select
+        for bit, base, before, shift in reversed(self._walk):
+            first = base << 6  # the level's first bit; the zeros before it are first - before
+            if code & bit:
+                j = select(j - shift, 1) - first
+            else:
+                j = select(j + first - before, 0) - first
+        return j
+
+    def decode(self) -> np.ndarray:
+        """Reconstruct the whole sequence from the leaves up, one stable
+        unpartition per level (values 1..sigma)."""
+        seq = np.repeat(np.arange(1, self.sigma + 1), self.symbol_counts())
+        n = self.n
+        bits = unpack_bits(self._bv.words, len(self._bv)).view(bool)
+        bits = bits.reshape(-1, -(-n // WORD_BITS) * WORD_BITS)[:, :n]  # a row per level
+        for level in bits[::-1]:
+            above = np.empty_like(seq)
+            zeros = n - int(np.count_nonzero(level))
+            above[~level], above[level] = seq[:zeros], seq[zeros:]
+            seq = above
+        return seq
+
+    # --- space accounting ---------------------------------------------------
+
+    def payload_bits(self) -> int:
+        return self._bv.payload_bits()
+
+    def directory_bits(self) -> int:
+        """The vector's directory and the leaf starts."""
+        return self._bv.directory_bits() + self._start.nbytes * 8
+
+    def topology_bits(self) -> int:
+        """The stored counts: offsets from their minimum at a fixed width."""
+        counts = self.symbol_counts()
+        return self.sigma * int(counts.max() - counts.min()).bit_length()
+
+    # --- serialization --------------------------------------------------------
+
+    def serialize(self) -> bytes:
+        counts = self.symbol_counts()
+        low = int(counts.min())
+        width = int(counts.max() - low).bit_length()
+        w = ByteWriter()
+        w.uint(self.sigma)
+        w.uint(low)
+        w.uint(width)
+        w.ints(pack_fixed((counts - low).astype(np.uint64), width))
+        w.ints(self._bv.words)
+        return w.getvalue()
+
+    @classmethod
+    def deserialize(cls, data: bytes) -> "BalancedSequence":
+        """The matrix of the stored counts and words; raises InputError
+        when the counts are not at their least width, or the words do not
+        fit the counts."""
+        with ByteReader(data) as r:
+            sigma, low, width = r.uint(), r.uint(), r.uint()
+            packed, words = r.ints(), r.ints()
+        # sigma is bounded by the payload before any array of sigma entries:
+        # at width 0 every count is low >= 1, so the levels hold n >= sigma
+        # bits (one symbol has none); and sigma times a count fits int64
+        if (not 1 <= sigma <= WORD_BITS * (packed.size + words.size) + 1
+                or packed.size != -(-sigma * width // WORD_BITS)
+                or (sigma * width % WORD_BITS and int(packed[-1]) >> (sigma * width % WORD_BITS))
+                or sigma * (low + (1 << width)) >= 1 << 63):
+            raise InputError("balanced wavelet counts: wrong width or length")
+        offsets = unpack_fixed(packed, width, sigma).astype(np.int64)
+        if int(offsets.max()).bit_length() != width or offsets.min() != 0:
+            raise InputError("balanced wavelet counts: not offsets from their minimum")
+        counts = offsets + low
+        n = int(counts.sum())
+        depth, nw = (sigma - 1).bit_length(), -(-n // WORD_BITS)
+        if n < 1 or words.size != depth * nw:
+            raise InputError("balanced wavelet words do not match its counts")
+        if n % WORD_BITS and (words[nw - 1 :: nw] >> np.uint64(n % WORD_BITS)).any():
+            raise InputError("balanced wavelet level has a padding bit set")
+        obj = cls.__new__(cls)
+        ones, want = obj._set(counts, words)
+        if ones != want:
+            raise InputError("a balanced wavelet level does not match the symbol counts")
         return obj

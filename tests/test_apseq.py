@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apds.apseq import ApSequence, Partition, build_partition, class_of, poly_threshold
+from apds.apseq import (ApSequence, Partition, _store_for, build_partition, class_of,
+                        poly_threshold)
 from apds.bits import ByteWriter
 from apds.chunkseq import LargeSequence
 from apds.errors import InputError, NotFoundError, OutOfRangeError
 from apds.selfcheck import rank_select_mismatch, reload
 from apds.stats import convexity_lower_bound, h0
-from apds.wavelet import PolySequence
+from apds.wavelet import BalancedSequence, PolySequence
 
 ABRA = [1, 2, 5, 1, 3, 1, 4, 1, 2, 5, 1]  # "abracadabra", a..d,r -> 1..5
 
@@ -190,19 +191,32 @@ def test_partition_identity_and_bounds():
         assert nh0s >= convexity_lower_bound(n, sigma) - 1e-9 * max(1.0, nh0s)
 
 
+def test_store_rule_boundaries():
+    top = poly_threshold(4096)
+    assert top == 12
+    assert _store_for(1, 7, 4096) is None
+    assert _store_for(2, 2, 4096) is _store_for(top, 100, 4096) is PolySequence
+    assert _store_for(top + 1, top + 1, 4096) is _store_for(900, 900, 4096) is LargeSequence
+    assert _store_for(top + 1, top + 2, 4096) is _store_for(900, 901, 4096) is BalancedSequence
+
+
 def test_sub_structure_choice():
-    # sigma_l above floor(lg n) must use the large-alphabet store
+    """No store for one symbol, PolySequence up to floor(lg n) symbols;
+    above that, LargeSequence when every member occurs once (s_l is a
+    permutation) and BalancedSequence when one repeats; built and loaded."""
     rng = np.random.default_rng(5)
-    n = 4096
-    seq = rng.integers(1, 513, size=n)
+    seq = rng.integers(1, 513, size=4096)
     seq[:512] = np.arange(1, 513)
+    seq = np.concatenate([seq, np.arange(513, 577)])  # 64 symbols once each: one class
     aps = build_partition(seq.tolist())
-    assert LargeSequence in {type(s) for s in aps.subs}
+    assert {LargeSequence, BalancedSequence} <= {type(s) for s in aps.subs}
     for built in (aps, build_partition(ABRA)):
-        top = poly_threshold(built.n)
-        want = [None if s == 1 else PolySequence if s <= top else LargeSequence
-                for s in built.partition.sub_sigma.tolist()]
-        assert [None if s is None else type(s) for s in built.subs] == want
+        top, part = poly_threshold(built.n), built.partition
+        want = [None if s == 1 else PolySequence if s <= top
+                else LargeSequence if s == n_l else BalancedSequence
+                for s, n_l in zip(part.sub_sigma.tolist(), part.sub_len.tolist())]
+        for copy in (built, ApSequence.deserialize(built.serialize())):
+            assert [None if s is None else type(s) for s in copy.subs] == want
 
 
 def test_space_report_abracadabra():
@@ -237,6 +251,7 @@ def test_serialize_round_trip():
     rng = np.random.default_rng(23)
     large = rng.integers(1, 257, size=2048)
     large[:256] = np.arange(1, 257)  # classes above floor(lg n) symbols
+    large = np.concatenate([large, np.arange(257, 321)])  # and one permutation class
     for seq, general in [
         (ABRA, False),
         (zipf(rng, 800, 50, 1.0).tolist(), False),
@@ -246,7 +261,7 @@ def test_serialize_round_trip():
     ]:
         aps = build_partition(seq, general_alphabet=general)
         if len(seq) == large.size:
-            assert LargeSequence in {type(s) for s in aps.subs}
+            assert {LargeSequence, BalancedSequence} <= {type(s) for s in aps.subs}
         data = aps.serialize()
         back = ApSequence.deserialize(data)
         assert back.serialize() == data
@@ -343,10 +358,38 @@ def both_sides(seq, general=False):
 
 
 def large_class_input():
+    """2,112 symbols: classes of more than floor(lg n) symbols that repeat
+    some (BalancedSequence stores), then 64 symbols once each, one class
+    (a LargeSequence)."""
     rng = np.random.default_rng(31)
     seq = rng.integers(1, 257, size=2048)
     seq[:256] = np.arange(1, 257)
-    return seq.tolist()
+    return seq.tolist() + list(range(257, 321))
+
+
+def t_edited_across_the_permutation_rule() -> dict:
+    """ApSequence payloads of ``large_class_input()`` whose T moves
+    positions of one class to class 1, so that the class crosses
+    n_l = sigma_l and its store is read as the other kind; M and the
+    stores are as built."""
+    aps = ApSequence(large_class_input())
+    t, part = aps.T.decode(), aps.partition
+    out = {}
+    for name, kind in (("permutation class loses a position", LargeSequence),
+                       ("balanced class down to n_l = sigma_l", BalancedSequence)):
+        l = next(l for l, s in enumerate(aps.subs, 1) if isinstance(s, kind))
+        assert l != 1 and (kind is LargeSequence) == (part.sub_len[l - 1] == part.sub_sigma[l - 1])
+        edited = t.copy()
+        edited[np.flatnonzero(t == l)[: max(1, part.sub_len[l - 1] - part.sub_sigma[l - 1])]] = 1
+        aps.T = PolySequence(edited, alphabet_size=t.max())
+        out[name] = aps.serialize()
+    return out
+
+
+@pytest.mark.parametrize("name", list(t_edited_across_the_permutation_rule()))
+def test_class_moved_across_the_permutation_rule_is_refused(name):
+    with pytest.raises(InputError):
+        ApSequence.deserialize(t_edited_across_the_permutation_rule()[name])
 
 
 MAP_CASES = pytest.mark.parametrize("seq,general", [
@@ -355,15 +398,15 @@ MAP_CASES = pytest.mark.parametrize("seq,general", [
     ([1], False),
     (ABRA, False),
     ([10, 200, 3000, 10, 10, 77, 200, 10], True),  # general alphabet
-    (large_class_input(), False),  # LargeSequence classes
+    (large_class_input(), False),  # BalancedSequence and LargeSequence classes
 ], ids=["one-class", "sigma-1", "n-1", "abra", "general", "large"])
 
 
 @MAP_CASES
 def test_symbol_map_arrays_match_m(seq, general):
     for aps in both_sides(seq, general):
-        if len(seq) == 2048:
-            assert LargeSequence in {type(s) for s in aps.subs}
+        if len(seq) == 2112:
+            assert {LargeSequence, BalancedSequence} <= {type(s) for s in aps.subs}
         check_symbol_map(aps)
 
 

@@ -61,6 +61,22 @@ def test_rank_out_of_range():
         bv.rank(-1, 0)
 
 
+@pytest.mark.parametrize("kind", ["plain", "sparse-ones", "sparse-zeros"])
+def test_bit_other_than_0_or_1_is_refused(kind):
+    """On bits 10010000, rank(8, 2) read 2 on the plain vector and 6 on the
+    sparse one storing ones; every kind now refuses the bit."""
+    bits = np.array([1, 0, 0, 1, 0, 0, 0, 0])
+    bv = {"plain": lambda: PlainBitVector.from_bits(bits),
+          "sparse-ones": lambda: SparseBitVector(8, np.flatnonzero(bits), 1),
+          "sparse-zeros": lambda: SparseBitVector(8, np.flatnonzero(bits == 0), 0)}[kind]()
+    for bit in (2, -1, 8):
+        with pytest.raises(InputError, match="bit must be 0 or 1"):
+            bv.rank(8, bit)
+        with pytest.raises(InputError, match="bit must be 0 or 1"):
+            bv.select(1, bit)
+    assert (bv.rank(8, True), bv.rank(8, False), bv.select(2, True)) == (2, 6, 4)
+
+
 @pytest.mark.parametrize("cls", ["plain", "sparse", "sparse0", "auto"])
 @pytest.mark.parametrize("n,density", [(1, 0.5), (63, 0.5), (64, 0.2), (65, 0.9),
                                        (500, 0.03), (1200, 0.5), (4096, 0.01)])

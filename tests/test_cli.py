@@ -10,16 +10,18 @@ from apds.apseq import ApSequence
 from apds.bitvec import SparseDictionary, bitvector
 from apds.chunkseq import LargeSequence
 from apds.cli import _build_parser, main
-from apds.container import (CRC_START, FORMAT_BYTES, HEADER_BYTES, KIND_INDEX, STRUCTURE_KINDS,
-                            dump_structure, load_structure, pack_container, save_file)
+from apds.container import (CRC_START, FORMAT_BYTES, FORMAT_INTS, HEADER_BYTES, KIND_INDEX,
+                            KIND_SEQ, STRUCTURE_KINDS, dump_structure, load_structure,
+                            pack_container, save_file)
 from apds.selfcheck import suite_sequences
-from apds.wavelet import PolySequence
-from test_apseq import large_class_input
+from apds.wavelet import BalancedSequence, PolySequence
+from test_apseq import large_class_input, t_edited_across_the_permutation_rule
 from test_bitvec import swap_sparse_lows
 from test_cfunction import extra_unit_function
 from test_chunkseq import corrupt_cycle_walk
 from test_container import _structures, reseal
 from test_textindex import all_ones_samples_index
+from test_wavelet import balanced_corruptions
 
 
 def run_cli(capsys, *argv):
@@ -331,7 +333,7 @@ def test_truncated_header_exit_2_without_traceback(abra_file, tmp_path, capsys):
     run_cli(capsys, "build", "--type", "seq", "--input", abra_file,
             "--output", str(out_path))
     data = out_path.read_bytes()
-    # 9 bytes: magic, version 9 and one checksum byte; the whole header
+    # 9 bytes: magic, version 10 and one checksum byte; the whole header
     # but its last byte, the input format
     for cut in (data[:9], data[: HEADER_BYTES - 1]):
         out_path.write_bytes(cut)
@@ -341,16 +343,16 @@ def test_truncated_header_exit_2_without_traceback(abra_file, tmp_path, capsys):
 
 
 def test_bad_container_kind_exit_2_without_traceback(abra_file, tmp_path, capsys):
-    """A version-4 to version-8 file, and, resealed, a seq header over an
+    """A version-4 to version-9 file, and, resealed, a seq header over an
     index payload and an unknown container kind (the byte at CRC_START)."""
     seq_path, index_path = tmp_path / "abra.apds", tmp_path / "abra.idx"
     run_cli(capsys, "build", "--type", "seq", "--input", abra_file,
             "--output", str(seq_path))
     run_cli(capsys, "index", "build", "--input", abra_file, "--output", str(index_path))
     seq, index = seq_path.read_bytes(), index_path.read_bytes()
-    assert seq[4:8] == b"\x09\x00\x00\x00" and seq[CRC_START] == 1 and index[CRC_START] == 4
+    assert seq[4:8] == b"\x0a\x00\x00\x00" and seq[CRC_START] == 1 and index[CRC_START] == 4
     bad = [(seq[:4] + bytes([v]) + seq[5:], f"unsupported container version {v}")
-           for v in (4, 5, 6, 7, 8)]
+           for v in (4, 5, 6, 7, 8, 9)]
     bad += [(reseal(index[:CRC_START] + b"\x01" + index[CRC_START + 1:]), None),
             (reseal(seq[:CRC_START] + b"\x09" + seq[CRC_START + 1:]), "unknown structure kind 9")]
     for i, (data, message) in enumerate(bad):
@@ -444,6 +446,35 @@ def test_corrupt_chunk_histogram_exit_2(tmp_path):
     path.write_bytes(dump_structure(aps))
     assert_exit_2_without_traceback(run_cli_process(
         "query", "--structure", str(path), "--op", "access", "--pos", "1"))
+
+
+class StorePayload:
+    """A class store that serializes as the bytes given."""
+
+    def __init__(self, data: bytes):
+        self.data = data
+
+    def serialize(self) -> bytes:
+        return self.data
+
+
+def test_corrupt_balanced_store_exit_2(tmp_path):
+    """A sequence container, checksum as written, with its first balanced
+    class store made each of ``balanced_corruptions``, or whose T moves a
+    class across n_l = sigma_l, so that its store is read as the other kind."""
+    aps = ApSequence(large_class_input())
+    k = next(k for k, s in enumerate(aps.subs) if isinstance(s, BalancedSequence))
+    cases = []
+    for data, message in balanced_corruptions(aps.subs[k]).values():
+        aps.subs[k] = StorePayload(data)
+        cases.append((dump_structure(aps), message))
+    cases += [(pack_container(KIND_SEQ, FORMAT_INTS, payload), None)
+              for payload in t_edited_across_the_permutation_rule().values()]
+    for i, (data, message) in enumerate(cases):
+        path = tmp_path / f"seq{i}.apds"
+        path.write_bytes(data)
+        assert_exit_2_without_traceback(run_cli_process(
+            "query", "--structure", str(path), "--op", "access", "--pos", "1"), message)
 
 
 def test_int_token_above_int64_exit_2(tmp_path):

@@ -17,7 +17,7 @@ from apds.chunkseq import LargeSequence
 from apds.errors import NotFoundError, OutOfRangeError
 from apds.selfcheck import (BitSequence, _dominant_sequence, _zipf_sequence,
                             rank_select_mismatch, reload)
-from apds.wavelet import PolySequence
+from apds.wavelet import BalancedSequence, PolySequence
 
 
 def _dense(seq):
@@ -32,6 +32,7 @@ FACTORIES = {  # name: (largest alphabet, seq -> (structure, the sequence it sto
                                    s)),
     "poly": (None, lambda s: (PolySequence(s), s)),
     "large": (None, lambda s: (LargeSequence(s), s)),
+    "balanced": (None, lambda s: (BalancedSequence(s), s)),
     "ap-dense": (None, lambda s: (build_partition(_dense(s)), _dense(s))),
     # symbol a stored as 1000 a + 7: a dictionary over a gapped universe
     "ap-general": (None, lambda s: (build_partition(1000 * s + 7, general_alphabet=True),
@@ -49,7 +50,8 @@ SHAPES = {  # name: (rng, n, sigma) -> a sequence over [1..sigma]
 
 def _shape(name, factory):
     """Bitvectors take 700 bits (a padded last word); sequences 300 symbols
-    over 24 (chunks of 24 and a shorter last one in LargeSequence); sigma = n
+    over 24 (chunks of 24 and a shorter last one in LargeSequence, five
+    levels of five words, the last padded, in BalancedSequence); sigma = n
     takes 60 symbols (one class of 60, a LargeSequence, in ApSequence)."""
     sigma = FACTORIES[factory][0] or (60 if name == "sigma=n" else 24)
     n = sigma if name == "sigma=n" else 700 if FACTORIES[factory][0] else 300
@@ -118,7 +120,7 @@ def test_drawn_bit_patterns(factory, seq):
     assert_conforms(factory, seq)
 
 
-@pytest.mark.parametrize("factory", ["poly", "large", "ap-dense", "ap-general"])
+@pytest.mark.parametrize("factory", ["poly", "large", "balanced", "ap-dense", "ap-general"])
 @settings(max_examples=25)
 @given(_sequences())
 @example(np.array([1]))

@@ -39,7 +39,7 @@ def reseal(data: bytes) -> bytes:
 def test_header_layout():
     data = pack_container(KIND_SEQ, FORMAT_BYTES, b"abc")
     assert data[:4] == b"APDS"
-    assert data[4:8] == b"\x09\x00\x00\x00"  # version 9, little-endian
+    assert data[4:8] == b"\x0a\x00\x00\x00"  # version 10, little-endian
     assert data[8:12] == struct.pack("<I", zlib.crc32(bytes([KIND_SEQ, FORMAT_BYTES]) + b"abc"))
     assert (CRC_START, HEADER_BYTES) == (12, 14)
     assert data[CRC_START:] == bytes([KIND_SEQ, FORMAT_BYTES]) + b"abc"
@@ -51,7 +51,7 @@ def test_bad_magic_and_version():
     with pytest.raises(InputError, match="bad magic"):
         unpack_container(b"NOPE" + b"\x00" * 16)
     good = pack_container(KIND_SEQ, 0, b"abcdef")
-    for version in (8, 10):  # a v8 file ends here, as v1 files did at v2
+    for version in (9, 11):  # a v9 file ends here, as v1 files did at v2
         bad = bytearray(good)
         bad[4] = version
         with pytest.raises(InputError, match=f"unsupported container version {version}"):
@@ -145,12 +145,12 @@ def _pinned_structures():
 # sha256 of each container of _pinned_structures(); a format change updates
 # these and says so in CHANGES.md
 PINNED_SHA256 = [
-    "d62962cb0b4ef85bdfe7c2d8c36cb39f8b3c9ad3ad75287c1bdcdfdec2b25e38",
-    "938706678e00e1390328ef97e5c25580f6974422e7b06285a75d06a6fb832016",
-    "f93c5dcd90c2e8e937aa3691fc4e77cca79a379c2928ad83fce9f028bc33fb19",
-    "25572ef3538e2493a851613fb97585cf8800a37b80a8e7df7b2f816d7f651dad",
-    "f6af67509fb6e886c571ff7ea87f29cca51a4d7c14e5aba94ad5c7be46ecffae",
-    "af7b83a71edd55135a8de5a8d82b00e680d031ce89bb4bf9968498531c6e3cbf",
+    "26d84864afa3713e5bf41a8dc4583ed36a8da8352275c478417525420367b004",
+    "a74a2c2c9d981355fb88f15e0001939676c5e8abd3bedba69dea187d235ef789",
+    "d1fcbe69fb8b210bfb876b0548f0d7b579e028f9443adad211e9ee14e44b921a",
+    "cb5cbf8916bd311cc11854e51baf53d8127af916139f4e5f1151cac00f86393f",
+    "3fdfddacc931acb1dc6e71cd24a12f35603220246a7c5d5d6ec7efc005b3d364",
+    "ba4fca63f01e09e8dbb2890deda784927d22019f3610d81cd3e22467575aa75b",
 ]
 
 

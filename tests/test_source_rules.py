@@ -3,6 +3,8 @@
 import ast
 import pathlib
 
+import numpy as np
+
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "apds"
 
 
@@ -67,3 +69,26 @@ def test_wavelet_reads_only_the_plain_directory_of_a_bitvector():
              for arg in node.args[1:2]
              if isinstance(arg, ast.Constant) and str(arg.value).startswith("_")}
     assert read == {"_word_view", "_cum"}
+
+
+def _results(expr) -> set:
+    """The names a return expression can give: a name, or either branch of
+    a conditional expression (None gives none)."""
+    if isinstance(expr, ast.IfExp):
+        return _results(expr.body) | _results(expr.orelse)
+    return {expr.id} if isinstance(expr, ast.Name) else set()
+
+
+def test_every_class_store_has_a_conformance_row():
+    # each store that apseq._store_for can pick is held to the shared
+    # checker on its own, as a row of test_conformance.FACTORIES
+    from test_conformance import FACTORIES
+
+    tree = ast.parse((SRC / "apseq.py").read_text())
+    rule = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "_store_for")
+    returned = set().union(*(_results(node.value) for node in ast.walk(rule)
+                             if isinstance(node, ast.Return)))
+    rows = {type(make(np.array([1, 2, 2, 3]))[0]).__name__ for _, make in FACTORIES.values()}
+    assert returned == {"PolySequence", "LargeSequence", "BalancedSequence"}
+    assert returned <= rows, returned - rows

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from apds.bits import ByteWriter
+from apds.bits import ByteWriter, pack_fixed, unpack_bits
 from apds.bitvec import PlainBitVector, SparseBitVector, bitvector
 from apds.errors import InputError, NotFoundError, OutOfRangeError
 from apds.selfcheck import rank_select_mismatch, reload
 from apds.stats import h0
-from apds.wavelet import PolySequence, huffman_code_lengths, matrix_shape
+from apds.wavelet import BalancedSequence, PolySequence, huffman_code_lengths, matrix_shape
 
 
 T_ABRA = [4, 9, 9, 4, 12, 4, 12, 4, 9, 9, 4]  # class string of "abracadabra"
@@ -321,3 +321,107 @@ def test_plain_levels_are_read_inline(monkeypatch):
     mixed.access_rank(321)
     assert ("sparse", "access_rank") in calls
     assert {kind for kind, _ in calls} == {"sparse"}
+
+
+# --- BalancedSequence ------------------------------------------------------------
+
+
+def test_balanced_levels_are_an_lsb_first_radix_sort():
+    """Level d holds bit d of each code c - 1 in the order of the codes'
+    bits below d, so the leaves end in symbol order; the levels are one
+    vector, each level padded to whole words."""
+    seq = np.random.default_rng(4).integers(1, 12, size=150)  # 11 symbols: 4 levels
+    bs = BalancedSequence(seq)
+    assert (bs.sigma, bs.n, len(bs._walk)) == (11, 150, 4)
+    rows = unpack_bits(bs._bv.words, len(bs._bv)).reshape(4, 192)
+    code = seq - 1
+    for d, row in enumerate(rows):
+        assert row[:150].tolist() == ((code >> d) & 1).tolist() and not row[150:].any()
+        code = code[np.argsort((code >> d) & 1, kind="stable")]
+    assert code.tolist() == sorted(seq - 1)
+    assert np.array_equal(bs.symbol_counts(), np.bincount(seq, minlength=12)[1:])
+
+
+def test_balanced_one_symbol_has_no_levels():
+    bs = BalancedSequence([1] * 70)
+    assert bs._bv.words.size == 0 and bs.payload_bits() == 0
+    assert (bs.access_rank(9), bs.rank(1, 70), bs.select(1, 70)) == ((1, 9), 70, 70)
+    assert BalancedSequence.deserialize(bs.serialize()).serialize() == bs.serialize()
+
+
+def balanced_payload(sigma, low, width, packed, words) -> bytes:
+    w = ByteWriter()
+    w.uint(sigma)
+    w.uint(low)
+    w.uint(width)
+    w.ints(packed)
+    w.ints(words)
+    return w.getvalue()
+
+
+def balanced_corruptions(bs) -> dict:
+    """Payloads of ``bs`` that load must refuse, by name, each with a word
+    of its error.  ``bs`` has a length that is not a multiple of 64."""
+    counts = bs.symbol_counts()
+    low, words = int(counts.min()), bs._bv.words
+    width = int(counts.max() - low).bit_length()
+    offsets = (counts - low).astype(np.uint64)
+    packed = pack_fixed(offsets, width)
+    nw = words.size // len(bs._walk)
+    assert bs.n % 64 and balanced_payload(
+        bs.sigma, low, width, packed, words) == bs.serialize()
+    padded, flipped = words.copy(), words.copy()
+    padded[nw - 1] |= np.uint64(1 << 63)  # past n in level 0's last word
+    flipped[nw] ^= np.uint64(1)  # the first bit of level 1
+    out = {
+        "extra word": (balanced_payload(bs.sigma, low, width, packed, np.append(words, 0)),
+                       "words do not match"),
+        "missing word": (balanced_payload(bs.sigma, low, width, packed, words[:-1]),
+                         "words do not match"),
+        "padding bit": (balanced_payload(bs.sigma, low, width, packed, padded), "padding bit"),
+        "level zeros": (balanced_payload(bs.sigma, low, width, packed, flipped),
+                        "does not match the symbol counts"),
+        "wider counts": (balanced_payload(bs.sigma, low, width + 1,
+                                          pack_fixed(offsets, width + 1), words),
+                         "not offsets from their minimum"),
+        "minimum": (balanced_payload(bs.sigma, low - 1, width + 1,
+                                     pack_fixed(offsets + 1, width + 1), words),
+                    "not offsets from their minimum"),
+        "count width": (balanced_payload(bs.sigma, low, width + 40, packed, words),
+                        "wrong width or length"),
+        "count length": (balanced_payload(bs.sigma, low, width, np.append(packed, 0), words),
+                         "wrong width or length"),
+
+        "no symbols": (balanced_payload(0, 0, 0, [], []), "wrong width or length"),
+        "2**40 symbols": (balanced_payload(1 << 40, 1, 0, [], words), "wrong width or length"),
+    }
+    if packed.size:  # a bit past the last count (sigma * width % 64 > 0)
+        packed = packed.copy()
+        packed[-1] |= np.uint64(1 << 63)
+        out["count padding"] = (balanced_payload(bs.sigma, low, width, packed, words),
+                                "wrong width or length")
+    return out
+
+
+@pytest.mark.parametrize("counts", ["varied", "equal"])
+def test_balanced_load_refuses_counts_and_words_that_disagree(counts):
+    """40 symbols (6 levels) of 1,000 positions, their counts stored at 5
+    bits or at width 0, as an ApSequence class of one frequency has them."""
+    seq = np.random.default_rng(6).integers(1, 41, size=1000)
+    if counts == "equal":
+        seq = np.repeat(np.arange(1, 41), 25)
+    for data, message in balanced_corruptions(BalancedSequence(seq)).values():
+        with pytest.raises(InputError, match=message):
+            BalancedSequence.deserialize(data)
+
+
+def test_balanced_access_refuses_a_code_past_the_alphabet():
+    """Symbols 2, 3 (codes 01, 10) with level 1's two bits swapped: every
+    zero count holds, but position 1 spells code 11, past the three symbols."""
+    bs = BalancedSequence([2, 3], alphabet_size=3)
+    assert bs._bv.words.tolist() == [0b01, 0b01]
+    data = bs.serialize()
+    bad = BalancedSequence.deserialize(data.replace(bytes([1, 2, 1, 1]), bytes([1, 2, 1, 2])))
+    assert bad.access(2) == 1  # code 00: a wrong answer no check can see
+    with pytest.raises(InputError, match="past the alphabet"):
+        bad.access(1)
