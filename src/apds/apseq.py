@@ -9,23 +9,24 @@ sequence onto each class is stored nearly plain, in the store that
 
     sigma_l = 1                      no store (see below)
     sigma_l <= poly_threshold(n)     PolySequence, a Huffman-shaped wavelet matrix
-    sigma_l = n_l, above that        LargeSequence, the chunked large-alphabet store
+    sigma_l = n_l, above that        LargeSequence, a permutation with a cycle-walk inverse
     any other class                  BalancedSequence, a balanced wavelet matrix
 
 The rule is measured (CPython 3.11, one Xeon core, 200 random queries).
 A class with sigma_l = n_l holds each member once, so s_l is a
-permutation, LargeSequence is one chunk and its access is one read of the
-permutation and one select: 2.2 us at sigma_l = n_l = 10^4, against 5.2 us
-for a walk of the balanced matrix's 14 levels.  A disjoint-set stream
-over 10^4 elements, whose first id sequence is one such class and whose
-ops are all accesses, ran 16 % slower and loaded 40 % slower with every
-large class balanced.
-Every other large class repeats symbols, and there LargeSequence's rank
-binary searches a bucket through cycle walks: on classes of sigma_l from
-24 to 11,389, the balanced matrix answers rank in 1.6-4.3 us
-(LargeSequence 8.1-26.6), select in 6.8-19.7 us (8.8-28.1) and access in
-1.9-5.3 us (2.1-2.3), and a Zipf sequence of 2^20 symbols over 2^16 takes
-12.7 bits per symbol in place of 15.0.
+permutation, which LargeSequence stores as its packed values: access is
+one read, 0.5 us at sigma_l = n_l = 10^4 against 4.8 us for a walk of the
+balanced matrix's 14 levels, and rank and select walk a cycle (0.7 us on
+the identity, 23 us on a random permutation, where the matrix takes 3.8
+and 18).  A disjoint-set stream over 10^4 elements, whose first id
+sequence is one such class and whose ops are all accesses, ran 16 %
+slower and loaded 40 % slower with every large class balanced.
+Every other large class repeats symbols.  Against the chunked store that
+held such classes up to container v9, the balanced matrix answers rank in
+1.6-4.3 us (8.1-26.6) on classes of sigma_l from 24 to 11,389, select in
+6.8-19.7 us (8.8-28.1) and access in 1.9-5.3 us (2.1-2.3), and a Zipf
+sequence of 2^20 symbols over 2^16 takes 12.7 bits per symbol in place
+of 15.0.
 
 A symbol->class map m of length sigma gives each symbol a its class
 cls[a] and its local symbol local[a], its rank among the members of that
@@ -284,7 +285,6 @@ class ApSequence:
         if not 1 <= i <= self.n:
             raise OutOfRangeError(f"position {i} out of [1..{self.n}]")
         li, pos = self.T.access_rank(i)
-        # access, not access_rank: a LargeSequence rank costs a select more
         x = 1 if (sub := self.subs[li - 1]) is None else sub.access(pos)
         return self._external_symbol(self._order[self._class_start[li] + x - 1])
 

@@ -37,11 +37,10 @@ index or function) keeps its sorted values in memory and a bitvector of
 them on disk: the container holds the Elias-Fano form, queries a bisect.
 
 ``unary_counts`` writes counts c_1..c_m as 1 0^c_1 1 ... 0^c_m 1, the one
-layout of every unary count vector (chunk histograms and distributions, a
-function's delimiter bitmap, the block relation's P): count_before(a) =
-select1(a) - a is c_1 + ... + c_(a-1), count_owner(x) = select0(x) - x is
-the a whose run holds unit (zero) x, and counts_before gives every
-count_before at once.
+layout of every unary count vector (a function's delimiter bitmap, the
+block relation's P): count_before(a) = select1(a) - a is c_1 + ... +
+c_(a-1), count_owner(x) = select0(x) - x is the a whose run holds unit
+(zero) x, and counts_before gives every count_before at once.
 """
 
 from __future__ import annotations

@@ -282,8 +282,9 @@ def _build_parser():
 
     c = sub.add_parser("selfcheck", help="run oracle property suites", description=(
         "rank_select_mismatch checks PlainBitVector and SparseBitVector storing ones and zeros "
-        "(bitvectors suite), ApSequence, PolySequence, BalancedSequence and LargeSequence "
-        "(sequences), each built and loaded; the other suites replay queries against naive scans."))
+        "(bitvectors suite), and ApSequence, PolySequence and BalancedSequence on each trial's "
+        "sequence and LargeSequence on its stable argsort, a permutation (sequences), each built "
+        "and loaded; the other suites replay queries against naive scans."))
     c.add_argument("--seed", type=int, default=1)
     c.add_argument("--iters", type=int, default=20)
     c.add_argument("--max-n", type=int, default=256)

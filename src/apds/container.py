@@ -2,7 +2,7 @@
 
 Layout (header integers little-endian, fixed width):
 
-    "APDS" | u32 version=10 | u32 CRC32 | u8 kind | u8 input-format | payload
+    "APDS" | u32 version=11 | u32 CRC32 | u8 kind | u8 input-format | payload
 
 A kind is declared in one place, its row of ``STRUCTURE_KINDS``: the kind
 byte, the name (``apds build --type``), the class and the ``apds query``
@@ -18,10 +18,10 @@ no value that load can compute: directories, counts, class values,
 lengths such as n and sigma, a ``PolySequence``'s code lengths (derived
 from its symbol counts by ``wavelet.huffman_code_lengths``), the store
 of a one-symbol class of an ``ApSequence`` (fixed by the class's count in
-T) and the kind of each class store (``apseq._store_for`` picks it from
-the class's alphabet size in M and its length in T).  Two stored values
-are implied by others: a ``PolySequence``'s symbol counts, which its
-levels imply, and a ``LargeSequence``'s n, which its count vectors imply.
+T), the kind of each class store (``apseq._store_for`` picks it from
+the class's alphabet size in M and its length in T) and a
+``LargeSequence``'s n, since n = sigma.  One stored value is implied by
+others: a ``PolySequence``'s symbol counts, which its levels imply.
 Every unary count vector is a ``bitvec.unary_counts`` vector.
 
 A ``BalancedSequence`` writes sigma, its symbol counts as offsets from
@@ -32,7 +32,11 @@ ceil(lg sigma), the leaf starts, each level's zero count and the one
 directory over all levels, and refuses counts not at their least width
 or not offsets from their minimum, a sigma too large for the payload, a
 word count that disagrees with sigma and n, a set padding bit and a level
-whose zero count disagrees with the counts.
+whose zero count disagrees with the counts.  A ``LargeSequence`` (a class
+whose members each occur once) writes sigma, its permutation at
+ceil(lg sigma) bits per value, its cycle marks and its back pointers;
+load refuses marks over other than sigma positions and word counts that
+disagree with sigma and the marks.
 
 A permutation payload is its layout tag (the run kind's index in
 ``permutation.KINDS`` plus one), its layout and its power companion (an
@@ -58,7 +62,10 @@ table; 9 stores the index's SA samples as (sa - 1) / rate and no inverse
 samples, where 8 stored both at the bit length of n; 10 stores an
 ``ApSequence`` class with repeated symbols and more than
 ``apseq.poly_threshold`` of them as a ``BalancedSequence``, where 9 stored
-it as a ``LargeSequence``.  Files of any version but 10 are refused.
+it as a ``LargeSequence``; 11 stores a permutation class (each member
+once) as sigma, the permutation, its cycle marks and back pointers, where
+10 also stored n and two unary count vectors of ones.  Files of any
+version but 11 are refused.
 """
 
 from __future__ import annotations
@@ -74,7 +81,7 @@ from .permutation import RunPermutation
 from .textindex import FmIndex
 
 MAGIC = b"APDS"
-VERSION = 10
+VERSION = 11
 _HEAD = struct.Struct("<4sII")  # magic, version, CRC32
 CRC_START = _HEAD.size  # the checksum covers data[CRC_START:]
 HEADER_BYTES = CRC_START + 2  # then the kind and the input format

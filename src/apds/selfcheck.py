@@ -3,7 +3,8 @@
 One checker, ``rank_select_mismatch``, holds a rank/select structure to
 numpy prefix counts of its input: ``bitvectors`` runs it on PlainBitVector
 and SparseBitVector storing ones and zeros (through ``BitSequence``),
-``sequences`` on ApSequence, PolySequence, BalancedSequence and
+``sequences`` on ApSequence, PolySequence, BalancedSequence and, over
+the stable argsort of each trial's sequence (a permutation),
 LargeSequence, each built and loaded.  The other suites replay queries
 against naive scans.  A failure is shrunk to a small witness.  The fault
 hook corrupts the oracle's input or one comparison, so the harness itself
@@ -174,21 +175,21 @@ def _raise_last(seq: list) -> list:
     return seq[:-1] + [seq[-1] + 1]
 
 
-def _stores_mismatch(stores, seq) -> tuple[str | None, int]:
-    """The first witness of any store, built or loaded, against ``seq``
-    (a load error is one), and how many queries were asked.  ``stores``
-    holds (store, the symbols it is asked rank of at every i) pairs."""
+def _stores_mismatch(stores) -> tuple[str | None, int]:
+    """The first witness of any store, built or loaded, against the
+    sequence it stores (a load error is one), and how many queries were
+    asked.  ``stores`` holds (store, that sequence) pairs."""
     asked = 0
-    for built, symbols in stores:
+    for built, seq in stores:
         name = type(getattr(built, "bv", built)).__name__
         try:
             loaded = reload(built)
         except Exception as exc:
             return f"loading {name} raised {exc!r}", asked
         for label, struct in (("built", built), ("loaded", loaded)):
-            if witness := rank_select_mismatch(struct, seq, symbols):
+            if witness := rank_select_mismatch(struct, seq):
                 return f"{label} {name}: {witness}", asked
-            asked += sum(len(args) for _, args, _ in _queries(struct, np.asarray(seq), symbols))
+            asked += sum(len(args) for _, args, _ in _queries(struct, np.asarray(seq), None))
     return None, asked
 
 
@@ -205,8 +206,8 @@ def suite_bitvectors(rng, iters, max_n, fault=False):
         seq = (bits + 1).tolist()
         stores = [PlainBitVector.from_bits(bits), SparseBitVector(n, np.flatnonzero(bits), 1),
                   SparseBitVector(n, np.flatnonzero(bits == 0), 0)]
-        witness, asked = _stores_mismatch([(BitSequence(bv), None) for bv in stores],
-                                          _raise_last(seq) if fault and trial == 0 else seq)
+        oracle = _raise_last(seq) if fault and trial == 0 else seq
+        witness, asked = _stores_mismatch([(BitSequence(bv), oracle) for bv in stores])
         if witness:
             raise CheckFailure("bitvectors", f"{witness} on bits {bits[:64].tolist()}...")
         checks += asked
@@ -214,8 +215,9 @@ def suite_bitvectors(rng, iters, max_n, fault=False):
 
 
 def suite_sequences(rng, iters, max_n, fault=False):
-    """ApSequence over a general alphabet, PolySequence, BalancedSequence
-    and LargeSequence, built and loaded.  The last trial draws
+    """ApSequence over a general alphabet, PolySequence and BalancedSequence,
+    and LargeSequence over the sequence's stable argsort, built and loaded,
+    each asked about every symbol.  The last trial draws
     ``_dominant_sequence`` at n = max(max_n, SPARSE_MIN_BITS), so every run
     walks a sparse level and plain ones."""
     checks = 0
@@ -230,19 +232,17 @@ def suite_sequences(rng, iters, max_n, fault=False):
             seq = (_zipf_sequence(rng, n, sigma) if trial % 2
                    else rng.integers(1, sigma + 1, size=n))
         oracle = _raise_last if fault and trial == 0 else list
-        # LargeSequence.rank is the slowest: eight symbols and an absent one
-        # at every i, the others around their occurrences
-        spread = [*range(1, sigma + 1, -(-sigma // 8)), sigma + 1]
 
         def mismatch(s):
+            perm = (np.argsort(s, kind="stable") + 1).tolist()
             try:
-                stores = [(build_partition(s, general_alphabet=True), None),
-                          (PolySequence(s, alphabet_size=sigma), None),
-                          (BalancedSequence(s, alphabet_size=sigma), None),
-                          (LargeSequence(s, alphabet_size=sigma), spread)]
+                stores = [(build_partition(s, general_alphabet=True), s),
+                          (PolySequence(s, alphabet_size=sigma), s),
+                          (BalancedSequence(s, alphabet_size=sigma), s),
+                          (LargeSequence(perm), perm)]
             except Exception as exc:  # build errors are failures here
                 return f"build raised {exc!r}", 0
-            return _stores_mismatch(stores, oracle(s))
+            return _stores_mismatch([(store, oracle(x)) for store, x in stores])
 
         witness, asked = mismatch(seq.tolist())
         if witness:

@@ -17,7 +17,7 @@ from apds.dsets import DisjointSetCollection
 from apds.permutation import KINDS, build_run_permutation, decompose_runs
 from apds.stats import h0, h_runs
 from apds.textindex import BlockRelation, BlockStore, FmIndex, suffix_array, bwt_of
-from apds.wavelet import PolySequence
+from apds.wavelet import BalancedSequence, PolySequence
 from nl_corpus import natural_text
 
 RNG = np.random.default_rng(20260809)
@@ -114,6 +114,7 @@ def _check_exhaustive(structure, seq, rank_fn, select_fn, access_fn):
 def test_criterion_3_oracle_equivalence():
     t0 = time.monotonic()
     rng = np.random.default_rng(303)
+    perm_rng = np.random.default_rng(304)  # the LargeSequence rows draw apart from the others
     checks = 0
     ladder = [(1, 1), (2, 2), (3, 2), (5, 3), (8, 7), (16, 16), (33, 4),
               (64, 61), (127, 3), (256, 64), (511, 128), (512, 512)]
@@ -123,8 +124,11 @@ def test_criterion_3_oracle_equivalence():
         checks += _check_exhaustive(aps, seq, aps.rank, aps.select, aps.access)
         ps = PolySequence(seq, alphabet_size=sigma)
         checks += _check_exhaustive(ps, seq, ps.rank, ps.select, ps.access)
-        ls = LargeSequence(seq, alphabet_size=sigma)
-        checks += _check_exhaustive(ls, seq, ls.rank, ls.select, ls.access)
+        bal = BalancedSequence(seq, alphabet_size=sigma)
+        checks += _check_exhaustive(bal, seq, bal.rank, bal.select, bal.access)
+        perm = (perm_rng.permutation(n) + 1).tolist()
+        ls = LargeSequence(perm, alphabet_size=n)
+        checks += _check_exhaustive(ls, perm, ls.rank, ls.select, ls.access)
         for b in (1, 2, 3, 4):
             bs = BlockStore(seq, block_len=b)
             rel = BlockRelation(bs)
@@ -137,7 +141,7 @@ def test_criterion_3_oracle_equivalence():
                   zipf_or_uniform(rng, 1 << 16, 64, 1.0)]
     big = [build_partition(big_inputs[0].tolist()),
            PolySequence(big_inputs[1].tolist(), alphabet_size=16),
-           LargeSequence(big_inputs[2].tolist(), alphabet_size=1024)]
+           BalancedSequence(big_inputs[2].tolist(), alphabet_size=1024)]
     bs = BlockStore(big_inputs[3].tolist(), block_len=2)
     big.append(BlockRelation(bs))
     for arr, st in zip(big_inputs, big):

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from apds.apseq import ApSequence
-from apds.bitvec import SparseDictionary, bitvector
-from apds.chunkseq import LargeSequence
+from apds.bitvec import SparseDictionary
 from apds.cli import _build_parser, main
 from apds.container import (CRC_START, FORMAT_BYTES, FORMAT_INTS, HEADER_BYTES, KIND_INDEX,
                             KIND_SEQ, STRUCTURE_KINDS, dump_structure, load_structure,
@@ -333,7 +332,7 @@ def test_truncated_header_exit_2_without_traceback(abra_file, tmp_path, capsys):
     run_cli(capsys, "build", "--type", "seq", "--input", abra_file,
             "--output", str(out_path))
     data = out_path.read_bytes()
-    # 9 bytes: magic, version 10 and one checksum byte; the whole header
+    # 9 bytes: magic, version 11 and one checksum byte; the whole header
     # but its last byte, the input format
     for cut in (data[:9], data[: HEADER_BYTES - 1]):
         out_path.write_bytes(cut)
@@ -343,16 +342,16 @@ def test_truncated_header_exit_2_without_traceback(abra_file, tmp_path, capsys):
 
 
 def test_bad_container_kind_exit_2_without_traceback(abra_file, tmp_path, capsys):
-    """A version-4 to version-9 file, and, resealed, a seq header over an
+    """A version-4 to version-10 file, and, resealed, a seq header over an
     index payload and an unknown container kind (the byte at CRC_START)."""
     seq_path, index_path = tmp_path / "abra.apds", tmp_path / "abra.idx"
     run_cli(capsys, "build", "--type", "seq", "--input", abra_file,
             "--output", str(seq_path))
     run_cli(capsys, "index", "build", "--input", abra_file, "--output", str(index_path))
     seq, index = seq_path.read_bytes(), index_path.read_bytes()
-    assert seq[4:8] == b"\x0a\x00\x00\x00" and seq[CRC_START] == 1 and index[CRC_START] == 4
+    assert seq[4:8] == b"\x0b\x00\x00\x00" and seq[CRC_START] == 1 and index[CRC_START] == 4
     bad = [(seq[:4] + bytes([v]) + seq[5:], f"unsupported container version {v}")
-           for v in (4, 5, 6, 7, 8, 9)]
+           for v in (4, 5, 6, 7, 8, 9, 10)]
     bad += [(reseal(index[:CRC_START] + b"\x01" + index[CRC_START + 1:]), None),
             (reseal(seq[:CRC_START] + b"\x09" + seq[CRC_START + 1:]), "unknown structure kind 9")]
     for i, (data, message) in enumerate(bad):
@@ -434,18 +433,6 @@ def test_corrupt_dictionary_exit_2(tmp_path, capsys):
     assert_exit_2_without_traceback(run_cli_process(
         "query", "--structure", str(out_path), "--op", "access", "--pos", "1"),
         "dictionary")
-
-
-def test_corrupt_chunk_histogram_exit_2(tmp_path):
-    """A sequence whose first large class store has one unit too many in
-    its histogram."""
-    aps = ApSequence(large_class_input())
-    ls = next(s for s in aps.subs if isinstance(s, LargeSequence))
-    ls._hist = bitvector(np.append(ls._hist.to_bits(), 0))
-    path = tmp_path / "seq.apds"
-    path.write_bytes(dump_structure(aps))
-    assert_exit_2_without_traceback(run_cli_process(
-        "query", "--structure", str(path), "--op", "access", "--pos", "1"))
 
 
 class StorePayload:

@@ -24,6 +24,11 @@ def _dense(seq):
     return np.unique(seq, return_inverse=True)[1].reshape(-1) + 1
 
 
+def _argsort(seq):
+    """The permutation that any sequence gives: its stable argsort, plus one."""
+    return np.argsort(seq, kind="stable") + 1
+
+
 FACTORIES = {  # name: (largest alphabet, seq -> (structure, the sequence it stores))
     "plain": (2, lambda s: (BitSequence(PlainBitVector.from_bits(s - 1)), s)),
     "sparse-ones": (2, lambda s: (BitSequence(SparseBitVector(s.size, np.flatnonzero(s == 2), 1)),
@@ -31,7 +36,7 @@ FACTORIES = {  # name: (largest alphabet, seq -> (structure, the sequence it sto
     "sparse-zeros": (2, lambda s: (BitSequence(SparseBitVector(s.size, np.flatnonzero(s == 1), 0)),
                                    s)),
     "poly": (None, lambda s: (PolySequence(s), s)),
-    "large": (None, lambda s: (LargeSequence(s), s)),
+    "large": (None, lambda s: (LargeSequence(_argsort(s)), _argsort(s))),
     "balanced": (None, lambda s: (BalancedSequence(s), s)),
     "ap-dense": (None, lambda s: (build_partition(_dense(s)), _dense(s))),
     # symbol a stored as 1000 a + 7: a dictionary over a gapped universe
@@ -50,9 +55,10 @@ SHAPES = {  # name: (rng, n, sigma) -> a sequence over [1..sigma]
 
 def _shape(name, factory):
     """Bitvectors take 700 bits (a padded last word); sequences 300 symbols
-    over 24 (chunks of 24 and a shorter last one in LargeSequence, five
-    levels of five words, the last padded, in BalancedSequence); sigma = n
-    takes 60 symbols (one class of 60, a LargeSequence, in ApSequence)."""
+    over 24 (five levels of five words, the last padded, in
+    BalancedSequence; LargeSequence stores their argsort, a permutation of
+    300 in 24 increasing runs at most); sigma = n takes 60 symbols (one
+    class of 60, a LargeSequence, in ApSequence)."""
     sigma = FACTORIES[factory][0] or (60 if name == "sigma=n" else 24)
     n = sigma if name == "sigma=n" else 700 if FACTORIES[factory][0] else 300
     return np.asarray(SHAPES[name](np.random.default_rng(1), n, sigma), dtype=np.int64)
@@ -132,9 +138,9 @@ def test_drawn_sequences(factory, seq):
 def test_large_sequence_answers_symbols_outside_its_alphabet():
     """rank 0 and NotFoundError, as the other sequences answer; the
     position is checked first."""
-    ls = LargeSequence([1, 2, 3, 2, 1, 3, 3], alphabet_size=3)
-    assert [ls.rank(a, 4) for a in (0, 4, 10**9)] == [0, 0, 0]
-    for a in (0, 4):
+    ls = LargeSequence([5, 2, 7, 1, 3, 6, 4], alphabet_size=7)
+    assert [ls.rank(a, 4) for a in (0, 8, 10**9)] == [0, 0, 0]
+    for a in (0, 8):
         with pytest.raises(NotFoundError):
             ls.select(a, 1)
         with pytest.raises(OutOfRangeError):

@@ -39,7 +39,7 @@ def reseal(data: bytes) -> bytes:
 def test_header_layout():
     data = pack_container(KIND_SEQ, FORMAT_BYTES, b"abc")
     assert data[:4] == b"APDS"
-    assert data[4:8] == b"\x0a\x00\x00\x00"  # version 10, little-endian
+    assert data[4:8] == b"\x0b\x00\x00\x00"  # version 11, little-endian
     assert data[8:12] == struct.pack("<I", zlib.crc32(bytes([KIND_SEQ, FORMAT_BYTES]) + b"abc"))
     assert (CRC_START, HEADER_BYTES) == (12, 14)
     assert data[CRC_START:] == bytes([KIND_SEQ, FORMAT_BYTES]) + b"abc"
@@ -51,7 +51,7 @@ def test_bad_magic_and_version():
     with pytest.raises(InputError, match="bad magic"):
         unpack_container(b"NOPE" + b"\x00" * 16)
     good = pack_container(KIND_SEQ, 0, b"abcdef")
-    for version in (9, 11):  # a v9 file ends here, as v1 files did at v2
+    for version in (10, 12):  # a v10 file ends here, as v1 files did at v2
         bad = bytearray(good)
         bad[4] = version
         with pytest.raises(InputError, match=f"unsupported container version {version}"):
@@ -132,25 +132,29 @@ def test_deterministic_bytes():
 
 def _pinned_structures():
     """``_structures()``, then a Zipf-skewed sequence and a k = 1 index of
-    natural text, both with one-symbol classes."""
+    natural text, both with one-symbol classes, and a permutation of
+    [1..300] as a sequence: one class, a LargeSequence."""
     zipf = np.repeat(np.arange(1, 65), [4096 // a for a in range(1, 65)])  # theta = 1
     seq = build_partition(np.random.default_rng(7).permutation(zipf).tolist(),
                           general_alphabet=True)
     index = FmIndex(natural_text(1 << 12), k_context=1)
+    perm = build_partition(np.random.default_rng(8).permutation(300) + 1)
     assert (seq.partition.sub_sigma == 1).any()
     assert any((part.partition.sub_sigma == 1).any() for part in index.parts)
-    return [obj for obj, _ in _structures()] + [seq, index]
+    assert [type(s) for s in perm.subs] == [LargeSequence]
+    return [obj for obj, _ in _structures()] + [seq, index, perm]
 
 
 # sha256 of each container of _pinned_structures(); a format change updates
 # these and says so in CHANGES.md
 PINNED_SHA256 = [
-    "26d84864afa3713e5bf41a8dc4583ed36a8da8352275c478417525420367b004",
-    "a74a2c2c9d981355fb88f15e0001939676c5e8abd3bedba69dea187d235ef789",
-    "d1fcbe69fb8b210bfb876b0548f0d7b579e028f9443adad211e9ee14e44b921a",
-    "cb5cbf8916bd311cc11854e51baf53d8127af916139f4e5f1151cac00f86393f",
-    "3fdfddacc931acb1dc6e71cd24a12f35603220246a7c5d5d6ec7efc005b3d364",
-    "ba4fca63f01e09e8dbb2890deda784927d22019f3610d81cd3e22467575aa75b",
+    "0eedb0abe18623a344f0ff0fbf298a5f353414e0c1e1cd001d39b34ef34e33a6",
+    "1cd85668100d293bee5aad7f2bf3cbe3b50f1cd7bed40a3ef0e826b7d1572620",
+    "53051cbc25d4556a513566080e9df614719bef04f28ca76789c10535cf5923f3",
+    "2ceda9795b90f60c58ce1e693e5a49f0425aa8d6cf756eba63b625812b4f6dd3",
+    "0213336d7fbc5b52ef5a449739a8b19255cd783d84bb6503308e78e2c2b9cbed",
+    "d6da15d6c099ad555ab45921cb8df476ea563cb8214544b334cbe0968ee35d2f",
+    "b70efd30e747e809a25b08ff8ff4ce50c0bd5b4c38a50a74531dd8fc4bad650c",
 ]
 
 
@@ -265,7 +269,7 @@ def _loaders():
     cases = [
         ("ApSequence", build_partition(seq * 1009, general_alphabet=True), ApSequence.deserialize),
         ("PolySequence", PolySequence(seq), PolySequence.deserialize),
-        ("LargeSequence", LargeSequence(seq), LargeSequence.deserialize),
+        ("LargeSequence", LargeSequence(pi), LargeSequence.deserialize),
         ("plain bitvector", bitvector(seq % 2), load_bitvector),
         ("sparse bitvector", bitvector(sparse), load_bitvector),
         ("SparseDictionary", SparseDictionary([3, 9, 40, 1000]), SparseDictionary.deserialize),

@@ -97,8 +97,7 @@ SERIALIZED = {
     "ApSequence": (lambda: np.random.default_rng(1).permutation(np.arange(300) % 100 + 1),
                    ApSequence),
     "PolySequence": (lambda: np.random.default_rng(2).integers(1, 6, size=200), PolySequence),
-    "LargeSequence": (lambda: np.random.default_rng(2).integers(1, 60, size=200),
-                      LargeSequence),
+    "LargeSequence": (lambda: np.random.default_rng(2).permutation(100) + 1, LargeSequence),
     "FmIndex": (lambda: text_array(b"abracadabra alakazam"), FmIndex),
     "CompressedFunction direct": (_function_values, CompressedFunction),
     "CompressedFunction runs": (_function_values,
