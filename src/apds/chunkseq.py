@@ -21,21 +21,30 @@ from .bitvec import bitvector, load_bitvector
 from .errors import InputError, NotFoundError, OutOfRangeError
 
 
-def cycle_order(succ: list) -> tuple[np.ndarray, np.ndarray]:
+def cycle_order(succ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Walk the cycles of the permutation x -> succ[x] of [0..n).  Each
     cycle starts at its least element, and the cycles come in the order of
-    those.  Returns every element in walk order, and the cycle lengths."""
-    seen = bytearray(len(succ))
+    those.  Returns every element in walk order, and the cycle lengths.
+    Fixed points are found in numpy and inserted by position, never
+    walked."""
+    is_fixed = succ == np.arange(succ.size)
+    nxt, seen = succ.tolist(), bytearray(is_fixed.view(np.uint8))  # fixed: already walked
     order, lengths = [], []
-    for s in range(len(succ)):
-        x, first = s, len(order)
-        while not seen[x]:
-            seen[x] = 1
-            order.append(x)
-            x = succ[x]
-        if len(order) > first:
-            lengths.append(len(order) - first)
-    return np.array(order, dtype=np.int64), np.array(lengths, dtype=np.int64)
+    s = seen.find(0)
+    while s >= 0:  # s is the least element not yet walked
+        first = len(order)
+        while not seen[s]:
+            seen[s] = 1
+            order.append(s)
+            s = nxt[s]
+        lengths.append(len(order) - first)
+        s = seen.find(0, s)
+    order, lengths = np.array(order, dtype=np.int64), np.array(lengths, dtype=np.int64)
+    ends = np.cumsum(lengths)
+    # a fixed point, a cycle of one, goes before the walked cycles that start after it
+    before = np.searchsorted(order[ends - lengths], fixed := np.flatnonzero(is_fixed))
+    at = np.concatenate(([0], ends))[before]  # the walked elements before each fixed point
+    return np.insert(order, at, fixed), np.insert(lengths, before, 1)
 
 
 class LargeSequence:
@@ -45,7 +54,7 @@ class LargeSequence:
         if (alphabet_size or n) != n or arr.max() != n or np.bincount(arr).max() > 1:
             raise InputError(f"a LargeSequence stores a permutation of [1..{n}]")
         t = max(1, (n - 1).bit_length())
-        order, lengths = cycle_order((arr - 1).tolist())
+        order, lengths = cycle_order(arr - 1)
         start = np.repeat(np.cumsum(lengths) - lengths, lengths)
         size = np.repeat(lengths, lengths)
         idx = np.arange(n) - start

@@ -12,6 +12,16 @@ whole structure is rebuilt with freshly dense identifiers:
 That schedule keeps the rebuild count within ceil(log_{1+eps} lg n) + 1
 on any operation sequence while still letting a fully merged collection
 shrink to almost nothing.
+
+The forest over the base identifiers of an epoch (base = the number of sets
+at its rebuild, n at epoch 0) is two arrays of base + 1 entries: the parent
+of each identifier, at the narrowest unsigned dtype that holds base, and
+the size of each root's set, at the narrowest that holds n (uint16 both at
+n = 10^4: 32 bits per epoch identifier).  Both are read and written through
+memoryviews, whose items are Python ints.  find compresses paths fully and
+union links the smaller set under the larger (union by size; Tarjan & van
+Leeuwen, JACM 1984), so no rank array is kept.  union returns the root of
+the merged set, which is find(i) of the epoch after the union.
 """
 
 from __future__ import annotations
@@ -48,19 +58,21 @@ class DisjointSetCollection:
     def _install(self, id_string: np.ndarray):
         """Install a dense id string as the new rebuild epoch."""
         self.ids = ApSequence(id_string)
+        self._ids_bits = self.ids.payload_bits()
         base = int(id_string.max())
-        self._parent = np.arange(base + 1, dtype=np.int64)
-        self._rank = np.zeros(base + 1, dtype=np.int8)
-        self._sizes = np.bincount(id_string, minlength=base + 1).astype(np.int64)
+        self._parent = memoryview(np.arange(base + 1, dtype=np.min_scalar_type(base)))
+        sizes = np.bincount(id_string, minlength=base + 1)
+        self._sizes = memoryview(sizes.astype(np.min_scalar_type(self.n)))
 
     # --- union-find over the per-epoch identifiers -------------------------------
 
     def _uf_find(self, x: int) -> int:
+        parent = self._parent
         root = x
-        while self._parent[root] != root:
-            root = int(self._parent[root])
-        while self._parent[x] != root:
-            self._parent[x], x = root, int(self._parent[x])
+        while (up := parent[root]) != root:
+            root = up
+        while (up := parent[x]) != root:
+            parent[x], x = root, up
         return root
 
     def find(self, i: int) -> int:
@@ -73,18 +85,16 @@ class DisjointSetCollection:
         self._ops += 1
         if ri == rj:
             return ri
-        if self._rank[ri] < self._rank[rj]:
-            ri, rj = rj, ri
+        sizes = self._sizes
+        sa, sb = sizes[ri], sizes[rj]
+        if sa < sb:
+            ri, rj, sa, sb = rj, ri, sb, sa
         self._parent[rj] = ri
-        if self._rank[ri] == self._rank[rj]:
-            self._rank[ri] += 1
-        sa, sb = int(self._sizes[ri]), int(self._sizes[rj])
-        self._sizes[ri] = sa + sb
-        self._sizes[rj] = 0
+        sizes[ri], sizes[rj] = sa + sb, 0
         self.live_sets -= 1
         self.h_current += _term(sa + sb, self.n) - _term(sa, self.n) - _term(sb, self.n)
-        self.maybe_rebuild()  # may swap in a fresh epoch with new ids
-        return self.find(i)
+        # a rebuild renumbers the sets, so the root is asked for again
+        return self.find(i) if self.maybe_rebuild() else ri
 
     # --- rebuild policy -----------------------------------------------------------
 
@@ -105,22 +115,15 @@ class DisjointSetCollection:
         return False
 
     def _rebuild(self):
-        before = self.ids_payload_bits()
-        roots = self.ids.decode()
-        while True:  # pointer jumping to the union-find roots, whole-array
-            nxt = self._parent[roots]
-            if np.array_equal(nxt, roots):
-                break
-            roots = nxt
+        before = self._ids_bits
+        roots = np.asarray(self._parent)
+        while not np.array_equal(up := roots[roots], roots):  # pointer jumping
+            roots = up
         # dense ids in first-occurrence order
-        uniq, first_idx, inverse = np.unique(
-            roots, return_index=True, return_inverse=True
-        )
-        rank_of = np.empty(uniq.size, dtype=np.int64)
-        rank_of[np.argsort(first_idx, kind="stable")] = np.arange(1, uniq.size + 1)
-        fresh = rank_of[inverse]
-        self._install(fresh)
-        self.h_current = h_sets(self._sizes[self._sizes > 0])
+        _, first, inverse = np.unique(roots[self.ids.decode()], return_index=True,
+                                      return_inverse=True)
+        self._install(np.argsort(np.argsort(first))[inverse] + 1)
+        self.h_current = h_sets(self.set_sizes())
         self.entropy_at_last_rebuild = self.h_current
         self.rebuild_count += 1
         self.rebuild_trace.append(
@@ -129,17 +132,18 @@ class DisjointSetCollection:
                 "entropy": self.h_current,
                 "live_sets": self.live_sets,
                 "payload_bits_before": before,
-                "payload_bits_after": self.ids_payload_bits(),
+                "payload_bits_after": self._ids_bits,
             }
         )
 
     # --- reporting -----------------------------------------------------------------
 
     def set_sizes(self) -> np.ndarray:
-        return self._sizes[self._sizes > 0].copy()
+        sizes = np.asarray(self._sizes)
+        return sizes[sizes > 0].astype(np.int64)
 
     def entropy(self) -> float:
         return self.h_current
 
     def ids_payload_bits(self) -> int:
-        return self.ids.payload_bits()
+        return self._ids_bits

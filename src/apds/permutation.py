@@ -226,7 +226,7 @@ class CycleIndex:
     def __init__(self, pi: np.ndarray, step: int):
         self.step = step = int_param(step, "power step")
         n = pi.size
-        order, lengths = cycle_order((pi - 1).tolist())
+        order, lengths = cycle_order(pi - 1)
         idx = np.arange(n) - np.repeat(np.cumsum(lengths) - lengths, lengths)
         keep = lengths >= step
         marks = order[(idx % step == 0) & np.repeat(keep, lengths)] + 1

@@ -346,7 +346,8 @@ def suite_dsets(rng, iters, max_n, fault=False):
         for _ in range(3 * n):
             i, j = int(rng.integers(1, n + 1)), int(rng.integers(1, n + 1))
             if rng.random() < 0.5:
-                ds.union(i, j)
+                if ds.union(i, j) != ds.find(i):
+                    raise CheckFailure("dsets", f"union({i},{j}) is not find({i}), n={n}")
                 parent[find(i)] = find(j)
             same_mine = ds.find(i) == ds.find(j)
             same_naive = (find(i) == find(j)) ^ (fault and trial == 0 and checks == 0)

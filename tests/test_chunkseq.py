@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apds.bits import ByteWriter
-from apds.chunkseq import LargeSequence
+from apds.chunkseq import LargeSequence, cycle_order
 from apds.errors import InputError, NotFoundError, OutOfRangeError
 from apds.selfcheck import rank_select_mismatch
 
@@ -14,6 +16,53 @@ def argsort_permutation(n, sigma, seed):
     of [1..n] made of sigma increasing runs at most."""
     seq = np.random.default_rng(seed).integers(1, sigma + 1, size=n)
     return np.argsort(seq, kind="stable") + 1
+
+
+def naive_cycle_order(succ):
+    """Every element in walk order, each cycle from its least element, and
+    the cycle lengths: the plain walk that tries every start in turn."""
+    seen, order, lengths = [False] * len(succ), [], []
+    for s in range(len(succ)):
+        x, first = s, len(order)
+        while not seen[x]:
+            seen[x] = True
+            order.append(x)
+            x = succ[x]
+        if len(order) > first:
+            lengths.append(len(order) - first)
+    return order, lengths
+
+
+@st.composite
+def permutations_with_fixed_points(draw, fixed):
+    """A permutation of [0..n) as a successor list, with no fixed point,
+    some or only fixed points."""
+    n = draw(st.integers(2 if fixed == "none" else 0, 60))
+    if fixed == "all":
+        return list(range(n))
+    elems = draw(st.permutations(range(n)))
+    shortest = 2 if fixed == "none" else 1
+    cuts, k = [], 0
+    while n - k >= 2 * shortest:
+        k += draw(st.integers(shortest, n - k - shortest))
+        cuts.append(k)
+    succ = np.arange(n)
+    for cyc in np.split(np.array(elems, dtype=np.int64), cuts):
+        succ[cyc] = np.roll(cyc, -1)
+    return succ.tolist()
+
+
+@pytest.mark.parametrize("fixed", ["none", "some", "all"])
+def test_cycle_order_matches_naive_walk(fixed):
+    @settings(max_examples=150, deadline=None)
+    @given(succ=permutations_with_fixed_points(fixed))
+    def check(succ):
+        order, lengths = cycle_order(np.array(succ, dtype=np.int64))
+        assert (order.tolist(), lengths.tolist()) == naive_cycle_order(succ)
+        assert order.dtype == lengths.dtype == np.int64
+        if fixed == "none":
+            assert (lengths > 1).all()
+    check()
 
 
 def test_access_examples():

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from apds.apseq import ApSequence
 from apds.dsets import DisjointSetCollection
 from apds.errors import InputError, OutOfRangeError
+from apds.selfcheck import CheckFailure, suite_dsets
 from apds.stats import h_sets
 
 
@@ -163,3 +165,78 @@ def test_small_n_edge_cases():
     assert one.find(1) == 1
     one.maybe_rebuild()
     assert one.rebuild_count == 0
+
+
+def test_union_returns_find_of_its_first_element():
+    """union's answer is find(i) after it, a Python int, on merging,
+    repeated and self unions, across several rebuilds."""
+    rng = np.random.default_rng(21)
+    n = 400
+    ds = DisjointSetCollection(n, epsilon=0.1)
+    for _ in range(3 * n):
+        i, j = int(rng.integers(1, n + 1)), int(rng.integers(1, n + 1))
+        root = ds.union(i, j)
+        assert type(root) is int and root == ds.find(i) == ds.find(j)
+    assert ds.rebuild_count >= 5
+
+
+@pytest.mark.parametrize("n,width", [(65_535, 2), (65_536, 4)])
+def test_narrow_arrays_at_the_dtype_boundary(n, width):
+    """One set of every element: the last union writes size n, the widest
+    value, into the size array; the oracle agrees at every union."""
+    ds = DisjointSetCollection(n, epsilon=0.1)
+    assert ds._parent.itemsize == ds._sizes.itemsize == width
+    naive = NaiveDSU(n)
+    rng = np.random.default_rng(n)
+    elems = (rng.permutation(n) + 1).tolist()
+    for k in range(1, n):  # join each element to one before it: a spanning tree
+        i, j = elems[k], elems[int(rng.integers(0, k))]
+        assert (ds.find(i) == ds.find(j)) == (naive.find(i) == naive.find(j))
+        ds.union(i, j)
+        naive.union(i, j)
+    assert ds.live_sets == 1 and ds.set_sizes().tolist() == [n]
+    assert len({ds.find(i) for i in range(1, n + 1, 97)}) == 1
+    assert ds.entropy() == pytest.approx(0.0, abs=1e-9)
+
+
+def test_forest_bytes_per_epoch_id():
+    """At n = 10^4 the parent and size arrays take at most 4 bytes per
+    epoch id, at epoch 0 and after every rebuild."""
+    rng = np.random.default_rng(5)
+    n = 10**4
+    ds = DisjointSetCollection(n)
+
+    def forest_bytes_per_id():
+        return (ds._parent.nbytes + ds._sizes.nbytes) / len(ds._parent)
+
+    assert forest_bytes_per_id() == 4
+    seen = 0
+    while ds.live_sets > 16:
+        ds.union(int(rng.integers(1, n + 1)), int(rng.integers(1, n + 1)))
+        if ds.rebuild_count > seen:
+            seen = ds.rebuild_count
+            assert forest_bytes_per_id() <= 4
+            assert ds.set_sizes().sum() == n
+    assert seen >= 10
+
+
+def test_rebuild_trace_chains_payload_bits():
+    """Each rebuild starts from the bits the previous one left, the first
+    from the initial ids, and the last leaves the bits reported now."""
+    rng = np.random.default_rng(8)
+    n = 1000
+    ds = DisjointSetCollection(n, epsilon=0.1)
+    while ds.live_sets > 1:
+        ds.union(int(rng.integers(1, n + 1)), int(rng.integers(1, n + 1)))
+    trace = ds.rebuild_trace
+    assert len(trace) >= 5
+    assert trace[0]["payload_bits_before"] == ApSequence(np.arange(1, n + 1)).payload_bits()
+    for prev, ev in zip(trace, trace[1:]):
+        assert ev["payload_bits_before"] == prev["payload_bits_after"]
+    assert trace[-1]["payload_bits_after"] == ds.ids_payload_bits() == ds.ids.payload_bits()
+
+
+def test_selfcheck_suite_checks_union_answers_and_reports_its_fault():
+    assert suite_dsets(np.random.default_rng(3), 3, 48) > 0
+    with pytest.raises(CheckFailure, match="dsets"):
+        suite_dsets(np.random.default_rng(3), 3, 48, fault=True)

@@ -381,6 +381,27 @@ def test_power_every_step_against_naive(kind):
                     assert perm.last_power_walk <= t - 1 + t // 2, (t, i, k)
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_power_step_one_marks_every_fixed_point(kind):
+    """With power step 1 every element is a mark, the fixed points among
+    them (half the elements, between and around the longer cycles): built
+    and loaded, verify accepts the companion and power agrees with the
+    naive walk."""
+    rng = np.random.default_rng(40 + KINDS.index(kind))
+    pi = _permutation_with_cycles([1] * 40 + [2, 3, 5, 8, 22], rng)
+    n = len(pi)
+    rp = build_run_permutation(pi, kind, power_step=1)
+    ci = rp.companion
+    assert len(ci.cycle_lengths) == 45 and list(ci.cycle_lengths).count(1) == 40
+    assert ci.marked.count(1) == n
+    for perm in (rp, RunPermutation.deserialize(rp.serialize())):
+        perm.verify()
+        for i in range(1, n + 1):
+            for k in (-n - 3, -7, -1, 0, 1, 2, 5, 2 * n + 1):
+                assert perm.power(i, k) == naive_power(pi, i, k), (i, k)
+                assert perm.last_power_walk == 0
+
+
 def test_cycle_index_invariants():
     rng = np.random.default_rng(9)
     pi = rng.permutation(np.arange(1, 130))
