@@ -9,7 +9,7 @@ from .bitvec import (
     bitvector_from_positions,
 )
 from .cfunction import CompressedFunction, build_function
-from .chunkseq import LargeSequence
+from .chunkseq import CycleIndex, LargeSequence
 from .dsets import DisjointSetCollection
 from .errors import (
     ApdsError,
@@ -19,7 +19,6 @@ from .errors import (
     UnsupportedOperationError,
 )
 from .permutation import (
-    CycleIndex,
     PredecessorStructure,
     RunDecomposition,
     RunPermutation,

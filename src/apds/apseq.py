@@ -15,10 +15,11 @@ sequence onto each class is stored nearly plain, in the store that
 The rule is measured (CPython 3.11, one Xeon core, 200 random queries).
 A class with sigma_l = n_l holds each member once, so s_l is a
 permutation, which LargeSequence stores as its packed values: access is
-one read, 0.5 us at sigma_l = n_l = 10^4 against 4.8 us for a walk of the
-balanced matrix's 14 levels, and rank and select walk a cycle (0.7 us on
-the identity, 23 us on a random permutation, where the matrix takes 3.8
-and 18).  A disjoint-set stream over 10^4 elements, whose first id
+one read, 0.5 us at sigma_l = n_l = 10^4 against 4.7 us for a walk of the
+balanced matrix's 14 levels, and rank and select walk a cycle, 26-30 us
+on a random permutation where the matrix takes 3.9 and 18-20, except at
+a fixed point, one read (0.5 us on the identity; container v12, best of
+7 on a shared host).  A disjoint-set stream over 10^4 elements, whose first id
 sequence is one such class and whose ops are all accesses, ran 16 %
 slower and loaded 40 % slower with every large class balanced.
 Every other large class repeats symbols.  Against the chunked store that
@@ -351,6 +352,12 @@ class ApSequence:
         if self.alphabet_dict is not None:
             out = self.alphabet_dict.values_of(out)
         return out
+
+    def verify(self):
+        """``LargeSequence.verify`` of each permutation class, which a load trusts."""
+        for sub in self.subs:
+            if isinstance(sub, LargeSequence):
+                sub.verify()
 
     # --- reporting ---------------------------------------------------------------
 

@@ -139,6 +139,8 @@ def cmd_query(args) -> int:
     op, kind = args.op, container.structure_kind(obj)
     if op not in kind.ops:
         raise InputError(f"op {op!r} does not apply to a {kind.name} structure")
+    if op in ("access", "rank", "select", "power"):
+        obj.verify()  # a load checks the cycle marks' sizes only
     if op == "access":
         print(_format_symbol(obj.access(_need(args.pos, "--pos")), fmt))
     elif op == "rank":
@@ -150,7 +152,6 @@ def cmd_query(args) -> int:
     elif op == "inverse":
         print(obj.inverse(_need(args.pos, "--pos")))
     elif op == "power":
-        obj.verify()  # the walk trusts the power companion's marks
         print(obj.power(_need(args.pos, "--pos"), args.k))
     elif op == "eval":
         print(_format_symbol(obj.eval(_need(args.pos, "--pos")), fmt))
@@ -259,7 +260,7 @@ def _build_parser():
     q.add_argument("--structure", required=True)
     q.add_argument("--op", required=True, choices=sorted(op for k in kinds for op in k.ops),
                    help="; ".join(f"{k.name}: {', '.join(k.ops)}" for k in kinds)
-                   + ". power first verifies the permutation's power companion, in O(n)")
+                   + ". access, rank, select and power first verify the cycle marks, in O(n)")
     q.add_argument("--symbol")
     q.add_argument("--pos", type=int)
     q.add_argument("--rank", type=int)

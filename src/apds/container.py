@@ -2,7 +2,7 @@
 
 Layout (header integers little-endian, fixed width):
 
-    "APDS" | u32 version=11 | u32 CRC32 | u8 kind | u8 input-format | payload
+    "APDS" | u32 version=12 | u32 CRC32 | u8 kind | u8 input-format | payload
 
 A kind is declared in one place, its row of ``STRUCTURE_KINDS``: the kind
 byte, the name (``apds build --type``), the class and the ``apds query``
@@ -34,9 +34,9 @@ or not offsets from their minimum, a sigma too large for the payload, a
 word count that disagrees with sigma and n, a set padding bit and a level
 whose zero count disagrees with the counts.  A ``LargeSequence`` (a class
 whose members each occur once) writes sigma, its permutation at
-ceil(lg sigma) bits per value, its cycle marks and its back pointers;
-load refuses marks over other than sigma positions and word counts that
-disagree with sigma and the marks.
+ceil(lg sigma) bits per value and its ``CycleIndex`` blob of step
+ceil(lg sigma); load refuses a word count or a step that disagrees with
+sigma, and marks that disagree with the cycle lengths or leave [1..sigma].
 
 A permutation payload is its layout tag (the run kind's index in
 ``permutation.KINDS`` plus one), its layout and its power companion (an
@@ -64,8 +64,9 @@ samples, where 8 stored both at the bit length of n; 10 stores an
 ``apseq.poly_threshold`` of them as a ``BalancedSequence``, where 9 stored
 it as a ``LargeSequence``; 11 stores a permutation class (each member
 once) as sigma, the permutation, its cycle marks and back pointers, where
-10 also stored n and two unary count vectors of ones.  Files of any
-version but 11 are refused.
+10 also stored n and two unary count vectors of ones; 12 stores its marks
+as a ``CycleIndex``, where 11 stored a mark bitvector and back pointers.
+Files of any version but 12 are refused.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ from .permutation import RunPermutation
 from .textindex import FmIndex
 
 MAGIC = b"APDS"
-VERSION = 11
+VERSION = 12
 _HEAD = struct.Struct("<4sII")  # magic, version, CRC32
 CRC_START = _HEAD.size  # the checksum covers data[CRC_START:]
 HEADER_BYTES = CRC_START + 2  # then the kind and the input format
@@ -114,7 +115,7 @@ def pack_container(kind: int, input_format: int, payload: bytes) -> bytes:
 
 
 def unpack_container(data: bytes):
-    """Returns (kind, input_format, payload) of a v10 file whose checksum holds."""
+    """Returns (kind, input_format, payload) of a VERSION file whose checksum holds."""
     if data[:4] != MAGIC:
         raise InputError("not an APDS container (bad magic)")
     if len(data) < HEADER_BYTES:

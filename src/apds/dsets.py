@@ -92,7 +92,8 @@ class DisjointSetCollection:
         self._parent[rj] = ri
         sizes[ri], sizes[rj] = sa + sb, 0
         self.live_sets -= 1
-        self.h_current += _term(sa + sb, self.n) - _term(sa, self.n) - _term(sb, self.n)
+        self.h_current = 0.0 if self.live_sets == 1 else (  # exact, not a drifted sum
+            self.h_current + _term(sa + sb, self.n) - _term(sa, self.n) - _term(sb, self.n))
         # a rebuild renumbers the sets, so the root is asked for again
         return self.find(i) if self.maybe_rebuild() else ri
 

@@ -39,12 +39,11 @@ keeps a run summary (kind, n, run lengths and directions), which build
 and load both take from the layout.  The cover's labels serve only to
 build the layout.
 
-The companion answers pi^k with walks of at most min(|k|, t - 1 + t // 2)
-steps for sampling step t: straight to the target, or, if a mark comes
-first, to that mark and on from the mark nearer to the target.  A walk
-trusts the marks, and a load checks only the companion's header;
-``RunPermutation.verify`` checks the marks against the permutation's
-cycles in O(n), and the CLI calls it before it answers a power.
+The companion is a ``chunkseq.CycleIndex``, the permutation layer's one
+cycle shortcut.  It answers pi^k with walks of at most min(|k|, t - 1 +
+t // 2) steps for sampling step t, trusting its marks; a load checks only
+their sizes, and ``RunPermutation.verify`` checks them against the cycles
+in O(n), as the CLI does before it answers a power.
 """
 
 from __future__ import annotations
@@ -56,9 +55,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .apseq import ApSequence
-from .bits import ByteReader, ByteWriter, int_param, symbol_array
+from .bits import ByteReader, ByteWriter
 from .bitvec import bitvector, load_bitvector
-from .chunkseq import cycle_order
+from .chunkseq import CycleIndex, _validate_permutation
 from .errors import InputError, OutOfRangeError, UnsupportedOperationError
 from .stats import h_runs
 
@@ -68,14 +67,6 @@ KINDS = (
     "contiguous-general",
     "contiguous-strict",
 )
-
-
-def _validate_permutation(pi) -> np.ndarray:
-    """pi as an int64 array, unless it is not a bijection on [1..n]."""
-    arr = symbol_array(pi)
-    if arr.max() > arr.size or np.bincount(arr).max() > 1:
-        raise InputError("input is not a bijection on [1..n]")
-    return arr
 
 
 @dataclass
@@ -210,75 +201,6 @@ class PredecessorStructure:
             raise OutOfRangeError(f"query {x} outside universe [1..{self.universe}]")
         idx = bisect_right(self._keys, x) - 1
         return None if idx < 0 else (self._keys[idx], self._aux[idx])
-
-
-class CycleIndex:
-    """Every step-th element of each cycle of length >= step is marked, in
-    walk order from the cycle's least element, so pi^k resolves with at
-    most min(|k|, step - 1 + step // 2) applications of pi or pi^-1.
-
-    Only the step, the cycle lengths and the marks (cycle by cycle) are
-    serialized; the mark bitvector, each cycle's first mark and each mark's
-    cycle and index come from ``_index_marks`` on build and on load.  A
-    load checks the header only; ``RunPermutation.verify`` checks the
-    marks against the permutation."""
-
-    def __init__(self, pi: np.ndarray, step: int):
-        self.step = step = int_param(step, "power step")
-        n = pi.size
-        order, lengths = cycle_order(pi - 1)
-        idx = np.arange(n) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-        keep = lengths >= step
-        marks = order[(idx % step == 0) & np.repeat(keep, lengths)] + 1
-        self._index_marks(n, lengths[keep], marks)
-
-    def _index_marks(self, n: int, cycle_lengths: np.ndarray, marks: np.ndarray):
-        """Set the cycles, their marks (ceil(length / step) each, cycle by
-        cycle), the mark bitvector over [1..n], each cycle's first mark and,
-        in mark position order, each mark's cycle id and index within its
-        cycle."""
-        sizes = -(-cycle_lengths // self.step)
-        first = np.cumsum(sizes) - sizes
-        pos = marks - 1
-        order = np.argsort(pos, kind="stable")
-        bits = np.zeros(n, dtype=np.uint8)
-        bits[pos] = 1
-        self.marked = bitvector(bits)
-        # power walks read single items: a memoryview returns them as ints
-        # without numpy's per-item cost
-        self.cycle_lengths = memoryview(cycle_lengths)
-        self.cycle_first = memoryview(first)
-        self.marks = memoryview(marks)
-        self.mark_cycle = memoryview(np.repeat(np.arange(sizes.size), sizes)[order])
-        self.mark_index = memoryview((np.arange(pos.size) - np.repeat(first, sizes))[order])
-
-    def payload_bits(self) -> int:
-        w = max(1, (len(self.marked) - 1).bit_length())
-        nmarks = len(self.mark_cycle)
-        return self.marked.payload_bits() + nmarks * 2 * w + nmarks * w
-
-    def serialize(self) -> bytes:
-        w = ByteWriter()
-        w.uint(self.step)
-        w.ints(self.cycle_lengths)
-        w.ints(np.asarray(self.marks) - 1)
-        return w.getvalue()
-
-    @classmethod
-    def deserialize(cls, data: bytes, n: int) -> "CycleIndex":
-        """Load the companion of a permutation of [1..n]."""
-        with ByteReader(data) as r:
-            obj = cls.__new__(cls)
-            obj.step = r.uint()
-            lengths = r.ints().astype(np.int64)
-            marks = r.ints().astype(np.int64) + 1
-        sizes = -(-lengths // max(1, obj.step))
-        if (obj.step < 1 or lengths.sum() > n or (lengths < obj.step).any()
-                or sizes.sum() != marks.size or ((marks < 1) | (marks > n)).any()
-                or np.unique(marks).size != marks.size):
-            raise InputError("power companion: cycles and marks differ from their header")
-        obj._index_marks(n, lengths, marks)
-        return obj
 
 
 # --- the two sides ---------------------------------------------------------
@@ -453,38 +375,15 @@ class RunPermutation:
         return self._layout.inverse(v)
 
     def power(self, i: int, k: int) -> int:
-        """pi^k(i); negative k is the inverse power.  Walks with pi when
-        k > 0 and with pi^-1 when k < 0 and answers after |k| steps, unless
-        it meets a mark first (within step - 1 steps); then it goes on from
-        the mark nearer to the target, which is never farther than going
-        straight on: at most min(|k|, step - 1 + step // 2) steps in all.
-        The walk trusts the companion, which ``verify`` checks."""
+        """pi^k(i); negative k is the inverse power: the companion's walk with
+        the layout's apply and inverse."""
         if self.companion is None:
-            raise UnsupportedOperationError(
-                "permutation was built without a power companion"
-            )
+            raise UnsupportedOperationError("permutation was built without a power companion")
         if not 1 <= i <= self.n:
             raise OutOfRangeError(f"position {i} out of [1..{self.n}]")
-        self.last_power_walk = 0
-        if k == 0:
-            return i
-        ci = self.companion
-        marked = ci.marked
-        step = self._layout.apply if k > 0 else self._layout.inverse
-        m = abs(k)
-        visited = [i]
-        y = i
-        for d in range(ci.step):
-            bit, r = marked.access_rank(y)
-            if bit:
-                self.last_power_walk = d
-                return self._power_from_mark(r, k, d if k < 0 else -d)
-            y = step(y)
-            if d + 1 == m or y == i:  # at the target, or round an unmarked short cycle
-                self.last_power_walk = d + 1
-                return y if d + 1 == m else visited[m % (d + 1)]
-            visited.append(y)
-        raise InputError("power companion: no mark within the step bound")
+        y, self.last_power_walk = self.companion.power(
+            i, k, self._layout.apply, self._layout.inverse)
+        return y
 
     def decode(self) -> np.ndarray:
         """pi as an int64 array, from both sides at once: the positions and
@@ -505,45 +404,13 @@ class RunPermutation:
         return pi
 
     def verify(self):
-        """Raise InputError unless the power companion holds the cycle
-        lengths and marks that this permutation's cycles give.  O(n): a load
-        checks only the companion's header, so a caller that answers powers
-        from a container it did not build calls this once first."""
-        ci = self.companion
-        if ci is None:
-            return
-        want = CycleIndex(self.decode(), ci.step)
-        if not (np.array_equal(want.cycle_lengths, ci.cycle_lengths)
-                and np.array_equal(want.marks, ci.marks)):
-            raise InputError("power companion: its cycles or marks differ from the permutation's")
-
-    def _power_from_mark(self, r: int, k: int, d: int) -> int:
-        """pi^k of the element at offset d from the r-th marked position in
-        cycle order.  Walks forward with pi from the mark at or before the
-        target, or back with pi^-1 from the next mark, whichever is nearer."""
-        ci = self.companion
-        t = ci.step
-        cid = ci.mark_cycle[r - 1]
-        L = ci.cycle_lengths[cid]
-        last = (L - 1) // t  # index of the cycle's last mark
-        target = (ci.mark_index[r - 1] * t + d + k) % L
-        q, ahead = divmod(target, t)
-        behind = (L if q == last else (q + 1) * t) - target
-        if ahead <= behind:
-            step, steps = self._layout.apply, ahead
-        else:
-            q, step, steps = (0 if q == last else q + 1), self._layout.inverse, behind
-        y = ci.marks[ci.cycle_first[cid] + q]
-        for _ in range(steps):
-            y = step(y)
-        self.last_power_walk += steps
-        return y
+        """``CycleIndex.verify`` of the power companion, whose marks a load trusts."""
+        if self.companion is not None:
+            self.companion.verify(self.decode(), "power companion")
 
     def payload_bits(self) -> int:
-        bits = self._layout.payload_bits()
-        if self.companion is not None:
-            bits += self.companion.payload_bits()
-        return bits
+        return self._layout.payload_bits() + (
+            0 if self.companion is None else self.companion.payload_bits())
 
     # --- serialization ----------------------------------------------------------
 

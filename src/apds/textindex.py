@@ -47,8 +47,8 @@ from .bits import (ByteReader, ByteWriter, get_fixed, int_param, pack_fixed, sym
                    unpack_fixed)
 from .bitvec import (SparseDictionary, alphabet_ranks, bitvector_from_positions, count_before,
                      count_owner, counts_before, load_bitvector, unary_counts)
+from .chunkseq import _validate_permutation  # bijection check for LF tests
 from .errors import InputError, NotFoundError, OutOfRangeError
-from .permutation import _validate_permutation  # bijection check for LF tests
 
 
 def text_symbols(data) -> list:

@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from apds.apseq import build_partition
 from apds.bits import ByteWriter
-from apds.chunkseq import LargeSequence, cycle_order
+from apds.chunkseq import CycleIndex, LargeSequence, cycle_order
+from apds.container import dump_structure, load_structure
 from apds.errors import InputError, NotFoundError, OutOfRangeError
 from apds.selfcheck import rank_select_mismatch
+from test_container import reseal
 
 
 def argsort_permutation(n, sigma, seed):
@@ -153,29 +156,35 @@ def test_serialize_round_trip():
     data = ls.serialize()
     back = LargeSequence.deserialize(data)
     assert back.serialize() == data
-    assert back._marks.count(1) == ls._marks.count(1) > 0
+    assert list(back._cycles.marks) == list(ls._cycles.marks) and len(ls._cycles.marks) > 0
     assert rank_select_mismatch(back, perm) is None
 
 
-def _payload(ls, fwd_words=None, back_words=None):
-    """ls's payload, with its permutation or back pointer words replaced."""
+def _payload(ls, fwd_words=None, marks=None):
+    """ls's payload, with its permutation words or its cycle marks replaced."""
+    cycles = ls._cycles
     w = ByteWriter()
     w.uint(ls.sigma)
     w.ints(ls._fwd_words if fwd_words is None else fwd_words)
-    w.blob(ls._marks.serialize())
-    w.ints(ls._back_words if back_words is None else back_words)
+    c = ByteWriter()
+    c.uint(cycles.step)
+    c.ints(cycles.cycle_lengths)
+    c.ints(np.asarray(cycles.marks if marks is None else marks) - 1)
+    w.blob(c.getvalue())
     return w.getvalue()
 
 
-@pytest.mark.parametrize("field", ["pi", "back pointers"])
+@pytest.mark.parametrize("field", ["pi", "marks"])
 @pytest.mark.parametrize("change", [-1, 1])
 def test_load_refuses_a_wrong_word_count(field, change):
+    """pi's words one short or one over, or one mark fewer or more than the
+    cycle lengths give."""
     ls = LargeSequence(np.random.default_rng(4).permutation(100) + 1)
     assert LargeSequence.deserialize(_payload(ls)).serialize() == ls.serialize()
-    words = ls._fwd_words if field == "pi" else ls._back_words
+    words = ls._fwd_words if field == "pi" else np.asarray(ls._cycles.marks)
     assert words.size > 1
-    words = words[:-1] if change < 0 else np.append(words, 0)
-    data = _payload(ls, **{"fwd_words" if field == "pi" else "back_words": words})
+    words = words[:-1] if change < 0 else np.append(words, 1)
+    data = _payload(ls, **{"fwd_words" if field == "pi" else "marks": words})
     with pytest.raises(InputError, match="differ from the header"):
         LargeSequence.deserialize(data)
 
@@ -215,5 +224,88 @@ def test_value_past_sigma_is_input_error():
         bad.access(1)
     with pytest.raises(InputError, match="past 3"):
         bad.decode()
-    with pytest.raises(InputError, match="cycle walk"):
+    with pytest.raises(InputError, match="past 3"):
         bad.select(2, 1)
+
+
+WALKED = {"identity": lambda: np.arange(1, 201),
+          "one 200-cycle": lambda: np.roll(np.arange(1, 201), 1),
+          "random of 10^4": lambda: np.random.default_rng(6).permutation(10**4) + 1}
+
+
+@pytest.mark.parametrize("name", WALKED)
+def test_inverse_walk_bound(name):
+    """power(a, -1, pi) with no backward step applies pi at most 2t - 2
+    times for t = ceil(lg sigma), counted at pi itself, and answers pi^-1(a)."""
+    pi = WALKED[name]()
+    t = math.ceil(math.log2(pi.size))
+    ci = CycleIndex(pi, t)
+    values = pi.tolist()
+    calls = []
+
+    def forward(y):
+        calls.append(y)
+        return values[y - 1]
+
+    for a in range(1, pi.size + 1):
+        calls.clear()
+        y, steps = ci.power(a, -1, forward)
+        assert values[y - 1] == a
+        assert steps == len(calls) <= (1 if name == "identity" else 2 * t - 2), a
+
+
+def _swapped_marks(sigma=300, seed=8):
+    """A permutation of [1..sigma], its store, and two payloads of that store
+    with two marks of its longest cycle swapped: the first two, and the
+    first and the last."""
+    perm = np.random.default_rng(seed).permutation(sigma) + 1
+    ls = LargeSequence(perm)
+    ci = ls._cycles
+    lengths = np.asarray(ci.cycle_lengths)
+    sizes = -(-lengths // ci.step)
+    c = int(np.argmax(lengths))
+    first, last = int(sizes[:c].sum()), int(sizes[:c + 1].sum()) - 1
+    assert last - first >= 2
+    payloads = []
+    for j in (first + 1, last):
+        marks = np.asarray(ci.marks).copy()
+        marks[[first, j]] = marks[[j, first]]
+        payloads.append(_payload(ls, marks=marks))
+    return perm, ls, payloads
+
+
+def _answers_right_or_input_error(seq, perm) -> int:
+    """Every select(a, 1) and the ranks beside it, over all of seq's
+    symbols, equal perm's or end in InputError; returns how many ended so."""
+    where = np.argsort(perm) + 1
+    refused = 0
+    for a in range(1, perm.size + 1):
+        y = int(where[a - 1])
+        for query, want in ((lambda: seq.select(a, 1), y), (lambda: seq.rank(a, y), 1),
+                            (lambda: seq.rank(a, y - 1), 0)):
+            try:
+                assert query() == want, a
+            except InputError:
+                refused += 1
+    return refused
+
+
+def test_swapped_marks_never_answer_wrong():
+    """Two marks of one cycle swapped: the store loads, and every rank and
+    select answers right or ends in InputError, in the store and in a
+    resealed sequence container whose one class it is; verify refuses
+    both."""
+    perm, ls, payloads = _swapped_marks()
+    container = dump_structure(build_partition(perm))
+    good = ls.serialize()
+    assert container.count(good) == 1
+    for data in payloads:
+        bad = LargeSequence.deserialize(data)
+        assert _answers_right_or_input_error(bad, perm) > 0
+        with pytest.raises(InputError, match="cycle index"):
+            bad.verify()
+        seq = load_structure(reseal(container.replace(good, data)))[0]
+        assert _answers_right_or_input_error(seq, perm) > 0
+        with pytest.raises(InputError, match="cycle index"):
+            seq.verify()
+    assert _answers_right_or_input_error(ls, perm) == 0

@@ -332,7 +332,7 @@ def test_truncated_header_exit_2_without_traceback(abra_file, tmp_path, capsys):
     run_cli(capsys, "build", "--type", "seq", "--input", abra_file,
             "--output", str(out_path))
     data = out_path.read_bytes()
-    # 9 bytes: magic, version 11 and one checksum byte; the whole header
+    # 9 bytes: magic, version 12 and one checksum byte; the whole header
     # but its last byte, the input format
     for cut in (data[:9], data[: HEADER_BYTES - 1]):
         out_path.write_bytes(cut)
@@ -342,16 +342,16 @@ def test_truncated_header_exit_2_without_traceback(abra_file, tmp_path, capsys):
 
 
 def test_bad_container_kind_exit_2_without_traceback(abra_file, tmp_path, capsys):
-    """A version-4 to version-10 file, and, resealed, a seq header over an
+    """A version-4 to version-11 file, and, resealed, a seq header over an
     index payload and an unknown container kind (the byte at CRC_START)."""
     seq_path, index_path = tmp_path / "abra.apds", tmp_path / "abra.idx"
     run_cli(capsys, "build", "--type", "seq", "--input", abra_file,
             "--output", str(seq_path))
     run_cli(capsys, "index", "build", "--input", abra_file, "--output", str(index_path))
     seq, index = seq_path.read_bytes(), index_path.read_bytes()
-    assert seq[4:8] == b"\x0b\x00\x00\x00" and seq[CRC_START] == 1 and index[CRC_START] == 4
+    assert seq[4:8] == b"\x0c\x00\x00\x00" and seq[CRC_START] == 1 and index[CRC_START] == 4
     bad = [(seq[:4] + bytes([v]) + seq[5:], f"unsupported container version {v}")
-           for v in (4, 5, 6, 7, 8, 9, 10)]
+           for v in (4, 5, 6, 7, 8, 9, 10, 11)]
     bad += [(reseal(index[:CRC_START] + b"\x01" + index[CRC_START + 1:]), None),
             (reseal(seq[:CRC_START] + b"\x09" + seq[CRC_START + 1:]), "unknown structure kind 9")]
     for i, (data, message) in enumerate(bad):
@@ -537,11 +537,24 @@ def corrupt_cycle_walk_query(tmp_path, capsys):
             "--symbol", "300", "--rank", "1")
 
 
+def test_repeated_pi_exits_2(tmp_path, capsys):
+    """The container of corrupt_cycle_walk_query: its one permutation class
+    maps position 1 to 1, where 300 is stored, so the value 1 repeats and
+    access(1) would answer 1.  Every sequence op verifies the class first
+    and exits 2."""
+    path = corrupt_cycle_walk_query(tmp_path, capsys)[2]
+    for op in (("access", "--pos", "1"), ("rank", "--symbol", "1", "--pos", "5"),
+               ("select", "--symbol", "300", "--rank", "1")):
+        code, out, err = run_cli(capsys, "query", "--structure", path, "--op", *op)
+        assert (code, out) == (2, "") and "not a permutation" in err, (op, err)
+
+
 @pytest.mark.parametrize("stored", [[1] * 16, list(range(1, 17))])
 def test_corrupt_power_marks_exit_2(tmp_path, capsys, stored):
     """A 64-cycle with power step 4 stores the marks 1, 5, .., 61.  Marks
-    stored as sixteen 1s are refused on load; marks 1..16 load, and the
-    walk from 20 meets no mark within the step bound."""
+    stored as sixteen 1s or as 1..16 pass the load's size checks, and the
+    query's verify refuses both before the walk, which from 20 would meet
+    no mark within the step bound."""
     src = tmp_path / "cycle.txt"
     src.write_text(" ".join(map(str, [*range(2, 65), 1])))
     out_path = tmp_path / "cycle.apds"
@@ -605,7 +618,7 @@ def test_corrupt_containers_exit_2_under_optimize(tmp_path, capsys):
     # python -O strips assert statements: a check of loaded data written as
     # an assert would turn these into a hang or a wrong answer
     queries = [(argv, "layout tag") for argv in corrupt_perm_queries(tmp_path, capsys)]
-    queries.append((corrupt_cycle_walk_query(tmp_path, capsys), "cycle walk"))
+    queries.append((corrupt_cycle_walk_query(tmp_path, capsys), "not a permutation"))
     for argv, message in queries:
         assert_exit_2_without_traceback(
             run_cli_process(*argv, python_flags=("-O",), timeout=30), message)

@@ -39,7 +39,7 @@ def reseal(data: bytes) -> bytes:
 def test_header_layout():
     data = pack_container(KIND_SEQ, FORMAT_BYTES, b"abc")
     assert data[:4] == b"APDS"
-    assert data[4:8] == b"\x0b\x00\x00\x00"  # version 11, little-endian
+    assert data[4:8] == b"\x0c\x00\x00\x00"  # version 12, little-endian
     assert data[8:12] == struct.pack("<I", zlib.crc32(bytes([KIND_SEQ, FORMAT_BYTES]) + b"abc"))
     assert (CRC_START, HEADER_BYTES) == (12, 14)
     assert data[CRC_START:] == bytes([KIND_SEQ, FORMAT_BYTES]) + b"abc"
@@ -51,7 +51,7 @@ def test_bad_magic_and_version():
     with pytest.raises(InputError, match="bad magic"):
         unpack_container(b"NOPE" + b"\x00" * 16)
     good = pack_container(KIND_SEQ, 0, b"abcdef")
-    for version in (10, 12):  # a v10 file ends here, as v1 files did at v2
+    for version in (11, 13):  # a v11 file ends here, as v1 files did at v2
         bad = bytearray(good)
         bad[4] = version
         with pytest.raises(InputError, match=f"unsupported container version {version}"):
@@ -148,13 +148,13 @@ def _pinned_structures():
 # sha256 of each container of _pinned_structures(); a format change updates
 # these and says so in CHANGES.md
 PINNED_SHA256 = [
-    "0eedb0abe18623a344f0ff0fbf298a5f353414e0c1e1cd001d39b34ef34e33a6",
-    "1cd85668100d293bee5aad7f2bf3cbe3b50f1cd7bed40a3ef0e826b7d1572620",
-    "53051cbc25d4556a513566080e9df614719bef04f28ca76789c10535cf5923f3",
-    "2ceda9795b90f60c58ce1e693e5a49f0425aa8d6cf756eba63b625812b4f6dd3",
-    "0213336d7fbc5b52ef5a449739a8b19255cd783d84bb6503308e78e2c2b9cbed",
-    "d6da15d6c099ad555ab45921cb8df476ea563cb8214544b334cbe0968ee35d2f",
-    "b70efd30e747e809a25b08ff8ff4ce50c0bd5b4c38a50a74531dd8fc4bad650c",
+    "d311a29914f51fc4e05b4e00db218c537aea53582765bfb1862e896f7e07da53",
+    "ae77d4223bd156e6099d8728cecd6291deabeba2e6f23572e52a3cef5bd982c1",
+    "65ff86b75b74744d1937ca7cbaf806adcdb11ea13266fa920b6229fe07649905",
+    "a4c8a1a32b52d2ea0c4f8cb448e2e71e474e692ec2c232345dab133345e98e1e",
+    "70dbcbbb690a46e19356b6054a3d0f8d6562266408b91e1d2c2b8919f954f9fb",
+    "faabb8f932bd8f535e7ec2f3f9081be536ed3135f32165484dd4843b32a3ea08",
+    "118455b23a384eb533b3f9da304096c63b031119f6837abf15ff9af53aa2f855",
 ]
 
 

@@ -196,7 +196,7 @@ def test_narrow_arrays_at_the_dtype_boundary(n, width):
         naive.union(i, j)
     assert ds.live_sets == 1 and ds.set_sizes().tolist() == [n]
     assert len({ds.find(i) for i in range(1, n + 1, 97)}) == 1
-    assert ds.entropy() == pytest.approx(0.0, abs=1e-9)
+    assert ds.entropy() == 0.0
 
 
 def test_forest_bytes_per_epoch_id():

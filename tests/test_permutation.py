@@ -648,6 +648,16 @@ def _cycle_with_marks(stored):
     return RunPermutation.deserialize(data.replace(good, bytes([1, 16, *(m - 1 for m in stored)])))
 
 
+def test_first_walk_refuses_a_mark_stored_twice():
+    """Sixteen marks all 1 pass the load's size and range checks; the first
+    walk sorts the marks and refuses them, and so does verify."""
+    perm = _cycle_with_marks([1] * 16)
+    with pytest.raises(InputError, match="stored twice"):
+        perm.power(20, 3)
+    with pytest.raises(InputError, match="power companion"):
+        perm.verify()
+
+
 @pytest.mark.parametrize("stored", [list(range(1, 17)), [5, 1, *range(9, 64, 4)]],
                          ids=["marks 1..16", "first two swapped"])
 def test_verify_refuses_bad_marks(stored):

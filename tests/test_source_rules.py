@@ -36,6 +36,25 @@ def test_one_symbol_check():
         assert len(_raise_sites(message)) == 1, (message, _raise_sites(message))
 
 
+def test_one_permutation_check():
+    # every permutation build, the LF mapping and every verify of a loaded
+    # permutation take pi through chunkseq._validate_permutation
+    sites = _raise_sites("not a permutation (a bijection on [1..n])")
+    assert len(sites) == 1 and sites[0].startswith("chunkseq.py:"), sites
+
+
+def test_cycle_order_only_in_chunkseq():
+    # the permutation layer walks cycles in one place: no other module
+    # imports or calls cycle_order
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py")) if path.name != "chunkseq.py"
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if (isinstance(node, ast.Name) and node.id == "cycle_order")
+             or (isinstance(node, ast.Attribute) and node.attr == "cycle_order")
+             or (isinstance(node, ast.alias) and node.name == "cycle_order")]
+    assert found == []
+
+
 def _byte_reader_calls(nodes) -> list:
     return [node for node in nodes if isinstance(node, ast.Call)
             and isinstance(node.func, ast.Name) and node.func.id == "ByteReader"]

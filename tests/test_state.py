@@ -13,7 +13,8 @@ import pytest
 from apds.apseq import ApSequence, build_partition
 from apds.cfunction import MODES, build_function
 from apds.container import dump_structure, load_structure
-from apds.permutation import KINDS, build_run_permutation
+from apds.chunkseq import LargeSequence
+from apds.permutation import KINDS, RunPermutation, build_run_permutation
 from apds.textindex import FmIndex
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -64,17 +65,39 @@ def _cases():
         yield f"index k={k}", lambda k=k: FmIndex(text, k_context=k)
 
 
+def _first_walk(obj) -> list:
+    """Run each walk that derives state on first use: an index's extract
+    (its inverse samples), a permutation's power and a select of every
+    symbol of a sequence's permutation classes (their cycle indexes' walk
+    index).  Each derived attribute is None before its walk and set after;
+    returns the walks' answers."""
+    if isinstance(obj, FmIndex):
+        lazy = [(obj, "_isa", lambda: obj.extract(1, 2))]
+    elif isinstance(obj, RunPermutation) and obj.companion is not None:
+        lazy = [(obj.companion, "_walk", lambda: obj.power(1, 3))]
+    else:
+        lazy = [(s._cycles, "_walk", lambda s=s: [s.select(a, 1) for a in range(1, s.sigma + 1)])
+                for s in getattr(obj, "subs", []) if isinstance(s, LargeSequence)]
+    answers = []
+    for holder, attr, walk in lazy:
+        assert getattr(holder, attr) is None
+        answers.append(walk())
+        assert getattr(holder, attr) is not None
+    return answers
+
+
 @pytest.mark.parametrize("name,build", list(_cases()), ids=[c[0] for c in _cases()])
 def test_built_state_equals_loaded_state(name, build):
-    """An index derives its inverse samples on the first extract, so its
-    two copies are compared again after one."""
+    """An index derives its inverse samples on the first extract, and a
+    cycle index its walk index on the first walk, so the two copies are
+    compared again after one."""
     obj = build()
     loaded = load_structure(dump_structure(obj))[0]
     assert state_differences(obj, loaded) == []
-    if isinstance(obj, FmIndex):
-        assert obj._isa is None and obj.extract(1, 2) == loaded.extract(1, 2)
-        assert obj._isa is not None
-        assert state_differences(obj, loaded) == []
+    walks = int(name == "seq general" or name.endswith("step=5") or name.startswith("index"))
+    answers = _first_walk(obj)
+    assert len(answers) == walks and _first_walk(loaded) == answers
+    assert state_differences(obj, loaded) == []
 
 
 def test_built_sequence_holds_no_more_than_loaded():
