@@ -9,7 +9,7 @@ from .bitvec import (
     bitvector_from_positions,
 )
 from .cfunction import CompressedFunction, build_function
-from .chunkseq import CycleIndex, LargeSequence
+from .chunkseq import LargeSequence
 from .dsets import DisjointSetCollection
 from .errors import (
     ApdsError,
@@ -19,6 +19,7 @@ from .errors import (
     UnsupportedOperationError,
 )
 from .permutation import (
+    CycleIndex,
     PredecessorStructure,
     RunDecomposition,
     RunPermutation,

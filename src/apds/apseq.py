@@ -9,19 +9,20 @@ sequence onto each class is stored nearly plain, in the store that
 
     sigma_l = 1                      no store (see below)
     sigma_l <= poly_threshold(n)     PolySequence, a Huffman-shaped wavelet matrix
-    sigma_l = n_l, above that        LargeSequence, a permutation with a cycle-walk inverse
+    sigma_l = n_l, above that        LargeSequence, a permutation and its derived inverse
     any other class                  BalancedSequence, a balanced wavelet matrix
 
 The rule is measured (CPython 3.11, one Xeon core, 200 random queries).
 A class with sigma_l = n_l holds each member once, so s_l is a
-permutation, which LargeSequence stores as its packed values: access is
-one read, 0.5 us at sigma_l = n_l = 10^4 against 4.7 us for a walk of the
-balanced matrix's 14 levels, and rank and select walk a cycle, 26-30 us
-on a random permutation where the matrix takes 3.9 and 18-20, except at
-a fixed point, one read (0.5 us on the identity; container v12, best of
-7 on a shared host).  A disjoint-set stream over 10^4 elements, whose first id
-sequence is one such class and whose ops are all accesses, ran 16 %
-slower and loaded 40 % slower with every large class balanced.
+permutation, which LargeSequence stores as its packed values.  Access is
+one read of them, and rank and select one read of the inverse that the
+first of them derives: 0.5-0.6 us each at sigma_l = n_l = 10^4, random
+or identity, where the balanced matrix takes 5.4-5.7 us for an access (a
+walk of its 14 levels), 4.4-4.6 for a rank and 21 for a select (v13,
+best of 7 over 2,000 queries on a shared host).  A disjoint-set stream
+over 10^4 elements, whose first id sequence is one such class and whose
+ops are all accesses, ran 16 % slower and loaded 40 % slower with every
+large class balanced.
 Every other large class repeats symbols.  Against the chunked store that
 held such classes up to container v9, the balanced matrix answers rank in
 1.6-4.3 us (8.1-26.6) on classes of sigma_l from 24 to 11,389, select in
@@ -354,10 +355,11 @@ class ApSequence:
         return out
 
     def verify(self):
-        """``LargeSequence.verify`` of each permutation class, which a load trusts."""
-        for sub in self.subs:
-            if isinstance(sub, LargeSequence):
-                sub.verify()
+        """Check what a load trusts: the sparse levels of T, M and each
+        ``PolySequence`` store, and each permutation class."""
+        for part in (self.T, self.M, *self.subs):
+            if isinstance(part, (PolySequence, LargeSequence)):
+                part.verify()
 
     # --- reporting ---------------------------------------------------------------
 

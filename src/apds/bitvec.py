@@ -362,6 +362,11 @@ class SparseBitVector:
                 hi = u - 1
         return found
 
+    def verify(self):
+        """Raise InputError unless the stored positions rise, which a load trusts."""
+        if (np.diff(self._stored_positions()) <= 0).any():
+            raise InputError("sparse bitvector: stored positions do not rise")
+
     def _stored_positions(self) -> np.ndarray:
         """0-based positions of the stored bit value, ascending."""
         high = self._upper.ones() - np.arange(self.k)

@@ -140,7 +140,7 @@ def cmd_query(args) -> int:
     if op not in kind.ops:
         raise InputError(f"op {op!r} does not apply to a {kind.name} structure")
     if op in ("access", "rank", "select", "power"):
-        obj.verify()  # a load checks the cycle marks' sizes only
+        obj.verify()  # what a load trusts
     if op == "access":
         print(_format_symbol(obj.access(_need(args.pos, "--pos")), fmt))
     elif op == "rank":
@@ -260,7 +260,7 @@ def _build_parser():
     q.add_argument("--structure", required=True)
     q.add_argument("--op", required=True, choices=sorted(op for k in kinds for op in k.ops),
                    help="; ".join(f"{k.name}: {', '.join(k.ops)}" for k in kinds)
-                   + ". access, rank, select and power first verify the cycle marks, in O(n)")
+                   + ". access, rank, select and power first verify what a load trusts, in O(n)")
     q.add_argument("--symbol")
     q.add_argument("--pos", type=int)
     q.add_argument("--rank", type=int)

@@ -2,7 +2,7 @@
 
 Layout (header integers little-endian, fixed width):
 
-    "APDS" | u32 version=12 | u32 CRC32 | u8 kind | u8 input-format | payload
+    "APDS" | u32 version=13 | u32 CRC32 | u8 kind | u8 input-format | payload
 
 A kind is declared in one place, its row of ``STRUCTURE_KINDS``: the kind
 byte, the name (``apds build --type``), the class and the ``apds query``
@@ -14,14 +14,16 @@ the file, so no length is stored; a truncated or extended file fails the
 checksum, which load checks before any deserializer runs.  Payloads are
 the structures' own serializations in the codec of ``bits``: varint
 scalars, whole-byte integer arrays and length-prefixed blobs.  They hold
-no value that load can compute: directories, counts, class values,
-lengths such as n and sigma, a ``PolySequence``'s code lengths (derived
-from its symbol counts by ``wavelet.huffman_code_lengths``), the store
-of a one-symbol class of an ``ApSequence`` (fixed by the class's count in
-T), the kind of each class store (``apseq._store_for`` picks it from
-the class's alphabet size in M and its length in T) and a
-``LargeSequence``'s n, since n = sigma.  One stored value is implied by
-others: a ``PolySequence``'s symbol counts, which its levels imply.
+no value that load can compute but one, a permutation's power companion
+(see ``permutation``): no directories, counts, class values, lengths
+such as n and sigma, a ``PolySequence``'s code lengths (derived from its
+symbol counts by ``wavelet.huffman_code_lengths``), the store of a
+one-symbol class of an ``ApSequence`` (fixed by the class's count in T),
+the kind of each class store (``apseq._store_for`` picks it from the
+class's alphabet size in M and its length in T), a ``LargeSequence``'s
+n (n = sigma) or inverse permutation, or a contiguous-strict layout's n
+(the sum of its run lengths).  One stored value is implied by others: a
+``PolySequence``'s symbol counts, which its levels imply.
 Every unary count vector is a ``bitvec.unary_counts`` vector.
 
 A ``BalancedSequence`` writes sigma, its symbol counts as offsets from
@@ -33,10 +35,9 @@ directory over all levels, and refuses counts not at their least width
 or not offsets from their minimum, a sigma too large for the payload, a
 word count that disagrees with sigma and n, a set padding bit and a level
 whose zero count disagrees with the counts.  A ``LargeSequence`` (a class
-whose members each occur once) writes sigma, its permutation at
-ceil(lg sigma) bits per value and its ``CycleIndex`` blob of step
-ceil(lg sigma); load refuses a word count or a step that disagrees with
-sigma, and marks that disagree with the cycle lengths or leave [1..sigma].
+whose members each occur once) writes sigma and its permutation at
+ceil(lg sigma) bits per value; load refuses a word count that disagrees
+with sigma.
 
 A permutation payload is its layout tag (the run kind's index in
 ``permutation.KINDS`` plus one), its layout and its power companion (an
@@ -45,7 +46,7 @@ empty blob if none).  The layout holds, per kind:
     interleaved-general   label string s, label string s', directions
     interleaved-strict    label string s, directions
     contiguous-general    label string s', directions
-    contiguous-strict     n, run lengths, value order of the runs, directions
+    contiguous-strict     run lengths, value order of the runs, directions
 
 where s gives each position's run, s' each value's run, and directions
 one bit per run.  No run minimum, start or first value is stored: a
@@ -65,8 +66,9 @@ samples, where 8 stored both at the bit length of n; 10 stores an
 it as a ``LargeSequence``; 11 stores a permutation class (each member
 once) as sigma, the permutation, its cycle marks and back pointers, where
 10 also stored n and two unary count vectors of ones; 12 stores its marks
-as a ``CycleIndex``, where 11 stored a mark bitvector and back pointers.
-Files of any version but 12 are refused.
+as a ``CycleIndex``, where 11 stored a mark bitvector and back pointers;
+13 stores only sigma and the permutation there, and no n in a
+contiguous-strict layout.  Files of any other version are refused.
 """
 
 from __future__ import annotations
@@ -82,7 +84,7 @@ from .permutation import RunPermutation
 from .textindex import FmIndex
 
 MAGIC = b"APDS"
-VERSION = 12
+VERSION = 13
 _HEAD = struct.Struct("<4sII")  # magic, version, CRC32
 CRC_START = _HEAD.size  # the checksum covers data[CRC_START:]
 HEADER_BYTES = CRC_START + 2  # then the kind and the input format

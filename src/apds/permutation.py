@@ -33,17 +33,22 @@ A container holds the layout tag (the kind's index in KINDS plus one),
 the layout and a cycle-marking companion (an empty blob if none).  The
 layout stores its label strings, in the order s, sprime, and one
 direction bit per run; the run lengths are the label strings' symbol
-counts, so only contiguous-strict, which has none, stores n, the lengths
-and the value order (less one) before its directions.  A permutation
-keeps a run summary (kind, n, run lengths and directions), which build
-and load both take from the layout.  The cover's labels serve only to
-build the layout.
+counts, so only contiguous-strict, which has none, stores the lengths
+and the value order (less one) before its directions; n is the lengths'
+sum.  A permutation keeps a run summary (kind, n, run lengths and
+directions), which build and load both take from the layout.  The
+cover's labels serve only to build the layout.
 
-The companion is a ``chunkseq.CycleIndex``, the permutation layer's one
-cycle shortcut.  It answers pi^k with walks of at most min(|k|, t - 1 +
-t // 2) steps for sampling step t, trusting its marks; a load checks only
-their sizes, and ``RunPermutation.verify`` checks them against the cycles
-in O(n), as the CLI does before it answers a power.
+The companion is a ``CycleIndex``, the package's one cycle shortcut
+(Munro, Raman, Raman & Rao, ICALP 2003): it marks every t-th element of
+each cycle of length >= t, in the walk order of ``cycle_order``, so its
+``power`` answers pi^k in at most min(|k|, t - 1 + t // 2) steps,
+trusting the marks.  It stores t, the cycle lengths and the marks, and
+derives its walk index on the first walk.  A load checks sizes only;
+``RunPermutation.verify`` checks the marks in O(n), as the CLI does before
+a power.  The marks are the one stored value that a load could compute,
+but only by a decode and a walk of every cycle, 8-10 ms at n = 2^16,
+which the first power after each load would pay.
 """
 
 from __future__ import annotations
@@ -55,9 +60,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .apseq import ApSequence
-from .bits import ByteReader, ByteWriter
-from .bitvec import bitvector, load_bitvector
-from .chunkseq import CycleIndex, _validate_permutation
+from .bits import ByteReader, ByteWriter, int_param
+from .bitvec import bitvector, bitvector_from_positions, load_bitvector
+from .chunkseq import _validate_permutation
 from .errors import InputError, OutOfRangeError, UnsupportedOperationError
 from .stats import h_runs
 
@@ -203,6 +208,138 @@ class PredecessorStructure:
         return None if idx < 0 else (self._keys[idx], self._aux[idx])
 
 
+def cycle_order(succ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Walk the cycles of the permutation x -> succ[x] of [0..n).  Each
+    cycle starts at its least element, and the cycles come in the order of
+    those.  Returns every element in walk order, and the cycle lengths.
+    Fixed points are found in numpy and inserted by position, never
+    walked."""
+    is_fixed = succ == np.arange(succ.size)
+    nxt, seen = succ.tolist(), bytearray(is_fixed.view(np.uint8))  # fixed: already walked
+    order, lengths = [], []
+    s = seen.find(0)
+    while s >= 0:  # s is the least element not yet walked
+        first = len(order)
+        while not seen[s]:
+            seen[s] = 1
+            order.append(s)
+            s = nxt[s]
+        lengths.append(len(order) - first)
+        s = seen.find(0, s)
+    order, lengths = np.array(order, dtype=np.int64), np.array(lengths, dtype=np.int64)
+    ends = np.cumsum(lengths)
+    # a fixed point, a cycle of one, goes before the walked cycles that start after it
+    before = np.searchsorted(order[ends - lengths], fixed := np.flatnonzero(is_fixed))
+    at = np.concatenate(([0], ends))[before]  # the walked elements before each fixed point
+    return np.insert(order, at, fixed), np.insert(lengths, before, 1)
+
+
+class CycleIndex:
+    """The marks of a permutation of [1..n]: every step-th element of each
+    cycle of length >= step, in walk order from the cycle's least element."""
+
+    def __init__(self, pi: np.ndarray, step: int):
+        step = int_param(step, "power step")
+        order, lengths = cycle_order(pi - 1)
+        idx = np.arange(pi.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        keep = lengths >= step
+        self._set(pi.size, step, lengths[keep],
+                  order[(idx % step == 0) & np.repeat(keep, lengths)] + 1)
+
+    def _set(self, n: int, step: int, cycle_lengths: np.ndarray, marks: np.ndarray):
+        """The marked cycles' lengths and their marks, ceil(length / step) each,
+        cycle by cycle, as memoryviews: a walk reads them item by item."""
+        self.n, self.step = n, step
+        self.cycle_lengths, self.marks = memoryview(cycle_lengths), memoryview(marks)
+        self._walk = None  # the walk index, derived on the first walk
+
+    def _derive_walk(self):
+        """Set and return the walk index: (mark bitvector over [1..n], each
+        mark's cycle and index in it, in position order, each cycle's first
+        mark).  Refuses a mark stored twice."""
+        sizes = -(-np.asarray(self.cycle_lengths) // self.step)
+        first = np.cumsum(sizes) - sizes
+        order = np.argsort(marks := np.asarray(self.marks), kind="stable")
+        if (np.diff(pos := marks[order] - 1) == 0).any():
+            raise InputError("cycle index: a mark is stored twice")
+        self._walk = (bitvector_from_positions(self.n, pos),
+                      memoryview(np.repeat(np.arange(sizes.size), sizes)[order]),
+                      memoryview((np.arange(pos.size) - np.repeat(first, sizes))[order]),
+                      memoryview(first))
+        return self._walk
+
+    def power(self, i: int, k: int, forward, backward) -> tuple[int, int]:
+        """(pi^k(i), steps) for i in [1..n], given forward = pi and backward
+        = pi^-1.  Walks |k| steps (backward if k < 0), or to a mark met
+        first, and on from the target's mark before it, or the one after it
+        if that is nearer backward: at most min(|k|, step - 1 + step // 2)
+        steps.  Trusts the marks."""
+        if k == 0:
+            return i, 0
+        marked, mark_cycle, mark_index, cycle_first = self._walk or self._derive_walk()
+        # the target is ahead_of_i steps along the walk
+        step, ahead_of_i = (backward, -k) if k < 0 else (forward, k)
+        y, visited = i, [i]
+        for d in range(self.step):
+            bit, r = marked.access_rank(y)
+            if bit:  # i is d steps before the mark in walk order
+                offset = k - d if step is forward else k + d
+                break
+            y = step(y)
+            if d + 1 == ahead_of_i or y == i:  # at the target, or round an unmarked short cycle
+                return y if d + 1 == ahead_of_i else visited[ahead_of_i % (d + 1)], d + 1
+            visited.append(y)
+        else:
+            raise InputError("cycle walk: no mark within the step bound")
+        t, cid = self.step, mark_cycle[r - 1]
+        length = self.cycle_lengths[cid]
+        last = (length - 1) // t  # index of the cycle's last mark
+        target = (mark_index[r - 1] * t + offset) % length
+        q, ahead = divmod(target, t)
+        behind = (length if q == last else (q + 1) * t) - target
+        if ahead <= behind:
+            step, steps = forward, ahead
+        else:
+            q, step, steps = (0 if q == last else q + 1), backward, behind
+        y = self.marks[cycle_first[cid] + q]
+        for _ in range(steps):
+            y = step(y)
+        return y, d + steps
+
+    def verify(self, pi: np.ndarray):
+        """Raise InputError unless pi's cycles give these marks."""
+        want = CycleIndex(pi, self.step)
+        if not (np.array_equal(want.cycle_lengths, self.cycle_lengths)
+                and np.array_equal(want.marks, self.marks)):
+            raise InputError("power companion: its cycles or marks differ from the permutation's")
+
+    def payload_bits(self) -> int:
+        """Each marked cycle's length and each mark, at the bit length of n."""
+        return (len(self.cycle_lengths) + len(self.marks)) * self.n.bit_length()
+
+    def serialize(self) -> bytes:
+        w = ByteWriter()
+        w.uint(self.step)
+        w.ints(self.cycle_lengths)
+        w.ints(np.asarray(self.marks) - 1)
+        return w.getvalue()
+
+    @classmethod
+    def deserialize(cls, data: bytes, n: int) -> "CycleIndex":
+        """Load the cycle index of a permutation of [1..n]."""
+        with ByteReader(data) as r:
+            step = r.uint()
+            lengths = r.ints().astype(np.int64)
+            marks = r.ints().astype(np.int64) + 1
+        sizes = -(-lengths // max(1, step))
+        if (step < 1 or lengths.sum() > n or (lengths < step).any()
+                or sizes.sum() != marks.size or ((marks < 1) | (marks > n)).any()):
+            raise InputError("cycle index: cycles and marks differ from the header")
+        obj = cls.__new__(cls)
+        obj._set(n, step, lengths, marks)
+        return obj
+
+
 # --- the two sides ---------------------------------------------------------
 
 
@@ -294,7 +431,6 @@ class _RunLayout:
     def serialize(self) -> bytes:
         w = ByteWriter()
         if isinstance(self.s, _Tiling) and isinstance(self.sprime, _Tiling):
-            w.uint(int(self.lengths.sum()))
             w.ints(self.lengths)
             w.ints(self.sprime.order - 1)
         for side in (self.s, self.sprime):
@@ -309,14 +445,13 @@ class _RunLayout:
         contiguous, strict = _tiled_sides(kind)
         with ByteReader(data) as r:
             if contiguous and strict:
-                n = r.uint()
                 lengths = r.ints().astype(np.int64)
                 order = r.ints().astype(np.int64) + 1
-                # a Python sum: int64 could wrap around to n
-                if (lengths.size == 0 or lengths.min() < 1 or sum(lengths.tolist()) != n
+                # a Python sum: an int64 one could wrap around below 2**63
+                if (lengths.size == 0 or lengths.min() < 1 or sum(lengths.tolist()) >= 1 << 63
                         or not np.array_equal(np.sort(order), np.arange(1, lengths.size + 1))):
-                    raise InputError("run layout: lengths do not sum to n or the value "
-                                     "order is not a permutation of the runs")
+                    raise InputError("run layout: lengths do not sum to an int64 n or the "
+                                     "value order is not a permutation of the runs")
             s = None if contiguous else _load_labels(r.blob())
             sprime = None if strict else _load_labels(r.blob())
             increasing = load_bitvector(r.blob()).to_bits().astype(bool)
@@ -406,7 +541,7 @@ class RunPermutation:
     def verify(self):
         """``CycleIndex.verify`` of the power companion, whose marks a load trusts."""
         if self.companion is not None:
-            self.companion.verify(self.decode(), "power companion")
+            self.companion.verify(self.decode())
 
     def payload_bits(self) -> int:
         return self._layout.payload_bits() + (

@@ -273,6 +273,12 @@ class PolySequence:
 
     # --- space accounting ---------------------------------------------------
 
+    def verify(self):
+        """``SparseBitVector.verify`` of each sparse level, which a load trusts."""
+        for bv in self._levels:
+            if bv.kind == "sparse":
+                bv.verify()
+
     def payload_bits(self) -> int:
         return sum(bv.payload_bits() for bv in self._levels)
 

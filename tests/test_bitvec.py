@@ -271,6 +271,16 @@ def test_dict_with_swapped_low_parts_is_refused():
             SparseDictionary.deserialize(bad)
 
 
+@pytest.mark.parametrize("positions", [[101, 100, 102], [100, 100, 102]],
+                         ids=["swapped", "repeated"])
+def test_verify_refuses_positions_that_do_not_rise(positions):
+    """Low parts swapped or repeated inside one bucket load, and verify
+    refuses them; the rising positions pass."""
+    SparseBitVector(4096, [100, 101, 102], 1).verify()
+    bad = load_bitvector(SparseBitVector(4096, positions, 1).serialize())
+    with pytest.raises(InputError, match="do not rise"):
+        bad.verify()
+
 
 def _unique_alphabet_ranks(values):
     """alphabet_ranks by np.unique alone: (ranks, distinct values), or

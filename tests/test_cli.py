@@ -17,7 +17,7 @@ from apds.wavelet import BalancedSequence, PolySequence
 from test_apseq import large_class_input, t_edited_across_the_permutation_rule
 from test_bitvec import swap_sparse_lows
 from test_cfunction import extra_unit_function
-from test_chunkseq import corrupt_cycle_walk
+from test_chunkseq import repeated_pi
 from test_container import _structures, reseal
 from test_textindex import all_ones_samples_index
 from test_wavelet import balanced_corruptions
@@ -332,7 +332,7 @@ def test_truncated_header_exit_2_without_traceback(abra_file, tmp_path, capsys):
     run_cli(capsys, "build", "--type", "seq", "--input", abra_file,
             "--output", str(out_path))
     data = out_path.read_bytes()
-    # 9 bytes: magic, version 12 and one checksum byte; the whole header
+    # 9 bytes: magic, version 13 and one checksum byte; the whole header
     # but its last byte, the input format
     for cut in (data[:9], data[: HEADER_BYTES - 1]):
         out_path.write_bytes(cut)
@@ -342,16 +342,16 @@ def test_truncated_header_exit_2_without_traceback(abra_file, tmp_path, capsys):
 
 
 def test_bad_container_kind_exit_2_without_traceback(abra_file, tmp_path, capsys):
-    """A version-4 to version-11 file, and, resealed, a seq header over an
+    """A version-4 to version-12 file, and, resealed, a seq header over an
     index payload and an unknown container kind (the byte at CRC_START)."""
     seq_path, index_path = tmp_path / "abra.apds", tmp_path / "abra.idx"
     run_cli(capsys, "build", "--type", "seq", "--input", abra_file,
             "--output", str(seq_path))
     run_cli(capsys, "index", "build", "--input", abra_file, "--output", str(index_path))
     seq, index = seq_path.read_bytes(), index_path.read_bytes()
-    assert seq[4:8] == b"\x0c\x00\x00\x00" and seq[CRC_START] == 1 and index[CRC_START] == 4
+    assert seq[4:8] == b"\x0d\x00\x00\x00" and seq[CRC_START] == 1 and index[CRC_START] == 4
     bad = [(seq[:4] + bytes([v]) + seq[5:], f"unsupported container version {v}")
-           for v in (4, 5, 6, 7, 8, 9, 10, 11)]
+           for v in (4, 5, 6, 7, 8, 9, 10, 11, 12)]
     bad += [(reseal(index[:CRC_START] + b"\x01" + index[CRC_START + 1:]), None),
             (reseal(seq[:CRC_START] + b"\x09" + seq[CRC_START + 1:]), "unknown structure kind 9")]
     for i, (data, message) in enumerate(bad):
@@ -433,6 +433,31 @@ def test_corrupt_dictionary_exit_2(tmp_path, capsys):
     assert_exit_2_without_traceback(run_cli_process(
         "query", "--structure", str(out_path), "--op", "access", "--pos", "1"),
         "dictionary")
+
+
+def test_swapped_sparse_low_parts_exit_2(tmp_path, capsys):
+    """A sequence of 4,096 symbols, 95 % of them 1, whose class string has a
+    sparse level 0.  With two of that level's low parts swapped inside one
+    bucket and the file resealed, the library loads it and answers rank
+    and access wrong at position 24; every sequence op verifies the
+    sparse levels first and exits 2."""
+    rng = np.random.default_rng(1)
+    seq = np.where(rng.random(4096) < 0.95, 1, rng.integers(2, 6, 4096))
+    aps = ApSequence(seq)
+    level = aps.T._levels[0]
+    assert level.kind == "sparse"
+    assert len(set(level._stored_positions()[1:3] >> level.low_width)) == 1  # one bucket
+    data, good = dump_structure(aps), level.serialize()
+    assert data.count(good) == 1
+    bad = reseal(data.replace(good, swap_sparse_lows(good, 1, 2)))
+    loaded = load_structure(bad)[0]
+    assert loaded.rank(1, 24) == (seq[:24] == 1).sum() - 1 and loaded.access(24) != seq[23]
+    path = tmp_path / "seq.apds"
+    path.write_bytes(bad)
+    for op in (("access", "--pos", "24"), ("rank", "--symbol", "1", "--pos", "24"),
+               ("select", "--symbol", "1", "--rank", "1")):
+        code, out, err = run_cli(capsys, "query", "--structure", str(path), "--op", *op)
+        assert (code, out) == (2, "") and "stored positions do not rise" in err, (op, err)
 
 
 class StorePayload:
@@ -521,10 +546,10 @@ def corrupt_perm_queries(tmp_path, capsys):
     return [("query", "--structure", str(bad), "--op", "apply", "--pos", "1")]
 
 
-def corrupt_cycle_walk_query(tmp_path, capsys):
+def repeated_pi_query(tmp_path, capsys):
     """CLI query argv for select(300, 1) on a sequence container whose one
-    class store has a broken in-chunk permutation (see test_chunkseq)."""
-    seq, good, bad = corrupt_cycle_walk()
+    class store, a permutation, repeats a value (see test_chunkseq)."""
+    seq, good, bad = repeated_pi()
     src = tmp_path / "seq.txt"
     src.write_text(" ".join(map(str, seq.tolist())))
     out_path = tmp_path / "seq.apds"
@@ -538,11 +563,11 @@ def corrupt_cycle_walk_query(tmp_path, capsys):
 
 
 def test_repeated_pi_exits_2(tmp_path, capsys):
-    """The container of corrupt_cycle_walk_query: its one permutation class
+    """The container of repeated_pi_query: its one permutation class
     maps position 1 to 1, where 300 is stored, so the value 1 repeats and
     access(1) would answer 1.  Every sequence op verifies the class first
     and exits 2."""
-    path = corrupt_cycle_walk_query(tmp_path, capsys)[2]
+    path = repeated_pi_query(tmp_path, capsys)[2]
     for op in (("access", "--pos", "1"), ("rank", "--symbol", "1", "--pos", "5"),
                ("select", "--symbol", "300", "--rank", "1")):
         code, out, err = run_cli(capsys, "query", "--structure", path, "--op", *op)
@@ -618,7 +643,7 @@ def test_corrupt_containers_exit_2_under_optimize(tmp_path, capsys):
     # python -O strips assert statements: a check of loaded data written as
     # an assert would turn these into a hang or a wrong answer
     queries = [(argv, "layout tag") for argv in corrupt_perm_queries(tmp_path, capsys)]
-    queries.append((corrupt_cycle_walk_query(tmp_path, capsys), "not a permutation"))
+    queries.append((repeated_pi_query(tmp_path, capsys), "not a permutation"))
     for argv, message in queries:
         assert_exit_2_without_traceback(
             run_cli_process(*argv, python_flags=("-O",), timeout=30), message)

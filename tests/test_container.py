@@ -39,7 +39,7 @@ def reseal(data: bytes) -> bytes:
 def test_header_layout():
     data = pack_container(KIND_SEQ, FORMAT_BYTES, b"abc")
     assert data[:4] == b"APDS"
-    assert data[4:8] == b"\x0c\x00\x00\x00"  # version 12, little-endian
+    assert data[4:8] == b"\x0d\x00\x00\x00"  # version 13, little-endian
     assert data[8:12] == struct.pack("<I", zlib.crc32(bytes([KIND_SEQ, FORMAT_BYTES]) + b"abc"))
     assert (CRC_START, HEADER_BYTES) == (12, 14)
     assert data[CRC_START:] == bytes([KIND_SEQ, FORMAT_BYTES]) + b"abc"
@@ -51,7 +51,7 @@ def test_bad_magic_and_version():
     with pytest.raises(InputError, match="bad magic"):
         unpack_container(b"NOPE" + b"\x00" * 16)
     good = pack_container(KIND_SEQ, 0, b"abcdef")
-    for version in (11, 13):  # a v11 file ends here, as v1 files did at v2
+    for version in (12, 14):  # a v12 file ends here, as v1 files did at v2
         bad = bytearray(good)
         bad[4] = version
         with pytest.raises(InputError, match=f"unsupported container version {version}"):
@@ -148,13 +148,13 @@ def _pinned_structures():
 # sha256 of each container of _pinned_structures(); a format change updates
 # these and says so in CHANGES.md
 PINNED_SHA256 = [
-    "d311a29914f51fc4e05b4e00db218c537aea53582765bfb1862e896f7e07da53",
-    "ae77d4223bd156e6099d8728cecd6291deabeba2e6f23572e52a3cef5bd982c1",
-    "65ff86b75b74744d1937ca7cbaf806adcdb11ea13266fa920b6229fe07649905",
-    "a4c8a1a32b52d2ea0c4f8cb448e2e71e474e692ec2c232345dab133345e98e1e",
-    "70dbcbbb690a46e19356b6054a3d0f8d6562266408b91e1d2c2b8919f954f9fb",
-    "faabb8f932bd8f535e7ec2f3f9081be536ed3135f32165484dd4843b32a3ea08",
-    "118455b23a384eb533b3f9da304096c63b031119f6837abf15ff9af53aa2f855",
+    "27bf45ed5a0c9a88d5843faf8de5a5c73dabe2d41b8a2d2596efb892217737f6",
+    "ae4a19b091e0af56e71e941e1120cfd127b2565981f87a8730d739cac45f7dca",
+    "b6cccc11a813baeabfd4ad43afbb6a4f8609414b95762de3d8c89d623ac7201e",
+    "a0235bff1693bf252eaf13da73c17fa8563f64865511037af621f048962a9efd",
+    "9c3368659dfde1e3afaf175ecd260669918aa3786d849db19644fdda03e6edc2",
+    "200af4d8e608d14bb871e550e5910d5575a56aecb7b77824bd9ff6ba7e917a2c",
+    "df4d939b03892289dab8252d1b2c5e5e3eae1a9fad511153ffb92f7dcef7c759",
 ]
 
 

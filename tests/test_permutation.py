@@ -17,6 +17,7 @@ from apds.permutation import (
     RunDecomposition,
     RunPermutation,
     build_run_permutation,
+    cycle_order,
     decompose_runs,
 )
 from apds.stats import h_runs
@@ -393,7 +394,7 @@ def test_power_step_one_marks_every_fixed_point(kind):
     rp = build_run_permutation(pi, kind, power_step=1)
     ci = rp.companion
     assert len(ci.cycle_lengths) == 45 and list(ci.cycle_lengths).count(1) == 40
-    assert ci.marked.count(1) == n
+    assert ci._derive_walk()[0].count(1) == n
     for perm in (rp, RunPermutation.deserialize(rp.serialize())):
         perm.verify()
         for i in range(1, n + 1):
@@ -402,12 +403,60 @@ def test_power_step_one_marks_every_fixed_point(kind):
                 assert perm.last_power_walk == 0
 
 
+def naive_cycle_order(succ):
+    """Every element in walk order, each cycle from its least element, and
+    the cycle lengths: the plain walk that tries every start in turn."""
+    seen, order, lengths = [False] * len(succ), [], []
+    for s in range(len(succ)):
+        x, first = s, len(order)
+        while not seen[x]:
+            seen[x] = True
+            order.append(x)
+            x = succ[x]
+        if len(order) > first:
+            lengths.append(len(order) - first)
+    return order, lengths
+
+
+@st.composite
+def permutations_with_fixed_points(draw, fixed):
+    """A permutation of [0..n) as a successor list, with no fixed point,
+    some or only fixed points."""
+    n = draw(st.integers(2 if fixed == "none" else 0, 60))
+    if fixed == "all":
+        return list(range(n))
+    elems = draw(st.permutations(range(n)))
+    shortest = 2 if fixed == "none" else 1
+    cuts, k = [], 0
+    while n - k >= 2 * shortest:
+        k += draw(st.integers(shortest, n - k - shortest))
+        cuts.append(k)
+    succ = np.arange(n)
+    for cyc in np.split(np.array(elems, dtype=np.int64), cuts):
+        succ[cyc] = np.roll(cyc, -1)
+    return succ.tolist()
+
+
+@pytest.mark.parametrize("fixed", ["none", "some", "all"])
+def test_cycle_order_matches_naive_walk(fixed):
+    @settings(max_examples=150, deadline=None)
+    @given(succ=permutations_with_fixed_points(fixed))
+    def check(succ):
+        order, lengths = cycle_order(np.array(succ, dtype=np.int64))
+        assert (order.tolist(), lengths.tolist()) == naive_cycle_order(succ)
+        assert order.dtype == lengths.dtype == np.int64
+        if fixed == "none":
+            assert (lengths > 1).all()
+    check()
+
+
 def test_cycle_index_invariants():
     rng = np.random.default_rng(9)
     pi = rng.permutation(np.arange(1, 130))
     t = 4
     ci = CycleIndex(pi, t)
     # short cycles hold no marks; long cycles are marked every t from the min
+    is_mark = ci._derive_walk()[0].access
     seen = set()
     for s in range(1, 130):
         if s in seen:
@@ -418,7 +467,7 @@ def test_cycle_index_invariants():
             seen.add(x)
             cyc.append(x)
             x = int(pi[x - 1])
-        marked = [e for e in cyc if ci.marked.access(e)]
+        marked = [e for e in cyc if is_mark(e)]
         if len(cyc) < t:
             assert not marked
         else:
@@ -438,12 +487,10 @@ def test_errors():
         rp.inverse(0)
 
 
-def _sum_above_n(lay):
-    # contiguous-strict stores n before its lengths
-    data = lay.serialize()
-    head = _uint(int(lay.lengths.sum()))
-    assert data.startswith(head)
-    return _uint(int(lay.lengths.sum()) + 1) + data[len(head):]
+def _lengths_summing_to_2_63(lay):
+    # n is the lengths' sum, which an int64 sum would wrap around
+    lay.lengths = lay.lengths.copy()
+    lay.lengths[0] = (1 << 63) - int(lay.lengths[1:].sum())
 
 
 def _empty_first_run(lay):
@@ -471,14 +518,8 @@ def _move_a_value_to_the_next_run(lay):
     lay.sprime = ApSequence(labels)
 
 
-def _uint(v):
-    w = ByteWriter()
-    w.uint(v)
-    return w.getvalue()
-
-
 @pytest.mark.parametrize("kind,corrupt", [
-    ("contiguous-strict", _sum_above_n),
+    ("contiguous-strict", _lengths_summing_to_2_63),
     ("contiguous-strict", _empty_first_run),
     ("contiguous-strict", _repeat_a_run_in_value_order),
     ("contiguous-strict", _drop_a_direction),
@@ -489,7 +530,7 @@ def _uint(v):
 ])
 def test_load_rejects_bad_run_records(kind, corrupt):
     """Each corruption of a stored field is refused on load: lengths that
-    do not sum to n or hold a 0, a value order that is not a permutation
+    sum to 2**63 or hold a 0, a value order that is not a permutation
     of the runs, a direction vector of the wrong length, and label strings
     that count the runs differently."""
     rng = np.random.default_rng(3)

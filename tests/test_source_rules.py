@@ -43,11 +43,11 @@ def test_one_permutation_check():
     assert len(sites) == 1 and sites[0].startswith("chunkseq.py:"), sites
 
 
-def test_cycle_order_only_in_chunkseq():
-    # the permutation layer walks cycles in one place: no other module
-    # imports or calls cycle_order
+def test_cycle_order_only_in_permutation():
+    # the package walks cycles in one place, beside the one cycle shortcut:
+    # no other module imports or calls cycle_order
     found = [f"{path.name}:{node.lineno}"
-             for path in sorted(SRC.glob("*.py")) if path.name != "chunkseq.py"
+             for path in sorted(SRC.glob("*.py")) if path.name != "permutation.py"
              for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
              if (isinstance(node, ast.Name) and node.id == "cycle_order")
              or (isinstance(node, ast.Attribute) and node.attr == "cycle_order")

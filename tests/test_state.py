@@ -67,16 +67,16 @@ def _cases():
 
 def _first_walk(obj) -> list:
     """Run each walk that derives state on first use: an index's extract
-    (its inverse samples), a permutation's power and a select of every
-    symbol of a sequence's permutation classes (their cycle indexes' walk
-    index).  Each derived attribute is None before its walk and set after;
-    returns the walks' answers."""
+    (its inverse samples), a permutation's power (its cycle index's walk
+    index) and a select of every symbol of a sequence's permutation
+    classes (their pi^-1).  Each derived attribute is None before its walk
+    and set after; returns the walks' answers."""
     if isinstance(obj, FmIndex):
         lazy = [(obj, "_isa", lambda: obj.extract(1, 2))]
     elif isinstance(obj, RunPermutation) and obj.companion is not None:
         lazy = [(obj.companion, "_walk", lambda: obj.power(1, 3))]
     else:
-        lazy = [(s._cycles, "_walk", lambda s=s: [s.select(a, 1) for a in range(1, s.sigma + 1)])
+        lazy = [(s, "_inv_view", lambda s=s: [s.select(a, 1) for a in range(1, s.sigma + 1)])
                 for s in getattr(obj, "subs", []) if isinstance(s, LargeSequence)]
     answers = []
     for holder, attr, walk in lazy:
@@ -88,9 +88,10 @@ def _first_walk(obj) -> list:
 
 @pytest.mark.parametrize("name,build", list(_cases()), ids=[c[0] for c in _cases()])
 def test_built_state_equals_loaded_state(name, build):
-    """An index derives its inverse samples on the first extract, and a
-    cycle index its walk index on the first walk, so the two copies are
-    compared again after one."""
+    """An index derives its inverse samples on the first extract, a cycle
+    index its walk index on the first walk and a permutation class its
+    pi^-1 on the first select, so the two copies are compared again after
+    one."""
     obj = build()
     loaded = load_structure(dump_structure(obj))[0]
     assert state_differences(obj, loaded) == []
