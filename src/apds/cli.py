@@ -139,7 +139,7 @@ def cmd_query(args) -> int:
     op, kind = args.op, container.structure_kind(obj)
     if op not in kind.ops:
         raise InputError(f"op {op!r} does not apply to a {kind.name} structure")
-    if op in ("access", "rank", "select", "power"):
+    if hasattr(obj, "verify"):
         obj.verify()  # what a load trusts
     if op == "access":
         print(_format_symbol(obj.access(_need(args.pos, "--pos")), fmt))
@@ -260,7 +260,8 @@ def _build_parser():
     q.add_argument("--structure", required=True)
     q.add_argument("--op", required=True, choices=sorted(op for k in kinds for op in k.ops),
                    help="; ".join(f"{k.name}: {', '.join(k.ops)}" for k in kinds)
-                   + ". access, rank, select and power first verify what a load trusts, in O(n)")
+                   + f". {' and '.join(k.name for k in kinds if hasattr(k.cls, 'verify'))} "
+                   "ops first verify what a load trusts, in O(n)")
     q.add_argument("--symbol")
     q.add_argument("--pos", type=int)
     q.add_argument("--rank", type=int)

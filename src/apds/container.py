@@ -2,7 +2,7 @@
 
 Layout (header integers little-endian, fixed width):
 
-    "APDS" | u32 version=13 | u32 CRC32 | u8 kind | u8 input-format | payload
+    "APDS" | u32 version=14 | u32 CRC32 | u8 kind | u8 input-format | payload
 
 A kind is declared in one place, its row of ``STRUCTURE_KINDS``: the kind
 byte, the name (``apds build --type``), the class and the ``apds query``
@@ -13,17 +13,18 @@ kind, the input format and the payload.  The payload runs to the end of
 the file, so no length is stored; a truncated or extended file fails the
 checksum, which load checks before any deserializer runs.  Payloads are
 the structures' own serializations in the codec of ``bits``: varint
-scalars, whole-byte integer arrays and length-prefixed blobs.  They hold
-no value that load can compute but one, a permutation's power companion
-(see ``permutation``): no directories, counts, class values, lengths
-such as n and sigma, a ``PolySequence``'s code lengths (derived from its
-symbol counts by ``wavelet.huffman_code_lengths``), the store of a
-one-symbol class of an ``ApSequence`` (fixed by the class's count in T),
-the kind of each class store (``apseq._store_for`` picks it from the
-class's alphabet size in M and its length in T), a ``LargeSequence``'s
-n (n = sigma) or inverse permutation, or a contiguous-strict layout's n
-(the sum of its run lengths).  One stored value is implied by others: a
-``PolySequence``'s symbol counts, which its levels imply.
+scalars, whole-byte integer arrays and length-prefixed blobs.  No payload
+holds a value that load can compute: no directories, counts, class
+values, lengths such as n and sigma, a ``PolySequence``'s code lengths
+(derived from its symbol counts by ``wavelet.huffman_code_lengths``), the
+store of a one-symbol class of an ``ApSequence`` (fixed by the class's
+count in T), the kind of each class store (``apseq._store_for`` picks it
+from the class's alphabet size in M and its length in T), a
+``LargeSequence``'s n (n = sigma) or inverse permutation, a
+contiguous-strict layout's n (the sum of its run lengths), or a
+permutation's cycle marks (its power companion, which a load derives on
+the first power, see ``permutation``).  One stored value is implied by
+others: a ``PolySequence``'s symbol counts, which its levels imply.
 Every unary count vector is a ``bitvec.unary_counts`` vector.
 
 A ``BalancedSequence`` writes sigma, its symbol counts as offsets from
@@ -40,8 +41,8 @@ ceil(lg sigma) bits per value; load refuses a word count that disagrees
 with sigma.
 
 A permutation payload is its layout tag (the run kind's index in
-``permutation.KINDS`` plus one), its layout and its power companion (an
-empty blob if none).  The layout holds, per kind:
+``permutation.KINDS`` plus one), its layout and its power step (0 if
+none).  The layout holds, per kind:
 
     interleaved-general   label string s, label string s', directions
     interleaved-strict    label string s, directions
@@ -68,7 +69,9 @@ once) as sigma, the permutation, its cycle marks and back pointers, where
 10 also stored n and two unary count vectors of ones; 12 stores its marks
 as a ``CycleIndex``, where 11 stored a mark bitvector and back pointers;
 13 stores only sigma and the permutation there, and no n in a
-contiguous-strict layout.  Files of any other version are refused.
+contiguous-strict layout; 14 stores a permutation's power step alone,
+where 13 stored its companion's step, cycle lengths and marks.  Files of
+any other version are refused.
 """
 
 from __future__ import annotations
@@ -84,7 +87,7 @@ from .permutation import RunPermutation
 from .textindex import FmIndex
 
 MAGIC = b"APDS"
-VERSION = 13
+VERSION = 14
 _HEAD = struct.Struct("<4sII")  # magic, version, CRC32
 CRC_START = _HEAD.size  # the checksum covers data[CRC_START:]
 HEADER_BYTES = CRC_START + 2  # then the kind and the input format

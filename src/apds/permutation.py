@@ -30,25 +30,24 @@ start is the sum of the lengths before it, so no run minimum, start or
 first value is stored.
 
 A container holds the layout tag (the kind's index in KINDS plus one),
-the layout and a cycle-marking companion (an empty blob if none).  The
-layout stores its label strings, in the order s, sprime, and one
-direction bit per run; the run lengths are the label strings' symbol
-counts, so only contiguous-strict, which has none, stores the lengths
-and the value order (less one) before its directions; n is the lengths'
-sum.  A permutation keeps a run summary (kind, n, run lengths and
-directions), which build and load both take from the layout.  The
-cover's labels serve only to build the layout.
+the layout and the power step t (0 if none).  The layout stores its label
+strings, in the order s, sprime, and one direction bit per run; the run
+lengths are the label strings' symbol counts, so only contiguous-strict,
+which has none, stores the lengths and the value order (less one) before
+its directions; n is the lengths' sum.  A permutation keeps a run summary
+(kind, n, run lengths and directions), which build and load both take
+from the layout.  The cover's labels serve only to build the layout.
 
-The companion is a ``CycleIndex``, the package's one cycle shortcut
+The power companion is a ``CycleIndex``, the package's one cycle shortcut
 (Munro, Raman, Raman & Rao, ICALP 2003): it marks every t-th element of
 each cycle of length >= t, in the walk order of ``cycle_order``, so its
-``power`` answers pi^k in at most min(|k|, t - 1 + t // 2) steps,
-trusting the marks.  It stores t, the cycle lengths and the marks, and
-derives its walk index on the first walk.  A load checks sizes only;
-``RunPermutation.verify`` checks the marks in O(n), as the CLI does before
-a power.  The marks are the one stored value that a load could compute,
-but only by a decode and a walk of every cycle, 8-10 ms at n = 2^16,
-which the first power after each load would pay.
+``power`` answers pi^k in at most min(|k|, t - 1 + t // 2) steps.  Only t
+is stored.  A build makes the companion from the pi it has checked; a
+loaded permutation makes it on its first power from ``decode``, a
+bijection on any layout that load accepts, so no stored mark can be
+wrong.  ``RunPermutation.verify`` checks what a load trusts, the label
+strings' sparse levels and permutation classes, in O(n), as the CLI does
+before every query.
 """
 
 from __future__ import annotations
@@ -236,47 +235,40 @@ def cycle_order(succ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 class CycleIndex:
     """The marks of a permutation of [1..n]: every step-th element of each
-    cycle of length >= step, in walk order from the cycle's least element."""
+    cycle of length >= step, in walk order from the cycle's least element,
+    and the walk index over them."""
 
     def __init__(self, pi: np.ndarray, step: int):
-        step = int_param(step, "power step")
+        """Marks and walk index in one pass over pi's cycles; pi is a
+        checked permutation, or a layout's decode, which pairs two stable
+        argsorts and so is one."""
+        self.step = step = int_param(step, "power step")
         order, lengths = cycle_order(pi - 1)
         idx = np.arange(pi.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
         keep = lengths >= step
-        self._set(pi.size, step, lengths[keep],
-                  order[(idx % step == 0) & np.repeat(keep, lengths)] + 1)
-
-    def _set(self, n: int, step: int, cycle_lengths: np.ndarray, marks: np.ndarray):
-        """The marked cycles' lengths and their marks, ceil(length / step) each,
-        cycle by cycle, as memoryviews: a walk reads them item by item."""
-        self.n, self.step = n, step
+        is_mark = (idx % step == 0) & np.repeat(keep, lengths)
+        marks, cycle_lengths = order[is_mark] + 1, lengths[keep]
+        sizes = -(-cycle_lengths // step)
+        by_pos = np.argsort(marks)
+        # memoryviews, as a walk reads them item by item: the marks and the
+        # marked cycles' lengths, cycle by cycle; the walk index, that is
+        # the mark bitvector over [1..n], each mark's cycle and index in it
+        # in position order, and each cycle's first mark
         self.cycle_lengths, self.marks = memoryview(cycle_lengths), memoryview(marks)
-        self._walk = None  # the walk index, derived on the first walk
-
-    def _derive_walk(self):
-        """Set and return the walk index: (mark bitvector over [1..n], each
-        mark's cycle and index in it, in position order, each cycle's first
-        mark).  Refuses a mark stored twice."""
-        sizes = -(-np.asarray(self.cycle_lengths) // self.step)
-        first = np.cumsum(sizes) - sizes
-        order = np.argsort(marks := np.asarray(self.marks), kind="stable")
-        if (np.diff(pos := marks[order] - 1) == 0).any():
-            raise InputError("cycle index: a mark is stored twice")
-        self._walk = (bitvector_from_positions(self.n, pos),
-                      memoryview(np.repeat(np.arange(sizes.size), sizes)[order]),
-                      memoryview((np.arange(pos.size) - np.repeat(first, sizes))[order]),
-                      memoryview(first))
-        return self._walk
+        self._walk = (bitvector_from_positions(pi.size, marks[by_pos] - 1),
+                      memoryview(np.repeat(np.arange(sizes.size), sizes)[by_pos]),
+                      memoryview((idx[is_mark] // step)[by_pos]),
+                      memoryview(np.cumsum(sizes) - sizes))
 
     def power(self, i: int, k: int, forward, backward) -> tuple[int, int]:
         """(pi^k(i), steps) for i in [1..n], given forward = pi and backward
         = pi^-1.  Walks |k| steps (backward if k < 0), or to a mark met
         first, and on from the target's mark before it, or the one after it
         if that is nearer backward: at most min(|k|, step - 1 + step // 2)
-        steps.  Trusts the marks."""
+        steps."""
         if k == 0:
             return i, 0
-        marked, mark_cycle, mark_index, cycle_first = self._walk or self._derive_walk()
+        marked, mark_cycle, mark_index, cycle_first = self._walk
         # the target is ahead_of_i steps along the walk
         step, ahead_of_i = (backward, -k) if k < 0 else (forward, k)
         y, visited = i, [i]
@@ -305,39 +297,6 @@ class CycleIndex:
         for _ in range(steps):
             y = step(y)
         return y, d + steps
-
-    def verify(self, pi: np.ndarray):
-        """Raise InputError unless pi's cycles give these marks."""
-        want = CycleIndex(pi, self.step)
-        if not (np.array_equal(want.cycle_lengths, self.cycle_lengths)
-                and np.array_equal(want.marks, self.marks)):
-            raise InputError("power companion: its cycles or marks differ from the permutation's")
-
-    def payload_bits(self) -> int:
-        """Each marked cycle's length and each mark, at the bit length of n."""
-        return (len(self.cycle_lengths) + len(self.marks)) * self.n.bit_length()
-
-    def serialize(self) -> bytes:
-        w = ByteWriter()
-        w.uint(self.step)
-        w.ints(self.cycle_lengths)
-        w.ints(np.asarray(self.marks) - 1)
-        return w.getvalue()
-
-    @classmethod
-    def deserialize(cls, data: bytes, n: int) -> "CycleIndex":
-        """Load the cycle index of a permutation of [1..n]."""
-        with ByteReader(data) as r:
-            step = r.uint()
-            lengths = r.ints().astype(np.int64)
-            marks = r.ints().astype(np.int64) + 1
-        sizes = -(-lengths // max(1, step))
-        if (step < 1 or lengths.sum() > n or (lengths < step).any()
-                or sizes.sum() != marks.size or ((marks < 1) | (marks > n)).any()):
-            raise InputError("cycle index: cycles and marks differ from the header")
-        obj = cls.__new__(cls)
-        obj._set(n, step, lengths, marks)
-        return obj
 
 
 # --- the two sides ---------------------------------------------------------
@@ -473,13 +432,20 @@ class _RunLayout:
 class RunPermutation:
     """A permutation stored through its run decomposition."""
 
-    def __init__(self, layout: _RunLayout, kind: str, companion: CycleIndex | None = None):
+    def __init__(self, layout: _RunLayout, kind: str, power_step: int | None = None,
+                 pi: np.ndarray | None = None):
         """Build and load both end here: the run summary comes from the
-        layout, whose runs cover [1..n]."""
+        layout, whose runs cover [1..n].  A build passes the checked pi,
+        from which the power companion is built now; a load passes none,
+        and its first power derives the companion from ``decode``."""
         self._layout = layout
         self.n = int(layout.lengths.sum())
         self.decomposition = RunSummary(kind, self.n, layout.lengths, layout.increasing)
-        self.companion = companion
+        self.power_step = None if power_step is None else int_param(power_step, "power step")
+        if (self.power_step or 0) >= 1 << 63:  # stored as a varint
+            raise InputError("power step must be < 2**63")
+        self.companion = (None if pi is None or power_step is None
+                          else CycleIndex(pi, self.power_step))
         self.last_power_walk = 0
 
     @classmethod
@@ -492,8 +458,7 @@ class RunPermutation:
     def from_decomposition(cls, pi, dec: RunDecomposition,
                            power_step: int | None = None) -> "RunPermutation":
         arr = pi if pi is dec.checked else _validate_permutation(pi)  # check pi once
-        companion = None if power_step is None else CycleIndex(arr, power_step)
-        return cls(_RunLayout.build(arr, dec), dec.kind, companion)
+        return cls(_RunLayout.build(arr, dec), dec.kind, power_step, arr)
 
     @property
     def rho(self) -> int:
@@ -512,10 +477,12 @@ class RunPermutation:
     def power(self, i: int, k: int) -> int:
         """pi^k(i); negative k is the inverse power: the companion's walk with
         the layout's apply and inverse."""
-        if self.companion is None:
+        if self.power_step is None:
             raise UnsupportedOperationError("permutation was built without a power companion")
         if not 1 <= i <= self.n:
             raise OutOfRangeError(f"position {i} out of [1..{self.n}]")
+        if self.companion is None:  # a loaded permutation's first power
+            self.companion = CycleIndex(self.decode(), self.power_step)
         y, self.last_power_walk = self.companion.power(
             i, k, self._layout.apply, self._layout.inverse)
         return y
@@ -539,13 +506,13 @@ class RunPermutation:
         return pi
 
     def verify(self):
-        """``CycleIndex.verify`` of the power companion, whose marks a load trusts."""
-        if self.companion is not None:
-            self.companion.verify(self.decode())
+        """``ApSequence.verify`` of each label-string side: what a load trusts."""
+        for side in (self._layout.s, self._layout.sprime):
+            if isinstance(side, ApSequence):
+                side.verify()
 
     def payload_bits(self) -> int:
-        return self._layout.payload_bits() + (
-            0 if self.companion is None else self.companion.payload_bits())
+        return self._layout.payload_bits()
 
     # --- serialization ----------------------------------------------------------
 
@@ -553,7 +520,7 @@ class RunPermutation:
         w = ByteWriter()
         w.uint(KINDS.index(self.decomposition.kind) + 1)
         w.blob(self._layout.serialize())
-        w.blob(b"" if self.companion is None else self.companion.serialize())
+        w.uint(self.power_step or 0)
         return w.getvalue()
 
     @classmethod
@@ -563,10 +530,7 @@ class RunPermutation:
             if not 1 <= tag <= len(KINDS):
                 raise InputError(f"unknown permutation layout tag {tag}")
             layout = _RunLayout.deserialize(r.blob(), KINDS[tag - 1])
-            perm = cls(layout, KINDS[tag - 1])
-            if d := r.blob():
-                perm.companion = CycleIndex.deserialize(d, perm.n)
-        return perm
+            return cls(layout, KINDS[tag - 1], r.uint() or None)
 
 
 def build_run_permutation(pi, kind: str = "interleaved-general",

@@ -12,6 +12,8 @@ from apds.cli import _build_parser, main
 from apds.container import (CRC_START, FORMAT_BYTES, FORMAT_INTS, HEADER_BYTES, KIND_INDEX,
                             KIND_SEQ, STRUCTURE_KINDS, dump_structure, load_structure,
                             pack_container, save_file)
+from apds.errors import InputError
+from apds.permutation import build_run_permutation
 from apds.selfcheck import suite_sequences
 from apds.wavelet import BalancedSequence, PolySequence
 from test_apseq import large_class_input, t_edited_across_the_permutation_rule
@@ -332,7 +334,7 @@ def test_truncated_header_exit_2_without_traceback(abra_file, tmp_path, capsys):
     run_cli(capsys, "build", "--type", "seq", "--input", abra_file,
             "--output", str(out_path))
     data = out_path.read_bytes()
-    # 9 bytes: magic, version 13 and one checksum byte; the whole header
+    # 9 bytes: magic, version 14 and one checksum byte; the whole header
     # but its last byte, the input format
     for cut in (data[:9], data[: HEADER_BYTES - 1]):
         out_path.write_bytes(cut)
@@ -342,16 +344,16 @@ def test_truncated_header_exit_2_without_traceback(abra_file, tmp_path, capsys):
 
 
 def test_bad_container_kind_exit_2_without_traceback(abra_file, tmp_path, capsys):
-    """A version-4 to version-12 file, and, resealed, a seq header over an
+    """A version-4 to version-13 file, and, resealed, a seq header over an
     index payload and an unknown container kind (the byte at CRC_START)."""
     seq_path, index_path = tmp_path / "abra.apds", tmp_path / "abra.idx"
     run_cli(capsys, "build", "--type", "seq", "--input", abra_file,
             "--output", str(seq_path))
     run_cli(capsys, "index", "build", "--input", abra_file, "--output", str(index_path))
     seq, index = seq_path.read_bytes(), index_path.read_bytes()
-    assert seq[4:8] == b"\x0d\x00\x00\x00" and seq[CRC_START] == 1 and index[CRC_START] == 4
+    assert seq[4:8] == b"\x0e\x00\x00\x00" and seq[CRC_START] == 1 and index[CRC_START] == 4
     bad = [(seq[:4] + bytes([v]) + seq[5:], f"unsupported container version {v}")
-           for v in (4, 5, 6, 7, 8, 9, 10, 11, 12)]
+           for v in (4, 5, 6, 7, 8, 9, 10, 11, 12, 13)]
     bad += [(reseal(index[:CRC_START] + b"\x01" + index[CRC_START + 1:]), None),
             (reseal(seq[:CRC_START] + b"\x09" + seq[CRC_START + 1:]), "unknown structure kind 9")]
     for i, (data, message) in enumerate(bad):
@@ -574,64 +576,64 @@ def test_repeated_pi_exits_2(tmp_path, capsys):
         assert (code, out) == (2, "") and "not a permutation" in err, (op, err)
 
 
-@pytest.mark.parametrize("stored", [[1] * 16, list(range(1, 17))])
-def test_corrupt_power_marks_exit_2(tmp_path, capsys, stored):
-    """A 64-cycle with power step 4 stores the marks 1, 5, .., 61.  Marks
-    stored as sixteen 1s or as 1..16 pass the load's size checks, and the
-    query's verify refuses both before the walk, which from 20 would meet
-    no mark within the step bound."""
-    src = tmp_path / "cycle.txt"
-    src.write_text(" ".join(map(str, [*range(2, 65), 1])))
-    out_path = tmp_path / "cycle.apds"
-    run_cli(capsys, "build", "--type", "perm", "--format", "ints", "--input", str(src),
-            "--output", str(out_path), "--power-step", "4")
-    data = out_path.read_bytes()
-    # the marks are an ints field stored less one: width 1, count 16
-    good = bytes([1, 16, *range(0, 64, 4)])
+def test_swapped_label_string_low_parts_exit_2(tmp_path, capsys):
+    """The identity of [1..4096] with the transpositions (100 101), (103 104),
+    (1000 1001) and (1003 1004), in interleaved-general runs: the class
+    string of its position-side label string has a sparse level 0 that holds
+    100, 103, 1000 and 1003.  With its first two low parts swapped and the
+    file resealed, the library loads it and answers apply(101) = 103, where
+    100 is right; apply, inverse and power verify the label strings first
+    and exit 2."""
+    pi = np.arange(1, 4097)
+    for a in (100, 103, 1000, 1003):
+        pi[[a - 1, a]] = pi[[a, a - 1]]
+    rp = build_run_permutation(pi, "interleaved-general", power_step=4)
+    level = rp._layout.s.T._levels[0]
+    assert level.kind == "sparse" and level._stored_positions().tolist() == [100, 103, 1000, 1003]
+    data, good = dump_structure(rp), level.serialize()
     assert data.count(good) == 1
-    out_path.write_bytes(reseal(data.replace(good, bytes([1, 16, *(m - 1 for m in stored)]))))
-    assert_exit_2_without_traceback(run_cli_process(
-        "query", "--structure", str(out_path), "--op", "power", "--pos", "20", "--k", "3"),
-        "power companion")
+    bad = reseal(data.replace(good, swap_sparse_lows(good, 0, 1)))
+    assert load_structure(bad)[0].apply(101) == 103
+    path = tmp_path / "perm.apds"
+    path.write_bytes(bad)
+    for op in (("apply", "--pos", "101"), ("inverse", "--pos", "100"),
+               ("power", "--pos", "101", "--k", "1")):
+        code, out, err = run_cli(capsys, "query", "--structure", str(path), "--op", *op)
+        assert (code, out) == (2, "") and "stored positions do not rise" in err, (op, err)
 
 
-def test_corrupt_power_marks_backward_walk_exit_2(tmp_path, capsys):
-    """The 64-cycle of test_corrupt_power_marks_exit_2 with marks stored as
-    1..16: the walk for k = -3 runs back from 20 through 19, 18 and 17 and
-    meets no mark within the step bound either, so it must not answer."""
-    src = tmp_path / "cycle.txt"
-    src.write_text(" ".join(map(str, [*range(2, 65), 1])))
-    out_path = tmp_path / "cycle.apds"
-    run_cli(capsys, "build", "--type", "perm", "--format", "ints", "--input", str(src),
-            "--output", str(out_path), "--power-step", "4")
-    data = out_path.read_bytes()
-    good = bytes([1, 16, *range(0, 64, 4)])
-    assert data.count(good) == 1
-    out_path.write_bytes(reseal(data.replace(good, bytes([1, 16, *range(16)]))))
-    assert_exit_2_without_traceback(run_cli_process(
-        "query", "--structure", str(out_path), "--op", "power", "--pos", "20", "--k", "-3"),
-        "power companion")
+# flags for each op, on a structure of test_container._structures()
+OP_ARGS = {"access": ("--pos", "1"), "rank": ("--symbol", "1", "--pos", "1"),
+           "select": ("--symbol", "1", "--rank", "1"), "apply": ("--pos", "1"),
+           "inverse": ("--pos", "1"), "power": ("--pos", "1", "--k", "2"),
+           "eval": ("--pos", "1"), "preimage": ("--symbol", "1"),
+           "count": ("--pattern", "1"), "locate": ("--pattern", "1"),
+           "extract": ("--range", "1:2")}
 
 
-def test_swapped_power_marks_exit_2(tmp_path, capsys):
-    """The 64-cycle of test_corrupt_power_marks_exit_2 with its first two
-    marks swapped (5, 1, 9, .., 61): distinct, in range and one per step,
-    so the container loads, but the marks are not every fourth element of
-    the cycle.  A power query verifies the companion first and refuses it."""
-    src = tmp_path / "cycle.txt"
-    src.write_text(" ".join(map(str, [*range(2, 65), 1])))
-    out_path = tmp_path / "cycle.apds"
-    run_cli(capsys, "build", "--type", "perm", "--format", "ints", "--input", str(src),
-            "--output", str(out_path), "--power-step", "4")
-    data = out_path.read_bytes()
-    good = bytes([1, 16, *range(0, 64, 4)])
-    assert data.count(good) == 1
-    out_path.write_bytes(reseal(data.replace(good, bytes([1, 16, 4, 0, *range(8, 64, 4)]))))
-    assert_exit_2_without_traceback(run_cli_process(
-        "query", "--structure", str(out_path), "--op", "power", "--pos", "3", "--k", "2"),
-        "power companion")
-    assert run_cli(capsys, "query", "--structure", str(out_path), "--op", "apply",
-                   "--pos", "3")[:2] == (0, "4\n")
+def test_query_verifies_before_every_op_of_a_kind_with_verify(tmp_path, capsys, monkeypatch):
+    """apds query calls verify once, before it answers, for every op of
+    every kind in the table whose class defines one."""
+    checked = []
+    for kind, (obj, _) in zip(STRUCTURE_KINDS, _structures()):
+        if not hasattr(kind.cls, "verify"):
+            continue
+        calls = []
+
+        def verify(self, calls=calls):
+            calls.append(self)
+            raise InputError("verify ran")
+
+        monkeypatch.setattr(kind.cls, "verify", verify)
+        path = tmp_path / f"{kind.name}.apds"
+        path.write_bytes(dump_structure(obj))
+        for op in kind.ops:
+            calls.clear()
+            code, out, err = run_cli(capsys, "query", "--structure", str(path), "--op", op,
+                                     *OP_ARGS[op])
+            assert (code, out, len(calls)) == (2, "", 1) and "verify ran" in err, (kind.name, op)
+        checked.append(kind.name)
+    assert {"seq", "perm"} <= set(checked)
 
 
 def test_corrupt_perm_layout_bytes_exit_2(tmp_path, capsys):
@@ -664,6 +666,8 @@ def test_selfcheck_injected_bitvector_fault_fails(capsys):
      "--output", "{out}", "--power-step", "0"],
     ["build", "--type", "perm", "--format", "ints", "--input", "{perm}",
      "--output", "{out}", "--power-step", "-3"],
+    ["build", "--type", "perm", "--format", "ints", "--input", "{perm}",
+     "--output", "{out}", "--power-step", str(1 << 63)],
     ["build", "--type", "index", "--input", "{text}", "--output", "{out}",
      "--sample-rate", "0"],
     ["index", "build", "--input", "{text}", "--output", "{out}", "--sample-rate", "-5"],
@@ -678,9 +682,9 @@ def test_selfcheck_injected_bitvector_fault_fails(capsys):
     ["build", "--type", "perm", "--format", "ints", "--input", "{perm}",
      "--output", "{out}", "--mode", "direct"],
 ], ids=["selfcheck-max-n-1", "selfcheck-iters-negative", "selfcheck-iters-0",
-        "perm-power-step-0", "perm-power-step-negative", "index-sample-rate-0",
-        "index-alias-sample-rate-negative", "index-k-negative", "seq-perm-and-index-flags",
-        "seq-k", "index-runs-kind", "func-sample-rate", "perm-mode"])
+        "perm-power-step-0", "perm-power-step-negative", "perm-power-step-2**63",
+        "index-sample-rate-0", "index-alias-sample-rate-negative", "index-k-negative",
+        "seq-perm-and-index-flags", "seq-k", "index-runs-kind", "func-sample-rate", "perm-mode"])
 def test_bad_flag_values_exit_2(abra_file, tmp_path, capsys, argv):
     perm = tmp_path / "perm.txt"
     perm.write_text("3 1 4 2")

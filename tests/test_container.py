@@ -24,7 +24,7 @@ from apds.container import (
     unpack_container,
 )
 from apds.errors import InputError
-from apds.permutation import KINDS, CycleIndex, RunPermutation, _RunLayout, build_run_permutation
+from apds.permutation import KINDS, RunPermutation, _RunLayout, build_run_permutation
 from apds.textindex import BlockStore, FmIndex
 from apds.wavelet import PolySequence
 from nl_corpus import natural_text
@@ -39,7 +39,7 @@ def reseal(data: bytes) -> bytes:
 def test_header_layout():
     data = pack_container(KIND_SEQ, FORMAT_BYTES, b"abc")
     assert data[:4] == b"APDS"
-    assert data[4:8] == b"\x0d\x00\x00\x00"  # version 13, little-endian
+    assert data[4:8] == b"\x0e\x00\x00\x00"  # version 14, little-endian
     assert data[8:12] == struct.pack("<I", zlib.crc32(bytes([KIND_SEQ, FORMAT_BYTES]) + b"abc"))
     assert (CRC_START, HEADER_BYTES) == (12, 14)
     assert data[CRC_START:] == bytes([KIND_SEQ, FORMAT_BYTES]) + b"abc"
@@ -51,7 +51,7 @@ def test_bad_magic_and_version():
     with pytest.raises(InputError, match="bad magic"):
         unpack_container(b"NOPE" + b"\x00" * 16)
     good = pack_container(KIND_SEQ, 0, b"abcdef")
-    for version in (12, 14):  # a v12 file ends here, as v1 files did at v2
+    for version in (13, 15):  # a v13 file ends here, as v1 files did at v2
         bad = bytearray(good)
         bad[4] = version
         with pytest.raises(InputError, match=f"unsupported container version {version}"):
@@ -148,13 +148,13 @@ def _pinned_structures():
 # sha256 of each container of _pinned_structures(); a format change updates
 # these and says so in CHANGES.md
 PINNED_SHA256 = [
-    "27bf45ed5a0c9a88d5843faf8de5a5c73dabe2d41b8a2d2596efb892217737f6",
-    "ae4a19b091e0af56e71e941e1120cfd127b2565981f87a8730d739cac45f7dca",
-    "b6cccc11a813baeabfd4ad43afbb6a4f8609414b95762de3d8c89d623ac7201e",
-    "a0235bff1693bf252eaf13da73c17fa8563f64865511037af621f048962a9efd",
-    "9c3368659dfde1e3afaf175ecd260669918aa3786d849db19644fdda03e6edc2",
-    "200af4d8e608d14bb871e550e5910d5575a56aecb7b77824bd9ff6ba7e917a2c",
-    "df4d939b03892289dab8252d1b2c5e5e3eae1a9fad511153ffb92f7dcef7c759",
+    "113546b5e7b9b6f7fc0e3002478d74c106df0922e437c8201b6d9d8c75d9aadb",
+    "4ba2f10fd37adaccfee63ccbf412258a0a9b41157dc215ef40ec26bc15d7d543",
+    "553b0adfb152d76dca1efe62e1aeac11ff1dd865330bd44013201c9676b0d679",
+    "65b768e6b175bb98ecf31814a8a31051b10cb9874f45d704f2fcc853ba6c21ca",
+    "7f4e2de3659f59df8564f13f7554f398116d2b43d8180f9a0e2cea1d05ec9e1d",
+    "c834777ebd7ee01be68228ce44c26830379816566edce24e1d8ac649c4a279e6",
+    "6a4b0890c273a48c4a035440b16854d76b8adab39b2ef1e3835e65bda65638e0",
 ]
 
 
@@ -273,7 +273,6 @@ def _loaders():
         ("plain bitvector", bitvector(seq % 2), load_bitvector),
         ("sparse bitvector", bitvector(sparse), load_bitvector),
         ("SparseDictionary", SparseDictionary([3, 9, 40, 1000]), SparseDictionary.deserialize),
-        ("CycleIndex", perm.companion, lambda d: CycleIndex.deserialize(d, perm.n)),
         ("run layout", perm._layout, lambda d: _RunLayout.deserialize(d, perm.decomposition.kind)),
         ("strict run layout", strict._layout,
          lambda d: _RunLayout.deserialize(d, "contiguous-strict")),

@@ -386,7 +386,7 @@ def test_power_every_step_against_naive(kind):
 def test_power_step_one_marks_every_fixed_point(kind):
     """With power step 1 every element is a mark, the fixed points among
     them (half the elements, between and around the longer cycles): built
-    and loaded, verify accepts the companion and power agrees with the
+    and loaded, verify accepts the permutation and power agrees with the
     naive walk."""
     rng = np.random.default_rng(40 + KINDS.index(kind))
     pi = _permutation_with_cycles([1] * 40 + [2, 3, 5, 8, 22], rng)
@@ -394,7 +394,7 @@ def test_power_step_one_marks_every_fixed_point(kind):
     rp = build_run_permutation(pi, kind, power_step=1)
     ci = rp.companion
     assert len(ci.cycle_lengths) == 45 and list(ci.cycle_lengths).count(1) == 40
-    assert ci._derive_walk()[0].count(1) == n
+    assert ci._walk[0].count(1) == n
     for perm in (rp, RunPermutation.deserialize(rp.serialize())):
         perm.verify()
         for i in range(1, n + 1):
@@ -456,7 +456,7 @@ def test_cycle_index_invariants():
     t = 4
     ci = CycleIndex(pi, t)
     # short cycles hold no marks; long cycles are marked every t from the min
-    is_mark = ci._derive_walk()[0].access
+    is_mark = ci._walk[0].access
     seen = set()
     for s in range(1, 130):
         if s in seen:
@@ -676,34 +676,18 @@ def test_decode_is_pi(kind):
             assert got.dtype == np.int64
             assert got.tolist() == pi
             perm.verify()
-    build_run_permutation([3, 1, 2], kind).verify()  # no companion: nothing to check
+    build_run_permutation([3, 1, 2], kind).verify()  # and without a power step
 
 
-def _cycle_with_marks(stored):
-    """A 64-cycle with power step 4, loaded with ``stored`` as its marks
-    (built: 1, 5, .., 61)."""
-    rp = build_run_permutation([*range(2, 65), 1], "interleaved-general", power_step=4)
-    data = rp.serialize()
-    good = bytes([1, 16, *range(0, 64, 4)])  # an ints field of marks less one
-    assert data.count(good) == 1
-    return RunPermutation.deserialize(data.replace(good, bytes([1, 16, *(m - 1 for m in stored)])))
-
-
-def test_first_walk_refuses_a_mark_stored_twice():
-    """Sixteen marks all 1 pass the load's size and range checks; the first
-    walk sorts the marks and refuses them, and so does verify."""
-    perm = _cycle_with_marks([1] * 16)
-    with pytest.raises(InputError, match="stored twice"):
-        perm.power(20, 3)
-    with pytest.raises(InputError, match="power companion"):
-        perm.verify()
-
-
-@pytest.mark.parametrize("stored", [list(range(1, 17)), [5, 1, *range(9, 64, 4)]],
-                         ids=["marks 1..16", "first two swapped"])
-def test_verify_refuses_bad_marks(stored):
-    """Both companions pass the load's header checks; verify refuses them."""
-    _cycle_with_marks(range(1, 64, 4)).verify()
-    perm = _cycle_with_marks(stored)
-    with pytest.raises(InputError, match="power companion"):
-        perm.verify()
+@pytest.mark.parametrize("kind", KINDS)
+def test_power_companion_is_stored_as_its_step(kind):
+    """No cycle mark is stored: a step-t permutation serializes as the
+    step-less one with its final 0 byte replaced by the varint of t."""
+    pi = np.random.default_rng(3).permutation(300) + 1
+    plain = build_run_permutation(pi, kind).serialize()
+    assert plain[-1] == 0
+    for t in (1, 16, 300, 1000):
+        w = ByteWriter()
+        w.uint(t)
+        with_step = build_run_permutation(pi, kind, power_step=t).serialize()
+        assert with_step == plain[:-1] + w.getvalue(), t

@@ -65,16 +65,19 @@ def _cases():
         yield f"index k={k}", lambda k=k: FmIndex(text, k_context=k)
 
 
-def _first_walk(obj) -> list:
+def _first_walk(obj, built: bool) -> list:
     """Run each walk that derives state on first use: an index's extract
-    (its inverse samples), a permutation's power (its cycle index's walk
-    index) and a select of every symbol of a sequence's permutation
-    classes (their pi^-1).  Each derived attribute is None before its walk
-    and set after; returns the walks' answers."""
+    (its inverse samples), a loaded permutation's power (its power
+    companion, which a build makes) and a select of every symbol of a
+    sequence's permutation classes (their pi^-1).  Each derived attribute
+    is None before its walk and set after; returns the walks' answers."""
     if isinstance(obj, FmIndex):
         lazy = [(obj, "_isa", lambda: obj.extract(1, 2))]
-    elif isinstance(obj, RunPermutation) and obj.companion is not None:
-        lazy = [(obj.companion, "_walk", lambda: obj.power(1, 3))]
+    elif isinstance(obj, RunPermutation) and obj.power_step is not None:
+        if built:
+            assert obj.companion is not None
+            return [obj.power(1, 3)]
+        lazy = [(obj, "companion", lambda: obj.power(1, 3))]
     else:
         lazy = [(s, "_inv_view", lambda s=s: [s.select(a, 1) for a in range(1, s.sigma + 1)])
                 for s in getattr(obj, "subs", []) if isinstance(s, LargeSequence)]
@@ -88,16 +91,19 @@ def _first_walk(obj) -> list:
 
 @pytest.mark.parametrize("name,build", list(_cases()), ids=[c[0] for c in _cases()])
 def test_built_state_equals_loaded_state(name, build):
-    """An index derives its inverse samples on the first extract, a cycle
-    index its walk index on the first walk and a permutation class its
-    pi^-1 on the first select, so the two copies are compared again after
-    one."""
+    """An index derives its inverse samples on the first extract, a loaded
+    permutation its power companion on the first power and a permutation
+    class its pi^-1 on the first select, so the two copies are compared
+    again after one.  Before it, a built permutation with a power step
+    differs from its loaded copy in its companion alone."""
     obj = build()
     loaded = load_structure(dump_structure(obj))[0]
-    assert state_differences(obj, loaded) == []
-    walks = int(name == "seq general" or name.endswith("step=5") or name.startswith("index"))
-    answers = _first_walk(obj)
-    assert len(answers) == walks and _first_walk(loaded) == answers
+    companion = name.endswith("step=5")
+    assert state_differences(obj, loaded) == ([".companion: None on one side only"]
+                                              if companion else [])
+    walks = int(name == "seq general" or companion or name.startswith("index"))
+    answers = _first_walk(obj, built=True)
+    assert len(answers) == walks and _first_walk(loaded, built=False) == answers
     assert state_differences(obj, loaded) == []
 
 
